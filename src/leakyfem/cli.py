@@ -204,10 +204,12 @@ def run_solve(cfg):
     if boxes:
         t_idx = min(refinements if trunc_ref is None else int(trunc_ref),
                     refinements)
-        td = sa.truncation_from_forms(forms[t_idx], DELTA, boxes, k,
-                                      tol=tol, seed=seed)
-        tp = sa.truncation_from_forms(forms[t_idx], DELTA_PRIME, boxes, k,
-                                      tol=tol, seed=seed)
+        td = sa.truncation_from_forms(
+            forms[t_idx], DELTA, boxes, k, tol=tol, seed=seed,
+            shift=pipeline.shift_from_previous(res_d[t_idx].values))
+        tp = sa.truncation_from_forms(
+            forms[t_idx], DELTA_PRIME, boxes, k, tol=tol, seed=seed,
+            shift=pipeline.shift_from_previous(res_p[t_idx].values))
         trunc = {"delta": td.as_dict(), "delta_prime": tp.as_dict()}
         nd = td.final_deltas.shape[0]
         trunc_delta_d[:nd] = td.final_deltas[:k]

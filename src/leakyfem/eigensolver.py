@@ -12,6 +12,23 @@ equals the number of pencil eigenvalues below mu (Sylvester's law).  The
 factorization is SuperLU in symmetric mode with diagonal pivoting only,
 so its U-diagonal carries the pivots; any off-diagonal pivoting or a tiny
 pivot aborts the count instead of risking a wrong answer.
+
+Every entry point takes an optional fill-reducing ordering `perm` of the
+dofs (the pipeline passes the nested-dissection ordering cached on the
+assembled forms).  The matrix is then factored as S[perm][:, perm] with
+SuperLU's NATURAL column order, which preserves the inertia, and Lanczos
+solves are mapped back to the original dof order; without one SuperLU
+orders by minimum degree (MMD_AT_PLUS_A).
+
+Each factorization certifies one fact:
+  lower_shift      no negative pivot at the pole found by the search;
+  _tighten_shift   no eigenvalue below each halving probe;
+  _msolve_factor   no negative pivot at the Lanczos pole;
+  _count_mismatch  one count per gap between clusters of the result, equal
+                   to the number of values below it, so no eigenvalue was
+                   missed.  The attempt that returns a list has just
+                   checked it, so the list is not checked again.
+Counts that callers request (the counting table) certify their own levels.
 """
 
 from __future__ import annotations
@@ -44,16 +61,24 @@ class EigenResult:
         return self.values.shape[0]
 
 
-def _sym_factor(S):
+def _sym_factor(S, perm=None):
     """SuperLU with symmetric mode and static diagonal pivoting.
+
+    With a fill-reducing ordering perm (new position -> row of S) the
+    factored matrix is S[perm][:, perm] in NATURAL column order; without
+    one SuperLU orders S itself by minimum degree on A^T + A.
 
     Raises SolverError if the factorization had to pivot off the diagonal
     or met an exactly singular pivot; in that case the level is too close
     to the spectrum for an inertia statement.
     """
+    if perm is None:
+        S, spec = S.tocsc(), "MMD_AT_PLUS_A"
+    else:
+        S, spec = S.tocsr()[perm][:, perm].tocsc(), "NATURAL"
     try:
-        lu = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        lu = splu(S, permc_spec=spec, diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -62,17 +87,20 @@ def _sym_factor(S):
     return lu
 
 
-def _pivots(S):
-    lu = _sym_factor(S)
-    d = lu.U.diagonal()
+def _pivots(S, perm=None):
+    d = _sym_factor(S, perm).U.diagonal()
     if d.size and np.min(np.abs(d)) < PIVOT_FLOOR:
         raise SolverError("level too close to spectrum: pivot below 1e-14")
-    return d, lu
+    return d
 
 
-def inertia_count(A, M, mu: float) -> int:
-    """Number of pencil eigenvalues of (A, M) strictly below mu."""
-    d, _ = _pivots((A - mu * M).tocsc())
+def inertia_count(A, M, mu: float, perm=None) -> int:
+    """Number of pencil eigenvalues of (A, M) strictly below mu.
+
+    perm is an optional fill-reducing ordering of the dofs; the count does
+    not depend on it (a symmetric permutation is a congruence).
+    """
+    d = _pivots(A - mu * M, perm)
     return int((d < 0).sum())
 
 
@@ -80,7 +108,7 @@ def _inf_norm(A):
     return float(abs(A).sum(axis=1).max()) if A.nnz else 0.0
 
 
-def lower_shift(A, M) -> float:
+def lower_shift(A, M, perm=None) -> float:
     """A shift sigma with A - sigma M positive definite.
 
     Starts from the heuristic sigma0 = -1 - ||A||_inf / min(diag M) and
@@ -92,7 +120,7 @@ def lower_shift(A, M) -> float:
     sigma = -1.0 - _inf_norm(A) / float(dm.min())
     for _ in range(40):
         try:
-            d, _ = _pivots((A - sigma * M).tocsc())
+            d = _pivots(A - sigma * M, perm)
             if not np.any(d < 0):
                 return sigma
         except SolverError:
@@ -101,7 +129,7 @@ def lower_shift(A, M) -> float:
     raise SolverError("no positive definite shift found after 40 doublings")
 
 
-def _tighten_shift(A, M, sigma_safe):
+def _tighten_shift(A, M, sigma_safe, perm):
     """Walk the certified shift toward the spectrum by halving; keeps the
     largest level with zero eigenvalues below it."""
     sigma = sigma_safe
@@ -111,7 +139,7 @@ def _tighten_shift(A, M, sigma_safe):
         if abs(probe) < 1e-6:
             break
         try:
-            if inertia_count(A, M, probe) == 0:
+            if inertia_count(A, M, probe, perm) == 0:
                 sigma = probe
             else:
                 break
@@ -120,15 +148,22 @@ def _tighten_shift(A, M, sigma_safe):
     return sigma
 
 
-def _msolve_factor(A, M, sigma):
-    lu = _sym_factor((A - sigma * M).tocsc())
-    d = lu.U.diagonal()
-    if np.any(d < 0):
+def _msolve_factor(A, M, sigma, perm):
+    """Solver for (A - sigma M) x = b, certified positive definite."""
+    lu = _sym_factor(A - sigma * M, perm)
+    if np.any(lu.U.diagonal() < 0):
         raise SolverError(f"shift {sigma} is not below the spectrum")
-    return lu
+    if perm is None:
+        return lu.solve
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[perm] = lu.solve(b[perm])
+        return x
+    return solve
 
 
-def _lanczos(lu, A, M, sigma, k, tol, rng, deflate, budget):
+def _lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget):
     """One deflated shift-invert Lanczos sweep.
 
     Returns (values, vectors, residuals, exhausted): converged pairs of the
@@ -167,7 +202,7 @@ def _lanczos(lu, A, M, sigma, k, tol, rng, deflate, budget):
             grow = np.empty((n, min(mcap, V.shape[1] * 2 - 1) + 1))
             grow[:, :V.shape[1]] = V
             V = grow
-        w = lu.solve(M @ V[:, j])
+        w = solve(M @ V[:, j])
         if j > 0:
             w -= betas[j - 1] * V[:, j - 1]
         a = mdot(w, V[:, j])
@@ -240,7 +275,7 @@ def _mortho_normalize(M, X):
 
 def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
                         shift: float | None = None, seed: int = DEFAULT_SEED,
-                        verify_count: bool = True) -> EigenResult:
+                        verify_count: bool = True, perm=None) -> EigenResult:
     """k smallest eigenpairs of A x = lambda M x.
 
     Parameters
@@ -254,6 +289,8 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     verify_count : cross-check the computed list against factorization
         inertia at cluster midpoints, restarting to pick up any eigenvalue
         a single Krylov sequence missed (multiplicities).
+    perm : optional fill-reducing dof ordering used for every
+        factorization (see _sym_factor).
 
     Raises SolverError (carrying the best partial result) on
     non-convergence within the iteration budget.
@@ -267,10 +304,10 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     A = A.tocsr()
     M = M.tocsr()
     if shift is None:
-        sigma = _tighten_shift(A, M, lower_shift(A, M))
+        sigma = _tighten_shift(A, M, lower_shift(A, M, perm), perm)
     else:
         sigma = float(shift)
-    lu = _msolve_factor(A, M, sigma)
+    solve = _msolve_factor(A, M, sigma, perm)
     rng = np.random.default_rng(seed)
     budget = 10 * k + 200
 
@@ -280,8 +317,8 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     for attempt in range(4):
         want = k - vals.shape[0]
         if want > 0:
-            lv, lX, lres, exhausted = _lanczos(lu, A, M, sigma, want, tol,
-                                               rng, X, budget)
+            lv, lX, lres, exhausted = _lanczos(solve, A, M, sigma, want,
+                                               tol, rng, X, budget)
             if lv.size:
                 vals = np.concatenate([vals, lv])
                 X = np.hstack([X, lX])
@@ -294,7 +331,7 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
             continue
         if not verify_count:
             break
-        missing = _count_mismatch(A, M, vals[:k])
+        missing = _count_mismatch(A, M, vals[:k], perm)
         if missing == 0:
             break
         # keep the certified head of the list, deflate it, and search the
@@ -306,13 +343,8 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         partial = _finalize(A, M, vals, X, sigma)
         raise SolverError("eigensolver did not converge within its budget",
                           partial=partial)
-    vals = vals[:k]
-    X = X[:, :k]
-    if verify_count and _count_mismatch(A, M, vals) != 0:
-        partial = _finalize(A, M, vals, X, sigma)
-        raise SolverError("inertia check still fails after restarts",
-                          partial=partial)
-    return _finalize(A, M, vals, X, sigma)
+    # every way out of the loop with k values passed the inertia check
+    return _finalize(A, M, vals[:k], X[:, :k], sigma)
 
 
 def _finalize(A, M, vals, X, sigma):
@@ -325,18 +357,28 @@ def _finalize(A, M, vals, X, sigma):
                        shift_used=sigma)
 
 
-def _count_mismatch(A, M, vals, cluster_tol=1e-8):
-    """0 if inertia agrees with the list at every cluster midpoint, else the
-    index (1-based) of the first midpoint where eigenvalues are missing."""
+def _count_mismatch(A, M, vals, perm=None, cluster_tol=1e-8):
+    """0 if inertia agrees with the list in every gap between clusters,
+    else the index (1-based) of the first gap where eigenvalues are missing.
+
+    Each gap is probed at its midpoint; a probe too close to the spectrum
+    to factor (SolverError) is retried at a quarter and three quarters of
+    the gap, and only a gap where all three probes fail counts as missing.
+    """
     scale = max(1.0, float(np.max(np.abs(vals))))
     for i in range(len(vals) - 1):
-        if vals[i + 1] - vals[i] <= cluster_tol * scale:
+        lo, hi = vals[i], vals[i + 1]
+        if hi - lo <= cluster_tol * scale:
             continue
-        mu = 0.5 * (vals[i] + vals[i + 1])
-        try:
-            got = inertia_count(A, M, mu)
-        except SolverError:
-            return i + 1
-        if got != i + 1:
+        for mu in (0.5 * (lo + hi), lo + 0.25 * (hi - lo),
+                   lo + 0.75 * (hi - lo)):
+            try:
+                got = inertia_count(A, M, mu, perm)
+            except SolverError:
+                continue
+            if got != i + 1:
+                return i + 1
+            break
+        else:
             return i + 1
     return 0

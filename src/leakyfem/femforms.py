@@ -18,7 +18,7 @@ assembly is exact up to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io
@@ -43,6 +43,9 @@ class AssembledForms:
     J_beta           interface jump mass (broken space)
     embed_map        broken dof -> continuous dof realizing the inclusion
     sign_omega2      -1 on broken dofs resolved to the Omega2 side
+
+    ordering(which) gives a fill-reducing dof ordering for factoring that
+    operator's pencil; it is computed on first use and cached.
     """
 
     mesh: Mesh
@@ -57,6 +60,8 @@ class AssembledForms:
     J_beta: sp.csr_matrix
     embed_map: np.ndarray
     sign_omega2: np.ndarray
+    _orderings: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     @property
     def A_delta(self):
@@ -73,6 +78,84 @@ class AssembledForms:
         if which == DELTA_PRIME:
             return self.A_deltaprime, self.M_brok
         raise DomainError(f"unknown operator kind {which!r}")
+
+    def ordering(self, which):
+        """Nested-dissection ordering (new position -> dof) of the space of
+        the requested operator, from the dof coordinates and the sparsity
+        of its pencil."""
+        perm = self._orderings.get(which)
+        if perm is None:
+            A, M = self.matrices(which)
+            dofmap = self.continuous if which == DELTA else self.broken
+            xy = np.empty((dofmap.ndof, 2))
+            for nd in (dofmap.node_dof1, dofmap.node_dof2):
+                ok = nd >= 0
+                xy[nd[ok]] = self.mesh.nodes[ok]
+            G = sp.triu(abs(A) + abs(M), k=1).tocoo()
+            perm = nested_dissection(xy, G.row, G.col)
+            self._orderings[which] = perm
+        return perm
+
+
+def nested_dissection(xy, u, v, leaf=16):
+    """Geometric nested-dissection ordering of a graph with vertex
+    coordinates xy (n, 2) and undirected edges (u[i], v[i]).
+
+    Each subset of more than `leaf` vertices is split at the median of its
+    longer coordinate extent (ties by vertex number); the left vertices
+    with an edge to the right side form its separator, and the order is
+    left, right, separator (George, SIAM J. Numer. Anal. 10, 1973).  The
+    recursion runs one tree level at a time over all subsets of that
+    level, passing down the edges that stay inside a subset.  Returns
+    perm with perm[new position] = vertex.
+    """
+    n = xy.shape[0]
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    # per axis, the position of each vertex in (coordinate, number) order
+    rank = np.empty((2, n), dtype=np.int64)
+    for axis in (0, 1):
+        rank[axis, np.lexsort((np.arange(n), xy[:, axis]))] = np.arange(n)
+    # ids: vertices not yet placed, grouped by subset; code: their subset
+    # (root 1, children of c are 2c and 2c+1); node, depth: the subset
+    # that placed each vertex
+    ids = np.arange(n)
+    code = np.ones(n, dtype=np.int64)
+    node = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    live = np.zeros(n, dtype=bool)
+    right = np.zeros(n, dtype=bool)
+    level = 0
+    while ids.size:
+        starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+        sizes = np.diff(np.r_[starts, ids.size])
+        sub = np.repeat(np.arange(starts.size), sizes)
+        p = xy[ids]
+        axis = np.argmax(np.maximum.reduceat(p, starts)
+                         - np.minimum.reduceat(p, starts), axis=1)
+        o = np.argsort(sub * n + rank[axis[sub], ids])
+        ids, code = ids[o], code[o]
+        node[ids] = code
+        depth[ids] = level
+        live[ids] = sizes[sub] > leaf       # leaves are placed whole
+        right[ids] = np.arange(ids.size) - starts[sub] >= sizes[sub] // 2
+        e = live[u]
+        u, v = u[e], v[e]
+        ru = right[u]
+        cross = ru != right[v]
+        live[np.where(ru[cross], v[cross], u[cross])] = False  # separators
+        e = ~cross & live[u] & live[v]
+        u, v = u[e], v[e]
+        keep = live[ids]
+        ids = ids[keep]
+        code = 2 * code[keep] + right[ids]
+        level += 1
+    # postorder of the subset tree: pad each code with ones to the full
+    # depth, so a subtree sorts before its root and left before right;
+    # a root ties with its rightmost descendants, which go first
+    pad = (int(depth.max()) if n else 0) - depth
+    key = (node << pad) | ((np.int64(1) << pad) - 1)
+    return np.lexsort((np.arange(n), -depth, key))
 
 
 def _tri_geometry(mesh):
@@ -121,18 +204,8 @@ def _local_mass(mesh):
     return Me
 
 
-def _scatter(local, dofs, ndof):
-    """Accumulate (T, 3, 3) element blocks into a CSR matrix."""
-    rows = np.repeat(dofs, 3, axis=1).ravel()
-    cols = np.tile(dofs, (1, 3)).ravel()
-    vals = local.reshape(local.shape[0], 9).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    A = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(ndof, ndof))
-    return A.tocsr()
-
-
-def _edge_scatter(blocks, dofs, ndof):
-    """Accumulate (E, k, k) edge blocks into a CSR matrix."""
+def _scatter(blocks, dofs, ndof):
+    """Accumulate (N, k, k) element or edge blocks into a CSR matrix."""
     k = dofs.shape[1]
     rows = np.repeat(dofs, k, axis=1).ravel()
     cols = np.tile(dofs, (1, k)).ravel()
@@ -183,7 +256,7 @@ def assemble(mesh: Mesh, material: MaterialData,
 
     # trace mass on the continuous space: alpha * edge mass
     Tblocks = alpha[:, None, None] * quad.edge_mass
-    T_alpha = _edge_scatter(Tblocks, quad.cont_dofs, continuous.ndof)
+    T_alpha = _scatter(Tblocks, quad.cont_dofs, continuous.ndof)
 
     # jump mass on the broken space: (1/beta) * edge mass expanded with
     # signs +1 on the Omega1 copy and -1 on the Omega2 copy of each node
@@ -197,7 +270,7 @@ def assemble(mesh: Mesh, material: MaterialData,
             Jblocks[:, a, b] = (signs[a] * signs[b]
                                 * quad.edge_mass[:, node_of[a], node_of[b]])
     Jblocks /= beta[:, None, None]
-    J_beta = _edge_scatter(Jblocks, jd, broken.ndof)
+    J_beta = _scatter(Jblocks, jd, broken.ndof)
 
     embed_map = np.full(broken.ndof, -1, dtype=np.int64)
     for nd_b, nd_c in ((broken.node_dof1, continuous.node_dof1),

@@ -34,16 +34,17 @@ def shift_from_previous(values):
     return lam1 - max(1.0, 0.5 * abs(lam1))
 
 
-def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None):
+def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None,
+                 perm=None):
     """smallest_eigenpairs with a fallback when a guessed shift is too high."""
     if shift is not None:
         for _ in range(3):
             try:
                 return smallest_eigenpairs(A, M, k, tol=tol, shift=shift,
-                                           seed=seed)
+                                           seed=seed, perm=perm)
             except SolverError:
                 shift = 2.0 * shift - 1.0
-    return smallest_eigenpairs(A, M, k, tol=tol, seed=seed)
+    return smallest_eigenpairs(A, M, k, tol=tol, seed=seed, perm=perm)
 
 
 def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
@@ -53,7 +54,8 @@ def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     shift = None
     for forms in forms_list:
         A, M = forms.matrices(which)
-        res = solve_pencil(A, M, k, tol=tol, seed=seed, shift=shift)
+        res = solve_pencil(A, M, k, tol=tol, seed=seed, shift=shift,
+                           perm=forms.ordering(which))
         results.append(res)
         shift = shift_from_previous(res.values)
     return results
@@ -81,9 +83,21 @@ def interior_dofs(forms, which, halfwidth):
 
 def solve_restricted(forms, which, halfwidth, k, tol=DEFAULT_TOL,
                      seed=DEFAULT_SEED, shift=None):
-    """Solve the pencil restricted to dofs strictly inside an inner box."""
+    """Solve the pencil restricted to dofs strictly inside an inner box,
+    factoring in the master ordering filtered to the kept dofs."""
     A, M = forms.matrices(which)
     keep = interior_dofs(forms, which, halfwidth)
     Ar = A[keep][:, keep].tocsr()
     Mr = M[keep][:, keep].tocsr()
-    return solve_pencil(Ar, Mr, k, tol=tol, seed=seed, shift=shift), keep
+    perm = restrict_ordering(forms.ordering(which), keep)
+    return solve_pencil(Ar, Mr, k, tol=tol, seed=seed, shift=shift,
+                        perm=perm), keep
+
+
+def restrict_ordering(perm, keep):
+    """The dof ordering perm filtered to the sorted dof subset keep, in the
+    numbering of the restricted pencil."""
+    local = np.full(perm.size, -1, dtype=np.int64)
+    local[keep] = np.arange(keep.size)
+    sub = local[perm]
+    return sub[sub >= 0]

@@ -97,20 +97,22 @@ class CountingRow:
                 "N_deltaprime": self.n_deltaprime}
 
 
-def counting(eigs: EigenResult, mu: float, A, M, threshold) -> int:
+def counting(eigs: EigenResult, mu: float, A, M, threshold,
+             perm=None) -> int:
     """Number of computed eigenvalues <= mu, cross-checked against the
     factorization inertia of A - mu M.
 
     mu must lie strictly below the essential-spectrum threshold, and the
     caller should place it between consecutive eigenvalues (the inertia
     count is only comparable when every pencil eigenvalue below mu was
-    computed).
+    computed).  perm is an optional fill-reducing ordering for the
+    factorization.
     """
     thr = threshold.value if isinstance(threshold, ThresholdInfo) else threshold
     if not mu < thr:
         raise DomainError(f"level {mu} is not below the threshold {thr}")
     got = int(np.sum(eigs.values <= mu))
-    exact = inertia_count(A, M, mu)
+    exact = inertia_count(A, M, mu, perm)
     if got != exact:
         raise ConsistencyError(
             f"counting mismatch at mu={mu}: {got} computed vs "
@@ -129,13 +131,15 @@ def counting_table(forms, res_delta: EigenResult, res_deltaprime: EigenResult,
     rows = []
     A_d, M_d = forms.matrices(DELTA)
     A_p, M_p = forms.matrices(DELTA_PRIME)
+    perm_d = forms.ordering(DELTA)
+    perm_p = forms.ordering(DELTA_PRIME)
     all_vals = np.concatenate([res_delta.values, res_deltaprime.values])
     for i in range(below.size - 1):
         mu = 0.5 * (below[i] + below[i + 1])
         if np.min(np.abs(all_vals - mu)) < 1e-8:
             continue
-        n_d = counting(res_delta, mu, A_d, M_d, thr_delta)
-        n_p = counting(res_deltaprime, mu, A_p, M_p, thr_deltaprime)
+        n_d = counting(res_delta, mu, A_d, M_d, thr_delta, perm_d)
+        n_p = counting(res_deltaprime, mu, A_p, M_p, thr_deltaprime, perm_p)
         if n_p < n_d:
             raise ConsistencyError(
                 f"counting functions out of order at mu={mu}: "
@@ -344,12 +348,17 @@ def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
 
 def truncation_from_forms(forms, which: str, halfwidths, k: int,
                           tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                          stab_tol: float = 1e-6) -> TruncationStudy:
+                          stab_tol: float = 1e-6,
+                          shift: float | None = None) -> TruncationStudy:
     """Truncation study on an already assembled master mesh whose inner
-    boxes were constrained in as rings."""
+    boxes were constrained in as rings.
+
+    shift is an optional shift-invert pole for the smallest box.  Any
+    shift below the full-box spectrum of the same mesh is one: by min-max
+    the eigenvalues of a restricted pencil are no smaller.
+    """
     halfwidths = sorted(set(float(L) for L in halfwidths))
     values = []
-    shift = None
     for L in halfwidths:
         res, _ = pipeline.solve_restricted(forms, which, L, k, tol=tol,
                                            seed=seed, shift=shift)
@@ -362,13 +371,3 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
     return TruncationStudy(operator=which, halfwidths=tuple(halfwidths),
                            values=vals, deltas=deltas, stabilized=stabilized,
                            tolerance=stab_tol)
-
-
-def error_budget(convergence: dict, trunc_delta, tol: float, k: int):
-    """Per-eigenvalue budget: Richardson estimate + truncation delta +
-    10 * solver tolerance."""
-    rich = np.asarray(convergence["error"][:k], dtype=float)
-    td = np.broadcast_to(np.asarray(trunc_delta, dtype=float), rich.shape) \
-        if np.ndim(trunc_delta) == 0 else np.asarray(trunc_delta)[:k]
-    out = rich + td + 10.0 * tol
-    return out

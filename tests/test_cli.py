@@ -171,3 +171,28 @@ def test_out_of_regime_material_rejected(tmp_path):
     cfg["material"] = {"alpha": 3.0, "beta": 2.0}
     p = _write(tmp_path / "cfg.json", cfg)
     assert cli.main(["solve", "--config", p]) == cli.EXIT_ERROR
+
+
+def test_factorization_budget(monkeypatch):
+    # the criterion-8 run, per operator: one Lanczos factor and one
+    # inertia check per level, the shift search and walk on the coarse
+    # level, and one counting-row count; a repeated check raises the count
+    from leakyfem import eigensolver
+    calls = []
+    splu = eigensolver.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "splu", counted)
+    cfg = {
+        "geometry": {"kind": "broken_line", "theta": math.pi / 4,
+                     "halfwidth": 4.0},
+        "material": {"alpha": 2.0, "beta": 2.0},
+        "discretization": {"h": 0.8, "refinements": 2},
+        "solver": {"k": 2, "tol": 1e-9},
+    }
+    _, code = cli.run_solve(cfg)
+    assert code in (cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
+    assert len(calls) == 37

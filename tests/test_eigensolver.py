@@ -171,3 +171,42 @@ def test_bad_inputs():
         es.smallest_eigenpairs(A, _identity(2), 1, tol=0.0)
     with pytest.raises(SolverError):
         es.smallest_eigenpairs(A, _identity(2), 1, shift=1.5)  # not below
+
+
+def test_unfactorable_midpoint_is_probed_again(monkeypatch):
+    # a tiny pivot at a cluster midpoint is no evidence of a missed
+    # eigenvalue: the gap is probed again at 1/4 and 3/4, with no restart
+    A = sp.diags(np.arange(1.0, 11.0)).tocsr()
+    M = _identity(10)
+    plain = es.smallest_eigenpairs(A, M, 3, tol=1e-12, shift=0.0)
+    mids = {0.5 * (plain.values[i] + plain.values[i + 1]) for i in range(2)}
+    probes, sweeps = [], []
+    count, lanczos = es.inertia_count, es._lanczos
+
+    def flaky_count(A, M, mu, perm=None):
+        probes.append(mu)
+        if mu in mids:
+            raise SolverError("level too close to spectrum: pivot below 1e-14")
+        return count(A, M, mu, perm)
+
+    def counted_lanczos(*args):
+        sweeps.append(1)
+        return lanczos(*args)
+
+    monkeypatch.setattr(es, "inertia_count", flaky_count)
+    monkeypatch.setattr(es, "_lanczos", counted_lanczos)
+    r = es.smallest_eigenpairs(A, M, 3, tol=1e-12, shift=0.0)
+    assert len(sweeps) == 1
+    assert np.array_equal(r.values, plain.values)
+    v = plain.values
+    assert probes == [0.5 * (v[0] + v[1]), v[0] + 0.25 * (v[1] - v[0]),
+                      0.5 * (v[1] + v[2]), v[1] + 0.25 * (v[2] - v[1])]
+
+
+def test_gap_without_a_factorable_probe_counts_as_missing(monkeypatch):
+    def no_count(A, M, mu, perm=None):
+        raise SolverError("level too close to spectrum: pivot below 1e-14")
+
+    monkeypatch.setattr(es, "inertia_count", no_count)
+    A = sp.diags([1.0, 2.0, 3.0]).tocsr()
+    assert es._count_mismatch(A, _identity(3), np.array([1.0, 2.0, 3.0])) == 1

@@ -1,0 +1,120 @@
+"""Nested-dissection dof orderings: validity, agreement with a plain
+recursive reference, and invariance of factorization inertia."""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+
+from leakyfem import femforms, geometry as geo, pipeline
+from leakyfem.eigensolver import inertia_count
+
+
+def _reference_dissection(ids, xy, u, v, leaf, out):
+    """Recursive form of femforms.nested_dissection on the subset ids
+    (local edges u, v); appends the ordered vertices to out."""
+    m = ids.size
+    if m <= leaf:
+        out.append(ids)
+        return
+    axis = int(np.argmax(xy.max(axis=0) - xy.min(axis=0)))
+    right = np.zeros(m, dtype=bool)
+    right[np.argsort(xy[:, axis], kind="stable")[m // 2:]] = True
+    cross = right[u] != right[v]
+    sep = np.zeros(m, dtype=bool)
+    sep[np.where(right[u[cross]], v[cross], u[cross])] = True
+    local = np.empty(m, dtype=np.int64)
+    for part in (~(right | sep), right):
+        idx = np.flatnonzero(part)
+        local[idx] = np.arange(idx.size)
+        inner = part[u] & part[v]
+        _reference_dissection(ids[idx], xy[idx], local[u[inner]],
+                              local[v[inner]], leaf, out)
+    out.append(ids[sep])
+
+
+def _broken_line():
+    g = geo.make_broken_line(math.pi / 3, 4.0)
+    return g, geo.MaterialData.borderline(g, alpha=2.0), [2.5]
+
+
+def _circle():
+    g = geo.make_circle(1.0, (0.2, -0.1), 2.5, 24)
+    return g, geo.MaterialData.constant(g, alpha=5.0, beta=0.7), [1.8]
+
+
+@pytest.fixture(scope="module", params=[_broken_line, _circle],
+                ids=["broken_line", "circle"])
+def forms(request):
+    g, mat, rings = request.param()
+    mesh = pipeline.mesh_levels(g, 0.6, 0, inner_rings=rings)[0]
+    return femforms.assemble(mesh, mat), rings[0]
+
+
+def _levels(A, M, count=4):
+    """Levels strictly inside gaps of the dense pencil spectrum, spread
+    from below the ground state to the middle of the spectrum."""
+    lam = sla.eigh(A.toarray(), M.toarray(), eigvals_only=True)
+    picks = np.unique(np.linspace(0, lam.size // 2, count).astype(int))
+    mus = [lam[0] - 1.0] + [0.5 * (lam[i] + lam[i + 1]) for i in picks[1:]]
+    return lam, mus
+
+
+@pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
+def test_ordering_is_a_permutation(forms, which):
+    F, _ = forms
+    A, _ = F.matrices(which)
+    perm = F.ordering(which)
+    assert perm.size > 64  # the dissection has at least one separator
+    assert np.array_equal(np.sort(perm), np.arange(A.shape[0]))
+    assert F.ordering(which) is perm  # cached on the forms object
+
+
+@pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
+def test_ordering_matches_recursive_reference(forms, which):
+    F, _ = forms
+    A, M = F.matrices(which)
+    dofmap = F.continuous if which == femforms.DELTA else F.broken
+    xy = np.empty((dofmap.ndof, 2))
+    for nd in (dofmap.node_dof1, dofmap.node_dof2):
+        ok = nd >= 0
+        xy[nd[ok]] = F.mesh.nodes[ok]
+    G = sp.triu(abs(A) + abs(M), k=1).tocoo()
+    for leaf in (4, 16, 64):
+        out = []
+        _reference_dissection(np.arange(xy.shape[0]), xy, G.row, G.col,
+                              leaf, out)
+        assert np.array_equal(
+            femforms.nested_dissection(xy, G.row, G.col, leaf=leaf),
+            np.concatenate(out))
+
+
+@pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
+def test_inertia_with_ordering_matches_dense(forms, which):
+    F, _ = forms
+    A, M = F.matrices(which)
+    perm = F.ordering(which)
+    lam, mus = _levels(A, M)
+    for mu in mus:
+        exact = int((lam < mu).sum())
+        assert inertia_count(A, M, mu) == exact
+        assert inertia_count(A, M, mu, perm) == exact
+
+
+@pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
+def test_restricted_ordering_matches_dense(forms, which):
+    F, halfwidth = forms
+    A, M = F.matrices(which)
+    keep = pipeline.interior_dofs(F, which, halfwidth)
+    assert 0 < keep.size < A.shape[0]
+    Ar = A[keep][:, keep].tocsr()
+    Mr = M[keep][:, keep].tocsr()
+    perm = pipeline.restrict_ordering(F.ordering(which), keep)
+    assert np.array_equal(np.sort(perm), np.arange(keep.size))
+    lam, mus = _levels(Ar, Mr)
+    for mu in mus:
+        exact = int((lam < mu).sum())
+        assert inertia_count(Ar, Mr, mu) == exact
+        assert inertia_count(Ar, Mr, mu, perm) == exact

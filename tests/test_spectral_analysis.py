@@ -203,3 +203,29 @@ def test_convergence_study_orders():
     assert conv["error"][0] >= 0.0
     with pytest.raises(DomainError):
         sa.convergence_study(rd[:2])
+
+
+def test_truncation_shift_seeded_from_full_box(monkeypatch):
+    # a shift below the full-box spectrum of the same mesh is below every
+    # restricted spectrum (min-max), so no shift search is needed
+    from leakyfem import eigensolver
+    g = geo.make_broken_line(math.pi / 4, 6.0)
+    mat = geo.MaterialData.borderline(g, alpha=2.0)
+    mesh = pipeline.mesh_levels(g, 0.6, 0, inner_rings=[3.0, 4.5])[0]
+    forms = femforms.assemble(mesh, mat)
+    boxes = [3.0, 4.5, 6.0]
+    plain = sa.truncation_from_forms(forms, sa.DELTA, boxes, 2)
+    full = pipeline.cascade_solve([forms], sa.DELTA, 2)[0]
+    searches = []
+    lower_shift = eigensolver.lower_shift
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return lower_shift(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "lower_shift", counted)
+    seeded = sa.truncation_from_forms(
+        forms, sa.DELTA, boxes, 2,
+        shift=pipeline.shift_from_previous(full.values))
+    assert not searches
+    assert np.abs(seeded.values - plain.values).max() <= 1e-9
