@@ -436,47 +436,75 @@ def cmd_sweep(args):
     return EXIT_STRICT
 
 
+def _oracle_number(value, where):
+    """Check that a value of the oracle block is a finite JSON number (a
+    bool is not one) and return it unchanged."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return value
+
+
+def _oracle_list(ocfg, key):
+    values = ocfg.get(key, [])
+    if not isinstance(values, list):
+        raise ConfigError(f"oracle.{key} must be a list of numbers")
+    values = [_oracle_number(v, f"oracle.{key}") for v in values]
+    if any(v <= 0 for v in values):
+        raise ConfigError(f"oracle {key} values must be positive")
+    return values
+
+
 def cmd_oracle(args):
     cfg = load_config(args.config)
     ocfg = _require(cfg, "oracle", "config")
     _check_keys(ocfg, {"alpha", "beta", "circle"}, "oracle")
+    alphas = _oracle_list(ocfg, "alpha")
+    betas = _oracle_list(ocfg, "beta")
+    strengths = {}
+    if "circle" in ocfg:
+        ccfg = ocfg["circle"]
+        _check_keys(ccfg, {"radius", "alpha", "beta", "m_max"}, "oracle.circle")
+        R = float(_oracle_number(_require(ccfg, "radius", "oracle.circle"),
+                                 "oracle.circle.radius"))
+        if R <= 0:
+            raise ConfigError("oracle.circle.radius must be positive")
+        m_max = _oracle_number(ccfg.get("m_max", 2), "oracle.circle.m_max")
+        if m_max < 0 or m_max != int(m_max):
+            raise ConfigError("oracle.circle.m_max must be a nonnegative "
+                              f"integer, got {m_max!r}")
+        m_max = int(m_max)
+        strengths = {key: float(_oracle_number(ccfg[key],
+                                               f"oracle.circle.{key}"))
+                     for key in ("alpha", "beta") if key in ccfg}
     lines = ["model,parameter,eigenvalue,reference,difference"]
-    for a in ocfg.get("alpha", []):
-        if a <= 0:
-            raise ConfigError("oracle alpha values must be positive")
+    for a in alphas:
         r = oracles.point_delta_1d(float(a))
         ref = -0.25 * a * a
         got = float(r.eigenvalues[0])
         lines.append("point_delta,%r,%r,%r,%r" % (a, got, ref, got - ref))
         print("point delta    alpha=%-8g lambda=%.10f  closed form %.10f  "
               "diff %.2e" % (a, got, ref, got - ref))
-    for b in ocfg.get("beta", []):
-        if b <= 0:
-            raise ConfigError("oracle beta values must be positive")
+    for b in betas:
         r = oracles.point_deltaprime_1d(float(b))
         ref = -4.0 / (b * b)
         got = float(r.eigenvalues[0])
         lines.append("point_deltaprime,%r,%r,%r,%r" % (b, got, ref, got - ref))
         print("point delta'   beta=%-9g lambda=%.10f  closed form %.10f  "
               "diff %.2e" % (b, got, ref, got - ref))
-    if "circle" in ocfg:
-        ccfg = ocfg["circle"]
-        _check_keys(ccfg, {"radius", "alpha", "beta", "m_max"}, "oracle.circle")
-        R = float(_require(ccfg, "radius", "oracle.circle"))
-        m_max = int(ccfg.get("m_max", 2))
-        if "alpha" in ccfg:
-            r = oracles.circle_delta_radial(R, float(ccfg["alpha"]), m_max)
-            for m, eigs in enumerate(r.per_mode):
-                for e in eigs:
-                    lines.append("circle_delta_m%d,%r,%r,," % (m, R, float(e)))
-                    print("circle delta   m=%d R=%g  lambda=%.8f" % (m, R, e))
-        if "beta" in ccfg:
-            r = oracles.circle_deltaprime_radial(R, float(ccfg["beta"]), m_max)
-            for m, eigs in enumerate(r.per_mode):
-                for e in eigs:
-                    lines.append("circle_deltaprime_m%d,%r,%r,,"
-                                 % (m, R, float(e)))
-                    print("circle delta'  m=%d R=%g  lambda=%.8f" % (m, R, e))
+    if "alpha" in strengths:
+        r = oracles.circle_delta_radial(R, strengths["alpha"], m_max)
+        for m, eigs in enumerate(r.per_mode):
+            for e in eigs:
+                lines.append("circle_delta_m%d,%r,%r,," % (m, R, float(e)))
+                print("circle delta   m=%d R=%g  lambda=%.8f" % (m, R, e))
+    if "beta" in strengths:
+        r = oracles.circle_deltaprime_radial(R, strengths["beta"], m_max)
+        for m, eigs in enumerate(r.per_mode):
+            for e in eigs:
+                lines.append("circle_deltaprime_m%d,%r,%r,,"
+                             % (m, R, float(e)))
+                print("circle delta'  m=%d R=%g  lambda=%.8f" % (m, R, e))
     out, formats = _outdir(cfg, args)
     if "csv" in formats:
         _atomic_write(os.path.join(out, "oracle.csv"), "\n".join(lines) + "\n")

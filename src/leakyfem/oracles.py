@@ -3,11 +3,17 @@
 These oracles validate the finite-element pipeline without sharing any
 code with it.  Each one discretizes a one-dimensional model (the real
 line with a point coupling, or the radial reduction of a circle problem)
-as a symmetric tridiagonal pencil and finds every eigenvalue below a
-level by bisection on the factorization sign count, to absolute
-tolerance 1e-10.  No transcendental matching formulas are trusted: the
-closed forms -alpha^2/4 and -4/beta^2 appear only in the test suite as
-cross-checks of the oracles themselves.
+as a symmetric tridiagonal pencil (T, M) with a positive diagonal M,
+scales it to the standard form M^{-1/2} T M^{-1/2}, and finds every
+eigenvalue below a level with LAPACK dstebz: bisection on Sturm counts
+(Barth, Martin & Wilkinson 1967) to absolute tolerance 1e-10.  The
+counts are exact, but rounding in the second-difference matrix limits a
+single grid's absolute accuracy to about eps * ||T||.  At the fixed
+kappa * h used here (kappa the decay rate, alpha/2 or 2/beta) that floor
+grows as kappa^2; the closed forms are met within 1e-8 for kappa <= 4,
+that is alpha <= 8 and beta >= 0.5.  No transcendental matching
+formulas are trusted: the closed forms -alpha^2/4 and -4/beta^2 appear
+only in the test suite as cross-checks of the oracles themselves.
 
 Point couplings enter the grid exactly: the delta sits on a grid node
 and subtracts alpha from that diagonal entry of the form; the
@@ -22,64 +28,42 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dstebz
 
 from .errors import ConsistencyError, DomainError
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a normal dependency
-    njit = None
 
 _KH_TARGET_1D = 1e-3      # decay rate times grid step for the line models
 _KH_TARGET_RADIAL = 2e-3
 _BISECT_TOL = 1e-10
 
 
-def _sturm_py(d, e, m, x, pivmin):
-    count = 0
-    q = d[0] - x * m[0]
-    if abs(q) < pivmin:
-        q = -pivmin
-    if q < 0:
-        count += 1
-    for i in range(1, d.shape[0]):
-        q = d[i] - x * m[i] - e[i - 1] * e[i - 1] / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0:
-            count += 1
-    return count
+def _eigs_below(d, e, m, upper):
+    """All pencil eigenvalues strictly below `upper`, ascending.
 
-
-if njit is not None:
-    _sturm = njit(cache=True, fastmath=False)(_sturm_py)
-else:  # pragma: no cover
-    _sturm = _sturm_py
-
-
-def _count_below(d, e, m, x):
-    scale = float(np.max(np.abs(d)) + np.max(np.abs(e) if e.size else 0.0))
-    return int(_sturm(d, e, m, float(x), 1e-30 * max(scale, 1.0)))
-
-
-def _eigs_below(d, e, m, upper, tol=_BISECT_TOL):
-    """All pencil eigenvalues strictly below `upper`, by Sturm bisection."""
+    The pencil (T, M), with T tridiagonal (diagonal d, off-diagonal e) and
+    M = diag(m) positive, is scaled in place to M^{-1/2} T M^{-1/2}, so d
+    and e are overwritten.  LAPACK dstebz then bisects on Sturm counts
+    over (Gershgorin bound - 1, upper) to absolute tolerance 1e-10; its
+    own default, eps * ||T||, would be about 1e-8 on the fine grids.
+    """
+    s = np.sqrt(m)
+    d /= s          # d / s / s, not d / m: each entry is divided by the
+    d /= s          # same rounded factors, so zero row sums stay near zero
+    e /= s[:-1]
+    e /= s[1:]
     r = np.zeros_like(d)
     r[:-1] += np.abs(e)
     r[1:] += np.abs(e)
-    lower = float(np.min((d - r) / m)) - 1.0
-    total = _count_below(d, e, m, upper)
-    out = []
-    for j in range(1, total + 1):
-        lo, hi = lower, float(upper)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if _count_below(d, e, m, mid) >= j:
-                hi = mid
-            else:
-                lo = mid
-        out.append(0.5 * (lo + hi))
-    return np.asarray(out)
+    lower = float(np.min(d - r)) - 1.0
+    del s, r        # dstebz allocates about 7n words of its own
+    # range 1 selects the values in (vl, vu], a half-open interval, so
+    # nextafter keeps `upper` itself out; il and iu are unused
+    count, w, _, _, info = dstebz(d, e, 1, lower,
+                                  float(np.nextafter(upper, -np.inf)),
+                                  1, 1, _BISECT_TOL, "E")
+    if info != 0:
+        raise ConsistencyError(f"LAPACK dstebz failed with info={info}")
+    return w[:count].copy()
 
 
 def _eigs_extrapolated(build, h0, upper=0.0):
@@ -100,6 +84,13 @@ def _eigs_extrapolated(build, h0, upper=0.0):
     return np.sort(vals)
 
 
+def _check_grid(step, halfwidth):
+    """Reject a grid keyword that was given but is not positive."""
+    for name, value in (("step", step), ("halfwidth", halfwidth)):
+        if value is not None and not value > 0:
+            raise DomainError(f"{name} must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OracleResult:
     """Eigenvalues below the continuum threshold of a 1d reference model."""
@@ -116,8 +107,10 @@ def point_delta_1d(alpha: float, step: float | None = None,
 
     Dense second differences on [-R, R] with the delta on the center
     node; every eigenvalue below zero is returned (the model has exactly
-    one).  Non-positive alpha yields an empty list.
+    one).  Non-positive alpha yields an empty list; a non-positive step
+    or halfwidth raises DomainError.
     """
+    _check_grid(step, halfwidth)
     if alpha <= 0:
         return OracleResult(np.empty(0), "point-delta-1d", {"alpha": alpha})
     kappa = 0.5 * alpha
@@ -145,8 +138,9 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
     The grid is staggered so the coupling sits between the two middle
     nodes; the bond coefficient 1/(h - beta) reproduces a value jump of
     -beta times the continuous flux.  Non-positive beta yields an empty
-    list.
+    list; a non-positive step or halfwidth raises DomainError.
     """
+    _check_grid(step, halfwidth)
     if beta <= 0:
         return OracleResult(np.empty(0), "point-deltaprime-1d", {"beta": beta})
     kappa = 2.0 / beta
@@ -207,6 +201,9 @@ def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
         raise DomainError("radius and coupling strength must be positive")
     if m_max < 0:
         raise DomainError("m_max must be nonnegative")
+    _check_grid(step, None)
+    if r_out is not None and not r_out > R:
+        raise DomainError(f"r_out must exceed the radius {R}, got {r_out!r}")
     h0 = step if step is not None else _KH_TARGET_RADIAL / tent_kappa
     if coupling == "deltaprime" and h0 >= strength / 20.0:
         h0 = strength / 20.0

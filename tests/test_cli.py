@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -154,6 +155,45 @@ def test_oracle_rejects_nonpositive(tmp_path):
            "outputs": {"directory": str(tmp_path / "out")}}
     p = _write(tmp_path / "cfg.json", cfg)
     assert cli.main(["oracle", "--config", p]) == cli.EXIT_ERROR
+
+
+@pytest.mark.parametrize("block", [
+    {"alpha": ["2"]},
+    {"alpha": [True]},
+    {"beta": [float("nan")]},
+    {"alpha": 2.0},
+    {"circle": {"radius": 0.0, "alpha": 5.0}},
+    {"circle": {"radius": "1", "alpha": 5.0}},
+    {"circle": {"radius": 1.0, "alpha": "5"}},
+    {"circle": {"radius": 1.0, "alpha": 5.0, "m_max": 1.5}},
+    {"circle": {"radius": 1.0, "alpha": 5.0, "m_max": -1}},
+    {"circle": {"radius": 1.0, "alpha": 5.0, "m_max": True}},
+])
+def test_oracle_rejects_malformed_values(tmp_path, capsys, block):
+    cfg = {"oracle": block, "outputs": {"directory": str(tmp_path / "out")}}
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["oracle", "--config", p]) == cli.EXIT_ERROR
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_set_with_circle_block(tmp_path):
+    cfg = {"oracle": {"alpha": [1.0, 2.0, 5.0], "beta": [4.0, 2.0, 0.8],
+                      "circle": {"radius": 1.0, "alpha": 5.0, "beta": 0.8,
+                                 "m_max": 2}},
+           "outputs": {"directory": str(tmp_path / "out")}}
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["oracle", "--config", p]) == 0
+    with open(tmp_path / "out" / "oracle.csv") as f:
+        rows = list(csv.DictReader(f))
+    point = [r for r in rows if r["model"].startswith("point_")]
+    circle = [r for r in rows if r["model"].startswith("circle_")]
+    assert len(point) == 6
+    assert all(abs(float(r["difference"])) <= 1e-8 for r in point)
+    # one bound state in each of the modes m = 0, 1, 2, for both couplings
+    assert sorted(r["model"] for r in circle) == sorted(
+        f"circle_{c}_m{m}" for c in ("delta", "deltaprime") for m in range(3))
+    assert all(float(r["eigenvalue"]) < 0 for r in circle)
 
 
 def test_config_error_messages_are_module_qualified(tmp_path, capsys):

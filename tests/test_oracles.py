@@ -1,13 +1,21 @@
+import ast
+import inspect
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from leakyfem import oracles
 from leakyfem.errors import DomainError
 
 
 def test_point_delta_closed_form():
-    # elementary matching gives the single bound state -alpha^2/4
-    for alpha, exact in ((2.0, -1.0), (4.0, -4.0), (1.0, -0.25)):
+    # elementary matching gives the single bound state -alpha^2/4;
+    # alpha = 8 is the edge of the documented safe range
+    for alpha, exact in ((2.0, -1.0), (4.0, -4.0), (1.0, -0.25),
+                         (8.0, -16.0)):
         r = oracles.point_delta_1d(alpha)
         assert r.eigenvalues.shape == (1,)
         assert r.eigenvalues[0] == pytest.approx(exact, abs=1e-8)
@@ -26,7 +34,9 @@ def test_point_delta_nonpositive_alpha_empty():
 
 
 def test_point_deltaprime_closed_form():
-    for beta, exact in ((2.0, -1.0), (4.0, -0.25), (1.0, -4.0)):
+    # beta = 0.5 is the edge of the documented safe range
+    for beta, exact in ((2.0, -1.0), (4.0, -0.25), (1.0, -4.0),
+                        (0.5, -16.0)):
         r = oracles.point_deltaprime_1d(beta)
         assert r.eigenvalues.shape == (1,)
         assert r.eigenvalues[0] == pytest.approx(exact, abs=1e-8)
@@ -98,3 +108,93 @@ def test_circle_rejects_bad_parameters():
         oracles.circle_delta_radial(-1.0, 5.0)
     with pytest.raises(DomainError):
         oracles.circle_delta_radial(1.0, 5.0, m_max=-2)
+
+
+def test_step_must_be_positive():
+    for step in (0.0, -0.01, float("nan")):
+        with pytest.raises(DomainError):
+            oracles.point_delta_1d(2.0, step=step)
+        with pytest.raises(DomainError):
+            oracles.point_deltaprime_1d(2.0, step=step)
+        with pytest.raises(DomainError):
+            oracles.circle_delta_radial(1.0, 5.0, m_max=0, step=step)
+        with pytest.raises(DomainError):
+            oracles.circle_deltaprime_radial(1.0, 0.8, m_max=0, step=step)
+
+
+def test_halfwidth_must_be_positive():
+    for halfwidth in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            oracles.point_delta_1d(2.0, halfwidth=halfwidth)
+        with pytest.raises(DomainError):
+            oracles.point_deltaprime_1d(2.0, halfwidth=halfwidth)
+
+
+def test_r_out_must_exceed_radius():
+    for r_out in (0.5, 1.0):
+        with pytest.raises(DomainError):
+            oracles.circle_delta_radial(1.0, 5.0, m_max=0, r_out=r_out)
+        with pytest.raises(DomainError):
+            oracles.circle_deltaprime_radial(1.0, 0.8, m_max=0, r_out=r_out)
+
+
+def _random_pencil(rng, n):
+    d = rng.uniform(-2.0, 2.0, n)
+    e = rng.uniform(-1.0, 1.0, n - 1)
+    m = 10.0 ** rng.uniform(0.0, 3.0, n)   # a 1e3 spread in the mass
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    return d, e, m, scipy.linalg.eigh(T, np.diag(m), eigvals_only=True)
+
+
+def test_eigs_below_matches_dense_pencil():
+    rng = np.random.default_rng(20140611)
+    for _ in range(30):
+        n = int(rng.integers(2, 41))
+        d, e, m, dense = _random_pencil(rng, n)
+        k = int(rng.integers(0, n + 1))   # how many lie below `upper`
+        if k == 0:
+            upper = dense[0] - 0.5
+        elif k == n:
+            upper = dense[-1] + 0.5
+        else:
+            upper = 0.5 * (dense[k - 1] + dense[k])
+        got = oracles._eigs_below(d.copy(), e.copy(), m.copy(), upper)
+        assert got.size == k
+        np.testing.assert_allclose(got, dense[:k], rtol=0, atol=1e-10)
+
+
+def test_eigs_below_excludes_an_eigenvalue_at_upper():
+    # M = diag(1, 4, 16) has exact square roots: the pencil eigenvalues
+    # are exactly 2, 3 and 3
+    d = np.array([2.0, 12.0, 48.0])
+    m = np.array([1.0, 4.0, 16.0])
+    got = oracles._eigs_below(d.copy(), np.zeros(2), m.copy(), 3.0)
+    np.testing.assert_array_equal(got, [2.0])
+    got = oracles._eigs_below(d.copy(), np.zeros(2), m.copy(), 2.0)
+    assert got.size == 0
+
+
+def test_eigs_below_nothing_below_upper():
+    d, e, m, dense = _random_pencil(np.random.default_rng(7), 25)
+    got = oracles._eigs_below(d, e, m, dense[0] - 1e-6)
+    assert isinstance(got, np.ndarray) and got.size == 0
+
+
+def test_oracles_share_no_code_with_the_fe_pipeline():
+    tree = ast.parse(inspect.getsource(oracles))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    parts = {p for name in names for p in name.split(".")}
+    assert not parts & {"femforms", "eigensolver", "pipeline"}
+
+
+def test_oracle_tables_demo_runs(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "oracle_tables.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "closed form" in out and "R=40" in out
