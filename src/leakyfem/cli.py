@@ -1,5 +1,5 @@
-"""Batch front door: configure a run, execute mesh -> assemble -> solve ->
-analyze, and emit reports.
+"""Batch front door: check a run configuration up front, call the library
+(`spec solve` calls spectral_analysis.verify), and write the reports.
 
 Commands (console script `spec`):
 
@@ -8,9 +8,10 @@ Commands (console script `spec`):
     spec sweep    --config FILE [--jobs N] [--out DIR] parameter sweep
     spec oracle   --config FILE [--out DIR]            1d reference tables
 
-Configuration is strict JSON: unknown keys are rejected, units follow the
-library (lengths in the coordinate unit, alpha in 1/length, beta in
-length).  The environment variable SPEC_SEED overrides the solver seed.
+Configuration is strict JSON: unknown keys and mistyped numbers (a bool
+is not a number) are rejected, units follow the library (lengths in the
+coordinate unit, alpha in 1/length, beta in length).  The environment
+variable SPEC_SEED overrides the solver seed.
 Exit codes for solve/sweep: 0 all comparisons strict, 2 some
 indistinguishable, 3 violated, 1 errors.
 """
@@ -31,15 +32,17 @@ import numpy as np
 from . import geometry, oracles, pipeline, svgplot
 from . import spectral_analysis as sa
 from .eigensolver import DEFAULT_SEED, DEFAULT_TOL
-from .errors import ConfigError, LeakyFemError, TheoremViolation
-
-DELTA = sa.DELTA
-DELTA_PRIME = sa.DELTA_PRIME
+from .errors import ConfigError, LeakyFemError
 
 EXIT_STRICT = 0
 EXIT_ERROR = 1
 EXIT_INDISTINGUISHABLE = 2
 EXIT_VIOLATED = 3
+EXIT_CODES = {"strict": EXIT_STRICT,
+              "indistinguishable": EXIT_INDISTINGUISHABLE,
+              "violated": EXIT_VIOLATED}
+
+FORMATS = ("json", "csv", "svg")
 
 
 # -- config -------------------------------------------------------------------
@@ -58,6 +61,42 @@ def _require(block, key, where):
     return block[key]
 
 
+def _number(value, where, integer=False, positive=False, low=None,
+            high=None):
+    """Check that a config value is a finite JSON number (a bool is not
+    one), whole if integer, > 0 if positive, and within [low, high].
+    Returns the value unchanged."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not math.isfinite(value))
+            or (integer and value != int(value))
+            or (positive and value <= 0)
+            or (low is not None and value < low)
+            or (high is not None and value > high)):
+        want = "an integer" if integer else "a finite number"
+        want += " > 0" if positive else ""
+        want += "" if low is None else f" >= {low}"
+        want += "" if high is None else f" <= {high}"
+        raise ConfigError(f"{where} must be {want}, got {value!r}")
+    return value
+
+
+def _value(block, key, where, default=None, integer=False, **bounds):
+    """block[key] (or default, when given, for an absent key) checked by
+    _number and returned as an int if integer, else as a float."""
+    value = (_require(block, key, where) if default is None
+             else block.get(key, default))
+    value = _number(value, f"{where}.{key}", integer=integer, **bounds)
+    return int(value) if integer else float(value)
+
+
+def _numbers(values, where, length=None, **bounds):
+    if not isinstance(values, list) or length not in (None, len(values)):
+        count = "" if length is None else f"{length} "
+        raise ConfigError(f"{where} must be a list of {count}numbers, "
+                          f"got {values!r}")
+    return [_number(v, where, **bounds) for v in values]
+
+
 def load_config(path):
     try:
         with open(path) as f:
@@ -73,45 +112,45 @@ def build_geometry(gcfg):
     _check_keys(gcfg, {"kind", "theta", "halfwidth", "radius", "center",
                        "n_chords", "height"}, "geometry")
     kind = _require(gcfg, "kind", "geometry")
-    L = float(_require(gcfg, "halfwidth", "geometry"))
+
+    def num(key, **bounds):
+        return _value(gcfg, key, "geometry", **bounds)
+
+    L = num("halfwidth")
     if kind == "broken_line":
-        return geometry.make_broken_line(float(_require(gcfg, "theta",
-                                                        "geometry")), L)
+        return geometry.make_broken_line(num("theta"), L)
     if kind == "circle":
-        center = tuple(gcfg.get("center", (0.0, 0.0)))
-        return geometry.make_circle(float(_require(gcfg, "radius", "geometry")),
-                                    center, L,
-                                    int(_require(gcfg, "n_chords", "geometry")))
+        center = _numbers(gcfg.get("center", [0.0, 0.0]), "geometry.center",
+                          length=2)
+        return geometry.make_circle(num("radius"), tuple(center), L,
+                                    num("n_chords", integer=True))
     if kind == "line_plus_circle":
         return geometry.make_line_plus_circle(
-            float(_require(gcfg, "height", "geometry")),
-            float(_require(gcfg, "radius", "geometry")), L,
-            int(_require(gcfg, "n_chords", "geometry")))
+            num("height"), num("radius"), L, num("n_chords", integer=True))
     if kind == "cone_meridian":
-        return geometry.make_cone_meridian(float(_require(gcfg, "theta",
-                                                          "geometry")), L)
+        return geometry.make_cone_meridian(num("theta"), L)
     raise ConfigError(f"unknown geometry kind {kind!r}")
 
 
 def _material_values(entry, n, name):
-    if isinstance(entry, (int, float)):
-        return np.full(n, float(entry))
-    if isinstance(entry, list):
-        if len(entry) != n:
-            raise ConfigError(f"{name} list must have {n} entries (one per "
-                              f"interface segment), got {len(entry)}")
-        return np.asarray(entry, dtype=float)
+    where = f"material.{name}"
+    if isinstance(entry, list):  # one value per interface segment
+        return np.asarray(_numbers(entry, where, length=n), dtype=float)
     if isinstance(entry, dict):
-        _check_keys(entry, {"default", "overrides"}, f"material.{name}")
-        vals = np.full(n, float(_require(entry, "default",
-                                         f"material.{name}")))
-        for ov in entry.get("overrides", []):
-            _check_keys(ov, {"segments", "value"}, f"material.{name}.overrides")
-            idx = _require(ov, "segments", "override")
-            vals[np.asarray(idx, dtype=int)] = float(_require(ov, "value",
-                                                              "override"))
+        _check_keys(entry, {"default", "overrides"}, where)
+        vals = np.full(n, _value(entry, "default", where))
+        overrides = entry.get("overrides", [])
+        if not isinstance(overrides, list):
+            raise ConfigError(f"{where}.overrides must be a list")
+        for ov in overrides:
+            _check_keys(ov, {"segments", "value"}, f"{where}.overrides")
+            idx = _numbers(_require(ov, "segments", "override"),
+                           f"{where}.overrides.segments", integer=True,
+                           low=0, high=n - 1)
+            vals[np.asarray(idx, dtype=int)] = _value(ov, "value",
+                                                      f"{where}.overrides")
         return vals
-    raise ConfigError(f"material.{name} must be a number, list, or object")
+    return np.full(n, float(_number(entry, where)))
 
 
 def build_material(mcfg, geom):
@@ -122,142 +161,87 @@ def build_material(mcfg, geom):
     return geometry.MaterialData(alpha=alpha, beta=beta)
 
 
-def _solver_settings(cfg):
-    scfg = cfg.get("solver", {})
-    _check_keys(scfg, {"k", "tol", "seed"}, "solver")
-    k = int(scfg.get("k", 4))
-    tol = float(scfg.get("tol", DEFAULT_TOL))
-    seed = int(scfg.get("seed", DEFAULT_SEED))
-    env = os.environ.get("SPEC_SEED")
-    if env is not None:
-        seed = int(env)
-    if k < 1 or tol <= 0:
-        raise ConfigError("solver.k must be >= 1 and solver.tol > 0")
-    return k, tol, seed
-
-
-def _discretization(cfg):
+def _run_settings(cfg):
+    """Discretization and solver settings of a solve, converge or sweep
+    config, as keyword arguments of spectral_analysis.verify."""
     dcfg = _require(cfg, "discretization", "config")
     _check_keys(dcfg, {"h", "refinements", "box_halfwidths",
                        "truncation_refinements", "min_angle_deg"},
                 "discretization")
-    h = float(_require(dcfg, "h", "discretization"))
-    refinements = int(dcfg.get("refinements", 2))
+    scfg = cfg.get("solver", {})
+    _check_keys(scfg, {"k", "tol", "seed"}, "solver")
     boxes = dcfg.get("box_halfwidths")
-    trunc_ref = dcfg.get("truncation_refinements")
-    min_angle = float(dcfg.get("min_angle_deg", 20.0))
-    if refinements < 0:
-        raise ConfigError("discretization.refinements must be >= 0")
-    return h, refinements, boxes, trunc_ref, min_angle
+    t_ref = dcfg.get("truncation_refinements")
+    seed = _value(scfg, "seed", "solver", DEFAULT_SEED, integer=True, low=0)
+    env = os.environ.get("SPEC_SEED")
+    if env is not None:
+        seed = _number(int(env) if env.strip().isdecimal() else env,
+                       "SPEC_SEED", integer=True, low=0)
+    return {
+        "h": _value(dcfg, "h", "discretization"),
+        # three levels for the Richardson error estimate
+        "refinements": _value(dcfg, "refinements", "discretization", 2,
+                              integer=True, low=2),
+        "halfwidths": None if boxes is None else [
+            float(b) for b in _numbers(boxes, "discretization.box_halfwidths",
+                                       positive=True)],
+        "truncation_refinements": None if t_ref is None else _value(
+            dcfg, "truncation_refinements", "discretization", integer=True,
+            low=0),
+        "min_angle": _value(dcfg, "min_angle_deg", "discretization", 20.0),
+        "k": _value(scfg, "k", "solver", 4, integer=True, low=1),
+        "tol": _value(scfg, "tol", "solver", DEFAULT_TOL, positive=True),
+        "seed": int(seed),
+    }
+
+
+def _outputs(cfg, args):
+    """Output directory and formats, checked before any command runs."""
+    ocfg = cfg.get("outputs", {})
+    _check_keys(ocfg, {"directory", "formats"}, "outputs")
+    out = ocfg.get("directory", ".") if args.out is None else args.out
+    if not isinstance(out, str):
+        raise ConfigError(f"outputs.directory must be a string, got {out!r}")
+    formats = ocfg.get("formats", list(FORMATS))
+    if not isinstance(formats, list) or not all(f in FORMATS
+                                                for f in formats):
+        raise ConfigError(f"outputs.formats must be a list drawn from "
+                          f"{list(FORMATS)}, got {formats!r}")
+    return out, set(formats)
 
 
 # -- core run -----------------------------------------------------------------
 
 def run_solve(cfg):
-    """Full pipeline for one configuration.
-
-    Returns (report_dict, exit_code).  Raises LeakyFemError subclasses on
-    configuration or numerical failures (exit code 1 at the CLI).
-    """
+    """Check a solve config, run spectral_analysis.verify on it, and return
+    (report_dict, exit_code).  Configuration and numerical failures raise
+    LeakyFemError subclasses (exit code 1 at the CLI)."""
     geom = build_geometry(_require(cfg, "geometry", "config"))
     mat = build_material(_require(cfg, "material", "config"), geom)
     if np.any(mat.beta > 4.0 / mat.alpha * (1.0 + 1e-12)):
         raise ConfigError(
             "material outside the comparison regime: need beta <= 4/alpha "
             "on every segment")
-    k, tol, seed = _solver_settings(cfg)
-    h, refinements, boxes, trunc_ref, min_angle = _discretization(cfg)
-    if refinements < 2:
-        raise ConfigError("solve needs discretization.refinements >= 2 for "
-                          "the error estimate")
-    if boxes is not None:
-        boxes = sorted(float(b) for b in boxes)
-        if len(boxes) < 2:
-            raise ConfigError("box_halfwidths needs at least two entries")
-        if abs(boxes[-1] - geom.halfwidth) > 1e-12 * geom.halfwidth:
-            raise ConfigError("geometry.halfwidth must equal the largest "
-                              "box halfwidth")
+    settings = _run_settings(cfg)
+    run = sa.verify(geom, mat, **settings)
 
-    thr_d = sa.essential_threshold(geom, mat, DELTA)
-    thr_p = sa.essential_threshold(geom, mat, DELTA_PRIME)
-
-    rings = boxes[:-1] if boxes else None
-    meshes = pipeline.mesh_levels(geom, h, refinements, inner_rings=rings,
-                                  min_angle=min_angle)
-    forms = pipeline.assemble_levels(meshes, mat)
-    res_d = pipeline.cascade_solve(forms, DELTA, k, tol=tol, seed=seed)
-    res_p = pipeline.cascade_solve(forms, DELTA_PRIME, k, tol=tol, seed=seed)
-
-    # the non-strict comparison must hold on every level, not just the finest
-    for rd, rp in zip(res_d, res_p):
-        n = min(rd.values.size, rp.values.size)
-        if np.any(rp.values[:n] > rd.values[:n] + sa.HARD_TOL):
-            raise TheoremViolation(
-                "discrete eigenvalue comparison failed on a coarse level")
-
-    conv_d = sa.convergence_study(res_d)
-    conv_p = sa.convergence_study(res_p)
-
-    trunc = {}
-    trunc_delta_d = np.zeros(k)
-    trunc_delta_p = np.zeros(k)
-    if boxes:
-        t_idx = min(refinements if trunc_ref is None else int(trunc_ref),
-                    refinements)
-        td = sa.truncation_from_forms(
-            forms[t_idx], DELTA, boxes, k, tol=tol, seed=seed,
-            shift=pipeline.shift_from_previous(res_d[t_idx].values))
-        tp = sa.truncation_from_forms(
-            forms[t_idx], DELTA_PRIME, boxes, k, tol=tol, seed=seed,
-            shift=pipeline.shift_from_previous(res_p[t_idx].values))
-        trunc = {"delta": td.as_dict(), "delta_prime": tp.as_dict()}
-        nd = td.final_deltas.shape[0]
-        trunc_delta_d[:nd] = td.final_deltas[:k]
-        npp = tp.final_deltas.shape[0]
-        trunc_delta_p[:npp] = tp.final_deltas[:k]
-
-    kk = min(len(conv_d["error"]), len(conv_p["error"]), k)
-    budget = (np.asarray(conv_d["error"][:kk]) + np.asarray(conv_p["error"][:kk])
-              + trunc_delta_d[:kk] + trunc_delta_p[:kk] + 20.0 * tol)
-
-    violated = False
-    try:
-        report = sa.verify_theoremA(res_d[-1], res_p[-1], (thr_d, thr_p),
-                                    errors=budget)
-    except TheoremViolation as exc:
-        report = exc.report
-        violated = True
-
-    rows = sa.counting_table(forms[-1], res_d[-1], res_p[-1], thr_d, thr_p)
-    report = sa.TheoremAReport(pairs=report.pairs,
-                               thresholds=report.thresholds,
-                               counting=tuple(rows),
-                               convergence={
-                                   "order": conv_d["order"],
-                                   "limits": conv_d["limit"],
-                                   "delta_prime": {
-                                       "order": conv_p["order"],
-                                       "limits": conv_p["limit"]}})
-
-    doc = report.as_dict()
+    code = EXIT_CODES[run.verdict]
+    doc = run.report.as_dict()
     doc["geometry"] = cfg["geometry"]
     doc["material"] = cfg["material"]
-    doc["truncation"] = trunc
-    doc["solver"] = {"k": k, "tol": tol, "seed": seed,
-                     "shifts": [r.shift_used for r in (res_d[-1], res_p[-1])],
-                     "max_residual": float(max(res_d[-1].residuals.max(),
-                                               res_p[-1].residuals.max()))}
-    doc["discretization"] = {"h": h, "refinements": refinements,
-                             "box_halfwidths": boxes,
-                             "nodes_finest": int(meshes[-1].num_nodes)}
+    doc["truncation"] = dict(zip(("delta", "delta_prime"),
+                                 (t.as_dict() for t in run.truncation)))
+    doc["solver"] = {"k": settings["k"], "tol": settings["tol"],
+                     "seed": settings["seed"],
+                     "shifts": [r.shift_used for r in run.finest],
+                     "max_residual": float(max(r.residuals.max()
+                                               for r in run.finest))}
+    doc["discretization"] = {
+        "h": settings["h"], "refinements": settings["refinements"],
+        "box_halfwidths": (list(run.truncation[0].halfwidths)
+                           if run.truncation else None),
+        "nodes_finest": run.nodes_finest}
     doc["timestamp"] = datetime.now(timezone.utc).isoformat()
-
-    if violated or report.any_violated:
-        code = EXIT_VIOLATED
-    elif report.all_strict:
-        code = EXIT_STRICT
-    else:
-        code = EXIT_INDISTINGUISHABLE
     doc["exit_status"] = code
     return doc, code
 
@@ -291,22 +275,10 @@ def write_report_csv(path, doc):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _outdir(cfg, args):
-    out = args.out
-    if out is None:
-        out = cfg.get("outputs", {}).get("directory", ".")
-    ocfg = cfg.get("outputs", {})
-    _check_keys(ocfg, {"directory", "formats"}, "outputs")
-    formats = ocfg.get("formats", ["json", "csv", "svg"])
-    return out, set(formats)
-
-
 # -- commands -----------------------------------------------------------------
 
-def cmd_solve(args):
-    cfg = load_config(args.config)
+def cmd_solve(args, cfg, out, formats):
     doc, code = run_solve(cfg)
-    out, formats = _outdir(cfg, args)
     if "json" in formats:
         write_report_json(os.path.join(out, "report.json"), doc)
     if "csv" in formats:
@@ -320,23 +292,19 @@ def cmd_solve(args):
     return code
 
 
-def cmd_converge(args):
-    cfg = load_config(args.config)
+def cmd_converge(args, cfg, out, formats):
     geom = build_geometry(_require(cfg, "geometry", "config"))
     mat = build_material(_require(cfg, "material", "config"), geom)
-    k, tol, seed = _solver_settings(cfg)
-    h, refinements, _, _, min_angle = _discretization(cfg)
-    if refinements < 2:
-        raise ConfigError("converge needs at least 3 levels "
-                          "(discretization.refinements >= 2)")
-    meshes = pipeline.mesh_levels(geom, h, refinements, min_angle=min_angle)
+    s = _run_settings(cfg)
+    meshes = pipeline.mesh_levels(geom, s["h"], s["refinements"],
+                                  min_angle=s["min_angle"])
     forms = pipeline.assemble_levels(meshes, mat)
-    out, formats = _outdir(cfg, args)
     lines = ["operator,n,order,limit,error,flagged"]
     svg_series, svg_labels = [], []
-    hs = [h / 2 ** i for i in range(refinements + 1)]
-    for which, tag in ((DELTA, "delta"), (DELTA_PRIME, "delta_prime")):
-        res = pipeline.cascade_solve(forms, which, k, tol=tol, seed=seed)
+    hs = [s["h"] / 2 ** i for i in range(s["refinements"] + 1)]
+    for which, tag in ((sa.DELTA, "delta"), (sa.DELTA_PRIME, "delta_prime")):
+        res = pipeline.cascade_solve(forms, which, s["k"], tol=s["tol"],
+                                     seed=s["seed"])
         conv = sa.convergence_study(res)
         for i in range(len(conv["order"])):
             flagged = "yes" if math.isnan(conv["order"][i]) else "no"
@@ -363,28 +331,32 @@ def _sweep_config(cfg, parameter, value):
     sub = json.loads(json.dumps(cfg))  # deep copy
     sub.pop("sweep", None)
     if parameter == "theta":
-        if "theta" not in sub["geometry"]:
+        if "theta" not in _require(sub, "geometry", "config"):
             raise ConfigError("theta sweep needs a geometry with an angle")
         sub["geometry"]["theta"] = value
     elif parameter in ("alpha", "beta"):
-        sub["material"][parameter] = value
+        _require(sub, "material", "config")[parameter] = value
     else:
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
     return sub
 
 
-def cmd_sweep(args):
-    cfg = load_config(args.config)
+def cmd_sweep(args, cfg, out, formats):
     swcfg = _require(cfg, "sweep", "config")
     _check_keys(swcfg, {"parameter", "values"}, "sweep")
     parameter = _require(swcfg, "parameter", "sweep")
-    values = sorted(set(float(v) for v in _require(swcfg, "values", "sweep")))
+    values = sorted(set(float(v) for v in _numbers(
+        _require(swcfg, "values", "sweep"), "sweep.values")))
     if len(values) < 2:
         raise ConfigError("sweep needs at least two distinct values")
+    # shared settings fail the whole sweep up front; geometry and material
+    # errors fail only their point
+    _run_settings(cfg)
+    subs = [_sweep_config(cfg, parameter, v) for v in values]
 
-    def one(value):
+    def one(value, sub):
         try:
-            doc, code = run_solve(_sweep_config(cfg, parameter, value))
+            doc, code = run_solve(sub)
             return {"value": value, "status": "ok", "exit": code,
                     "pairs": doc["pairs"]}
         except LeakyFemError as exc:
@@ -393,11 +365,10 @@ def cmd_sweep(args):
 
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(one, values))
+            points = list(pool.map(one, values, subs))
     else:
-        points = [one(v) for v in values]
+        points = [one(v, sub) for v, sub in zip(values, subs)]
 
-    out, formats = _outdir(cfg, args)
     lines = ["%s,n,lambda_delta,lambda_deltaprime,gap,error,verdict,status"
              % parameter]
     xs, gaps = [], []
@@ -412,7 +383,7 @@ def cmd_sweep(args):
                 p["gap"], p["error"], p["verdict"]))
         if not pt["pairs"]:
             lines.append("%r,,,,,,none,ok" % pt["value"])
-        if pt["pairs"]:
+        else:
             xs.append(pt["value"])
             gaps.append(pt["pairs"][0]["gap"])
         print("%s=%g  pairs=%d  gap1=%s" % (
@@ -436,76 +407,42 @@ def cmd_sweep(args):
     return EXIT_STRICT
 
 
-def _oracle_number(value, where):
-    """Check that a value of the oracle block is a finite JSON number (a
-    bool is not one) and return it unchanged."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ConfigError(f"{where} must be a finite number, got {value!r}")
-    return value
-
-
-def _oracle_list(ocfg, key):
-    values = ocfg.get(key, [])
-    if not isinstance(values, list):
-        raise ConfigError(f"oracle.{key} must be a list of numbers")
-    values = [_oracle_number(v, f"oracle.{key}") for v in values]
-    if any(v <= 0 for v in values):
-        raise ConfigError(f"oracle {key} values must be positive")
-    return values
-
-
-def cmd_oracle(args):
-    cfg = load_config(args.config)
+def cmd_oracle(args, cfg, out, formats):
     ocfg = _require(cfg, "oracle", "config")
     _check_keys(ocfg, {"alpha", "beta", "circle"}, "oracle")
-    alphas = _oracle_list(ocfg, "alpha")
-    betas = _oracle_list(ocfg, "beta")
+    alphas = _numbers(ocfg.get("alpha", []), "oracle.alpha", positive=True)
+    betas = _numbers(ocfg.get("beta", []), "oracle.beta", positive=True)
     strengths = {}
     if "circle" in ocfg:
         ccfg = ocfg["circle"]
         _check_keys(ccfg, {"radius", "alpha", "beta", "m_max"}, "oracle.circle")
-        R = float(_oracle_number(_require(ccfg, "radius", "oracle.circle"),
-                                 "oracle.circle.radius"))
-        if R <= 0:
-            raise ConfigError("oracle.circle.radius must be positive")
-        m_max = _oracle_number(ccfg.get("m_max", 2), "oracle.circle.m_max")
-        if m_max < 0 or m_max != int(m_max):
-            raise ConfigError("oracle.circle.m_max must be a nonnegative "
-                              f"integer, got {m_max!r}")
-        m_max = int(m_max)
-        strengths = {key: float(_oracle_number(ccfg[key],
-                                               f"oracle.circle.{key}"))
+        R = _value(ccfg, "radius", "oracle.circle", positive=True)
+        m_max = _value(ccfg, "m_max", "oracle.circle", 2, integer=True, low=0)
+        strengths = {key: _value(ccfg, key, "oracle.circle")
                      for key in ("alpha", "beta") if key in ccfg}
     lines = ["model,parameter,eigenvalue,reference,difference"]
-    for a in alphas:
-        r = oracles.point_delta_1d(float(a))
-        ref = -0.25 * a * a
-        got = float(r.eigenvalues[0])
-        lines.append("point_delta,%r,%r,%r,%r" % (a, got, ref, got - ref))
-        print("point delta    alpha=%-8g lambda=%.10f  closed form %.10f  "
-              "diff %.2e" % (a, got, ref, got - ref))
-    for b in betas:
-        r = oracles.point_deltaprime_1d(float(b))
-        ref = -4.0 / (b * b)
-        got = float(r.eigenvalues[0])
-        lines.append("point_deltaprime,%r,%r,%r,%r" % (b, got, ref, got - ref))
-        print("point delta'   beta=%-9g lambda=%.10f  closed form %.10f  "
-              "diff %.2e" % (b, got, ref, got - ref))
-    if "alpha" in strengths:
-        r = oracles.circle_delta_radial(R, strengths["alpha"], m_max)
-        for m, eigs in enumerate(r.per_mode):
+    for model, label, params, oracle, closed in (
+            ("point_delta", "point delta    alpha=%-8g", alphas,
+             oracles.point_delta_1d, lambda a: -0.25 * a * a),
+            ("point_deltaprime", "point delta'   beta=%-9g", betas,
+             oracles.point_deltaprime_1d, lambda b: -4.0 / (b * b))):
+        for x in params:
+            got = float(oracle(float(x)).eigenvalues[0])
+            ref = closed(x)
+            lines.append("%s,%r,%r,%r,%r" % (model, x, got, ref, got - ref))
+            print(label % x + " lambda=%.10f  closed form %.10f  diff %.2e"
+                  % (got, ref, got - ref))
+    for key, model, label, oracle in (
+            ("alpha", "circle_delta", "circle delta ",
+             oracles.circle_delta_radial),
+            ("beta", "circle_deltaprime", "circle delta'",
+             oracles.circle_deltaprime_radial)):
+        if key not in strengths:
+            continue
+        for m, eigs in enumerate(oracle(R, strengths[key], m_max).per_mode):
             for e in eigs:
-                lines.append("circle_delta_m%d,%r,%r,," % (m, R, float(e)))
-                print("circle delta   m=%d R=%g  lambda=%.8f" % (m, R, e))
-    if "beta" in strengths:
-        r = oracles.circle_deltaprime_radial(R, strengths["beta"], m_max)
-        for m, eigs in enumerate(r.per_mode):
-            for e in eigs:
-                lines.append("circle_deltaprime_m%d,%r,%r,,"
-                             % (m, R, float(e)))
-                print("circle delta'  m=%d R=%g  lambda=%.8f" % (m, R, e))
-    out, formats = _outdir(cfg, args)
+                lines.append("%s_m%d,%r,%r,," % (model, m, R, float(e)))
+                print("%s  m=%d R=%g  lambda=%.8f" % (label, m, R, e))
     if "csv" in formats:
         _atomic_write(os.path.join(out, "oracle.csv"), "\n".join(lines) + "\n")
     return EXIT_STRICT
@@ -524,7 +461,8 @@ def main(argv=None):
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = load_config(args.config)
+        return args.fn(args, cfg, *_outputs(cfg, args))
     except LeakyFemError as exc:
         print(f"{type(exc).__module__.split('.')[-1]}."
               f"{type(exc).__name__}: {exc}", file=sys.stderr)

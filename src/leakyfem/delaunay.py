@@ -412,9 +412,6 @@ class Triangulation:
 
     # -- refinement -----------------------------------------------------------
 
-    def _coords(self, v):
-        return self.px[v], self.py[v]
-
     def _edge_len2(self, u, v):
         dx = self.px[u] - self.px[v]
         dy = self.py[u] - self.py[v]

@@ -56,10 +56,6 @@ class EigenResult:
     residuals: np.ndarray  # (k,) 2-norm of A x - lambda M x over ||x||_M
     shift_used: float
 
-    @property
-    def k(self):
-        return self.values.shape[0]
-
 
 def _sym_factor(S, perm=None):
     """SuperLU with symmetric mode and static diagonal pivoting.

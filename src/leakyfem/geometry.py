@@ -350,8 +350,3 @@ def make_cone_meridian(theta: float, L: float) -> InterfaceGeometry:
     return InterfaceGeometry(kind=CONE_MERIDIAN, halfwidth=float(L),
                              segments=segs, theta=float(theta),
                              radial_weight=True)
-
-
-def classify_side(g: InterfaceGeometry, p):
-    """Module-level alias for g.classify_side(p)."""
-    return g.classify_side(p)

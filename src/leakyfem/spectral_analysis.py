@@ -3,8 +3,9 @@
 Turns raw eigenpairs into: essential-spectrum thresholds (table lookup
 for the catalog geometries), eigenvalue counting functions cross-checked
 against factorization inertia, the graded eigenvalue-comparison report,
-Richardson extrapolation over nested mesh families, and box-truncation
-studies that are monotone by construction.
+Richardson extrapolation over nested mesh families, box-truncation
+studies that are monotone by construction, and `verify`, the whole
+verification run for one geometry and material.
 
 The comparison verdicts are deliberately conservative: a pair is graded
 "strict" only when the observed gap exceeds the combined numerical error
@@ -16,7 +17,7 @@ because their internal ordering carries no information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -187,18 +188,12 @@ class TheoremAReport:
 
 
 def _clusters(values, tol):
-    """Index ranges of eigenvalue clusters (within tol of the neighbor)."""
-    spans = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > tol:
-            spans.append((start, i))
-            start = i
-    lookup = {}
-    for s, e in spans:
-        for i in range(s, e):
-            lookup[i] = (s, e)
-    return lookup
+    """Index range (start, end) of the cluster of each eigenvalue; a value
+    within tol of its neighbor shares the neighbor's cluster."""
+    starts = [0] + [i for i in range(1, len(values))
+                    if values[i] - values[i - 1] > tol]
+    ends = starts[1:] + [len(values)]
+    return {i: (s, e) for s, e in zip(starts, ends) for i in range(s, e)}
 
 
 def verify_theoremA(res_delta: EigenResult, res_deltaprime: EigenResult,
@@ -272,7 +267,7 @@ def richardson(v_h: float, v_h2: float, v_h4: float):
     return limit, order, abs(v_h4 - limit)
 
 
-def convergence_study(results, n_values=None):
+def convergence_study(results):
     """Per-eigenvalue Richardson data over the last three refinement levels.
 
     results: list of EigenResult on nested meshes, coarse to fine.
@@ -282,8 +277,6 @@ def convergence_study(results, n_values=None):
         raise DomainError("need at least three refinement levels")
     r1, r2, r3 = results[-3], results[-2], results[-1]
     k = min(r1.values.size, r2.values.size, r3.values.size)
-    if n_values is not None:
-        k = min(k, n_values)
     orders, limits, errors = [], [], []
     for i in range(k):
         limit, order, err = richardson(r1.values[i], r2.values[i],
@@ -303,14 +296,6 @@ class TruncationStudy:
     stabilized: np.ndarray    # (k,) per-eigenvalue flag
     tolerance: float
 
-    @property
-    def final_values(self):
-        return self.values[-1]
-
-    @property
-    def final_deltas(self):
-        return self.deltas[-1] if self.deltas.size else np.zeros(0)
-
     def as_dict(self):
         return {"operator": self.operator,
                 "halfwidths": list(self.halfwidths),
@@ -318,6 +303,17 @@ class TruncationStudy:
                 "deltas": self.deltas.tolist(),
                 "stabilized": self.stabilized.tolist(),
                 "tolerance": self.tolerance}
+
+
+def _box_halfwidths(geometry: InterfaceGeometry, halfwidths):
+    """Truncation box halfwidths, sorted and deduplicated.  There must be
+    at least two, and the largest must be the geometry's own box."""
+    halfwidths = sorted(set(float(L) for L in halfwidths))
+    if len(halfwidths) < 2:
+        raise DomainError("need at least two box halfwidths")
+    if abs(geometry.halfwidth - halfwidths[-1]) > 1e-12 * halfwidths[-1]:
+        raise DomainError("geometry must be built at the largest halfwidth")
+    return halfwidths
 
 
 def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
@@ -334,11 +330,7 @@ def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
     Bound states below the threshold decay exponentially, so successive
     deltas shrink geometrically once the box dominates the decay length.
     """
-    halfwidths = sorted(set(float(L) for L in halfwidths))
-    if len(halfwidths) < 2:
-        raise DomainError("need at least two box halfwidths")
-    if abs(geometry.halfwidth - halfwidths[-1]) > 1e-12 * halfwidths[-1]:
-        raise DomainError("geometry must be built at the largest halfwidth")
+    halfwidths = _box_halfwidths(geometry, halfwidths)
     meshes = pipeline.mesh_levels(geometry, h, refinements,
                                   inner_rings=halfwidths[:-1])
     forms = femforms.assemble(meshes[-1], material)
@@ -371,3 +363,82 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
     return TruncationStudy(operator=which, halfwidths=tuple(halfwidths),
                            values=vals, deltas=deltas, stabilized=stabilized,
                            tolerance=stab_tol)
+
+
+@dataclass(frozen=True)
+class VerificationRun:
+    """Outcome of `verify`; no mesh or form outlives the run."""
+
+    report: TheoremAReport    # graded pairs, counting rows, convergence
+    verdict: str              # "strict" | "indistinguishable" | "violated"
+    truncation: tuple         # (delta, delta-prime) TruncationStudy, or ()
+    finest: tuple             # (delta, delta-prime) EigenResult, finest level
+    nodes_finest: int
+
+
+def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
+           refinements: int = 2, halfwidths=None,
+           truncation_refinements: int | None = None,
+           min_angle: float = 20.0, k: int = 4, tol: float = DEFAULT_TOL,
+           seed: int = DEFAULT_SEED) -> VerificationRun:
+    """Verification run: both operators on `refinements` >= 2 nested
+    levels, the non-strict ordering required on each, a truncation study
+    on level `truncation_refinements` (default: the finest) when box
+    halfwidths are given, and the finest level graded against the budget
+    Richardson errors + final truncation deltas + 20 tol, with a counting
+    table.  The hypothesis beta <= 4/alpha is the caller's to check.
+    """
+    if halfwidths is not None:
+        halfwidths = _box_halfwidths(geometry, halfwidths)
+    thr_d = essential_threshold(geometry, material, DELTA)
+    thr_p = essential_threshold(geometry, material, DELTA_PRIME)
+
+    meshes = pipeline.mesh_levels(geometry, h, refinements,
+                                  inner_rings=halfwidths[:-1] if halfwidths
+                                  else None,
+                                  min_angle=min_angle)
+    forms = pipeline.assemble_levels(meshes, material)
+    res_d = pipeline.cascade_solve(forms, DELTA, k, tol=tol, seed=seed)
+    res_p = pipeline.cascade_solve(forms, DELTA_PRIME, k, tol=tol, seed=seed)
+
+    # the non-strict comparison must hold on every level, not just the finest
+    for rd, rp in zip(res_d, res_p):
+        n = min(rd.values.size, rp.values.size)
+        if np.any(rp.values[:n] > rd.values[:n] + HARD_TOL):
+            raise TheoremViolation(
+                "discrete eigenvalue comparison failed on a coarse level")
+
+    conv_d = convergence_study(res_d)
+    conv_p = convergence_study(res_p)
+
+    trunc = ()
+    if halfwidths:
+        t_idx = refinements if truncation_refinements is None else min(
+            truncation_refinements, refinements)
+        trunc = tuple(
+            truncation_from_forms(
+                forms[t_idx], which, halfwidths, k, tol=tol, seed=seed,
+                shift=pipeline.shift_from_previous(res[t_idx].values))
+            for which, res in ((DELTA, res_d), (DELTA_PRIME, res_p)))
+
+    kk = min(len(conv_d["error"]), len(conv_p["error"]), k)
+    budget = np.asarray(conv_d["error"][:kk]) + np.asarray(conv_p["error"][:kk])
+    for study in trunc:  # two or more boxes, so at least one row of deltas
+        deltas = study.deltas[-1][:kk]
+        budget[:deltas.size] += deltas
+    budget += 20.0 * tol
+
+    try:
+        report = verify_theoremA(res_d[-1], res_p[-1], (thr_d, thr_p),
+                                 errors=budget)
+        verdict = "strict" if report.all_strict else "indistinguishable"
+    except TheoremViolation as exc:
+        report, verdict = exc.report, "violated"
+
+    rows = counting_table(forms[-1], res_d[-1], res_p[-1], thr_d, thr_p)
+    report = replace(report, counting=tuple(rows), convergence={
+        "order": conv_d["order"], "limits": conv_d["limit"],
+        "delta_prime": {"order": conv_p["order"], "limits": conv_p["limit"]}})
+    return VerificationRun(report=report, verdict=verdict, truncation=trunc,
+                           finest=(res_d[-1], res_p[-1]),
+                           nodes_finest=int(meshes[-1].num_nodes))

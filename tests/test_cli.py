@@ -236,3 +236,113 @@ def test_factorization_budget(monkeypatch):
     _, code = cli.run_solve(cfg)
     assert code in (cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
     assert len(calls) == 37
+
+
+def _set(cfg, path, value):
+    *keys, last = path
+    for key in keys:
+        cfg = cfg[key]
+    cfg[last] = value
+
+
+def _no_meshing(monkeypatch):
+    from leakyfem import pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("meshing started before the config was checked")
+
+    monkeypatch.setattr(pipeline, "mesh_levels", refuse)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("solver", "k"), 1.5),
+    (("solver", "k"), "two"),
+    (("solver", "seed"), True),
+    (("solver", "tol"), 0.0),
+    (("material", "alpha"), True),
+    (("material", "beta"), [2.0, "2"]),
+    (("material", "beta"), {"default": 2.0,
+                            "overrides": [{"segments": [-1], "value": 1.0}]}),
+    (("material", "beta"), {"default": 2.0,
+                            "overrides": [{"segments": [99], "value": 1.0}]}),
+    (("geometry", "halfwidth"), "6"),
+    (("geometry", "theta"), float("nan")),
+    (("discretization", "refinements"), 2.9),
+    (("discretization", "refinements"), 1),
+    (("discretization", "box_halfwidths"), "46"),
+    (("discretization", "truncation_refinements"), -1),
+])
+def test_solve_rejects_malformed_values(tmp_path, capsys, monkeypatch, path,
+                                        value):
+    _no_meshing(monkeypatch)
+    cfg = _base_cfg(tmp_path / "out")
+    cfg["geometry"]["halfwidth"] = 6.0  # so "46" would read as boxes 4, 6
+    _set(cfg, path, value)
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_ERROR
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_seed_env_rejected(tmp_path, capsys, monkeypatch):
+    _no_meshing(monkeypatch)
+    monkeypatch.setenv("SPEC_SEED", "abc")
+    p = _write(tmp_path / "cfg.json", _base_cfg(tmp_path / "out"))
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_ERROR
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "converge", "sweep", "oracle"])
+@pytest.mark.parametrize("outputs", [{"directori": "x"}, {"formats": ["jsn"]},
+                                     {"formats": "json"}])
+def test_outputs_checked_before_any_work(tmp_path, capsys, monkeypatch,
+                                         command, outputs):
+    from leakyfem import oracles
+    _no_meshing(monkeypatch)
+    monkeypatch.setattr(oracles, "point_delta_1d", None)
+    cfg = _base_cfg(tmp_path / "out")
+    cfg["sweep"] = {"parameter": "alpha", "values": [1.5, 2.0]}
+    cfg["oracle"] = {"alpha": [2.0]}
+    cfg["outputs"] = {"directory": str(tmp_path / "out"), **outputs}
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main([command, "--config", p]) == cli.EXIT_ERROR
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_box_halfwidths_collapse():
+    def doc(boxes):
+        cfg = _base_cfg("unused")
+        cfg["geometry"]["halfwidth"] = 6.0
+        cfg["discretization"]["box_halfwidths"] = boxes
+        d, code = cli.run_solve(cfg)
+        del d["timestamp"]
+        return d, code
+
+    assert doc([4, 4, 6]) == doc([4.0, 6.0])
+
+
+def test_violation_exits_3(tmp_path, monkeypatch):
+    # the finest-level grading raising TheoremViolation is exit 3, and the
+    # report still carries the violated verdicts
+    import dataclasses
+
+    from leakyfem import spectral_analysis as sa
+    from leakyfem.errors import TheoremViolation
+    grade = sa.verify_theoremA
+
+    def violating(*args, **kwargs):
+        report = grade(*args, **kwargs)
+        pairs = tuple(dataclasses.replace(p, verdict="violated")
+                      for p in report.pairs)
+        raise TheoremViolation("forced", report=dataclasses.replace(
+            report, pairs=pairs))
+
+    monkeypatch.setattr(sa, "verify_theoremA", violating)
+    p = _write(tmp_path / "cfg.json", _base_cfg(tmp_path / "out"))
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_VIOLATED
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == cli.EXIT_VIOLATED
+    assert report["pairs"]
+    assert all(p["verdict"] == "violated" for p in report["pairs"])
