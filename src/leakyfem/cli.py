@@ -296,8 +296,10 @@ def cmd_converge(args, cfg, out, formats):
     geom = build_geometry(_require(cfg, "geometry", "config"))
     mat = build_material(_require(cfg, "material", "config"), geom)
     s = _run_settings(cfg)
+    rings = (None if s["halfwidths"] is None
+             else sa._box_halfwidths(geom, s["halfwidths"])[:-1])
     meshes = pipeline.mesh_levels(geom, s["h"], s["refinements"],
-                                  min_angle=s["min_angle"])
+                                  inner_rings=rings, min_angle=s["min_angle"])
     forms = pipeline.assemble_levels(meshes, mat)
     lines = ["operator,n,order,limit,error,flagged"]
     svg_series, svg_labels = [], []

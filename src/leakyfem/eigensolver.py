@@ -24,10 +24,10 @@ Each factorization certifies one fact:
   lower_shift      no negative pivot at the pole found by the search;
   _tighten_shift   no eigenvalue below each halving probe;
   _msolve_factor   no negative pivot at the Lanczos pole;
-  _count_mismatch  one count per gap between clusters of the result, equal
-                   to the number of values below it, so no eigenvalue was
-                   missed.  The attempt that returns a list has just
-                   checked it, so the list is not checked again.
+  _top_count       one count just above the top of the computed list,
+                   equal to the list size, so no eigenvalue up to the
+                   k-th was missed.  A level that does not factor is
+                   moved up twice before the count is taken as missing.
 Counts that callers request (the counting table) certify their own levels.
 """
 
@@ -271,7 +271,7 @@ def _mortho_normalize(M, X):
 
 def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
                         shift: float | None = None, seed: int = DEFAULT_SEED,
-                        verify_count: bool = True, perm=None) -> EigenResult:
+                        perm=None) -> EigenResult:
     """k smallest eigenpairs of A x = lambda M x.
 
     Parameters
@@ -282,14 +282,17 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     shift : optional shift-invert pole below the spectrum; when omitted a
         certified one is found and tightened automatically.
     seed : start-vector seed (results are deterministic given the seed).
-    verify_count : cross-check the computed list against factorization
-        inertia at cluster midpoints, restarting to pick up any eigenvalue
-        a single Krylov sequence missed (multiplicities).
     perm : optional fill-reducing dof ordering used for every
         factorization (see _sym_factor).
 
-    Raises SolverError (carrying the best partial result) on
-    non-convergence within the iteration budget.
+    The list is certified by one inertia count just above its top value
+    (_top_count): it must hold every eigenvalue below that level.  A
+    count above the list size restarts Lanczos, deflated against the
+    whole list, for the eigenvalues a single Krylov sequence missed
+    (multiplicities); a count below it raises SolverError.
+
+    Raises SolverError (carrying the best partial result) when the list is
+    not complete and certified within the iteration budget.
     """
     if k < 1:
         raise SolverError("need k >= 1")
@@ -309,38 +312,35 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
 
     vals = np.empty(0)
     X = np.empty((n, 0))
-    exhausted = False
+    want = k
     for attempt in range(4):
-        want = k - vals.shape[0]
-        if want > 0:
-            lv, lX, lres, exhausted = _lanczos(solve, A, M, sigma, want,
-                                               tol, rng, X, budget)
-            if lv.size:
-                vals = np.concatenate([vals, lv])
-                X = np.hstack([X, lX])
-                order = np.argsort(vals)
-                vals = vals[order]
-                X = X[:, order]
+        lv, lX, _, exhausted = _lanczos(solve, A, M, sigma, want, tol,
+                                        rng, X, budget)
+        if lv.size:
+            vals = np.concatenate([vals, lv])
+            X = np.hstack([X, lX])
+            order = np.argsort(vals)
+            vals = vals[order]
+            X = X[:, order]
         if vals.shape[0] < k:
-            if exhausted or vals.shape[0] == n:
+            if exhausted:
                 break
+            want = k - vals.shape[0]
             continue
-        if not verify_count:
-            break
-        missing = _count_mismatch(A, M, vals[:k], perm)
-        if missing == 0:
-            break
-        # keep the certified head of the list, deflate it, and search the
-        # complement for the eigenvalues the Krylov sequence missed
-        vals = vals[:missing]
-        X = X[:, :missing]
+        count = _top_count(A, M, vals, perm)
+        if count == vals.shape[0]:
+            return _finalize(A, M, vals[:k], X[:, :k], sigma)
+        if count < vals.shape[0]:
+            raise SolverError(f"inertia counts {count} eigenvalues up to "
+                              f"{vals[-1]}, but the list holds "
+                              f"{vals.shape[0]}")
+        # keep the whole list, deflate it, and search its complement for
+        # the eigenvalues below the top that the Krylov sequence missed
+        want = count - vals.shape[0]
 
-    if vals.shape[0] < k:
-        partial = _finalize(A, M, vals, X, sigma)
-        raise SolverError("eigensolver did not converge within its budget",
-                          partial=partial)
-    # every way out of the loop with k values passed the inertia check
-    return _finalize(A, M, vals[:k], X[:, :k], sigma)
+    partial = _finalize(A, M, vals[:k], X[:, :k], sigma)
+    raise SolverError("eigensolver did not converge within its budget",
+                      partial=partial)
 
 
 def _finalize(A, M, vals, X, sigma):
@@ -353,28 +353,20 @@ def _finalize(A, M, vals, X, sigma):
                        shift_used=sigma)
 
 
-def _count_mismatch(A, M, vals, perm=None, cluster_tol=1e-8):
-    """0 if inertia agrees with the list in every gap between clusters,
-    else the index (1-based) of the first gap where eigenvalues are missing.
+def _top_count(A, M, vals, perm=None):
+    """Number of pencil eigenvalues below theta + delta, where theta is the
+    top of the ascending list vals and delta = 1e-8 max(1, |theta|) its
+    cluster tolerance.
 
-    Each gap is probed at its midpoint; a probe too close to the spectrum
-    to factor (SolverError) is retried at a quarter and three quarters of
-    the gap, and only a gap where all three probes fail counts as missing.
+    A level too close to the spectrum to factor (SolverError) is moved up
+    to 2 delta, then 4 delta; when none factors the count is taken as
+    one more than the list holds, so the caller searches again.
     """
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    for i in range(len(vals) - 1):
-        lo, hi = vals[i], vals[i + 1]
-        if hi - lo <= cluster_tol * scale:
-            continue
-        for mu in (0.5 * (lo + hi), lo + 0.25 * (hi - lo),
-                   lo + 0.75 * (hi - lo)):
-            try:
-                got = inertia_count(A, M, mu, perm)
-            except SolverError:
-                continue
-            if got != i + 1:
-                return i + 1
-            break
-        else:
-            return i + 1
-    return 0
+    theta = float(vals[-1])
+    delta = 1e-8 * max(1.0, abs(theta))
+    for step in (delta, 2.0 * delta, 4.0 * delta):
+        try:
+            return inertia_count(A, M, theta + step, perm)
+        except SolverError:
+            pass
+    return vals.shape[0] + 1

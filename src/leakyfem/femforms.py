@@ -216,7 +216,6 @@ def _scatter(blocks, dofs, ndof):
 
 
 def assemble(mesh: Mesh, material: MaterialData,
-             continuous: DofMap | None = None, broken: DofMap | None = None,
              alpha_edges: np.ndarray | None = None,
              beta_edges: np.ndarray | None = None) -> AssembledForms:
     """Assemble stiffness, mass, trace, and jump matrices for one mesh.
@@ -224,7 +223,6 @@ def assemble(mesh: Mesh, material: MaterialData,
     Parameters
     ----------
     mesh, material : the triangulation and per-segment strengths.
-    continuous, broken : optional prebuilt dof maps.
     alpha_edges, beta_edges : optional per-interface-edge overrides of the
         segmentwise material values (length = number of interface edges).
 
@@ -232,10 +230,8 @@ def assemble(mesh: Mesh, material: MaterialData,
     """
     if mesh.iface_seg.size and material.n_segments() <= int(mesh.iface_seg.max()):
         raise DomainError("material carries fewer segments than the mesh")
-    if continuous is None:
-        continuous = build_dofs(mesh, CONTINUOUS)
-    if broken is None:
-        broken = build_dofs(mesh, BROKEN)
+    continuous = build_dofs(mesh, CONTINUOUS)
+    broken = build_dofs(mesh, BROKEN)
 
     quad = interface_quadrature(mesh, continuous, broken)
     alpha = material.alpha[quad.seg] if alpha_edges is None \

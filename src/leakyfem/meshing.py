@@ -295,8 +295,7 @@ def _iface_adjacency(triangles, tri_region, iface_edges):
 
 
 def triangulate(geometry: InterfaceGeometry, h_target: float,
-                min_angle_deg: float = 20.0, inner_rings=None,
-                validate: bool = True) -> Mesh:
+                min_angle_deg: float = 20.0, inner_rings=None) -> Mesh:
     """Conforming constrained Delaunay mesh of the truncation box.
 
     The interface segments (and any inner rings) become unions of mesh
@@ -361,8 +360,7 @@ def triangulate(geometry: InterfaceGeometry, h_target: float,
 
     tri.refine(min_angle_deg, size_fn, budget)
     mesh = _extract(tri, geometry)
-    if validate:
-        check_mesh(mesh, geometry, min_angle_deg)
+    check_mesh(mesh, geometry, min_angle_deg)
     return mesh
 
 

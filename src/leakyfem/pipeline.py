@@ -36,14 +36,14 @@ def shift_from_previous(values):
 
 def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None,
                  perm=None):
-    """smallest_eigenpairs with a fallback when a guessed shift is too high."""
+    """smallest_eigenpairs at a guessed shift, falling back to the certified
+    shift search when the guess fails."""
     if shift is not None:
-        for _ in range(3):
-            try:
-                return smallest_eigenpairs(A, M, k, tol=tol, shift=shift,
-                                           seed=seed, perm=perm)
-            except SolverError:
-                shift = 2.0 * shift - 1.0
+        try:
+            return smallest_eigenpairs(A, M, k, tol=tol, shift=shift,
+                                       seed=seed, perm=perm)
+        except SolverError:
+            pass
     return smallest_eigenpairs(A, M, k, tol=tol, seed=seed, perm=perm)
 
 

@@ -346,3 +346,48 @@ def test_violation_exits_3(tmp_path, monkeypatch):
     assert report["exit_status"] == cli.EXIT_VIOLATED
     assert report["pairs"]
     assert all(p["verdict"] == "violated" for p in report["pairs"])
+
+
+def test_finest_level_violation_exits_3(tmp_path, monkeypatch):
+    # the first finest-level delta-prime value 1e-6 above the delta one is
+    # a graded violation, not a coarse-level error: exit 3, a violated
+    # pair in the report, and no counting table
+    import dataclasses
+
+    from leakyfem import pipeline
+    from leakyfem import spectral_analysis as sa
+    cascade = pipeline.cascade_solve
+    finest = {}
+
+    def flipped(forms_list, which, *args, **kwargs):
+        res = cascade(forms_list, which, *args, **kwargs)
+        finest[which] = res[-1]
+        if which == sa.DELTA_PRIME:
+            values = res[-1].values.copy()
+            values[0] = finest[sa.DELTA].values[0] + 1e-6
+            res[-1] = dataclasses.replace(res[-1], values=values)
+        return res
+
+    monkeypatch.setattr(pipeline, "cascade_solve", flipped)
+    p = _write(tmp_path / "cfg.json", _base_cfg(tmp_path / "out"))
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_VIOLATED
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["exit_status"] == cli.EXIT_VIOLATED
+    assert report["pairs"][0]["verdict"] == "violated"
+    assert report["counting"] == []
+
+
+def test_converge_meshes_the_solve_rings(tmp_path):
+    # with box halfwidths, converge refines the mesh family that solve
+    # grades (the inner rings included), so the limits agree
+    cfg = _base_cfg(tmp_path / "out")
+    cfg["discretization"]["box_halfwidths"] = [2.0, 4.0]
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["converge", "--config", p]) == cli.EXIT_STRICT
+    with open(tmp_path / "out" / "convergence.csv") as f:
+        limits = [float(r["limit"]) for r in csv.DictReader(f)
+                  if r["operator"] == "delta"]
+    assert cli.main(["solve", "--config", p]) in (
+        cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert limits == report["convergence"]["limits"]

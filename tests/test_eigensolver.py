@@ -173,40 +173,107 @@ def test_bad_inputs():
         es.smallest_eigenpairs(A, _identity(2), 1, shift=1.5)  # not below
 
 
-def test_unfactorable_midpoint_is_probed_again(monkeypatch):
-    # a tiny pivot at a cluster midpoint is no evidence of a missed
-    # eigenvalue: the gap is probed again at 1/4 and 3/4, with no restart
-    A = sp.diags(np.arange(1.0, 11.0)).tocsr()
-    M = _identity(10)
-    plain = es.smallest_eigenpairs(A, M, 3, tol=1e-12, shift=0.0)
-    mids = {0.5 * (plain.values[i] + plain.values[i + 1]) for i in range(2)}
-    probes, sweeps = [], []
+def test_missed_eigenvalue_below_the_top_is_recovered(monkeypatch):
+    # a first sweep that skips 4 in diag(1, 4, 5, 7, 9) passes every
+    # check between its values; the count above its top finds 3, not 2
+    A = sp.diags([1.0, 4.0, 5.0, 7.0, 9.0]).tocsr()
+    lanczos = es._lanczos
+    sweeps = []
+
+    def skipping(*args):
+        sweeps.append(args[4])
+        if len(sweeps) == 1:
+            return (np.array([1.0, 5.0]), np.eye(5)[:, [0, 2]], np.zeros(2),
+                    False)
+        return lanczos(*args)
+
+    monkeypatch.setattr(es, "_lanczos", skipping)
+    r = es.smallest_eigenpairs(A, _identity(5), 2, tol=1e-12)
+    assert sweeps == [2, 1]
+    assert np.allclose(r.values, [1.0, 4.0], atol=1e-12)
+
+
+def test_random_pencils_with_multiplicities_against_dense(monkeypatch):
+    # A = D Q diag(d) Q^T D with M = D^2, so the pencil spectrum is d;
+    # up to three of its k + 1 lowest values are repeated up to 3 times
+    lanczos = es._lanczos
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(1)
+        return lanczos(*args)
+
+    monkeypatch.setattr(es, "_lanczos", counted)
+    rng = np.random.default_rng(2014)
+    for _ in range(30):
+        n = int(rng.integers(8, 61))
+        k = int(rng.integers(1, 7))
+        d = np.sort(rng.uniform(-5.0, 5.0, n))
+        for _ in range(int(rng.integers(0, 4))):
+            i = int(rng.integers(k + 1))
+            m = int(rng.integers(2, 4))
+            d[rng.choice(n, m - 1, replace=False)] = d[i]
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        dm = rng.uniform(0.5, 2.0, n)
+        D = np.diag(np.sqrt(dm))
+        Ad = D @ (Q * d) @ Q.T @ D
+        Ad = 0.5 * (Ad + Ad.T)
+        exact = sla.eigh(Ad, np.diag(dm), eigvals_only=True)[:k]
+        r = es.smallest_eigenpairs(sp.csr_matrix(Ad), sp.diags(dm).tocsr(),
+                                   k, tol=1e-11)
+        assert np.abs(r.values - exact).max() <= 1e-9
+    assert len(sweeps) > 30  # some multiplicity was recovered by a restart
+
+
+def _recorded(monkeypatch, fail):
+    """Record the levels of inertia_count (raising SolverError where
+    fail(mu)) and the number of values each Lanczos sweep asks for."""
+    probes, wants = [], []
     count, lanczos = es.inertia_count, es._lanczos
 
     def flaky_count(A, M, mu, perm=None):
         probes.append(mu)
-        if mu in mids:
+        if fail(mu):
             raise SolverError("level too close to spectrum: pivot below 1e-14")
         return count(A, M, mu, perm)
 
     def counted_lanczos(*args):
-        sweeps.append(1)
+        wants.append(args[4])
         return lanczos(*args)
 
     monkeypatch.setattr(es, "inertia_count", flaky_count)
     monkeypatch.setattr(es, "_lanczos", counted_lanczos)
+    return probes, wants
+
+
+def test_unfactorable_top_probe_is_moved_up(monkeypatch):
+    # a tiny pivot just above the top value is no evidence of a missed
+    # eigenvalue: the level moves up to 2 delta, with no restart
+    A = sp.diags(np.arange(1.0, 11.0)).tocsr()
+    M = _identity(10)
+    plain = es.smallest_eigenpairs(A, M, 3, tol=1e-12, shift=0.0)
+    top = plain.values[-1]
+    delta = 1e-8 * top
+    probes, wants = _recorded(monkeypatch, lambda mu: mu == top + delta)
     r = es.smallest_eigenpairs(A, M, 3, tol=1e-12, shift=0.0)
-    assert len(sweeps) == 1
+    assert wants == [3]
     assert np.array_equal(r.values, plain.values)
-    v = plain.values
-    assert probes == [0.5 * (v[0] + v[1]), v[0] + 0.25 * (v[1] - v[0]),
-                      0.5 * (v[1] + v[2]), v[1] + 0.25 * (v[2] - v[1])]
+    assert probes == [top + delta, top + 2.0 * delta]
 
 
-def test_gap_without_a_factorable_probe_counts_as_missing(monkeypatch):
-    def no_count(A, M, mu, perm=None):
-        raise SolverError("level too close to spectrum: pivot below 1e-14")
+def test_top_without_a_factorable_probe_counts_as_missing(monkeypatch):
+    # three failed levels count as one missing value: each attempt asks
+    # the next sweep for one more, and the uncertified list is an error
+    probes, wants = _recorded(monkeypatch, lambda mu: True)
+    A = sp.diags(np.arange(1.0, 11.0)).tocsr()
+    with pytest.raises(SolverError, match="did not converge"):
+        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, shift=0.0)
+    assert wants == [3, 1, 1, 1]
+    assert len(probes) == 12
 
-    monkeypatch.setattr(es, "inertia_count", no_count)
-    A = sp.diags([1.0, 2.0, 3.0]).tocsr()
-    assert es._count_mismatch(A, _identity(3), np.array([1.0, 2.0, 3.0])) == 1
+
+def test_top_count_below_the_list_is_an_error(monkeypatch):
+    monkeypatch.setattr(es, "inertia_count", lambda A, M, mu, perm=None: 1)
+    A = sp.diags(np.arange(1.0, 11.0)).tocsr()
+    with pytest.raises(SolverError, match="list holds 3"):
+        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, shift=0.0)
