@@ -28,6 +28,8 @@ Each factorization certifies one fact:
                    equal to the list size, so no eigenvalue up to the
                    k-th was missed.  A level that does not factor is
                    moved up twice before the count is taken as missing.
+                   After a count above the list, the list is filled
+                   below that same level, with no further count.
 Counts that callers request (the counting table) certify their own levels.
 """
 
@@ -289,7 +291,9 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     (_top_count): it must hold every eigenvalue below that level.  A
     count above the list size restarts Lanczos, deflated against the
     whole list, for the eigenvalues a single Krylov sequence missed
-    (multiplicities); a count below it raises SolverError.
+    (multiplicities); later sweeps keep only values below that level
+    until the list holds the counted number, which certifies it with no
+    new count.  A count below the list size raises SolverError.
 
     Raises SolverError (carrying the best partial result) when the list is
     not complete and certified within the iteration budget.
@@ -313,9 +317,15 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     vals = np.empty(0)
     X = np.empty((n, 0))
     want = k
+    top = None  # (level, count) of the first count above the list
     for attempt in range(4):
         lv, lX, _, exhausted = _lanczos(solve, A, M, sigma, want, tol,
                                         rng, X, budget)
+        if top is not None:
+            # the list is filled up to the first certified level only, so
+            # it does not climb the spectrum one cluster at a time
+            below = lv < top[0]
+            lv, lX = lv[below], lX[:, below]
         if lv.size:
             vals = np.concatenate([vals, lv])
             X = np.hstack([X, lX])
@@ -327,7 +337,7 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
                 break
             want = k - vals.shape[0]
             continue
-        count = _top_count(A, M, vals, perm)
+        level, count = top or _top_count(A, M, vals, perm)
         if count == vals.shape[0]:
             return _finalize(A, M, vals[:k], X[:, :k], sigma)
         if count < vals.shape[0]:
@@ -335,7 +345,9 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
                               f"{vals[-1]}, but the list holds "
                               f"{vals.shape[0]}")
         # keep the whole list, deflate it, and search its complement for
-        # the eigenvalues below the top that the Krylov sequence missed
+        # the eigenvalues below the level that the Krylov sequence missed
+        if level is not None:
+            top = (level, count)
         want = count - vals.shape[0]
 
     partial = _finalize(A, M, vals[:k], X[:, :k], sigma)
@@ -354,19 +366,20 @@ def _finalize(A, M, vals, X, sigma):
 
 
 def _top_count(A, M, vals, perm=None):
-    """Number of pencil eigenvalues below theta + delta, where theta is the
-    top of the ascending list vals and delta = 1e-8 max(1, |theta|) its
-    cluster tolerance.
+    """(level, count): the number of pencil eigenvalues below the level
+    theta + delta, where theta is the top of the ascending list vals and
+    delta = 1e-8 max(1, |theta|) its cluster tolerance.
 
     A level too close to the spectrum to factor (SolverError) is moved up
-    to 2 delta, then 4 delta; when none factors the count is taken as
-    one more than the list holds, so the caller searches again.
+    to 2 delta, then 4 delta; when none factors the level is None and the
+    count is taken as one more than the list holds, so the caller
+    searches again and counts at its new top.
     """
     theta = float(vals[-1])
     delta = 1e-8 * max(1.0, abs(theta))
     for step in (delta, 2.0 * delta, 4.0 * delta):
         try:
-            return inertia_count(A, M, theta + step, perm)
+            return theta + step, inertia_count(A, M, theta + step, perm)
         except SolverError:
             pass
-    return vals.shape[0] + 1
+    return None, vals.shape[0] + 1

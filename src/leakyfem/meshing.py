@@ -272,26 +272,42 @@ def _build_pslg(geometry, h, inner_rings):
 
 
 def _iface_adjacency(triangles, tri_region, iface_edges):
-    """Adjacent (Omega1, Omega2) triangle per interface edge, with checks."""
-    dir_tri = {}
-    for t in range(triangles.shape[0]):
-        a, b, c = (int(triangles[t, 0]), int(triangles[t, 1]),
-                   int(triangles[t, 2]))
-        dir_tri[(a, b)] = t
-        dir_tri[(b, c)] = t
-        dir_tri[(c, a)] = t
-    out = np.empty((iface_edges.shape[0], 2), dtype=np.int32)
-    for k in range(iface_edges.shape[0]):
-        u, v = int(iface_edges[k, 0]), int(iface_edges[k, 1])
-        t1 = dir_tri.get((u, v))
-        t2 = dir_tri.get((v, u))
-        if t1 is None or t2 is None:
+    """Adjacent (Omega1, Omega2) triangle per interface edge, with checks.
+
+    Each triangle owns its three directed edges (a, b), (b, c), (c, a);
+    an interface edge (u, v) looks up the owners of (u, v) and (v, u) as
+    integer keys u n + v in the sorted key list.  A directed edge owned
+    twice resolves to the last triangle, and the first bad edge decides
+    which error is raised.
+    """
+    tris = np.asarray(triangles, dtype=np.int64)
+    edges = np.asarray(iface_edges, dtype=np.int64).reshape(-1, 2)
+    n = int(max(tris.max(initial=-1), edges.max(initial=-1))) + 1
+    keys = (tris * n + np.roll(tris, -1, axis=1)).ravel()
+    order = np.argsort(keys, kind="stable")
+    skeys = keys[order]
+
+    def owner(u, v):
+        q = u * n + v
+        pos = np.searchsorted(skeys, q, side="right") - 1
+        hit = (pos >= 0) & (skeys[np.maximum(pos, 0)] == q)
+        return np.where(hit, order[np.maximum(pos, 0)] // 3, -1)
+
+    t1 = owner(edges[:, 0], edges[:, 1])
+    t2 = owner(edges[:, 1], edges[:, 0])
+    missing = (t1 < 0) | (t2 < 0)
+    region = np.asarray(tri_region)
+    r1, r2 = region[np.maximum(t1, 0)], region[np.maximum(t2, 0)]
+    split = (((r1 == OMEGA1) & (r2 == OMEGA2))
+             | ((r1 == OMEGA2) & (r2 == OMEGA1)))
+    bad = missing | ~split
+    if bad.any():
+        if missing[np.argmax(bad)]:
             raise MeshingError("interface edge lacks a triangle on one side")
-        r1, r2 = int(tri_region[t1]), int(tri_region[t2])
-        if {r1, r2} != {OMEGA1, OMEGA2}:
-            raise MeshingError("interface edge not separating the two regions")
-        out[k] = (t1, t2) if r1 == OMEGA1 else (t2, t1)
-    return out
+        raise MeshingError("interface edge not separating the two regions")
+    first = r1 == OMEGA1
+    return np.column_stack([np.where(first, t1, t2),
+                            np.where(first, t2, t1)]).astype(np.int32)
 
 
 def triangulate(geometry: InterfaceGeometry, h_target: float,

@@ -1,8 +1,18 @@
 """Shared plumbing: mesh families, assembly, and cascaded eigensolves.
 
 Refinement families are nested by construction (red refinement), so
-eigenvalues decrease level by level and the coarse-level spectrum gives a
-safe, tight shift-invert pole for the next level.
+eigenvalues decrease level by level and the coarser levels give the
+shift-invert pole for the next one.  From the third level on the pole is
+predicted from two levels: the P1 error is O(h^2), so each refinement
+shrinks the drop of lambda_1 by about 4, and twice the last drop below
+the last lambda_1 is expected to be below the new one once that regime
+holds.  A pole that is not below the spectrum is refused when it is
+factored (a negative pivot), and solve_pencil falls back to the certified
+shift search.
+
+Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
+than the full pencil's (min-max), so a pole just below the full-box
+lambda_1 serves every box.
 """
 
 from __future__ import annotations
@@ -28,16 +38,37 @@ def assemble_levels(meshes, material):
 
 
 def shift_from_previous(values):
-    """Shift safely below the next (finer or larger-box) spectrum, assuming
-    the new ground state does not drop by more than a margin."""
+    """Pole for the next (finer) level from one level: below the new
+    spectrum when the ground state drops by less than max(1, |lambda_1|/2)."""
     lam1 = float(values[0])
     return lam1 - max(1.0, 0.5 * abs(lam1))
+
+
+def cascade_shift(results):
+    """Pole for the next level from the results of the levels solved so
+    far (coarse to fine): none on the first level, shift_from_previous on
+    the second, and from the third on the drop of lambda_1 over the last
+    two levels, doubled, below the last lambda_1."""
+    if not results:
+        return None
+    if len(results) < 2:
+        return shift_from_previous(results[-1].values)
+    lam0, lam1 = (float(r.values[0]) for r in results[-2:])
+    return lam1 - 2.0 * abs(lam0 - lam1)
+
+
+def truncation_shift(values):
+    """Pole for every restricted box of one mesh, just below the full
+    box's lambda_1: by min-max no restricted eigenvalue is smaller."""
+    lam1 = float(values[0])
+    return lam1 - 1e-2 * max(1.0, abs(lam1))
 
 
 def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None,
                  perm=None):
     """smallest_eigenpairs at a guessed shift, falling back to the certified
-    shift search when the guess fails."""
+    shift search when the guess fails.  A pole that is not below the
+    spectrum costs one refused factorization."""
     if shift is not None:
         try:
             return smallest_eigenpairs(A, M, k, tol=tol, shift=shift,
@@ -48,16 +79,14 @@ def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None,
 
 
 def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
-    """Solve one operator on every refinement level, reusing the coarse
-    spectrum as the shift for the finer levels."""
+    """Solve one operator on every refinement level, with the pole of
+    cascade_shift from the coarser levels."""
     results = []
-    shift = None
     for forms in forms_list:
         A, M = forms.matrices(which)
-        res = solve_pencil(A, M, k, tol=tol, seed=seed, shift=shift,
-                           perm=forms.ordering(which))
-        results.append(res)
-        shift = shift_from_previous(res.values)
+        results.append(solve_pencil(A, M, k, tol=tol, seed=seed,
+                                    shift=cascade_shift(results),
+                                    perm=forms.ordering(which)))
     return results
 
 

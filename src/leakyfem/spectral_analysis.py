@@ -337,21 +337,33 @@ def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
 def truncation_from_forms(forms, which: str, halfwidths, k: int,
                           tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
                           stab_tol: float = 1e-6,
-                          shift: float | None = None) -> TruncationStudy:
+                          full: EigenResult | None = None) -> TruncationStudy:
     """Truncation study on an already assembled master mesh whose inner
     boxes were constrained in as rings.
 
-    shift is an optional shift-invert pole for the smallest box.  Any
-    shift below the full-box spectrum of the same mesh is one: by min-max
-    the eigenvalues of a restricted pencil are no smaller.
+    full is an optional result of the full pencil on this mesh (the
+    cascade's).  When the largest box keeps every dof its row is full's
+    values, with no new solve; otherwise that box is solved like the rest.
+    Every box is solved at the pole pipeline.truncation_shift of full, or
+    without full of the largest box, which is then solved first with the
+    certified shift search.  By min-max the eigenvalues of a restricted
+    pencil are no smaller than the full pencil's, so that pole is below
+    every box's spectrum.
     """
     halfwidths = sorted(set(float(L) for L in halfwidths))
+    ndof = forms.matrices(which)[0].shape[0]
+    shift = None if full is None else pipeline.truncation_shift(full.values)
     values = []
-    for L in halfwidths:
-        res, _ = pipeline.solve_restricted(forms, which, L, k, tol=tol,
-                                           seed=seed, shift=shift)
-        values.append(res.values[:k])
-        shift = pipeline.shift_from_previous(res.values)
+    for L in reversed(halfwidths):  # the largest box has the lowest spectrum
+        if (full is not None and L == halfwidths[-1]
+                and pipeline.interior_dofs(forms, which, L).size == ndof):
+            res = full
+        else:
+            res, _ = pipeline.solve_restricted(forms, which, L, k, tol=tol,
+                                               seed=seed, shift=shift)
+        values.insert(0, res.values[:k])
+        if shift is None:
+            shift = pipeline.truncation_shift(res.values)
     kk = min(v.size for v in values)
     vals = np.asarray([v[:kk] for v in values])
     deltas = np.abs(np.diff(vals, axis=0))
@@ -414,9 +426,8 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
         t_idx = refinements if truncation_refinements is None else min(
             truncation_refinements, refinements)
         trunc = tuple(
-            truncation_from_forms(
-                forms[t_idx], which, halfwidths, k, tol=tol, seed=seed,
-                shift=pipeline.shift_from_previous(res[t_idx].values))
+            truncation_from_forms(forms[t_idx], which, halfwidths, k,
+                                  tol=tol, seed=seed, full=res[t_idx])
             for which, res in ((DELTA, res_d), (DELTA_PRIME, res_p)))
 
     kk = min(len(conv_d["error"]), len(conv_p["error"]), k)

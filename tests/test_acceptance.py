@@ -11,11 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from leakyfem import cli, femforms, geometry as geo, meshing, oracles, pipeline
+from leakyfem import cli, eigensolver, femforms, geometry as geo, meshing
+from leakyfem import oracles, pipeline
 from leakyfem import spectral_analysis as sa
 from leakyfem.eigensolver import inertia_count
 
 RNG_SEED = 20250809
+SPLU_CALLS = {}  # sparse factorizations per shared verification run
 
 
 def _report(line):
@@ -23,6 +25,22 @@ def _report(line):
 
 
 # -- shared runs ---------------------------------------------------------------
+
+
+def _counted_run(name, cfg):
+    """cli.run_solve, recording its sparse factorizations in SPLU_CALLS."""
+    calls = []
+    splu = eigensolver.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolver, "splu", counted)
+        out = cli.run_solve(cfg)
+    SPLU_CALLS[name] = len(calls)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +59,7 @@ def circle_strict_doc():
                            "truncation_refinements": 1},
         "solver": {"k": 5, "tol": 1e-9},
     }
-    return cli.run_solve(cfg)
+    return _counted_run("circle_strict", cfg)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +74,7 @@ def borderline_doc():
                            "truncation_refinements": 1},
         "solver": {"k": 2, "tol": 1e-9},
     }
-    return cli.run_solve(cfg)
+    return _counted_run("borderline", cfg)
 
 
 @pytest.fixture(scope="module")
@@ -291,3 +309,14 @@ def test_criterion_8_determinism(tmp_path):
     s2 = stripped(tmp_path / "o2" / "report.json")
     assert s1 == s2
     _report("criterion 8 PASS: report.json byte-identical modulo timestamp")
+
+
+# -- work done on the acceptance configs -----------------------------------------
+
+
+def test_acceptance_factorization_budget(circle_strict_doc, borderline_doc):
+    # every tight pole holds and every full-box truncation row comes from
+    # the cascade: a fallback pole or a repeated full-box solve adds calls
+    assert SPLU_CALLS == {"circle_strict": 56, "borderline": 47}
+    _report(f"factorizations: circle strict {SPLU_CALLS['circle_strict']}, "
+            f"borderline {SPLU_CALLS['borderline']}")

@@ -225,6 +225,37 @@ def test_random_pencils_with_multiplicities_against_dense(monkeypatch):
     assert len(sweeps) > 30  # some multiplicity was recovered by a restart
 
 
+@pytest.mark.parametrize("clusters", [3, 4])
+def test_stacked_triples_are_filled_below_the_first_level(monkeypatch,
+                                                          clusters):
+    # k = 1 under `clusters` stacked triples: the count above the first
+    # value finds its triple, and the list is filled below that level, not
+    # up the next clusters; a climb took 4 sweeps for 3 triples and ran
+    # out of attempts for 4
+    rng = np.random.default_rng(7)
+    n = 40
+    d = np.concatenate([np.repeat(-np.arange(clusters, 0.0, -1.0), 3),
+                        np.linspace(0.5, 5.0, n - 3 * clusters)])
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    dm = rng.uniform(0.5, 2.0, n)
+    D = np.diag(np.sqrt(dm))
+    Ad = D @ (Q * d) @ Q.T @ D
+    Ad = 0.5 * (Ad + Ad.T)
+    exact = sla.eigh(Ad, np.diag(dm), eigvals_only=True)[:1]
+    lanczos = es._lanczos
+    wants = []
+
+    def counted(*args):
+        wants.append(args[4])
+        return lanczos(*args)
+
+    monkeypatch.setattr(es, "_lanczos", counted)
+    r = es.smallest_eigenpairs(sp.csr_matrix(Ad), sp.diags(dm).tocsr(), 1,
+                               tol=1e-11)
+    assert np.abs(r.values - exact).max() <= 1e-9
+    assert len(wants) <= 3 and wants[0] == 1 and max(wants[1:]) <= 2
+
+
 def _recorded(monkeypatch, fail):
     """Record the levels of inertia_count (raising SolverError where
     fail(mu)) and the number of values each Lanczos sweep asks for."""

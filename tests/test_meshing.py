@@ -6,7 +6,7 @@ import pytest
 
 from leakyfem import geometry as geo
 from leakyfem import meshing
-from leakyfem.errors import DomainError
+from leakyfem.errors import DomainError, MeshingError
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +186,46 @@ def test_inner_rings_are_conforming():
         if dv and not du and mu > 4.0:
             crossing += 1
     assert crossing == 0
+
+
+def _dict_adjacency(triangles, tri_region, iface_edges):
+    """Plain reference: each directed edge maps to its (last) triangle."""
+    owner = {}
+    for t, (a, b, c) in enumerate(triangles.tolist()):
+        owner[(a, b)] = owner[(b, c)] = owner[(c, a)] = t
+    out = []
+    for u, v in iface_edges.tolist():
+        t1, t2 = owner[(u, v)], owner[(v, u)]
+        out.append((t1, t2) if tri_region[t1] == geo.OMEGA1 else (t2, t1))
+    return np.asarray(out, dtype=np.int32).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("case", ["broken_line", "circle"])
+def test_iface_adjacency_matches_dict_reference(case):
+    if case == "broken_line":
+        g = geo.make_broken_line(math.pi / 4, 6.0)
+        m = meshing.triangulate(g, 0.6, inner_rings=[3.0])
+    else:
+        g = geo.make_circle(1.0, (0.0, 0.0), 3.5, 48)
+        m = meshing.triangulate(g, 0.4)
+    for _ in range(3):
+        got = meshing._iface_adjacency(m.triangles, m.tri_region,
+                                       m.iface_edges)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _dict_adjacency(m.triangles, m.tri_region,
+                                                   m.iface_edges))
+        assert np.array_equal(got, m.iface_tris)
+        m = meshing.refine_uniform(m)
+
+
+def test_iface_adjacency_errors(broken_mesh):
+    _, m = broken_mesh
+    t_in = m.iface_tris[0, 0]
+    keep = np.arange(m.triangles.shape[0]) != t_in
+    with pytest.raises(MeshingError, match="lacks a triangle"):
+        meshing._iface_adjacency(m.triangles[keep], m.tri_region[keep],
+                                 m.iface_edges)
+    region = m.tri_region.copy()
+    region[m.iface_tris[-1, 1]] = geo.OMEGA1
+    with pytest.raises(MeshingError, match="not separating"):
+        meshing._iface_adjacency(m.triangles, region, m.iface_edges)

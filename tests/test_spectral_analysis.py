@@ -224,8 +224,95 @@ def test_truncation_shift_seeded_from_full_box(monkeypatch):
         return lower_shift(*args, **kwargs)
 
     monkeypatch.setattr(eigensolver, "lower_shift", counted)
-    seeded = sa.truncation_from_forms(
-        forms, sa.DELTA, boxes, 2,
-        shift=pipeline.shift_from_previous(full.values))
+    seeded = sa.truncation_from_forms(forms, sa.DELTA, boxes, 2, full=full)
     assert not searches
     assert np.abs(seeded.values - plain.values).max() <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def broken_levels():
+    g = geo.make_broken_line(math.pi / 4, 4.0)
+    mat = geo.MaterialData.borderline(g, alpha=2.0)
+    return pipeline.assemble_levels(pipeline.mesh_levels(g, 0.8, 2), mat)
+
+
+def test_cascade_poles_from_two_levels(broken_levels):
+    res = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
+    lam = [float(r.values[0]) for r in res]
+    assert res[1].shift_used == pipeline.shift_from_previous(res[0].values)
+    assert res[2].shift_used == lam[1] - 2.0 * abs(lam[0] - lam[1])
+    assert res[2].shift_used < lam[2]
+
+
+def test_tight_pole_above_the_spectrum_falls_back(monkeypatch, broken_levels):
+    # a pole above lambda_1 is refused when it is factored, and the
+    # certified shift search gives the same values
+    tight = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
+    pole = pipeline.cascade_shift
+
+    def above(results):
+        if len(results) < 2:
+            return pole(results)
+        return float(results[-1].values[0]) + 0.1
+
+    monkeypatch.setattr(pipeline, "cascade_shift", above)
+    forced = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
+    assert forced[2].shift_used < float(forced[2].values[0])
+    assert forced[2].shift_used != above(forced[:2])
+    for a, b in zip(forced, tight):
+        assert np.abs(a.values - b.values).max() <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def ringed_forms():
+    g = geo.make_broken_line(math.pi / 4, 6.0)
+    mat = geo.MaterialData.borderline(g, alpha=2.0)
+    mesh = pipeline.mesh_levels(g, 0.6, 0, inner_rings=[3.0, 4.5])[0]
+    forms = femforms.assemble(mesh, mat)
+    return forms, pipeline.cascade_solve([forms], sa.DELTA, 2)[0]
+
+
+def _solved_boxes(monkeypatch):
+    boxes = []
+    solve = pipeline.solve_restricted
+
+    def recorded(forms, which, halfwidth, *args, **kwargs):
+        boxes.append(halfwidth)
+        return solve(forms, which, halfwidth, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_restricted", recorded)
+    return boxes
+
+
+def test_full_box_row_is_the_full_solve(monkeypatch, ringed_forms):
+    forms, full = ringed_forms
+    plain = sa.truncation_from_forms(forms, sa.DELTA, [3.0, 4.5, 6.0], 2)
+    boxes = _solved_boxes(monkeypatch)
+    study = sa.truncation_from_forms(forms, sa.DELTA, [3.0, 4.5, 6.0], 2,
+                                     full=full)
+    assert sorted(boxes) == [3.0, 4.5]
+    assert np.array_equal(study.values[-1], full.values[:2])
+    assert np.abs(study.values - plain.values).max() <= 1e-9
+
+
+def test_box_that_leaves_out_dofs_is_solved(monkeypatch, ringed_forms):
+    forms, full = ringed_forms
+    pole = pipeline.truncation_shift(full.values)
+    alone, keep = pipeline.solve_restricted(forms, sa.DELTA, 4.5, 2,
+                                            shift=pole)
+    assert keep.size < full.vectors.shape[0]
+    boxes = _solved_boxes(monkeypatch)
+    study = sa.truncation_from_forms(forms, sa.DELTA, [3.0, 4.5], 2,
+                                     full=full)
+    assert sorted(boxes) == [3.0, 4.5]
+    assert np.array_equal(study.values[-1], alone.values[:2])
+
+
+def test_verify_takes_the_full_box_rows_from_the_cascade(monkeypatch):
+    g = geo.make_broken_line(math.pi / 4, 4.0)
+    mat = geo.MaterialData.borderline(g, alpha=2.0)
+    boxes = _solved_boxes(monkeypatch)
+    run = sa.verify(g, mat, 0.8, refinements=2, halfwidths=[2.0, 4.0], k=2)
+    assert boxes == [2.0, 2.0]  # the inner box, once per operator
+    for study, res in zip(run.truncation, run.finest):
+        assert np.array_equal(study.values[-1], res.values[:2])
