@@ -1,10 +1,12 @@
 """Sparse symmetric generalized eigensolver and inertia counting.
 
-smallest_eigenpairs() runs shift-invert Lanczos with full
-reorthogonalization in the M-inner product on (A - sigma M)^-1 M, with a
-fixed-seed start vector for reproducibility.  Clustered or multiple
-eigenvalues, which a single-vector Krylov space cannot see, are recovered
-by deflated restarts and certified against factorization inertia.
+smallest_eigenpairs() runs shift-invert Lanczos in the M-inner product on
+(A - sigma M)^-1 M: ARPACK's implicitly restarted Lanczos (scipy's eigsh)
+drives the certified factor below, from a fixed-seed start vector for
+reproducibility.  ARPACK only converges Ritz pairs; it certifies nothing.
+Clustered or multiple eigenvalues, which a single-vector Krylov space
+cannot see, are recovered by deflated restarts, and every list is
+certified against factorization inertia.
 
 inertia_count() realizes the eigenvalue counting function below a level:
 the number of negative pivots of an LDL^T-type factorization of A - mu M
@@ -23,7 +25,8 @@ orders by minimum degree (MMD_AT_PLUS_A).
 Each factorization certifies one fact:
   lower_shift      no negative pivot at the pole found by the search;
   _tighten_shift   no eigenvalue below each halving probe;
-  _msolve_factor   no negative pivot at the Lanczos pole;
+  _msolve_factor   no negative pivot at the Lanczos pole, so every
+                   eigenvalue ARPACK can return lies above it;
   _top_count       one count just above the top of the computed list,
                    equal to the list size, so no eigenvalue up to the
                    k-th was missed.  A level that does not factor is
@@ -38,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import splu
+from scipy.linalg import cholesky, eigh, null_space, solve_triangular
+from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
+                                 splu)
 
 from .errors import SolverError
 
@@ -162,113 +165,57 @@ def _msolve_factor(A, M, sigma, perm):
 
 
 def _lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget):
-    """One deflated shift-invert Lanczos sweep.
+    """One deflated shift-invert Lanczos sweep, run by ARPACK's eigsh.
 
-    Returns (values, vectors, residuals, exhausted): converged pairs of the
-    pencil nearest above sigma, M-orthogonal to the deflation block.
+    Each solve by the certified factor is followed by the M-projector off
+    the deflation block D, x - D D^T M x, so a restart searches only the
+    complement of the values already found.  rng gives the start vector
+    and ARPACK's own restarts, so the sweep is deterministic given the
+    seed.  An implicit restart costs ncv - k solves, so a sweep makes
+    about budget solves at most.  A request for the whole complement,
+    which ARPACK cannot make (it needs k < n), is a dense Rayleigh-Ritz
+    on a basis of it.
+
+    Returns (values, vectors, residuals, exhausted): ascending pairs of the
+    pencil nearest above sigma, M-orthogonal to D.  exhausted is set when
+    ARPACK ran out of iterations (the pairs are the ones it converged) or
+    a pair fails the explicit residual check.
     """
-    n = A.shape[0]
-    mcap = min(n - deflate.shape[1], budget)
-    if mcap <= 0:
-        return (np.empty(0), np.empty((n, 0)), np.empty(0), False)
-    k = min(k, mcap)
-    V = np.empty((n, min(mcap, max(2 * k + 24, 48)) + 1))
+    n, d = A.shape[0], deflate.shape[1]
+    k = min(k, n - d)
+    if k <= 0:
+        return np.empty(0), np.empty((n, 0)), np.empty(0), False
 
-    def mdot(x, y):
-        return float(x @ (M @ y))
+    def project(x):
+        return x - deflate @ (deflate.T @ (M @ x)) if d else x
 
-    def orth(w):
-        for _ in range(2):
-            if deflate.shape[1]:
-                w = w - deflate @ (deflate.T @ (M @ w))
-            if j >= 0:
-                w = w - V[:, :j + 1] @ (V[:, :j + 1].T @ (M @ w))
-        return w
-
-    j = -1
-    v = rng.standard_normal(n)
-    v = orth(v)
-    nrm = np.sqrt(mdot(v, v))
-    if nrm < 1e-300:
-        return (np.empty(0), np.empty((n, 0)), np.empty(0), False)
-    V[:, 0] = v / nrm
-
-    alphas, betas = [], []
-    explicit_every = 4
-    for j in range(mcap):
-        if j + 1 >= V.shape[1]:
-            grow = np.empty((n, min(mcap, V.shape[1] * 2 - 1) + 1))
-            grow[:, :V.shape[1]] = V
-            V = grow
-        w = solve(M @ V[:, j])
-        if j > 0:
-            w -= betas[j - 1] * V[:, j - 1]
-        a = mdot(w, V[:, j])
-        w -= a * V[:, j]
-        alphas.append(a)
-        w = orth(w)
-        b = np.sqrt(mdot(w, w))
-        scale = max(abs(a), 1.0) * 1e-13
-        if b <= scale:
-            # invariant subspace found; restart in a fresh direction
-            w = orth(rng.standard_normal(n))
-            b = np.sqrt(mdot(w, w))
-            if b <= 1e-300:
-                betas.append(0.0)
-                break
-            betas.append(0.0)
-            V[:, j + 1] = w / b
-        else:
-            betas.append(b)
-            V[:, j + 1] = w / b
-
-        m = j + 1
-        if m < k:
-            continue
-        theta, Y = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[:-1]))
-        idx = np.argsort(theta)[::-1][:k]
-        if np.any(theta[idx] <= 0):
-            continue  # spurious negative Ritz values of the inverted operator
-        lams = sigma + 1.0 / theta[idx]
-        bound = abs(betas[-1] * Y[-1, idx]) / theta[idx] ** 2
-        near = bound <= 0.5 * tol * np.maximum(1.0, np.abs(lams))
-        if not (np.all(near) or (m % explicit_every == 0 and np.any(near))
-                or m == mcap):
-            continue
-        X = V[:, :m] @ Y[:, idx]
-        res = _residuals(A, M, X, lams)
-        ok = res <= tol * np.maximum(1.0, np.abs(lams))
-        if np.all(ok) or m == mcap:
-            order = np.argsort(lams)
-            exhausted = not np.all(ok)
-            return lams[order], X[:, order], res[order], exhausted
-    # ran out of space without convergence
-    theta, Y = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas[:len(alphas) - 1]))
-    idx = np.argsort(theta)[::-1][:k]
-    pos = theta[idx] > 0
-    idx = idx[pos]
-    lams = sigma + 1.0 / theta[idx]
-    X = V[:, :len(alphas)] @ Y[:, idx]
-    res = _residuals(A, M, X, lams)
+    exhausted = False
+    if k == n - d:
+        Z = null_space((M @ deflate).T)
+        lams, Y = eigh(Z.T @ (A @ Z), Z.T @ (M @ Z))
+        X = Z @ Y
+    else:
+        ncv = min(n - d, max(2 * k + 1, 20))
+        op = LinearOperator((n, n), matvec=lambda b: project(solve(b)),
+                            dtype=float)
+        try:
+            lams, X = eigsh(A, k, M=M, sigma=sigma, OPinv=op,
+                            v0=project(rng.standard_normal(n)), ncv=ncv,
+                            maxiter=max(1, budget // (ncv - k)),
+                            tol=1e-2 * tol, rng=rng)
+        except ArpackNoConvergence as exc:
+            lams, X, exhausted = exc.eigenvalues, exc.eigenvectors, True
     order = np.argsort(lams)
-    return lams[order], X[:, order], res[order], True
+    lams, X = lams[order], X[:, order]
+    res = _residuals(A, M, X, lams)
+    exhausted |= not np.all(res <= tol * np.maximum(1.0, np.abs(lams)))
+    return lams, X, res, exhausted
 
 
 def _residuals(A, M, X, lams):
     R = A @ X - (M @ X) * lams[None, :]
     mnorm = np.sqrt(np.einsum("ij,ij->j", X, M @ X))
     return np.linalg.norm(R, axis=0) / mnorm
-
-
-def _mortho_normalize(M, X):
-    """Gram-Schmidt in the M-inner product, in place column order."""
-    Q = X.copy()
-    for i in range(Q.shape[1]):
-        for _ in range(2):
-            if i:
-                Q[:, i] -= Q[:, :i] @ (Q[:, :i].T @ (M @ Q[:, i]))
-        Q[:, i] /= np.sqrt(Q[:, i] @ (M @ Q[:, i]))
-    return Q
 
 
 def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
@@ -357,7 +304,9 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
 
 def _finalize(A, M, vals, X, sigma):
     if vals.size:
-        X = _mortho_normalize(M, X)
+        # M-orthonormal in column order: X L^-T with L L^T = X^T M X
+        L = cholesky(X.T @ (M @ X), lower=True)
+        X = solve_triangular(L, X.T, lower=True).T
         res = _residuals(A, M, X, vals)
     else:
         res = np.empty(0)

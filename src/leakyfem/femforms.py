@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import DomainError
@@ -344,12 +343,3 @@ def symmetry_error(A) -> float:
         return 0.0
     return float(d.max() / amax)
 
-
-def write_matrix_market(path, A, comment=""):
-    """Dump a sparse symmetric matrix in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(str(path), sp.coo_matrix(A), comment=comment,
-                     symmetry="symmetric")
-
-
-def read_matrix_market(path):
-    return sp.csr_matrix(scipy.io.mmread(str(path)))

@@ -417,11 +417,14 @@ def refine_uniform(m: Mesh) -> Mesh:
     and boundary edges are bisected, and all angles are preserved.
     """
     tris = m.triangles
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    uedges, inverse = np.unique(edges, axis=0, return_inverse=True)
     nv = m.num_nodes
-    mids = 0.5 * (m.nodes[uedges[:, 0]] + m.nodes[uedges[:, 1]])
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    edges = np.sort(edges, axis=1).astype(np.int64)
+    # integer keys u nv + v sort like the rows (u, v), so the midpoints keep
+    # the order of np.unique(edges, axis=0)
+    ukeys, inverse = np.unique(edges[:, 0] * nv + edges[:, 1],
+                               return_inverse=True)
+    mids = 0.5 * (m.nodes[ukeys // nv] + m.nodes[ukeys % nv])
     nodes = np.vstack([m.nodes, mids])
 
     T = tris.shape[0]
@@ -435,18 +438,14 @@ def refine_uniform(m: Mesh) -> Mesh:
     children[3::4] = np.column_stack([mab, mbc, mca])
     region = np.repeat(m.tri_region, 4)
 
-    edge_mid = {}
-    for k in range(uedges.shape[0]):
-        edge_mid[(int(uedges[k, 0]), int(uedges[k, 1]))] = nv + k
-
     def split_edges(earr):
-        out = np.empty((2 * earr.shape[0], 2), dtype=np.int32)
-        for k in range(earr.shape[0]):
-            u, v = int(earr[k, 0]), int(earr[k, 1])
-            w = edge_mid[(u, v) if u < v else (v, u)]
-            out[2 * k] = (u, w)
-            out[2 * k + 1] = (w, v)
-        return out
+        u, v = earr[:, 0].astype(np.int64), earr[:, 1].astype(np.int64)
+        q = np.minimum(u, v) * nv + np.maximum(u, v)
+        pos = np.minimum(np.searchsorted(ukeys, q), ukeys.size - 1)
+        if not np.array_equal(ukeys[pos], q):
+            raise MeshingError("edge to split is not a triangle edge")
+        w = pos + nv
+        return np.column_stack([u, w, w, v]).reshape(-1, 2).astype(np.int32)
 
     iface = split_edges(m.iface_edges)
     iseg = np.repeat(m.iface_seg, 2)

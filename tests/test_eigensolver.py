@@ -308,3 +308,57 @@ def test_top_count_below_the_list_is_an_error(monkeypatch):
     A = sp.diags(np.arange(1.0, 11.0)).tocsr()
     with pytest.raises(SolverError, match="list holds 3"):
         es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, shift=0.0)
+
+
+def test_deflated_restart_over_the_whole_complement(monkeypatch):
+    # a first sweep that returns the lowest and the highest of six values
+    # leaves a count of 6 above its top, so the restart asks for all of
+    # the M-orthogonal complement (d = 2, k = n - d = 4): dense
+    # Rayleigh-Ritz on a basis of it
+    rng = np.random.default_rng(11)
+    n = 6
+    B = rng.standard_normal((n, n))
+    Ad = (B + B.T) / 2
+    C = rng.standard_normal((n, n))
+    Md = C @ C.T + n * np.eye(n)
+    exact, V = sla.eigh(Ad, Md)
+    lanczos = es._lanczos
+    sweeps = []
+
+    def skipping(solve, A, M, sigma, k, tol, rng, deflate, budget):
+        if not sweeps:
+            sweeps.append((k, 0, exact[[0, 5]]))
+            return exact[[0, 5]], V[:, [0, 5]], np.zeros(2), False
+        out = lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget)
+        sweeps.append((k, deflate.shape[1], out[0]))
+        assert np.abs(deflate.T @ (M @ out[1])).max() <= 1e-12
+        return out
+
+    monkeypatch.setattr(es, "_lanczos", skipping)
+    r = es.smallest_eigenpairs(sp.csr_matrix(Ad), sp.csr_matrix(Md), 2,
+                               tol=1e-11)
+    assert [s[:2] for s in sweeps] == [(2, 0), (4, 2)]
+    assert np.abs(sweeps[1][2] - exact[1:5]).max() <= 1e-12
+    assert np.abs(r.values - exact[:2]).max() <= 1e-12
+
+
+def test_arpack_without_convergence_is_an_error(monkeypatch):
+    # ARPACK stops at its iteration limit with one of three pairs: the
+    # sweep is exhausted and the partial list comes back on the error
+    def stalled(A, k, **kw):
+        raise es.ArpackNoConvergence("No convergence", np.array([1.0]),
+                                     np.eye(A.shape[0])[:, :1])
+
+    monkeypatch.setattr(es, "eigsh", stalled)
+    A = sp.diags(np.arange(1.0, 11.0)).tocsr()
+    with pytest.raises(SolverError, match="did not converge") as err:
+        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, shift=0.0)
+    assert np.array_equal(err.value.partial.values, [1.0])
+
+
+def test_same_seed_gives_identical_pairs(assembled_broken_line):
+    A, M = assembled_broken_line.matrices(femforms.DELTA_PRIME)
+    r1 = es.smallest_eigenpairs(A, M, 4, tol=1e-10, seed=5)
+    r2 = es.smallest_eigenpairs(A, M, 4, tol=1e-10, seed=5)
+    assert np.array_equal(r1.values, r2.values)
+    assert np.array_equal(r1.vectors, r2.vectors)

@@ -287,16 +287,6 @@ def test_form_comparison_random_materials(broken_forms):
         assert a_d - a_dp == pytest.approx(gap, rel=1e-10, abs=1e-12)
 
 
-def test_matrix_market_roundtrip(tmp_path, broken_forms):
-    g, m, F = broken_forms
-    path = tmp_path / "adelta.mtx"
-    femforms.write_matrix_market(path, F.A_delta)
-    B = femforms.read_matrix_market(path)
-    assert abs(F.A_delta - B).max() < 1e-12
-    header = path.read_text().splitlines()[0]
-    assert "coordinate" in header and "symmetric" in header
-
-
 def test_embedded_mass_matrix_identity(broken_forms):
     # E^T M_brok E equals M_cont: the broken mass restricted to the
     # embedded continuous subspace reproduces the continuous mass matrix

@@ -229,3 +229,51 @@ def test_iface_adjacency_errors(broken_mesh):
     region[m.iface_tris[-1, 1]] = geo.OMEGA1
     with pytest.raises(MeshingError, match="not separating"):
         meshing._iface_adjacency(m.triangles, region, m.iface_edges)
+
+
+def _dict_split(m):
+    """Plain reference for refine_uniform's new nodes and split edges: a
+    dict from each sorted edge to its midpoint node."""
+    e = np.concatenate([m.triangles[:, [0, 1]], m.triangles[:, [1, 2]],
+                        m.triangles[:, [2, 0]]])
+    uedges = np.unique(np.sort(e, axis=1), axis=0)
+    edge_mid = {(int(u), int(v)): m.num_nodes + k
+                for k, (u, v) in enumerate(uedges)}
+
+    def split(earr):
+        out = []
+        for u, v in earr.tolist():
+            w = edge_mid[(min(u, v), max(u, v))]
+            out += [(u, w), (w, v)]
+        return np.asarray(out, dtype=np.int32).reshape(-1, 2)
+
+    mids = 0.5 * (m.nodes[uedges[:, 0]] + m.nodes[uedges[:, 1]])
+    return (np.vstack([m.nodes, mids]), split(m.iface_edges),
+            split(m.boundary_edges))
+
+
+@pytest.mark.parametrize("case", ["broken_line", "circle"])
+def test_refine_uniform_matches_dict_reference(case):
+    if case == "broken_line":
+        g = geo.make_broken_line(math.pi / 4, 6.0)
+        m = meshing.triangulate(g, 0.6, inner_rings=[3.0])
+    else:
+        g = geo.make_circle(1.0, (0.0, 0.0), 3.5, 48)
+        m = meshing.triangulate(g, 0.4)
+    for _ in range(2):
+        nodes, iface, bedges = _dict_split(m)
+        m = meshing.refine_uniform(m)
+        assert np.array_equal(m.nodes, nodes)
+        assert m.iface_edges.dtype == np.int32
+        assert np.array_equal(m.iface_edges, iface)
+        assert np.array_equal(m.boundary_edges, bedges)
+
+
+def test_refine_uniform_rejects_an_edge_of_no_triangle(broken_mesh):
+    # the leftmost and the rightmost node of the box share no triangle
+    _, m = broken_mesh
+    far = [np.argmin(m.nodes[:, 0]), np.argmax(m.nodes[:, 0])]
+    bad = dataclasses.replace(m, boundary_edges=np.vstack(
+        [m.boundary_edges, [far]]).astype(np.int32))
+    with pytest.raises(MeshingError, match="not a triangle edge"):
+        meshing.refine_uniform(bad)
