@@ -412,15 +412,17 @@ def cmd_sweep(args, cfg, out, formats):
 def cmd_oracle(args, cfg, out, formats):
     ocfg = _require(cfg, "oracle", "config")
     _check_keys(ocfg, {"alpha", "beta", "circle"}, "oracle")
-    alphas = _numbers(ocfg.get("alpha", []), "oracle.alpha", positive=True)
-    betas = _numbers(ocfg.get("beta", []), "oracle.beta", positive=True)
+    # the closed forms hold to 1e-8 only for alpha <= 8 and beta >= 0.5
+    alphas = _numbers(ocfg.get("alpha", []), "oracle.alpha", positive=True,
+                      high=8)
+    betas = _numbers(ocfg.get("beta", []), "oracle.beta", low=0.5)
     strengths = {}
     if "circle" in ocfg:
         ccfg = ocfg["circle"]
         _check_keys(ccfg, {"radius", "alpha", "beta", "m_max"}, "oracle.circle")
         R = _value(ccfg, "radius", "oracle.circle", positive=True)
         m_max = _value(ccfg, "m_max", "oracle.circle", 2, integer=True, low=0)
-        strengths = {key: _value(ccfg, key, "oracle.circle")
+        strengths = {key: _value(ccfg, key, "oracle.circle", positive=True)
                      for key in ("alpha", "beta") if key in ccfg}
     lines = ["model,parameter,eigenvalue,reference,difference"]
     for model, label, params, oracle, closed in (

@@ -33,7 +33,6 @@ Each factorization certifies one fact:
                    moved up twice before the count is taken as missing.
                    After a count above the list, the list is filled
                    below that same level, with no further count.
-Counts that callers request (the counting table) certify their own levels.
 """
 
 from __future__ import annotations

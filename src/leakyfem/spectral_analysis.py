@@ -1,8 +1,8 @@
 """Operator-level spectral quantities and their verification.
 
 Turns raw eigenpairs into: essential-spectrum thresholds (table lookup
-for the catalog geometries), eigenvalue counting functions cross-checked
-against factorization inertia, the graded eigenvalue-comparison report,
+for the catalog geometries), eigenvalue counting functions read off the
+certified eigenvalue lists, the graded eigenvalue-comparison report,
 Richardson extrapolation over nested mesh families, box-truncation
 studies that are monotone by construction, and `verify`, the whole
 verification run for one geometry and material.
@@ -100,15 +100,11 @@ class CountingRow:
 
 def counting(eigs: EigenResult, mu: float, A, M, threshold,
              perm=None) -> int:
-    """Number of computed eigenvalues <= mu, cross-checked against the
-    factorization inertia of A - mu M.
-
-    mu must lie strictly below the essential-spectrum threshold, and the
-    caller should place it between consecutive eigenvalues (the inertia
-    count is only comparable when every pencil eigenvalue below mu was
-    computed).  perm is an optional fill-reducing ordering for the
-    factorization.
-    """
+    """Number of computed eigenvalues <= mu, checked against the inertia
+    of A - mu M (ConsistencyError when they differ).  mu must lie strictly
+    below the essential-spectrum threshold, and the counts agree only when
+    every pencil eigenvalue below mu was computed.  perm is an optional
+    fill-reducing ordering for the factorization."""
     thr = threshold.value if isinstance(threshold, ThresholdInfo) else threshold
     if not mu < thr:
         raise DomainError(f"level {mu} is not below the threshold {thr}")
@@ -123,24 +119,26 @@ def counting(eigs: EigenResult, mu: float, A, M, threshold,
 
 def counting_table(forms, res_delta: EigenResult, res_deltaprime: EigenResult,
                    thr_delta: ThresholdInfo, thr_deltaprime: ThresholdInfo):
-    """Counting functions of both operators at midpoints between
-    consecutive computed eigenvalues below both thresholds."""
+    """Counting functions of both operators at the midpoints between
+    consecutive computed eigenvalues below both thresholds, 1e-8 or more
+    from every computed value, read off the lists: a certified list holds
+    every eigenvalue below its top (eigensolver._top_count).  A list whose
+    top lies below the highest level is counted there once (`counting`),
+    which certifies every lower row.  ConsistencyError if N' < N."""
     thr = min(thr_delta.value, thr_deltaprime.value)
-    below = np.concatenate([res_delta.values[res_delta.values < thr],
-                            res_deltaprime.values[res_deltaprime.values < thr]])
-    below = np.unique(below)
+    lists = (res_delta.values, res_deltaprime.values)
+    below = np.unique(np.concatenate([v[v < thr] for v in lists]))
+    all_vals = np.concatenate(lists)
+    levels = [mu for mu in 0.5 * (below[:-1] + below[1:])
+              if np.min(np.abs(all_vals - mu)) >= 1e-8]
+    for which, res, t in ((DELTA, res_delta, thr_delta),
+                          (DELTA_PRIME, res_deltaprime, thr_deltaprime)):
+        if levels and np.all(res.values < levels[-1]):
+            counting(res, levels[-1], *forms.matrices(which), t,
+                     forms.ordering(which))
     rows = []
-    A_d, M_d = forms.matrices(DELTA)
-    A_p, M_p = forms.matrices(DELTA_PRIME)
-    perm_d = forms.ordering(DELTA)
-    perm_p = forms.ordering(DELTA_PRIME)
-    all_vals = np.concatenate([res_delta.values, res_deltaprime.values])
-    for i in range(below.size - 1):
-        mu = 0.5 * (below[i] + below[i + 1])
-        if np.min(np.abs(all_vals - mu)) < 1e-8:
-            continue
-        n_d = counting(res_delta, mu, A_d, M_d, thr_delta, perm_d)
-        n_p = counting(res_deltaprime, mu, A_p, M_p, thr_deltaprime, perm_p)
+    for mu in levels:
+        n_d, n_p = (int(np.sum(v <= mu)) for v in lists)
         if n_p < n_d:
             raise ConsistencyError(
                 f"counting functions out of order at mu={mu}: "

@@ -168,6 +168,11 @@ def test_oracle_rejects_nonpositive(tmp_path):
     {"circle": {"radius": 1.0, "alpha": 5.0, "m_max": 1.5}},
     {"circle": {"radius": 1.0, "alpha": 5.0, "m_max": -1}},
     {"circle": {"radius": 1.0, "alpha": 5.0, "m_max": True}},
+    {"circle": {"radius": 1.0, "alpha": -5.0}},
+    {"circle": {"radius": 1.0, "beta": 0.0}},
+    # the closed forms hold to 1e-8 only for alpha <= 8 and beta >= 0.5
+    {"alpha": [10.0]},
+    {"beta": [0.25]},
 ])
 def test_oracle_rejects_malformed_values(tmp_path, capsys, block):
     cfg = {"oracle": block, "outputs": {"directory": str(tmp_path / "out")}}
@@ -175,6 +180,17 @@ def test_oracle_rejects_malformed_values(tmp_path, capsys, block):
     assert cli.main(["oracle", "--config", p]) == cli.EXIT_ERROR
     assert "ConfigError" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_oracle_accepts_the_edges_of_the_safe_range(tmp_path):
+    cfg = {"oracle": {"alpha": [8.0], "beta": [0.5]},
+           "outputs": {"directory": str(tmp_path / "out")}}
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["oracle", "--config", p]) == 0
+    with open(tmp_path / "out" / "oracle.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [float(r["parameter"]) for r in rows] == [8.0, 0.5]
+    assert all(abs(float(r["difference"])) <= 1e-8 for r in rows)
 
 
 def test_oracle_set_with_circle_block(tmp_path):
@@ -215,8 +231,8 @@ def test_out_of_regime_material_rejected(tmp_path):
 
 def test_factorization_budget(monkeypatch):
     # the criterion-8 run, per operator: one Lanczos factor and one
-    # inertia check per level, the shift search and walk on the coarse
-    # level, and one counting-row count; a repeated check raises the count
+    # inertia check per level, and the shift search and walk on the coarse
+    # level; a repeated check raises the count
     from leakyfem import eigensolver
     calls = []
     splu = eigensolver.splu
@@ -235,7 +251,7 @@ def test_factorization_budget(monkeypatch):
     }
     _, code = cli.run_solve(cfg)
     assert code in (cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
-    assert len(calls) == 37
+    assert len(calls) == 35
 
 
 def _set(cfg, path, value):

@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leakyfem import femforms, geometry as geo, meshing, pipeline
+from leakyfem import eigensolver, femforms, geometry as geo, meshing, pipeline
 from leakyfem import spectral_analysis as sa
-from leakyfem.eigensolver import EigenResult, smallest_eigenpairs
+from leakyfem.eigensolver import EigenResult, inertia_count
 from leakyfem.errors import ConsistencyError, DomainError, TheoremViolation
 
 
@@ -155,14 +157,93 @@ def solved_circle():
     return g, mat, forms, rd, rp
 
 
-def test_counting_table_circle(solved_circle):
+def _factorizations(monkeypatch):
+    calls = []
+    splu = eigensolver.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "splu", counted)
+    return calls
+
+
+def _direct_counts(forms, mu):
+    return tuple(inertia_count(*forms.matrices(which), mu,
+                               forms.ordering(which))
+                 for which in (sa.DELTA, sa.DELTA_PRIME))
+
+
+def test_counting_table_circle(monkeypatch, solved_circle):
     g, mat, forms, rd, rp = solved_circle
     td = sa.essential_threshold(g, mat, sa.DELTA)
     tp = sa.essential_threshold(g, mat, sa.DELTA_PRIME)
+    calls = _factorizations(monkeypatch)
     rows = sa.counting_table(forms[-1], rd[-1], rp[-1], td, tp)
     assert rows, "expected at least one counting level"
+    # the rows are read off the certified lists: only a list whose top
+    # lies below the highest level is counted, once, at that level
+    assert len(calls) == sum(r.values[-1] < rows[-1].mu
+                             for r in (rd[-1], rp[-1]))
     for r in rows:
         assert r.n_deltaprime >= r.n_delta
+        assert (r.n_delta, r.n_deltaprime) == _direct_counts(forms[-1], r.mu)
+
+
+def test_counting_table_catches_a_list_short_below_the_top_level(
+        monkeypatch):
+    import scipy.sparse as sp
+    # the delta-prime list stops at -2.5 and misses -1.2, which lies below
+    # the highest level -1.0 (between the delta values -1.5 and -0.5)
+    pencils = {sa.DELTA: (sp.diags([-3.0, -1.5, -0.5, 2.0]).tocsr(),
+                          sp.identity(4, format="csr")),
+               sa.DELTA_PRIME: (sp.diags([-4.0, -2.5, -1.2, 2.0]).tocsr(),
+                                sp.identity(4, format="csr"))}
+    forms = SimpleNamespace(matrices=pencils.__getitem__,
+                            ordering=lambda which: None)
+    td, tp = (sa.ThresholdInfo(which, "circle", 0.0, "test")
+              for which in (sa.DELTA, sa.DELTA_PRIME))
+    calls = _factorizations(monkeypatch)
+    with pytest.raises(ConsistencyError):
+        sa.counting_table(forms, _fake_result([-3.0, -1.5, -0.5]),
+                          _fake_result([-4.0, -2.5]), td, tp)
+    assert len(calls) == 1
+
+
+@settings(max_examples=15)
+@given(theta=st.floats(0.1, 0.6), alpha=st.floats(2.0, 4.0),
+       c=st.floats(0.3, 1.0, exclude_min=True), k=st.integers(2, 4))
+def test_counting_table_matches_inertia_on_random_broken_lines(theta, alpha,
+                                                                c, k):
+    # sharp corners and strong couplings hold several bound states below
+    # both thresholds; small k lets a list stop below the highest level
+    g = geo.make_broken_line(theta, 4.0)
+    mat = geo.MaterialData.constant(g, alpha=alpha, beta=c * 4.0 / alpha)
+    forms = pipeline.assemble_levels(pipeline.mesh_levels(g, 0.8, 1), mat)
+    rd = pipeline.cascade_solve(forms, sa.DELTA, k)[-1]
+    rp = pipeline.cascade_solve(forms, sa.DELTA_PRIME, k)[-1]
+    td = sa.essential_threshold(g, mat, sa.DELTA)
+    tp = sa.essential_threshold(g, mat, sa.DELTA_PRIME)
+    levels = []
+    count = sa.counting
+
+    def recorded(res, mu, *args):
+        levels.append(mu)
+        return count(res, mu, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sa, "counting", recorded)
+        try:
+            rows = sa.counting_table(forms[-1], rd, rp, td, tp)
+        except ConsistencyError:
+            # only when a list really misses an eigenvalue below the level
+            # it was counted at
+            got = _direct_counts(forms[-1], levels[-1])
+            assert got[0] > rd.values.size or got[1] > rp.values.size
+            return
+    for r in rows:
+        assert (r.n_delta, r.n_deltaprime) == _direct_counts(forms[-1], r.mu)
 
 
 def test_discrete_comparison_holds(solved_circle):
