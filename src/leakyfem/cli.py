@@ -13,7 +13,8 @@ is not a number) are rejected, units follow the library (lengths in the
 coordinate unit, alpha in 1/length, beta in length).  The environment
 variable SPEC_SEED overrides the solver seed.
 Exit codes for solve/sweep: 0 all comparisons strict, 2 some
-indistinguishable, 3 violated, 1 errors.
+indistinguishable, 3 violated, 1 errors, usage errors included.  A sweep
+runs its points on --jobs threads (default 1).
 """
 
 from __future__ import annotations
@@ -365,11 +366,8 @@ def cmd_sweep(args, cfg, out, formats):
             return {"value": value, "status": "error",
                     "message": f"{type(exc).__name__}: {exc}", "pairs": []}
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            points = list(pool.map(one, values, subs))
-    else:
-        points = [one(v, sub) for v, sub in zip(values, subs)]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        points = list(pool.map(one, values, subs))
 
     lines = ["%s,n,lambda_delta,lambda_deltaprime,gap,error,verdict,status"
              % parameter]
@@ -452,15 +450,32 @@ def cmd_oracle(args, cfg, out, formats):
     return EXIT_STRICT
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors ending in EXIT_ERROR instead of 2, which
+    is EXIT_INDISTINGUISHABLE here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _jobs(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="spec", description="surface-coupling spectral solver")
+    parser = _Parser(prog="spec",
+                     description="surface-coupling spectral solver")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("solve", cmd_solve), ("converge", cmd_converge),
                      ("sweep", cmd_sweep), ("oracle", cmd_oracle)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--jobs", type=int, default=1)
+        if fn is cmd_sweep:
+            p.add_argument("--jobs", type=_jobs, default=1)
         p.add_argument("--out", default=None)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)

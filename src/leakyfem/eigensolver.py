@@ -15,12 +15,9 @@ factorization is SuperLU in symmetric mode with diagonal pivoting only,
 so its U-diagonal carries the pivots; any off-diagonal pivoting or a tiny
 pivot aborts the count instead of risking a wrong answer.
 
-Every entry point takes an optional fill-reducing ordering `perm` of the
-dofs (the pipeline passes the nested-dissection ordering cached on the
-assembled forms).  The matrix is then factored as S[perm][:, perm] with
-SuperLU's NATURAL column order, which preserves the inertia, and Lanczos
-solves are mapped back to the original dof order; without one SuperLU
-orders by minimum degree (MMD_AT_PLUS_A).
+Every matrix is factored in the dof order it comes in (SuperLU's
+NATURAL column order): femforms numbers the dofs in nested-dissection
+order, which keeps the fill small.
 
 Each factorization certifies one fact:
   lower_shift      no negative pivot at the pole found by the search;
@@ -61,23 +58,16 @@ class EigenResult:
     shift_used: float
 
 
-def _sym_factor(S, perm=None):
-    """SuperLU with symmetric mode and static diagonal pivoting.
-
-    With a fill-reducing ordering perm (new position -> row of S) the
-    factored matrix is S[perm][:, perm] in NATURAL column order; without
-    one SuperLU orders S itself by minimum degree on A^T + A.
+def _sym_factor(S):
+    """SuperLU with symmetric mode and static diagonal pivoting, in the
+    NATURAL order of S.
 
     Raises SolverError if the factorization had to pivot off the diagonal
     or met an exactly singular pivot; in that case the level is too close
     to the spectrum for an inertia statement.
     """
-    if perm is None:
-        S, spec = S.tocsc(), "MMD_AT_PLUS_A"
-    else:
-        S, spec = S.tocsr()[perm][:, perm].tocsc(), "NATURAL"
     try:
-        lu = splu(S, permc_spec=spec, diag_pivot_thresh=0.0,
+        lu = splu(S.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
@@ -87,20 +77,16 @@ def _sym_factor(S, perm=None):
     return lu
 
 
-def _pivots(S, perm=None):
-    d = _sym_factor(S, perm).U.diagonal()
+def _pivots(S):
+    d = _sym_factor(S).U.diagonal()
     if d.size and np.min(np.abs(d)) < PIVOT_FLOOR:
         raise SolverError("level too close to spectrum: pivot below 1e-14")
     return d
 
 
-def inertia_count(A, M, mu: float, perm=None) -> int:
-    """Number of pencil eigenvalues of (A, M) strictly below mu.
-
-    perm is an optional fill-reducing ordering of the dofs; the count does
-    not depend on it (a symmetric permutation is a congruence).
-    """
-    d = _pivots(A - mu * M, perm)
+def inertia_count(A, M, mu: float) -> int:
+    """Number of pencil eigenvalues of (A, M) strictly below mu."""
+    d = _pivots(A - mu * M)
     return int((d < 0).sum())
 
 
@@ -108,7 +94,7 @@ def _inf_norm(A):
     return float(abs(A).sum(axis=1).max()) if A.nnz else 0.0
 
 
-def lower_shift(A, M, perm=None) -> float:
+def lower_shift(A, M) -> float:
     """A shift sigma with A - sigma M positive definite.
 
     Starts from the heuristic sigma0 = -1 - ||A||_inf / min(diag M) and
@@ -120,7 +106,7 @@ def lower_shift(A, M, perm=None) -> float:
     sigma = -1.0 - _inf_norm(A) / float(dm.min())
     for _ in range(40):
         try:
-            d = _pivots(A - sigma * M, perm)
+            d = _pivots(A - sigma * M)
             if not np.any(d < 0):
                 return sigma
         except SolverError:
@@ -129,7 +115,7 @@ def lower_shift(A, M, perm=None) -> float:
     raise SolverError("no positive definite shift found after 40 doublings")
 
 
-def _tighten_shift(A, M, sigma_safe, perm):
+def _tighten_shift(A, M, sigma_safe):
     """Walk the certified shift toward the spectrum by halving; keeps the
     largest level with zero eigenvalues below it."""
     sigma = sigma_safe
@@ -139,7 +125,7 @@ def _tighten_shift(A, M, sigma_safe, perm):
         if abs(probe) < 1e-6:
             break
         try:
-            if inertia_count(A, M, probe, perm) == 0:
+            if inertia_count(A, M, probe) == 0:
                 sigma = probe
             else:
                 break
@@ -148,19 +134,12 @@ def _tighten_shift(A, M, sigma_safe, perm):
     return sigma
 
 
-def _msolve_factor(A, M, sigma, perm):
+def _msolve_factor(A, M, sigma):
     """Solver for (A - sigma M) x = b, certified positive definite."""
-    lu = _sym_factor(A - sigma * M, perm)
+    lu = _sym_factor(A - sigma * M)
     if np.any(lu.U.diagonal() < 0):
         raise SolverError(f"shift {sigma} is not below the spectrum")
-    if perm is None:
-        return lu.solve
-
-    def solve(b):
-        x = np.empty_like(b)
-        x[perm] = lu.solve(b[perm])
-        return x
-    return solve
+    return lu.solve
 
 
 def _lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget):
@@ -218,8 +197,8 @@ def _residuals(A, M, X, lams):
 
 
 def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
-                        shift: float | None = None, seed: int = DEFAULT_SEED,
-                        perm=None) -> EigenResult:
+                        shift: float | None = None,
+                        seed: int = DEFAULT_SEED) -> EigenResult:
     """k smallest eigenpairs of A x = lambda M x.
 
     Parameters
@@ -230,8 +209,6 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     shift : optional shift-invert pole below the spectrum; when omitted a
         certified one is found and tightened automatically.
     seed : start-vector seed (results are deterministic given the seed).
-    perm : optional fill-reducing dof ordering used for every
-        factorization (see _sym_factor).
 
     The list is certified by one inertia count just above its top value
     (_top_count): it must hold every eigenvalue below that level.  A
@@ -253,10 +230,10 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     A = A.tocsr()
     M = M.tocsr()
     if shift is None:
-        sigma = _tighten_shift(A, M, lower_shift(A, M, perm), perm)
+        sigma = _tighten_shift(A, M, lower_shift(A, M))
     else:
         sigma = float(shift)
-    solve = _msolve_factor(A, M, sigma, perm)
+    solve = _msolve_factor(A, M, sigma)
     rng = np.random.default_rng(seed)
     budget = 10 * k + 200
 
@@ -283,7 +260,7 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
                 break
             want = k - vals.shape[0]
             continue
-        level, count = top or _top_count(A, M, vals, perm)
+        level, count = top or _top_count(A, M, vals)
         if count == vals.shape[0]:
             return _finalize(A, M, vals[:k], X[:, :k], sigma)
         if count < vals.shape[0]:
@@ -313,7 +290,7 @@ def _finalize(A, M, vals, X, sigma):
                        shift_used=sigma)
 
 
-def _top_count(A, M, vals, perm=None):
+def _top_count(A, M, vals):
     """(level, count): the number of pencil eigenvalues below the level
     theta + delta, where theta is the top of the ascending list vals and
     delta = 1e-8 max(1, |theta|) its cluster tolerance.
@@ -327,7 +304,7 @@ def _top_count(A, M, vals, perm=None):
     delta = 1e-8 * max(1.0, abs(theta))
     for step in (delta, 2.0 * delta, 4.0 * delta):
         try:
-            return theta + step, inertia_count(A, M, theta + step, perm)
+            return theta + step, inertia_count(A, M, theta + step)
         except SolverError:
             pass
     return None, vals.shape[0] + 1

@@ -14,11 +14,16 @@ jump across the interface,
 All integrals of products of linear basis functions are evaluated in
 closed form, including the radial weight r used on meridian meshes, so
 assembly is exact up to rounding.
+
+Each space's dofs are numbered in the geometric nested-dissection order
+of its pencil, which keeps the fill of every sparse factorization small,
+so the pencils are factored as they come and nothing downstream handles
+orderings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,8 +48,7 @@ class AssembledForms:
     embed_map        broken dof -> continuous dof realizing the inclusion
     sign_omega2      -1 on broken dofs resolved to the Omega2 side
 
-    ordering(which) gives a fill-reducing dof ordering for factoring that
-    operator's pencil; it is computed on first use and cached.
+    The dofs of each space are numbered in nested-dissection order.
     """
 
     mesh: Mesh
@@ -59,8 +63,6 @@ class AssembledForms:
     J_beta: sp.csr_matrix
     embed_map: np.ndarray
     sign_omega2: np.ndarray
-    _orderings: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
 
     @property
     def A_delta(self):
@@ -77,23 +79,6 @@ class AssembledForms:
         if which == DELTA_PRIME:
             return self.A_deltaprime, self.M_brok
         raise DomainError(f"unknown operator kind {which!r}")
-
-    def ordering(self, which):
-        """Nested-dissection ordering (new position -> dof) of the space of
-        the requested operator, from the dof coordinates and the sparsity
-        of its pencil."""
-        perm = self._orderings.get(which)
-        if perm is None:
-            A, M = self.matrices(which)
-            dofmap = self.continuous if which == DELTA else self.broken
-            xy = np.empty((dofmap.ndof, 2))
-            for nd in (dofmap.node_dof1, dofmap.node_dof2):
-                ok = nd >= 0
-                xy[nd[ok]] = self.mesh.nodes[ok]
-            G = sp.triu(abs(A) + abs(M), k=1).tocoo()
-            perm = nested_dissection(xy, G.row, G.col)
-            self._orderings[which] = perm
-        return perm
 
 
 def nested_dissection(xy, u, v, leaf=16):
@@ -214,10 +199,38 @@ def _scatter(blocks, dofs, ndof):
     return A.tocsr()
 
 
+def _dissected(mesh, dofmap, K, M, T):
+    """The dof map and the matrices K, M, T of one space renumbered in the
+    nested-dissection order of its pencil (K - T, M), from the dof
+    coordinates and the graph of |K - T| + |M|."""
+    xy = np.empty((dofmap.ndof, 2))
+    for nd in (dofmap.node_dof1, dofmap.node_dof2):
+        ok = nd >= 0
+        xy[nd[ok]] = mesh.nodes[ok]
+    G = sp.triu(abs(K - T) + abs(M), k=1).tocoo()
+    perm = nested_dissection(xy, G.row, G.col)
+    # new[old dof] = its position in perm; the extra last entry keeps the
+    # Dirichlet marker -1 at -1
+    new = np.empty(perm.size + 1, dtype=np.int64)
+    new[perm] = np.arange(perm.size)
+    new[-1] = -1
+    dofmap = DofMap(kind=dofmap.kind, ndof=dofmap.ndof,
+                    node_dof1=new[dofmap.node_dof1],
+                    node_dof2=new[dofmap.node_dof2],
+                    tri_dofs=new[dofmap.tri_dofs])
+
+    def permuted(X):
+        X = X[perm][:, perm]
+        X.sort_indices()
+        return X
+    return (dofmap, *map(permuted, (K, M, T)))
+
+
 def assemble(mesh: Mesh, material: MaterialData,
              alpha_edges: np.ndarray | None = None,
              beta_edges: np.ndarray | None = None) -> AssembledForms:
-    """Assemble stiffness, mass, trace, and jump matrices for one mesh.
+    """Assemble stiffness, mass, trace, and jump matrices for one mesh,
+    each space numbered in nested-dissection order.
 
     Parameters
     ----------
@@ -266,6 +279,11 @@ def assemble(mesh: Mesh, material: MaterialData,
                                 * quad.edge_mass[:, node_of[a], node_of[b]])
     Jblocks /= beta[:, None, None]
     J_beta = _scatter(Jblocks, jd, broken.ndof)
+
+    continuous, K_cont, M_cont, T_alpha = _dissected(
+        mesh, continuous, K_cont, M_cont, T_alpha)
+    broken, K_brok, M_brok, J_beta = _dissected(
+        mesh, broken, K_brok, M_brok, J_beta)
 
     embed_map = np.full(broken.ndof, -1, dtype=np.int64)
     for nd_b, nd_c in ((broken.node_dof1, continuous.node_dof1),

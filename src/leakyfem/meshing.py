@@ -473,24 +473,19 @@ def build_dofs(m: Mesh, kind: str) -> DofMap:
     on_iface = np.zeros(N, dtype=bool)
     on_iface[m.interface_nodes] = True
 
-    dof1 = np.full(N, -1, dtype=np.int64)
-    dof2 = np.full(N, -1, dtype=np.int64)
-    nxt = 0
-    for n in range(N):
-        if dirichlet[n]:
-            continue
-        dof1[n] = nxt
-        nxt += 1
-        if kind == BROKEN and on_iface[n]:
-            dof2[n] = nxt
-            nxt += 1
-        else:
-            dof2[n] = dof1[n]
+    # in node order, each free node takes the next dof, and a broken
+    # interface node the one after it as well
+    free = ~dirichlet
+    second = free & on_iface if kind == BROKEN else np.zeros(N, dtype=bool)
+    count = free.astype(np.int64) + second
+    first = np.cumsum(count) - count
+    dof1 = np.where(free, first, -1)
+    dof2 = np.where(second, first + 1, dof1)
 
     side1 = m.tri_region == OMEGA1
     tri_dofs = np.where(side1[:, None], dof1[m.triangles], dof2[m.triangles])
-    return DofMap(kind=kind, ndof=nxt, node_dof1=dof1, node_dof2=dof2,
-                  tri_dofs=tri_dofs.astype(np.int64))
+    return DofMap(kind=kind, ndof=int(count.sum()), node_dof1=dof1,
+                  node_dof2=dof2, tri_dofs=tri_dofs.astype(np.int64))
 
 
 @dataclass(frozen=True)

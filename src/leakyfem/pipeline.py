@@ -12,7 +12,9 @@ shift search.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
-lambda_1 serves every box.
+lambda_1 serves every box.  A restricted pencil keeps a sorted subset of
+the assembled dofs, so it inherits their nested-dissection order and is
+factored as it is, like every full pencil.
 """
 
 from __future__ import annotations
@@ -64,18 +66,17 @@ def truncation_shift(values):
     return lam1 - 1e-2 * max(1.0, abs(lam1))
 
 
-def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None,
-                 perm=None):
+def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None):
     """smallest_eigenpairs at a guessed shift, falling back to the certified
     shift search when the guess fails.  A pole that is not below the
     spectrum costs one refused factorization."""
     if shift is not None:
         try:
             return smallest_eigenpairs(A, M, k, tol=tol, shift=shift,
-                                       seed=seed, perm=perm)
+                                       seed=seed)
         except SolverError:
             pass
-    return smallest_eigenpairs(A, M, k, tol=tol, seed=seed, perm=perm)
+    return smallest_eigenpairs(A, M, k, tol=tol, seed=seed)
 
 
 def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
@@ -85,8 +86,7 @@ def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
     for forms in forms_list:
         A, M = forms.matrices(which)
         results.append(solve_pencil(A, M, k, tol=tol, seed=seed,
-                                    shift=cascade_shift(results),
-                                    perm=forms.ordering(which)))
+                                    shift=cascade_shift(results)))
     return results
 
 
@@ -112,21 +112,9 @@ def interior_dofs(forms, which, halfwidth):
 
 def solve_restricted(forms, which, halfwidth, k, tol=DEFAULT_TOL,
                      seed=DEFAULT_SEED, shift=None):
-    """Solve the pencil restricted to dofs strictly inside an inner box,
-    factoring in the master ordering filtered to the kept dofs."""
+    """Solve the pencil restricted to dofs strictly inside an inner box."""
     A, M = forms.matrices(which)
     keep = interior_dofs(forms, which, halfwidth)
     Ar = A[keep][:, keep].tocsr()
     Mr = M[keep][:, keep].tocsr()
-    perm = restrict_ordering(forms.ordering(which), keep)
-    return solve_pencil(Ar, Mr, k, tol=tol, seed=seed, shift=shift,
-                        perm=perm), keep
-
-
-def restrict_ordering(perm, keep):
-    """The dof ordering perm filtered to the sorted dof subset keep, in the
-    numbering of the restricted pencil."""
-    local = np.full(perm.size, -1, dtype=np.int64)
-    local[keep] = np.arange(keep.size)
-    sub = local[perm]
-    return sub[sub >= 0]
+    return solve_pencil(Ar, Mr, k, tol=tol, seed=seed, shift=shift), keep

@@ -98,23 +98,23 @@ class CountingRow:
                 "N_deltaprime": self.n_deltaprime}
 
 
-def counting(eigs: EigenResult, mu: float, A, M, threshold,
-             perm=None) -> int:
-    """Number of computed eigenvalues <= mu, checked against the inertia
-    of A - mu M (ConsistencyError when they differ).  mu must lie strictly
-    below the essential-spectrum threshold, and the counts agree only when
-    every pencil eigenvalue below mu was computed.  perm is an optional
-    fill-reducing ordering for the factorization."""
+def counting(eigs: EigenResult, mu: float, A, M, threshold) -> int:
+    """Number of pencil eigenvalues <= mu, from the inertia of A - mu M,
+    checked against the certified list eigs, which holds every eigenvalue
+    below its top.  ConsistencyError when the list holds more values <= mu
+    than the pencil has, or when it reaches mu and misses one; a list
+    that stops below mu may hold fewer.  mu must lie strictly below the
+    essential-spectrum threshold."""
     thr = threshold.value if isinstance(threshold, ThresholdInfo) else threshold
     if not mu < thr:
         raise DomainError(f"level {mu} is not below the threshold {thr}")
     got = int(np.sum(eigs.values <= mu))
-    exact = inertia_count(A, M, mu, perm)
-    if got != exact:
+    exact = inertia_count(A, M, mu)
+    if got > exact or (got < exact and np.any(eigs.values >= mu)):
         raise ConsistencyError(
             f"counting mismatch at mu={mu}: {got} computed vs "
             f"{exact} from inertia")
-    return got
+    return exact
 
 
 def counting_table(forms, res_delta: EigenResult, res_deltaprime: EigenResult,
@@ -123,8 +123,9 @@ def counting_table(forms, res_delta: EigenResult, res_deltaprime: EigenResult,
     consecutive computed eigenvalues below both thresholds, 1e-8 or more
     from every computed value, read off the lists: a certified list holds
     every eigenvalue below its top (eigensolver._top_count).  A list whose
-    top lies below the highest level is counted there once (`counting`),
-    which certifies every lower row.  ConsistencyError if N' < N."""
+    top lies below the highest level is counted there once (`counting`):
+    a count equal to its size certifies every lower row, and a larger one
+    drops the levels from that top up.  ConsistencyError if N' < N."""
     thr = min(thr_delta.value, thr_deltaprime.value)
     lists = (res_delta.values, res_deltaprime.values)
     below = np.unique(np.concatenate([v[v < thr] for v in lists]))
@@ -134,8 +135,9 @@ def counting_table(forms, res_delta: EigenResult, res_deltaprime: EigenResult,
     for which, res, t in ((DELTA, res_delta, thr_delta),
                           (DELTA_PRIME, res_deltaprime, thr_deltaprime)):
         if levels and np.all(res.values < levels[-1]):
-            counting(res, levels[-1], *forms.matrices(which), t,
-                     forms.ordering(which))
+            if counting(res, levels[-1], *forms.matrices(which),
+                        t) > res.values.size:
+                levels = [mu for mu in levels if np.any(res.values > mu)]
     rows = []
     for mu in levels:
         n_d, n_p = (int(np.sum(v <= mu)) for v in lists)

@@ -131,6 +131,65 @@ def test_sweep_command(tmp_path):
     assert (tmp_path / "out" / "sweep.svg").exists()
 
 
+def test_sweep_output_does_not_depend_on_jobs(tmp_path):
+    cfg = _base_cfg(tmp_path / "out")
+    cfg["sweep"] = {"parameter": "alpha", "values": [1.5, 2.0]}
+    p = _write(tmp_path / "cfg.json", cfg)
+    csvs = []
+    for jobs in ([], ["--jobs", "1"], ["--jobs", "2"]):
+        out = tmp_path / f"out{len(csvs)}"
+        assert cli.main(["sweep", "--config", p, "--out", str(out)]
+                        + jobs) in (cli.EXIT_STRICT,
+                                    cli.EXIT_INDISTINGUISHABLE)
+        csvs.append((out / "sweep.csv").read_text())
+    assert csvs[0] == csvs[1] == csvs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["solve"], ["solve", "--config"],
+    ["sweep", "--config", "CFG", "--jobs", "abc"],
+    ["sweep", "--config", "CFG", "--jobs", "0"],
+    ["sweep", "--config", "CFG", "--jobs", "-2"],
+    ["solve", "--config", "CFG", "--jobs", "2"],
+    ["converge", "--config", "CFG", "--jobs", "2"],
+    ["oracle", "--config", "CFG", "--jobs", "2"]])
+def test_usage_errors_exit_1(tmp_path, capsys, argv):
+    # argparse's own exit code 2 would read as "indistinguishable"; --jobs
+    # belongs to sweep alone and must be at least 1
+    cfg = _base_cfg(tmp_path / "out")
+    cfg["sweep"] = {"parameter": "alpha", "values": [1.5, 2.0]}
+    cfg["oracle"] = {"alpha": [2.0]}
+    p = _write(tmp_path / "cfg.json", cfg)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([p if a == "CFG" else a for a in argv])
+    assert exc.value.code == cli.EXIT_ERROR
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: spec" in capsys.readouterr().out
+
+
+def test_list_stopping_below_the_counting_levels_exits_0(tmp_path):
+    # with k = 2 the delta list stops below the highest counting level;
+    # the table keeps the level below its top instead of failing with a
+    # false ConsistencyError (exit 1)
+    cfg = _base_cfg(tmp_path / "out")
+    cfg["geometry"]["theta"] = 0.11
+    cfg["material"] = {"alpha": 3.63, "beta": 0.94 * 4.0 / 3.63}
+    cfg["solver"]["k"] = 2
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_STRICT
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [(r["N_delta"], r["N_deltaprime"])
+            for r in report["counting"]] == [(0, 1)]
+
+
 def test_sweep_rejects_short_value_list(tmp_path):
     cfg = _base_cfg(tmp_path / "out")
     cfg["sweep"] = {"parameter": "alpha", "values": [2.0]}

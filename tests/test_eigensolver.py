@@ -262,11 +262,11 @@ def _recorded(monkeypatch, fail):
     probes, wants = [], []
     count, lanczos = es.inertia_count, es._lanczos
 
-    def flaky_count(A, M, mu, perm=None):
+    def flaky_count(A, M, mu):
         probes.append(mu)
         if fail(mu):
             raise SolverError("level too close to spectrum: pivot below 1e-14")
-        return count(A, M, mu, perm)
+        return count(A, M, mu)
 
     def counted_lanczos(*args):
         wants.append(args[4])
@@ -304,7 +304,7 @@ def test_top_without_a_factorable_probe_counts_as_missing(monkeypatch):
 
 
 def test_top_count_below_the_list_is_an_error(monkeypatch):
-    monkeypatch.setattr(es, "inertia_count", lambda A, M, mu, perm=None: 1)
+    monkeypatch.setattr(es, "inertia_count", lambda A, M, mu: 1)
     A = sp.diags(np.arange(1.0, 11.0)).tocsr()
     with pytest.raises(SolverError, match="list holds 3"):
         es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, shift=0.0)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings, strategies as st
 
-from leakyfem import femforms, geometry as geo, meshing
+from leakyfem import femforms, geometry as geo, meshing, pipeline
+from leakyfem.eigensolver import inertia_count
 from leakyfem.errors import DomainError
 
 
@@ -299,3 +302,66 @@ def test_embedded_mass_matrix_identity(broken_forms):
     assert diff.max() <= 1e-14 * abs(F.M_cont).max()
     diffK = abs((E.T @ F.K_brok @ E) - F.K_cont)
     assert diffK.max() <= 1e-13 * abs(F.K_cont).max()
+
+
+def _gap_levels(A, M, count=4):
+    """Dense pencil eigenvalues and levels in their widest gaps, from
+    below the ground state to the middle of the spectrum."""
+    lam = sla.eigvalsh(A.toarray(), M.toarray())
+    half = lam[:lam.size // 2 + 1]
+    gaps = np.argsort(np.diff(half))[::-1][:count - 1]
+    return lam, [lam[0] - 1.0] + [0.5 * (lam[i] + lam[i + 1]) for i in gaps]
+
+
+@settings(max_examples=15)
+@given(data=st.data(), kind=st.sampled_from(["broken_line", "circle"]))
+def test_forms_invariants_on_random_geometries(data, kind):
+    # the dof maps, embed_map and sign_omega2 of the renumbered spaces
+    # must realize the form comparison for any geometry and strengths
+    if kind == "broken_line":
+        g = geo.make_broken_line(data.draw(st.floats(0.3, 1.3)), 3.0)
+        ring = 2.0
+    else:
+        center = (data.draw(st.floats(-0.3, 0.3)),
+                  data.draw(st.floats(-0.3, 0.3)))
+        g = geo.make_circle(data.draw(st.floats(0.5, 1.0)), center, 2.5, 16)
+        ring = 1.8
+    n = len(g.segments)
+    segs = st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)
+    alpha = 4.0 * np.array(data.draw(segs))
+    c = np.array(data.draw(segs))  # beta = c 4/alpha <= 4/alpha per segment
+    mesh, fine = pipeline.mesh_levels(g, 0.6, 1, inner_rings=[ring])
+    meshing.check_mesh(mesh, g)
+    F = femforms.assemble(mesh, geo.MaterialData(alpha, c * 4.0 / alpha))
+    Fb = femforms.assemble(mesh, geo.MaterialData(alpha, 4.0 / alpha))
+    rng = np.random.default_rng(n)
+
+    for X in (F.K_cont, F.M_cont, F.K_brok, F.M_brok, F.T_alpha, F.J_beta):
+        assert femforms.symmetry_error(X) == 0.0
+    for _ in range(5):
+        u = rng.standard_normal(F.continuous.ndof)
+        a_d = femforms.form_value(F, femforms.DELTA, u)
+        w = femforms.apply_U(F, femforms.embed(F, u))
+        a_dp = femforms.form_value(F, femforms.DELTA_PRIME, w)
+        assert a_dp <= a_d + 1e-10 * (abs(a_d) + 1)
+        scale = abs(femforms.form_value(Fb, femforms.DELTA, u)) + u @ u
+        assert abs(femforms.borderline_identity_check(Fb, u)) <= 1e-12 * scale
+
+    Ff = femforms.assemble(fine, F.material)
+    for which in (femforms.DELTA, femforms.DELTA_PRIME):
+        # full and inner-box pencils, coarse and red-refined
+        pencils = []
+        for forms in (F, Ff):
+            A, M = forms.matrices(which)
+            keep = pipeline.interior_dofs(forms, which, ring)
+            assert 0 < keep.size < A.shape[0]
+            pencils.append(((A, M), (A[keep][:, keep], M[keep][:, keep])))
+        for (A, M), (Af, Mf) in zip(*pencils):
+            lam, mus = _gap_levels(A, M)
+            for mu in mus:
+                assert inertia_count(A, M, mu) == int((lam < mu).sum())
+            # red refinement nests the spaces, so lambda_i can only
+            # decrease: the fine pencil has i eigenvalues up to lambda_i
+            for i in range(3):
+                mu = lam[i] + 1e-8 * max(1.0, abs(lam[i]))
+                assert inertia_count(Af, Mf, mu) >= i + 1

@@ -104,6 +104,46 @@ def test_dof_counts(broken_mesh):
     assert cont.tri_dofs.shape == (m.num_triangles, 3)
 
 
+def _loop_dofs(m, kind):
+    """Node-by-node reference for build_dofs: each free node takes the
+    next dof, and in the broken space a free interface node also the one
+    after it."""
+    dirichlet = set(m.boundary_nodes.tolist())
+    iface = set(m.interface_nodes.tolist())
+    dof1 = np.full(m.num_nodes, -1, dtype=np.int64)
+    dof2 = np.full(m.num_nodes, -1, dtype=np.int64)
+    nxt = 0
+    for n in range(m.num_nodes):
+        if n in dirichlet:
+            continue
+        dof1[n] = dof2[n] = nxt
+        nxt += 1
+        if kind == meshing.BROKEN and n in iface:
+            dof2[n] = nxt
+            nxt += 1
+    return nxt, dof1, dof2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: geo.make_broken_line(math.pi / 5, 4.0),
+    lambda: geo.make_circle(1.0, (0.3, -0.2), 3.5, 24),
+    lambda: geo.make_cone_meridian(math.pi / 4, 4.0)],
+    ids=["broken_line", "circle", "cone"])
+def test_build_dofs_matches_a_node_loop(make):
+    m = meshing.triangulate(make(), 0.8)
+    for level in range(2):
+        for kind in (meshing.CONTINUOUS, meshing.BROKEN):
+            dm = meshing.build_dofs(m, kind)
+            ndof, dof1, dof2 = _loop_dofs(m, kind)
+            assert dm.ndof == ndof
+            assert np.array_equal(dm.node_dof1, dof1)
+            assert np.array_equal(dm.node_dof2, dof2)
+            side1 = m.tri_region == geo.OMEGA1
+            assert np.array_equal(dm.tri_dofs, np.where(
+                side1[:, None], dof1[m.triangles], dof2[m.triangles]))
+        m = meshing.refine_uniform(m)
+
+
 def test_dofs_no_interface_marked(broken_mesh):
     # with no interface nodes marked, both maps have identical counts
     g, m = broken_mesh

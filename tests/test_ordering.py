@@ -1,5 +1,7 @@
-"""Nested-dissection dof orderings: validity, agreement with a plain
-recursive reference, and invariance of factorization inertia."""
+"""Nested-dissection dof numbering: the assembled spaces are numbered in
+the dissection order of their natural-order pencils, the dissection
+agrees with a plain recursive reference, and factorization inertia in
+that numbering matches dense eigenvalues."""
 
 import math
 
@@ -8,7 +10,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from leakyfem import femforms, geometry as geo, pipeline
+from leakyfem import femforms, geometry as geo, meshing, pipeline
 from leakyfem.eigensolver import inertia_count
 
 
@@ -62,14 +64,54 @@ def _levels(A, M, count=4):
     return lam, mus
 
 
+def _numbering(F, which):
+    """(perm, natural): the natural dof map of the space of `which` and the
+    assembled numbering as perm[assembled dof] = natural dof."""
+    dofmap = F.continuous if which == femforms.DELTA else F.broken
+    natural = meshing.build_dofs(F.mesh, dofmap.kind)
+    perm = np.full(dofmap.ndof, -1, dtype=np.int64)
+    for nd, nat in ((dofmap.node_dof1, natural.node_dof1),
+                    (dofmap.node_dof2, natural.node_dof2)):
+        ok = nd >= 0
+        perm[nd[ok]] = nat[ok]
+    return perm, natural
+
+
 @pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
 def test_ordering_is_a_permutation(forms, which):
+    # the assembled numbering is a renumbering of the natural dof map:
+    # same dofs, same Dirichlet nodes, triangles resolved alike
     F, _ = forms
     A, _ = F.matrices(which)
-    perm = F.ordering(which)
+    dofmap = F.continuous if which == femforms.DELTA else F.broken
+    perm, natural = _numbering(F, which)
     assert perm.size > 64  # the dissection has at least one separator
     assert np.array_equal(np.sort(perm), np.arange(A.shape[0]))
-    assert F.ordering(which) is perm  # cached on the forms object
+    for nd, nat in ((dofmap.node_dof1, natural.node_dof1),
+                    (dofmap.node_dof2, natural.node_dof2),
+                    (dofmap.tri_dofs, natural.tri_dofs)):
+        assert np.array_equal(nd < 0, nat < 0)
+        assert np.array_equal(perm[nd[nd >= 0]], nat[nat >= 0])
+
+
+@pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
+def test_assembled_numbering_is_the_dissection_of_the_natural_pencil(
+        forms, which):
+    # dof i of the assembled space is dof perm[i] of the natural one, and
+    # perm is nested_dissection of the natural-order pencil's graph with
+    # the natural dof coordinates
+    F, _ = forms
+    A, M = F.matrices(which)
+    perm, natural = _numbering(F, which)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    An, Mn = A[inv][:, inv], M[inv][:, inv]
+    xy = np.empty((natural.ndof, 2))
+    for nd in (natural.node_dof1, natural.node_dof2):
+        ok = nd >= 0
+        xy[nd[ok]] = F.mesh.nodes[ok]
+    G = sp.triu(abs(An) + abs(Mn), k=1).tocoo()
+    assert np.array_equal(femforms.nested_dissection(xy, G.row, G.col), perm)
 
 
 @pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
@@ -95,26 +137,22 @@ def test_ordering_matches_recursive_reference(forms, which):
 def test_inertia_with_ordering_matches_dense(forms, which):
     F, _ = forms
     A, M = F.matrices(which)
-    perm = F.ordering(which)
     lam, mus = _levels(A, M)
     for mu in mus:
-        exact = int((lam < mu).sum())
-        assert inertia_count(A, M, mu) == exact
-        assert inertia_count(A, M, mu, perm) == exact
+        assert inertia_count(A, M, mu) == int((lam < mu).sum())
 
 
 @pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
 def test_restricted_ordering_matches_dense(forms, which):
+    # the inner-box pencil keeps a sorted subset of the assembled dofs,
+    # so it is factored in their relative dissection order
     F, halfwidth = forms
     A, M = F.matrices(which)
     keep = pipeline.interior_dofs(F, which, halfwidth)
     assert 0 < keep.size < A.shape[0]
+    assert np.all(np.diff(keep) > 0)
     Ar = A[keep][:, keep].tocsr()
     Mr = M[keep][:, keep].tocsr()
-    perm = pipeline.restrict_ordering(F.ordering(which), keep)
-    assert np.array_equal(np.sort(perm), np.arange(keep.size))
     lam, mus = _levels(Ar, Mr)
     for mu in mus:
-        exact = int((lam < mu).sum())
-        assert inertia_count(Ar, Mr, mu) == exact
-        assert inertia_count(Ar, Mr, mu, perm) == exact
+        assert inertia_count(Ar, Mr, mu) == int((lam < mu).sum())

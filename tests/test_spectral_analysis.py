@@ -101,6 +101,18 @@ def test_counting_consistency_error():
         sa.counting(res, -1.0, A, M, thr)
 
 
+def test_counting_list_stopping_below_the_level():
+    # a certified list that stops below mu may hold fewer values than the
+    # pencil has there; it may never hold more
+    import scipy.sparse as sp
+    A = sp.diags([-3.0, -2.0, -0.5]).tocsr()
+    M = sp.identity(3, format="csr")
+    thr = sa.ThresholdInfo(sa.DELTA, "circle", 0.0, "test")
+    assert sa.counting(_fake_result([-3.0]), -1.0, A, M, thr) == 2
+    with pytest.raises(ConsistencyError):
+        sa.counting(_fake_result([-3.0, -2.5, -2.0]), -1.0, A, M, thr)
+
+
 def _thresholds(vd=-1.0, vp=-1.0):
     return (sa.ThresholdInfo(sa.DELTA, "broken_line", vd, "t"),
             sa.ThresholdInfo(sa.DELTA_PRIME, "broken_line", vp, "t"))
@@ -170,8 +182,7 @@ def _factorizations(monkeypatch):
 
 
 def _direct_counts(forms, mu):
-    return tuple(inertia_count(*forms.matrices(which), mu,
-                               forms.ordering(which))
+    return tuple(inertia_count(*forms.matrices(which), mu)
                  for which in (sa.DELTA, sa.DELTA_PRIME))
 
 
@@ -191,23 +202,39 @@ def test_counting_table_circle(monkeypatch, solved_circle):
         assert (r.n_delta, r.n_deltaprime) == _direct_counts(forms[-1], r.mu)
 
 
-def test_counting_table_catches_a_list_short_below_the_top_level(
-        monkeypatch):
+def _stand_in_forms():
     import scipy.sparse as sp
-    # the delta-prime list stops at -2.5 and misses -1.2, which lies below
-    # the highest level -1.0 (between the delta values -1.5 and -0.5)
     pencils = {sa.DELTA: (sp.diags([-3.0, -1.5, -0.5, 2.0]).tocsr(),
                           sp.identity(4, format="csr")),
                sa.DELTA_PRIME: (sp.diags([-4.0, -2.5, -1.2, 2.0]).tocsr(),
                                 sp.identity(4, format="csr"))}
-    forms = SimpleNamespace(matrices=pencils.__getitem__,
-                            ordering=lambda which: None)
-    td, tp = (sa.ThresholdInfo(which, "circle", 0.0, "test")
-              for which in (sa.DELTA, sa.DELTA_PRIME))
+    thresholds = (sa.ThresholdInfo(which, "circle", 0.0, "test")
+                  for which in (sa.DELTA, sa.DELTA_PRIME))
+    return SimpleNamespace(matrices=pencils.__getitem__), *thresholds
+
+
+def test_counting_table_catches_a_list_short_below_the_top_level(
+        monkeypatch):
+    # the delta-prime list stops at -2.5 and misses -1.2, which lies below
+    # the highest level -1.0 (between the delta values -1.5 and -0.5): its
+    # one count there exceeds the list, so only the levels below -2.5 stay
+    forms, td, tp = _stand_in_forms()
     calls = _factorizations(monkeypatch)
-    with pytest.raises(ConsistencyError):
+    rows = sa.counting_table(forms, _fake_result([-3.0, -1.5, -0.5]),
+                             _fake_result([-4.0, -2.5]), td, tp)
+    assert len(calls) == 1
+    assert [(r.mu, r.n_delta, r.n_deltaprime) for r in rows] == [
+        (-3.5, 0, 1), (-2.75, 1, 1)]
+
+
+def test_counting_table_catches_a_value_the_pencil_lacks(monkeypatch):
+    # the delta-prime list holds -1.1, which its pencil does not have: the
+    # count at the highest level -0.8 falls short of the list
+    forms, td, tp = _stand_in_forms()
+    calls = _factorizations(monkeypatch)
+    with pytest.raises(ConsistencyError, match="4 computed vs 3"):
         sa.counting_table(forms, _fake_result([-3.0, -1.5, -0.5]),
-                          _fake_result([-4.0, -2.5]), td, tp)
+                          _fake_result([-4.0, -2.5, -1.2, -1.1]), td, tp)
     assert len(calls) == 1
 
 
@@ -225,23 +252,7 @@ def test_counting_table_matches_inertia_on_random_broken_lines(theta, alpha,
     rp = pipeline.cascade_solve(forms, sa.DELTA_PRIME, k)[-1]
     td = sa.essential_threshold(g, mat, sa.DELTA)
     tp = sa.essential_threshold(g, mat, sa.DELTA_PRIME)
-    levels = []
-    count = sa.counting
-
-    def recorded(res, mu, *args):
-        levels.append(mu)
-        return count(res, mu, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sa, "counting", recorded)
-        try:
-            rows = sa.counting_table(forms[-1], rd, rp, td, tp)
-        except ConsistencyError:
-            # only when a list really misses an eigenvalue below the level
-            # it was counted at
-            got = _direct_counts(forms[-1], levels[-1])
-            assert got[0] > rd.values.size or got[1] > rp.values.size
-            return
+    rows = sa.counting_table(forms[-1], rd, rp, td, tp)
     for r in rows:
         assert (r.n_delta, r.n_deltaprime) == _direct_counts(forms[-1], r.mu)
 
