@@ -1,5 +1,6 @@
 """Batch front door: check a run configuration up front, call the library
-(`spec solve` calls spectral_analysis.verify), and write the reports.
+(`spec solve` calls spectral_analysis.verify, `spec converge` its
+solve_levels), and write the reports.
 
 Commands (console script `spec`):
 
@@ -30,7 +31,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import geometry, oracles, pipeline, svgplot
+from . import geometry, oracles, svgplot
 from . import spectral_analysis as sa
 from .eigensolver import DEFAULT_SEED, DEFAULT_TOL
 from .errors import ConfigError, LeakyFemError
@@ -167,8 +168,7 @@ def _run_settings(cfg):
     config, as keyword arguments of spectral_analysis.verify."""
     dcfg = _require(cfg, "discretization", "config")
     _check_keys(dcfg, {"h", "refinements", "box_halfwidths",
-                       "truncation_refinements", "min_angle_deg"},
-                "discretization")
+                       "truncation_refinements"}, "discretization")
     scfg = cfg.get("solver", {})
     _check_keys(scfg, {"k", "tol", "seed"}, "solver")
     boxes = dcfg.get("box_halfwidths")
@@ -189,7 +189,6 @@ def _run_settings(cfg):
         "truncation_refinements": None if t_ref is None else _value(
             dcfg, "truncation_refinements", "discretization", integer=True,
             low=0),
-        "min_angle": _value(dcfg, "min_angle_deg", "discretization", 20.0),
         "k": _value(scfg, "k", "solver", 4, integer=True, low=1),
         "tol": _value(scfg, "tol", "solver", DEFAULT_TOL, positive=True),
         "seed": int(seed),
@@ -297,17 +296,13 @@ def cmd_converge(args, cfg, out, formats):
     geom = build_geometry(_require(cfg, "geometry", "config"))
     mat = build_material(_require(cfg, "material", "config"), geom)
     s = _run_settings(cfg)
-    rings = (None if s["halfwidths"] is None
-             else sa._box_halfwidths(geom, s["halfwidths"])[:-1])
-    meshes = pipeline.mesh_levels(geom, s["h"], s["refinements"],
-                                  inner_rings=rings, min_angle=s["min_angle"])
-    forms = pipeline.assemble_levels(meshes, mat)
+    _, _, res_d, res_p = sa.solve_levels(
+        geom, mat, s["h"], s["refinements"], s["halfwidths"], s["k"],
+        tol=s["tol"], seed=s["seed"])
     lines = ["operator,n,order,limit,error,flagged"]
     svg_series, svg_labels = [], []
     hs = [s["h"] / 2 ** i for i in range(s["refinements"] + 1)]
-    for which, tag in ((sa.DELTA, "delta"), (sa.DELTA_PRIME, "delta_prime")):
-        res = pipeline.cascade_solve(forms, which, s["k"], tol=s["tol"],
-                                     seed=s["seed"])
+    for res, tag in ((res_d, "delta"), (res_p, "delta_prime")):
         conv = sa.convergence_study(res)
         for i in range(len(conv["order"])):
             flagged = "yes" if math.isnan(conv["order"][i]) else "no"

@@ -20,10 +20,11 @@ NATURAL column order): femforms numbers the dofs in nested-dissection
 order, which keeps the fill small.
 
 Each factorization certifies one fact:
-  lower_shift      no negative pivot at the pole found by the search;
-  _tighten_shift   no eigenvalue below each halving probe;
-  _msolve_factor   no negative pivot at the Lanczos pole, so every
-                   eigenvalue ARPACK can return lies above it;
+  lower_shift      no negative pivot at each level of the pole search;
+                   it hands Lanczos the factor at the pole it returns,
+                   so every eigenvalue ARPACK can return lies above it;
+  a guessed pole   the same in one factorization, refused on any
+                   negative pivot;
   _top_count       one count just above the top of the computed list,
                    equal to the list size, so no eigenvalue up to the
                    k-th was missed.  A level that does not factor is
@@ -58,47 +59,44 @@ class EigenResult:
     shift_used: float
 
 
-def _sym_factor(S):
-    """SuperLU with symmetric mode and static diagonal pivoting, in the
-    NATURAL order of S.
+def _factor(A, M, mu):
+    """(factor, number of negative pivots) of A - mu M: SuperLU in
+    symmetric mode with static diagonal pivoting, in the NATURAL order.
 
-    Raises SolverError if the factorization had to pivot off the diagonal
-    or met an exactly singular pivot; in that case the level is too close
-    to the spectrum for an inertia statement.
+    Raises SolverError if the factorization had to pivot off the diagonal,
+    met an exactly singular pivot or a pivot below PIVOT_FLOOR; in that
+    case the level is too close to the spectrum for an inertia statement.
     """
     try:
-        lu = splu(S.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
+        lu = splu((A - mu * M).tocsc(), permc_spec="NATURAL",
+                  diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise SolverError(f"factorization failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError("factorization pivoted off the diagonal; "
                           "level too close to the spectrum")
-    return lu
-
-
-def _pivots(S):
-    d = _sym_factor(S).U.diagonal()
+    d = lu.U.diagonal()
     if d.size and np.min(np.abs(d)) < PIVOT_FLOOR:
         raise SolverError("level too close to spectrum: pivot below 1e-14")
-    return d
+    return lu, int((d < 0).sum())
 
 
 def inertia_count(A, M, mu: float) -> int:
     """Number of pencil eigenvalues of (A, M) strictly below mu."""
-    d = _pivots(A - mu * M)
-    return int((d < 0).sum())
+    return _factor(A, M, mu)[1]
 
 
 def _inf_norm(A):
     return float(abs(A).sum(axis=1).max()) if A.nnz else 0.0
 
 
-def lower_shift(A, M) -> float:
-    """A shift sigma with A - sigma M positive definite.
+def lower_shift(A, M):
+    """(sigma, factor of A - sigma M) with A - sigma M positive definite.
 
     Starts from the heuristic sigma0 = -1 - ||A||_inf / min(diag M) and
-    doubles it until an attempted factorization certifies definiteness.
+    doubles it until a factorization certifies definiteness, then halves
+    it toward the spectrum while the count below stays 0.  The factor of
+    the last certified level is returned for the shift-invert solves.
     """
     dm = M.diagonal()
     if np.any(dm <= 0):
@@ -106,40 +104,28 @@ def lower_shift(A, M) -> float:
     sigma = -1.0 - _inf_norm(A) / float(dm.min())
     for _ in range(40):
         try:
-            d = _pivots(A - sigma * M)
-            if not np.any(d < 0):
-                return sigma
+            lu, neg = _factor(A, M, sigma)
+            if not neg:
+                break
         except SolverError:
             pass
         sigma *= 2.0
-    raise SolverError("no positive definite shift found after 40 doublings")
-
-
-def _tighten_shift(A, M, sigma_safe):
-    """Walk the certified shift toward the spectrum by halving; keeps the
-    largest level with zero eigenvalues below it."""
-    sigma = sigma_safe
-    probe = sigma_safe
+    else:
+        raise SolverError("no positive definite shift found after 40 "
+                          "doublings")
+    probe = sigma
     for _ in range(60):
         probe = 0.5 * probe
         if abs(probe) < 1e-6:
             break
         try:
-            if inertia_count(A, M, probe) == 0:
-                sigma = probe
-            else:
-                break
+            lu_probe, neg = _factor(A, M, probe)
         except SolverError:
             break
-    return sigma
-
-
-def _msolve_factor(A, M, sigma):
-    """Solver for (A - sigma M) x = b, certified positive definite."""
-    lu = _sym_factor(A - sigma * M)
-    if np.any(lu.U.diagonal() < 0):
-        raise SolverError(f"shift {sigma} is not below the spectrum")
-    return lu.solve
+        if neg:
+            break
+        sigma, lu = probe, lu_probe
+    return sigma, lu
 
 
 def _lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget):
@@ -230,10 +216,12 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     A = A.tocsr()
     M = M.tocsr()
     if shift is None:
-        sigma = _tighten_shift(A, M, lower_shift(A, M))
+        sigma, lu = lower_shift(A, M)
     else:
         sigma = float(shift)
-    solve = _msolve_factor(A, M, sigma)
+        lu, neg = _factor(A, M, sigma)
+        if neg:
+            raise SolverError(f"shift {sigma} is not below the spectrum")
     rng = np.random.default_rng(seed)
     budget = 10 * k + 200
 
@@ -242,7 +230,7 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     want = k
     top = None  # (level, count) of the first count above the list
     for attempt in range(4):
-        lv, lX, _, exhausted = _lanczos(solve, A, M, sigma, want, tol,
+        lv, lX, _, exhausted = _lanczos(lu.solve, A, M, sigma, want, tol,
                                         rng, X, budget)
         if top is not None:
             # the list is filled up to the first certified level only, so

@@ -226,19 +226,15 @@ def _dissected(mesh, dofmap, K, M, T):
     return (dofmap, *map(permuted, (K, M, T)))
 
 
-def assemble(mesh: Mesh, material: MaterialData,
-             alpha_edges: np.ndarray | None = None,
-             beta_edges: np.ndarray | None = None) -> AssembledForms:
+def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
     """Assemble stiffness, mass, trace, and jump matrices for one mesh,
     each space numbered in nested-dissection order.
 
     Parameters
     ----------
     mesh, material : the triangulation and per-segment strengths.
-    alpha_edges, beta_edges : optional per-interface-edge overrides of the
-        segmentwise material values (length = number of interface edges).
 
-    Raises DomainError for non-positive material values.
+    Raises DomainError when the material has fewer segments than the mesh.
     """
     if mesh.iface_seg.size and material.n_segments() <= int(mesh.iface_seg.max()):
         raise DomainError("material carries fewer segments than the mesh")
@@ -246,14 +242,8 @@ def assemble(mesh: Mesh, material: MaterialData,
     broken = build_dofs(mesh, BROKEN)
 
     quad = interface_quadrature(mesh, continuous, broken)
-    alpha = material.alpha[quad.seg] if alpha_edges is None \
-        else np.asarray(alpha_edges, dtype=float)
-    beta = material.beta[quad.seg] if beta_edges is None \
-        else np.asarray(beta_edges, dtype=float)
-    if alpha.shape != quad.lengths.shape or beta.shape != quad.lengths.shape:
-        raise DomainError("per-edge material overrides have the wrong length")
-    if np.any(alpha <= 0) or np.any(beta <= 0):
-        raise DomainError("alpha and beta must be positive on every edge")
+    alpha = material.alpha[quad.seg]
+    beta = material.beta[quad.seg]
 
     Ke = _local_stiffness(mesh)
     Me = _local_mass(mesh)

@@ -26,10 +26,9 @@ from .eigensolver import DEFAULT_SEED, DEFAULT_TOL, smallest_eigenpairs
 from .errors import SolverError
 
 
-def mesh_levels(geometry, h, refinements, inner_rings=None, min_angle=20.0):
+def mesh_levels(geometry, h, refinements, inner_rings=None):
     """Coarse mesh plus `refinements` nested red refinements."""
-    meshes = [meshing.triangulate(geometry, h, min_angle_deg=min_angle,
-                                  inner_rings=inner_rings)]
+    meshes = [meshing.triangulate(geometry, h, inner_rings=inner_rings)]
     for _ in range(refinements):
         meshes.append(meshing.refine_uniform(meshes[-1]))
     return meshes

@@ -4,8 +4,9 @@ Turns raw eigenpairs into: essential-spectrum thresholds (table lookup
 for the catalog geometries), eigenvalue counting functions read off the
 certified eigenvalue lists, the graded eigenvalue-comparison report,
 Richardson extrapolation over nested mesh families, box-truncation
-studies that are monotone by construction, and `verify`, the whole
-verification run for one geometry and material.
+studies that are monotone by construction, `solve_levels`, the cascaded
+solves of both operators on a nested mesh family, and `verify`, the
+whole verification run for one geometry and material.
 
 The comparison verdicts are deliberately conservative: a pair is graded
 "strict" only when the observed gap exceeds the combined numerical error
@@ -384,10 +385,32 @@ class VerificationRun:
     nodes_finest: int
 
 
+def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
+                 h: float, refinements: int, halfwidths=None, k: int = 4,
+                 tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED):
+    """Both operators on a coarse mesh and `refinements` nested red
+    refinements of it, with the inner boxes constrained in as rings when
+    box halfwidths are given.
+
+    Returns (halfwidths, forms, delta results, delta-prime results), the
+    halfwidths sorted and deduplicated (None without boxes) and one form
+    and one result per level, coarse to fine.
+    """
+    if halfwidths is not None:
+        halfwidths = _box_halfwidths(geometry, halfwidths)
+    meshes = pipeline.mesh_levels(geometry, h, refinements,
+                                  inner_rings=halfwidths[:-1] if halfwidths
+                                  else None)
+    forms = pipeline.assemble_levels(meshes, material)
+    res_d = pipeline.cascade_solve(forms, DELTA, k, tol=tol, seed=seed)
+    res_p = pipeline.cascade_solve(forms, DELTA_PRIME, k, tol=tol, seed=seed)
+    return halfwidths, forms, res_d, res_p
+
+
 def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
            refinements: int = 2, halfwidths=None,
-           truncation_refinements: int | None = None,
-           min_angle: float = 20.0, k: int = 4, tol: float = DEFAULT_TOL,
+           truncation_refinements: int | None = None, k: int = 4,
+           tol: float = DEFAULT_TOL,
            seed: int = DEFAULT_SEED) -> VerificationRun:
     """Verification run: both operators on `refinements` >= 2 nested
     levels, the non-strict ordering required on each coarser one, a
@@ -397,18 +420,10 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
     tol, with a counting table unless a pair is violated.  The hypothesis
     beta <= 4/alpha is the caller's to check.
     """
-    if halfwidths is not None:
-        halfwidths = _box_halfwidths(geometry, halfwidths)
     thr_d = essential_threshold(geometry, material, DELTA)
     thr_p = essential_threshold(geometry, material, DELTA_PRIME)
-
-    meshes = pipeline.mesh_levels(geometry, h, refinements,
-                                  inner_rings=halfwidths[:-1] if halfwidths
-                                  else None,
-                                  min_angle=min_angle)
-    forms = pipeline.assemble_levels(meshes, material)
-    res_d = pipeline.cascade_solve(forms, DELTA, k, tol=tol, seed=seed)
-    res_p = pipeline.cascade_solve(forms, DELTA_PRIME, k, tol=tol, seed=seed)
+    halfwidths, forms, res_d, res_p = solve_levels(
+        geometry, material, h, refinements, halfwidths, k, tol=tol, seed=seed)
 
     # the non-strict comparison must hold on every coarser level; the
     # finest is graded below, where a violation is a verdict
@@ -452,4 +467,4 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
         "delta_prime": {"order": conv_p["order"], "limits": conv_p["limit"]}})
     return VerificationRun(report=report, verdict=verdict, truncation=trunc,
                            finest=(res_d[-1], res_p[-1]),
-                           nodes_finest=int(meshes[-1].num_nodes))
+                           nodes_finest=int(forms[-1].mesh.num_nodes))

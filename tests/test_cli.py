@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from leakyfem import cli
@@ -56,6 +58,10 @@ def test_unknown_keys_rejected(tmp_path):
     cfg = _base_cfg(tmp_path / "out")
     cfg["typo"] = 1
     path = _write(tmp_path / "cfg2.json", cfg)
+    assert cli.main(["solve", "--config", path]) == cli.EXIT_ERROR
+    cfg = _base_cfg(tmp_path / "out")
+    cfg["discretization"]["min_angle_deg"] = 20.0  # no longer an option
+    path = _write(tmp_path / "cfg3.json", cfg)
     assert cli.main(["solve", "--config", path]) == cli.EXIT_ERROR
 
 
@@ -288,29 +294,57 @@ def test_out_of_regime_material_rejected(tmp_path):
     assert cli.main(["solve", "--config", p]) == cli.EXIT_ERROR
 
 
-def test_factorization_budget(monkeypatch):
-    # the criterion-8 run, per operator: one Lanczos factor and one
-    # inertia check per level, and the shift search and walk on the coarse
-    # level; a repeated check raises the count
-    from leakyfem import eigensolver
-    calls = []
-    splu = eigensolver.splu
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(eigensolver, "splu", counted)
-    cfg = {
+def _criterion_8_cfg():
+    return {
         "geometry": {"kind": "broken_line", "theta": math.pi / 4,
                      "halfwidth": 4.0},
         "material": {"alpha": 2.0, "beta": 2.0},
         "discretization": {"h": 0.8, "refinements": 2},
         "solver": {"k": 2, "tol": 1e-9},
     }
-    _, code = cli.run_solve(cfg)
+
+
+def _spy_factored(monkeypatch):
+    """Digests of the matrices passed to eigensolver.splu, in call order."""
+    from leakyfem import eigensolver
+    digests = []
+    splu = eigensolver.splu
+
+    def spied(S, *args, **kwargs):
+        h = hashlib.sha256(repr(S.shape).encode())
+        for a in (S.indptr, S.indices, S.data):
+            h.update(np.ascontiguousarray(a).tobytes())
+        digests.append(h.hexdigest())
+        return splu(S, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "splu", spied)
+    return digests
+
+
+def test_factorization_budget(monkeypatch):
+    # the criterion-8 run, per operator: one Lanczos factor and one
+    # inertia check per level, and the shift search on the coarse level,
+    # whose last factor Lanczos runs on; a repeated check raises the count
+    calls = _spy_factored(monkeypatch)
+    _, code = cli.run_solve(_criterion_8_cfg())
     assert code in (cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
-    assert len(calls) == 35
+    assert len(calls) == 33
+
+
+def test_no_matrix_is_factored_twice(monkeypatch):
+    # the pole search hands Lanczos the factor it certified, so no matrix
+    # reaches SuperLU twice, in a whole run or in one searched solve
+    from leakyfem import eigensolver, femforms, geometry, meshing
+    digests = _spy_factored(monkeypatch)
+    cli.run_solve(_criterion_8_cfg())
+    assert len(digests) > 1 and len(set(digests)) == len(digests)
+
+    g = geometry.make_broken_line(math.pi / 4, 4.0)
+    forms = femforms.assemble(meshing.triangulate(g, 0.8),
+                              geometry.MaterialData.borderline(g, alpha=2.0))
+    digests.clear()
+    eigensolver.smallest_eigenpairs(*forms.matrices(femforms.DELTA), 2)
+    assert len(digests) > 1 and len(set(digests)) == len(digests)
 
 
 def _set(cfg, path, value):

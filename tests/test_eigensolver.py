@@ -23,15 +23,17 @@ def test_diag_smallest():
 
 def test_lower_shift_diag():
     A = sp.diags([1.0, 2.0, 3.0]).tocsr()
-    s = es.lower_shift(A, _identity(3))
+    s, lu = es.lower_shift(A, _identity(3))
     assert s < 1.0
     # certified: A - s I factors positive definite
     assert es.inertia_count(A, _identity(3), s) == 0
+    # and the factor returned is the one of A - s I
+    assert np.allclose(lu.solve(np.ones(3)), 1.0 / (np.array([1, 2, 3]) - s))
 
 
 def test_lower_shift_negative_definite():
     A = (-_identity(3)).tocsr()
-    s = es.lower_shift(A, _identity(3))
+    s, lu = es.lower_shift(A, _identity(3))
     assert s < -1.0
 
 
@@ -106,7 +108,7 @@ def test_point_interaction_chain():
     r = es.smallest_eigenpairs(A, _identity(n), 1, tol=1e-10)
     assert r.values[0] == pytest.approx(-1.0, abs=1e-3)
     # post-hoc contract of lower_shift: the certified shift sits below
-    s = es.lower_shift(A, _identity(n))
+    s, lu = es.lower_shift(A, _identity(n))
     assert s < r.values[0]
 
 

@@ -119,10 +119,9 @@ def test_jump_mass_local_block(broken_forms):
 
 def test_vanishing_alpha_limit(broken_forms):
     g, m, F = broken_forms
-    E = m.iface_edges.shape[0]
-    tiny = femforms.assemble(m, F.material,
-                             alpha_edges=np.full(E, 1e-13),
-                             beta_edges=F.material.beta[m.iface_seg])
+    mat = geo.MaterialData(np.full(F.material.n_segments(), 1e-13),
+                           F.material.beta)
+    tiny = femforms.assemble(m, mat)
     diff = abs(tiny.A_delta - tiny.K_cont).max()
     assert diff < 1e-12  # trace term scales linearly to zero with alpha
     rng = np.random.default_rng(5)
@@ -216,10 +215,9 @@ def test_borderline_identity(broken_forms):
 
 def test_below_borderline_strictly_negative(broken_forms):
     g, m, F = broken_forms
-    E = m.iface_edges.shape[0]
-    beta = F.material.beta[m.iface_seg].copy()
-    beta[0] *= 0.5  # beta < 4/alpha on one edge
-    F2 = femforms.assemble(m, F.material, beta_edges=beta)
+    beta = F.material.beta.copy()
+    beta[m.iface_seg[0]] *= 0.5  # beta < 4/alpha on the segment of edge 0
+    F2 = femforms.assemble(m, geo.MaterialData(F.material.alpha, beta))
     quad = meshing.interface_quadrature(m, F2.continuous, F2.broken)
     n1, n2 = quad.nodes[0]
     d1 = F2.continuous.node_dof1[n1]
@@ -271,9 +269,11 @@ def test_form_comparison_random_materials(broken_forms):
     g, m, F = broken_forms
     rng = np.random.default_rng(13)
     quad = meshing.interface_quadrature(m, F.continuous, F.broken)
+    seg_beta = (4.0 / F.material.alpha) * rng.uniform(
+        0.3, 1.0, size=F.material.n_segments())
+    F2 = femforms.assemble(m, geo.MaterialData(F.material.alpha, seg_beta))
     alpha = F.material.alpha[quad.seg]
-    beta = (4.0 / alpha) * rng.uniform(0.3, 1.0, size=alpha.shape)
-    F2 = femforms.assemble(m, F.material, beta_edges=beta)
+    beta = seg_beta[quad.seg]
     vals = None
     for _ in range(20):
         u = rng.standard_normal(F2.continuous.ndof)
