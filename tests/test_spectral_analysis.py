@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from leakyfem import eigensolver, femforms, geometry as geo, meshing, pipeline
@@ -353,6 +354,39 @@ def test_tight_pole_above_the_spectrum_falls_back(monkeypatch, broken_levels):
     assert forced[2].shift_used != above(forced[:2])
     for a, b in zip(forced, tight):
         assert np.abs(a.values - b.values).max() <= 1e-12
+
+
+@settings(max_examples=12)
+@given(data=st.data(), kind=st.sampled_from(["broken_line", "circle"]),
+       k=st.integers(2, 5))
+def test_cascade_matches_dense_on_random_geometries(data, kind, k):
+    # many-chord circles hold near-double pairs, the hard case for a
+    # single-vector Krylov space; every level is checked against dense eigh
+    if kind == "broken_line":
+        g = geo.make_broken_line(data.draw(st.floats(0.2, 1.3)), 3.2)
+        h = 0.8
+    else:
+        center = (data.draw(st.floats(-0.2, 0.2)),
+                  data.draw(st.floats(-0.2, 0.2)))
+        g = geo.make_circle(data.draw(st.floats(0.6, 1.0)), center, 2.4,
+                            data.draw(st.integers(16, 64)))
+        h = 0.6
+    n = len(g.segments)
+    segs = st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)
+    alpha = 4.0 * np.array(data.draw(segs))
+    c = np.array(data.draw(segs))  # beta = c 4/alpha <= 4/alpha per segment
+    mat = geo.MaterialData(alpha, c * 4.0 / alpha)
+    forms = pipeline.assemble_levels(pipeline.mesh_levels(g, h, 1), mat)
+    for which in (sa.DELTA, sa.DELTA_PRIME):
+        for F, r in zip(forms, pipeline.cascade_solve(forms, which, k)):
+            A, M = F.matrices(which)
+            dense = sla.eigh(A.toarray(), M.toarray(), eigvals_only=True,
+                             subset_by_index=[0, k])
+            assert r.values.size == k
+            assert np.abs(r.values - dense[:k]).max() <= 1e-9
+            # the list holds every eigenvalue below its top
+            top = r.values[-1] - 1e-9 * max(1.0, abs(r.values[-1]))
+            assert (dense < top).sum() == (r.values < top).sum()
 
 
 @pytest.fixture(scope="module")
