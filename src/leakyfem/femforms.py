@@ -341,13 +341,3 @@ def borderline_identity_check(forms: AssembledForms, u_cont: np.ndarray) -> floa
     """
     w = apply_U(forms, embed(forms, u_cont))
     return form_value(forms, DELTA_PRIME, w) - form_value(forms, DELTA, u_cont)
-
-
-def symmetry_error(A) -> float:
-    """max |A - A^T| / max |A|, zero for exactly symmetric matrices."""
-    d = abs(A - A.T)
-    amax = abs(A).max() if A.nnz else 0.0
-    if amax == 0.0:
-        return 0.0
-    return float(d.max() / amax)
-

@@ -50,13 +50,6 @@ class Segment:
     def midpoint(self) -> tuple[float, float]:
         return (0.5 * (self.a[0] + self.b[0]), 0.5 * (self.a[1] + self.b[1]))
 
-    @property
-    def left_normal(self) -> tuple[float, float]:
-        """Unit normal pointing into Omega1."""
-        dx, dy = self.b[0] - self.a[0], self.b[1] - self.a[1]
-        ell = math.hypot(dx, dy)
-        return (-dy / ell, dx / ell)
-
 
 @dataclass(frozen=True)
 class InterfaceGeometry:
@@ -122,10 +115,6 @@ class InterfaceGeometry:
         if self.kind in (BROKEN_LINE, CONE_MERIDIAN):
             return ((0.0, 0.0),)
         return ()
-
-    @property
-    def interface_components(self) -> int:
-        return 1 + max(s.component for s in self.segments)
 
     def contains(self, p, slack=0.0) -> bool:
         (x0, y0), (x1, y1) = self.box

@@ -120,10 +120,6 @@ class DofMap:
     node_dof2: np.ndarray
     tri_dofs: np.ndarray
 
-    @property
-    def duplicated_nodes(self):
-        return np.nonzero(self.node_dof1 != self.node_dof2)[0]
-
 
 def _segment_pieces(a, b, h):
     """Split segment a-b into pieces of length <= h (exact endpoints kept)."""

@@ -76,7 +76,7 @@ def test_circle_classify_center():
 
 def test_line_plus_circle_components_and_sides():
     g = geo.make_line_plus_circle(3.0, 1.0, 12.0, 64)
-    assert g.interface_components == 2
+    assert 1 + max(s.component for s in g.segments) == 2
     assert g.omega1_components == 2
     assert g.classify_side((0.0, -1.0)) == geo.OMEGA1
     assert g.classify_side((5.0, 5.0)) == geo.OMEGA2
@@ -124,7 +124,9 @@ def test_orientation_consistency(make):
     eps = 1e-6 * g.halfwidth
     for s in g.segments:
         mx, my = s.midpoint
-        nx, ny = s.left_normal
+        # unit normal pointing into Omega1: the direction turned left
+        dx, dy = s.b[0] - s.a[0], s.b[1] - s.a[1]
+        nx, ny = -dy / s.length, dx / s.length
         assert g.classify_side((mx + eps * nx, my + eps * ny)) == geo.OMEGA1
         assert g.classify_side((mx - eps * nx, my - eps * ny)) == geo.OMEGA2
 

@@ -99,7 +99,8 @@ def test_dof_counts(broken_mesh):
     dirichlet = set(m.boundary_nodes.tolist())
     free_iface = [n for n in m.interface_nodes.tolist() if n not in dirichlet]
     assert brok.ndof - cont.ndof == len(free_iface)
-    assert len(brok.duplicated_nodes) == len(free_iface)
+    duplicated = np.nonzero(brok.node_dof1 != brok.node_dof2)[0]
+    assert len(duplicated) == len(free_iface)
     # every triangle resolves its vertices to dofs of its own side
     assert cont.tri_dofs.shape == (m.num_triangles, 3)
 
