@@ -20,17 +20,26 @@ NATURAL column order): femforms numbers the dofs in nested-dissection
 order, which keeps the fill small.
 
 Each factorization certifies one fact:
+  a pole above     m = N(sigma) eigenvalues lie below a pole sigma known
+                   to lie above the k-th (on a refined level, from the
+                   coarser one); the same factor drives ARPACK on the
+                   most negative shifted values 1/(lambda - sigma), which
+                   belong to exactly those m, and the list is certified
+                   once it holds m values below sigma.  A refused pole,
+                   m < k, m > 2k + 4 or an exhausted search fall back to
+                   the pole below;
   lower_shift      no negative pivot at each level of the pole search;
                    it hands Lanczos the factor at the pole it returns,
                    so every eigenvalue ARPACK can return lies above it;
   a guessed pole   the same in one factorization, refused on any
                    negative pivot;
-  _top_count       one count just above the top of the computed list,
-                   equal to the list size, so no eigenvalue up to the
-                   k-th was missed.  A level that does not factor is
-                   moved up twice before the count is taken as missing.
-                   After a count above the list, the list is filled
-                   below that same level, with no further count.
+  _top_count       after a pole below, one count just above the top of
+                   the computed list, equal to the list size, so no
+                   eigenvalue up to the k-th was missed.  A level that
+                   does not factor is moved up twice before the count is
+                   taken as missing.  After a count above the list, the
+                   list is filled below that same level, with no further
+                   count.
 """
 
 from __future__ import annotations
@@ -128,8 +137,12 @@ def lower_shift(A, M):
     return sigma, lu
 
 
-def _lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget):
+def _lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget, which):
     """One deflated shift-invert Lanczos sweep, run by ARPACK's eigsh.
+
+    which is ARPACK's choice among the shifted values 1/(lambda - sigma):
+    "LM" for the pairs nearest above a pole below the spectrum, "SA" for
+    the pairs nearest below a pole above the list.
 
     Each solve by the certified factor is followed by the M-projector off
     the deflation block D, x - D D^T M x, so a restart searches only the
@@ -141,9 +154,9 @@ def _lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget):
     on a basis of it.
 
     Returns (values, vectors, residuals, exhausted): ascending pairs of the
-    pencil nearest above sigma, M-orthogonal to D.  exhausted is set when
-    ARPACK ran out of iterations (the pairs are the ones it converged) or
-    a pair fails the explicit residual check.
+    pencil, M-orthogonal to D.  exhausted is set when ARPACK ran out of
+    iterations (the pairs are the ones it converged) or a pair fails the
+    explicit residual check.
     """
     n, d = A.shape[0], deflate.shape[1]
     k = min(k, n - d)
@@ -163,7 +176,7 @@ def _lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget):
         op = LinearOperator((n, n), matvec=lambda b: project(solve(b)),
                             dtype=float)
         try:
-            lams, X = eigsh(A, k, M=M, sigma=sigma, OPinv=op,
+            lams, X = eigsh(A, k, M=M, sigma=sigma, which=which, OPinv=op,
                             v0=project(rng.standard_normal(n)), ncv=ncv,
                             maxiter=max(1, budget // (ncv - k)),
                             tol=1e-2 * tol, rng=rng)
@@ -184,7 +197,8 @@ def _residuals(A, M, X, lams):
 
 def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
                         shift: float | None = None,
-                        seed: int = DEFAULT_SEED) -> EigenResult:
+                        seed: int = DEFAULT_SEED,
+                        above: float | None = None) -> EigenResult:
     """k smallest eigenpairs of A x = lambda M x.
 
     Parameters
@@ -195,14 +209,19 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     shift : optional shift-invert pole below the spectrum; when omitted a
         certified one is found and tightened automatically.
     seed : start-vector seed (results are deterministic given the seed).
+    above : optional pole expected above the k-th eigenvalue.  Its one
+        factorization counts the m eigenvalues below it and drives the
+        search for them (_search_above); when it is refused, m < k,
+        m > 2k + 4 or the search is exhausted, the pole below is used as
+        if above were not given.
 
-    The list is certified by one inertia count just above its top value
-    (_top_count): it must hold every eigenvalue below that level.  A
-    count above the list size restarts Lanczos, deflated against the
-    whole list, for the eigenvalues a single Krylov sequence missed
-    (multiplicities); later sweeps keep only values below that level
-    until the list holds the counted number, which certifies it with no
-    new count.  A count below the list size raises SolverError.
+    After a pole below, the list is certified by one inertia count just
+    above its top value (_top_count): it must hold every eigenvalue below
+    that level.  A count above the list size restarts Lanczos, deflated
+    against the whole list, for the eigenvalues a single Krylov sequence
+    missed (multiplicities); later sweeps keep only values below that
+    level until the list holds the counted number, which certifies it
+    with no new count.  A count below the list size raises SolverError.
 
     Raises SolverError (carrying the best partial result) when the list is
     not complete and certified within the iteration budget.
@@ -211,10 +230,14 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         raise SolverError("need k >= 1")
     if tol <= 0:
         raise SolverError("need tol > 0")
-    n = A.shape[0]
-    k = min(k, n)
+    k = min(k, A.shape[0])
     A = A.tocsr()
     M = M.tocsr()
+    if above is not None:
+        try:
+            return _search_above(A, M, k, tol, float(above), seed)
+        except SolverError:
+            pass
     if shift is None:
         sigma, lu = lower_shift(A, M)
     else:
@@ -222,16 +245,40 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         lu, neg = _factor(A, M, sigma)
         if neg:
             raise SolverError(f"shift {sigma} is not below the spectrum")
+    return _search(A, M, k, tol, sigma, lu, seed, None)
+
+
+def _search_above(A, M, k, tol, sigma, seed):
+    """The k smallest pairs from one factorization of A - sigma M, with
+    the pole sigma above them: its m negative pivots are the certificate,
+    and the list is complete when it holds m values below sigma."""
+    lu, m = _factor(A, M, sigma)
+    if not k <= m <= 2 * k + 4:
+        raise SolverError(f"{m} eigenvalues below the pole {sigma}, "
+                          f"for k = {k}")
+    return _search(A, M, k, tol, sigma, lu, seed, (sigma, m))
+
+
+def _search(A, M, k, tol, sigma, lu, seed, top):
+    """Deflated Lanczos sweeps on the factor lu of A - sigma M until the
+    list of the k smallest pairs is certified.
+
+    top is the (level, count) of a count above the list: None for a pole
+    below the spectrum, where _top_count takes it once the list holds k
+    values, and (sigma, m) for a pole above, whose sweeps then ask ARPACK
+    for the values nearest below it.
+    """
+    n = A.shape[0]
     rng = np.random.default_rng(seed)
     budget = 10 * k + 200
+    which = "LM" if top is None else "SA"
 
     vals = np.empty(0)
     X = np.empty((n, 0))
-    want = k
-    top = None  # (level, count) of the first count above the list
+    want = k if top is None else top[1]
     for attempt in range(4):
         lv, lX, _, exhausted = _lanczos(lu.solve, A, M, sigma, want, tol,
-                                        rng, X, budget)
+                                        rng, X, budget, which)
         if top is not None:
             # the list is filled up to the first certified level only, so
             # it does not climb the spectrum one cluster at a time
@@ -246,7 +293,7 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         if vals.shape[0] < k:
             if exhausted:
                 break
-            want = k - vals.shape[0]
+            want = (k if top is None else top[1]) - vals.shape[0]
             continue
         level, count = top or _top_count(A, M, vals)
         if count == vals.shape[0]:

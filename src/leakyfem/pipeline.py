@@ -1,14 +1,21 @@
 """Shared plumbing: mesh families, assembly, and cascaded eigensolves.
 
 Refinement families are nested by construction (red refinement), so
-eigenvalues decrease level by level and the coarser levels give the
-shift-invert pole for the next one.  From the third level on the pole is
-predicted from two levels: the P1 error is O(h^2), so each refinement
-shrinks the drop of lambda_1 by about 4, and twice the last drop below
-the last lambda_1 is expected to be below the new one once that regime
-holds.  A pole that is not below the spectrum is refused when it is
-factored (a negative pivot), and solve_pencil falls back to the certified
-shift search.
+eigenvalues decrease level by level (min-max) and the coarser level gives
+the shift-invert pole for the next one.  From the second level on, the
+pole sits just above the coarser level's k-th eigenvalue (pole_above),
+and so above the k-th of the finer level: its one factorization both
+counts the eigenvalues below it and drives ARPACK.
+
+Where that pole is refused or counts too many eigenvalues, the solver
+falls back to a pole below the spectrum.  On the second level that pole
+comes from one level; from the third level on it is predicted from two
+levels: the P1 error is O(h^2), so each refinement shrinks the drop of
+lambda_1 by about 4, and twice the last drop below the last lambda_1 is
+expected to be below the new one once that regime holds.  A guessed pole
+that is not below the spectrum is refused when it is factored (a
+negative pivot), and solve_pencil falls back to the certified shift
+search.  The first level has no coarser one and always takes that search.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
@@ -58,6 +65,13 @@ def cascade_shift(results):
     return lam1 - 2.0 * abs(lam0 - lam1)
 
 
+def pole_above(values):
+    """Pole just above the top of a coarser level's list: by min-max the
+    finer level has at least as many eigenvalues below it."""
+    lam = float(values[-1])
+    return lam + 1e-3 * max(1.0, abs(lam))
+
+
 def truncation_shift(values):
     """Pole for every restricted box of one mesh, just below the full
     box's lambda_1: by min-max no restricted eigenvalue is smaller."""
@@ -65,27 +79,31 @@ def truncation_shift(values):
     return lam1 - 1e-2 * max(1.0, abs(lam1))
 
 
-def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None):
-    """smallest_eigenpairs at a guessed shift, falling back to the certified
-    shift search when the guess fails.  A pole that is not below the
-    spectrum costs one refused factorization."""
+def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None,
+                 above=None):
+    """smallest_eigenpairs at a guessed shift (and pole above), falling
+    back to the certified shift search when the guess fails.  A pole that
+    is not below the spectrum costs one refused factorization."""
     if shift is not None:
         try:
             return smallest_eigenpairs(A, M, k, tol=tol, shift=shift,
-                                       seed=seed)
+                                       seed=seed, above=above)
         except SolverError:
             pass
     return smallest_eigenpairs(A, M, k, tol=tol, seed=seed)
 
 
 def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
-    """Solve one operator on every refinement level, with the pole of
-    cascade_shift from the coarser levels."""
+    """Solve one operator on every refinement level: above the coarser
+    level's list (pole_above), with the pole of cascade_shift below the
+    spectrum as the fallback."""
     results = []
     for forms in forms_list:
         A, M = forms.matrices(which)
+        above = pole_above(results[-1].values) if results else None
         results.append(solve_pencil(A, M, k, tol=tol, seed=seed,
-                                    shift=cascade_shift(results)))
+                                    shift=cascade_shift(results),
+                                    above=above))
     return results
 
 

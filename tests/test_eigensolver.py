@@ -327,11 +327,12 @@ def test_deflated_restart_over_the_whole_complement(monkeypatch):
     lanczos = es._lanczos
     sweeps = []
 
-    def skipping(solve, A, M, sigma, k, tol, rng, deflate, budget):
+    def skipping(solve, A, M, sigma, k, tol, rng, deflate, budget, which):
         if not sweeps:
             sweeps.append((k, 0, exact[[0, 5]]))
             return exact[[0, 5]], V[:, [0, 5]], np.zeros(2), False
-        out = lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget)
+        out = lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget,
+                      which)
         sweeps.append((k, deflate.shape[1], out[0]))
         assert np.abs(deflate.T @ (M @ out[1])).max() <= 1e-12
         return out
@@ -356,6 +357,64 @@ def test_arpack_without_convergence_is_an_error(monkeypatch):
     with pytest.raises(SolverError, match="did not converge") as err:
         es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, shift=0.0)
     assert np.array_equal(err.value.partial.values, [1.0])
+
+
+def test_pole_above_counts_and_drives_the_search(monkeypatch,
+                                                 assembled_broken_line):
+    # one factorization at the pole above the list, and no count after it
+    A, M = assembled_broken_line.matrices(femforms.DELTA_PRIME)
+    today = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0)
+    above = today.values[-1] + 1e-3 * max(1.0, abs(today.values[-1]))
+    poles = []
+    factor = es._factor
+
+    def recorded(A, M, mu):
+        poles.append(mu)
+        return factor(A, M, mu)
+
+    monkeypatch.setattr(es, "_factor", recorded)
+    r = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0, above=above)
+    assert poles == [above]
+    assert r.shift_used == above
+    assert np.abs(r.values - today.values).max() <= 1e-9
+
+
+@pytest.mark.parametrize("fault", ["refused", "too_few", "too_many",
+                                   "exhausted"])
+def test_pole_above_falls_back_to_the_pole_below(monkeypatch,
+                                                 assembled_broken_line,
+                                                 fault):
+    # a refused pole above, m < k, m > 2k + 4 or an exhausted ARPACK run
+    # leave the list to the pole below, which gives today's values
+    A, M = assembled_broken_line.matrices(femforms.DELTA_PRIME)
+    today = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0)
+    lam = today.values
+    above = {"too_few": 0.5 * (lam[0] + lam[1]),
+             "too_many": 25.0}.get(fault, lam[-1] + 1e-3 * abs(lam[-1]))
+    m = es.inertia_count(A, M, above)
+    assert {"too_few": m < 3, "too_many": m > 10}.get(fault, m == 3)
+    if fault == "refused":
+        factor = es._factor
+
+        def refusing(A, M, mu):
+            if mu == above:
+                raise SolverError("level too close to spectrum")
+            return factor(A, M, mu)
+
+        monkeypatch.setattr(es, "_factor", refusing)
+    if fault == "exhausted":
+        eigsh = es.eigsh
+
+        def stalled(A, k, **kw):
+            if kw["which"] == "SA":
+                raise es.ArpackNoConvergence("No convergence", np.empty(0),
+                                             np.empty((A.shape[0], 0)))
+            return eigsh(A, k, **kw)
+
+        monkeypatch.setattr(es, "eigsh", stalled)
+    r = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0, above=above)
+    assert r.shift_used == -8.0
+    assert np.abs(r.values - lam).max() <= 1e-12
 
 
 def test_same_seed_gives_identical_pairs(assembled_broken_line):

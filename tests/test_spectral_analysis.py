@@ -329,7 +329,31 @@ def broken_levels():
     return pipeline.assemble_levels(pipeline.mesh_levels(g, 0.8, 2), mat)
 
 
-def test_cascade_poles_from_two_levels(broken_levels):
+def _factored_poles(monkeypatch):
+    poles = []
+    factor = eigensolver._factor
+
+    def recorded(A, M, mu):
+        poles.append(mu)
+        return factor(A, M, mu)
+
+    monkeypatch.setattr(eigensolver, "_factor", recorded)
+    return poles
+
+
+def test_cascade_poles_from_two_levels(monkeypatch, broken_levels):
+    # from level 1 on, the pole lies just above the coarser level's list,
+    # and the pole below the spectrum is never factored
+    poles = _factored_poles(monkeypatch)
+    res = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
+    for lev in (1, 2):
+        pole = pipeline.pole_above(res[lev - 1].values)
+        assert res[lev].shift_used == pole
+        assert res[lev].values[-1] < pole
+    below = [pipeline.cascade_shift(res[:lev]) for lev in (1, 2)]
+    assert not set(below) & set(poles)
+    # without a pole above, the poles below come from one and two levels
+    monkeypatch.setattr(pipeline, "pole_above", lambda values: None)
     res = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
     lam = [float(r.values[0]) for r in res]
     assert res[1].shift_used == pipeline.shift_from_previous(res[0].values)
@@ -338,8 +362,9 @@ def test_cascade_poles_from_two_levels(broken_levels):
 
 
 def test_tight_pole_above_the_spectrum_falls_back(monkeypatch, broken_levels):
-    # a pole above lambda_1 is refused when it is factored, and the
-    # certified shift search gives the same values
+    # a pole above the list that counts more than 2k + 4 eigenvalues falls
+    # back to the pole below; one above lambda_1 is refused when it is
+    # factored, and the certified shift search gives the same values
     tight = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
     pole = pipeline.cascade_shift
 
@@ -349,7 +374,13 @@ def test_tight_pole_above_the_spectrum_falls_back(monkeypatch, broken_levels):
         return float(results[-1].values[0]) + 0.1
 
     monkeypatch.setattr(pipeline, "cascade_shift", above)
+    same = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
+    for a, b in zip(same, tight):
+        assert np.array_equal(a.values, b.values)
+        assert a.shift_used == b.shift_used
+    monkeypatch.setattr(pipeline, "pole_above", lambda values: 50.0)
     forced = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
+    assert forced[1].shift_used == pole(forced[:1])
     assert forced[2].shift_used < float(forced[2].values[0])
     assert forced[2].shift_used != above(forced[:2])
     for a, b in zip(forced, tight):
