@@ -389,10 +389,11 @@ def test_pole_above_falls_back_to_the_pole_below(monkeypatch,
     A, M = assembled_broken_line.matrices(femforms.DELTA_PRIME)
     today = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0)
     lam = today.values
+    # 1.178 lies between the 11th and 12th eigenvalues: m = 2k + 5
     above = {"too_few": 0.5 * (lam[0] + lam[1]),
-             "too_many": 25.0}.get(fault, lam[-1] + 1e-3 * abs(lam[-1]))
+             "too_many": 1.178}.get(fault, lam[-1] + 1e-3 * abs(lam[-1]))
     m = es.inertia_count(A, M, above)
-    assert {"too_few": m < 3, "too_many": m > 10}.get(fault, m == 3)
+    assert m == {"too_few": 1, "too_many": 11}.get(fault, 3)
     if fault == "refused":
         factor = es._factor
 
