@@ -69,7 +69,7 @@ def _number(value, where, integer=False, positive=False, low=None,
     one), whole if integer, > 0 if positive, and within [low, high].
     Returns the value unchanged."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not math.isfinite(value))
+            or not abs(value) <= sys.float_info.max  # nan, inf, huge ints
             or (integer and value != int(value))
             or (positive and value <= 0)
             or (low is not None and value < low)

@@ -40,15 +40,10 @@ class Segment:
     a: tuple[float, float]
     b: tuple[float, float]
     unbounded: bool = False  # stands for a branch that escapes to infinity
-    component: int = 0       # connectivity component of Sigma
 
     @property
     def length(self) -> float:
         return math.hypot(self.b[0] - self.a[0], self.b[1] - self.a[1])
-
-    @property
-    def midpoint(self) -> tuple[float, float]:
-        return (0.5 * (self.a[0] + self.b[0]), 0.5 * (self.a[1] + self.b[1]))
 
 
 @dataclass(frozen=True)
@@ -67,20 +62,13 @@ class InterfaceGeometry:
     radial_weight : bool
         True only for the cone meridian; assembly then integrates with
         the axisymmetric weight r.
-    chord_tol : float
-        Maximal distance between the polygonal interface and the exact
-        curve (the sagitta for circles, 0 for straight pieces).
     """
 
     kind: str
     halfwidth: float
     segments: tuple[Segment, ...]
     theta: float | None = None
-    radius: float | None = None
-    center: tuple[float, float] | None = None
     radial_weight: bool = False
-    chord_tol: float = 0.0
-    omega1_components: int = 1
     _circle_poly: tuple | None = field(default=None, repr=False)
 
     # -- box ---------------------------------------------------------------
@@ -286,10 +274,8 @@ def make_circle(R: float, center: tuple[float, float], L: float,
     verts = _circle_vertices(R, center, n_chords)
     segs = tuple(Segment(verts[k], verts[(k + 1) % n_chords])
                  for k in range(n_chords))
-    sagitta = R * (1.0 - math.cos(math.pi / n_chords))
     return InterfaceGeometry(kind=CIRCLE, halfwidth=float(L), segments=segs,
-                             radius=float(R), center=(float(cx), float(cy)),
-                             chord_tol=sagitta, _circle_poly=tuple(verts))
+                             _circle_poly=tuple(verts))
 
 
 def make_line_plus_circle(h: float, R: float, L: float,
@@ -309,15 +295,12 @@ def make_line_plus_circle(h: float, R: float, L: float,
     if h + R >= L:
         raise DomainError("circle touches or exceeds the box")
     # line oriented right to left so Omega1 (below) lies to the left
-    segs = [Segment((L, 0.0), (-L, 0.0), unbounded=True, component=0)]
+    segs = [Segment((L, 0.0), (-L, 0.0), unbounded=True)]
     verts = _circle_vertices(R, (0.0, h), n_chords)
-    segs += [Segment(verts[k], verts[(k + 1) % n_chords], component=1)
+    segs += [Segment(verts[k], verts[(k + 1) % n_chords])
              for k in range(n_chords)]
-    sagitta = R * (1.0 - math.cos(math.pi / n_chords))
     return InterfaceGeometry(kind=LINE_PLUS_CIRCLE, halfwidth=float(L),
-                             segments=tuple(segs), radius=float(R),
-                             center=(0.0, float(h)), chord_tol=sagitta,
-                             omega1_components=2, _circle_poly=tuple(verts))
+                             segments=tuple(segs), _circle_poly=tuple(verts))
 
 
 def make_cone_meridian(theta: float, L: float) -> InterfaceGeometry:

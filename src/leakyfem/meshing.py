@@ -29,6 +29,7 @@ CONTINUOUS = "continuous"
 BROKEN = "broken"
 
 _SHUFFLE_SEED = 987654321
+MIN_ANGLE_DEG = 20.0  # Ruppert's bound, lowered only at sharp interface corners
 
 
 @dataclass(frozen=True)
@@ -307,13 +308,13 @@ def _iface_adjacency(triangles, tri_region, iface_edges):
 
 
 def triangulate(geometry: InterfaceGeometry, h_target: float,
-                min_angle_deg: float = 20.0, inner_rings=None) -> Mesh:
+                inner_rings=None) -> Mesh:
     """Conforming constrained Delaunay mesh of the truncation box.
 
     The interface segments (and any inner rings) become unions of mesh
     edges; triangles are refined until every edge is at most h_target
     (h_target/2 within h_target of an interface apex) and no angle is
-    below min_angle_deg.  Raises MeshingError with diagnostics when the
+    below MIN_ANGLE_DEG.  Raises MeshingError with diagnostics when the
     refinement budget is exhausted.
     """
     L = geometry.halfwidth
@@ -370,9 +371,9 @@ def triangulate(geometry: InterfaceGeometry, h_target: float,
                 return 0.5 * h_target
         return h_target
 
-    tri.refine(min_angle_deg, size_fn, budget)
+    tri.refine(MIN_ANGLE_DEG, size_fn, budget)
     mesh = _extract(tri, geometry)
-    check_mesh(mesh, geometry, min_angle_deg)
+    check_mesh(mesh, geometry)
     return mesh
 
 
@@ -498,12 +499,12 @@ class InterfaceQuadrature:
     seg: np.ndarray                 # (E,)
     nodes: np.ndarray               # (E, 2)
     edge_mass: np.ndarray           # (E, 2, 2)
-    cont_dofs: np.ndarray | None    # (E, 2)
-    brok_dofs: np.ndarray | None    # (E, 2, 2) [node, side]
+    cont_dofs: np.ndarray           # (E, 2)
+    brok_dofs: np.ndarray           # (E, 2, 2) [node, side]
 
 
-def interface_quadrature(m: Mesh, continuous: DofMap | None = None,
-                         broken: DofMap | None = None) -> InterfaceQuadrature:
+def interface_quadrature(m: Mesh, continuous: DofMap,
+                         broken: DofMap) -> InterfaceQuadrature:
     """Per-edge quadrature data for the interface integrals."""
     e = m.iface_edges
     p = m.nodes[e]
@@ -518,22 +519,19 @@ def interface_quadrature(m: Mesh, continuous: DofMap | None = None,
     else:
         mass[:, 0, 0] = mass[:, 1, 1] = ell / 3.0
         mass[:, 0, 1] = mass[:, 1, 0] = ell / 6.0
-    cd = continuous.node_dof1[e] if continuous is not None else None
-    bd = None
-    if broken is not None:
-        bd = np.stack([broken.node_dof1[e], broken.node_dof2[e]], axis=2)
+    bd = np.stack([broken.node_dof1[e], broken.node_dof2[e]], axis=2)
     return InterfaceQuadrature(lengths=ell, seg=m.iface_seg.copy(),
                                nodes=e.copy(), edge_mass=mass,
-                               cont_dofs=cd, brok_dofs=bd)
+                               cont_dofs=continuous.node_dof1[e], brok_dofs=bd)
 
 
-def check_mesh(m: Mesh, geometry: InterfaceGeometry, min_angle_deg=20.0):
+def check_mesh(m: Mesh, geometry: InterfaceGeometry):
     """Validate mesh invariants; raises MeshingError on violation."""
     areas = m.signed_areas()
     if np.any(areas <= 0):
         raise MeshingError("non-positive triangle area")
     ang = m.min_angle_deg()
-    floor = min(min_angle_deg, _input_angle_floor(geometry)) - 1e-9
+    floor = min(MIN_ANGLE_DEG, _input_angle_floor(geometry)) - 1e-9
     if ang < floor:
         raise MeshingError(f"minimum angle {ang:.3f} below bound {floor:.3f}",
                            diagnostics={"min_angle": ang})
@@ -561,95 +559,3 @@ def _input_angle_floor(geometry):
         return math.degrees(geometry.theta) / 2  # ray meets the axis at theta
     return 90.0
 
-
-# -- mesh text format ---------------------------------------------------------
-
-def write_mesh(m: Mesh, path):
-    """Plain-text mesh format; coordinates as 17-significant-digit decimals."""
-    with open(path, "w") as f:
-        f.write("mesh 1\n")
-        f.write(f"nodes {m.num_nodes}\n")
-        for x, y in m.nodes:
-            f.write("%.17g %.17g\n" % (x, y))
-        f.write(f"triangles {m.num_triangles}\n")
-        for (a, b, c), r in zip(m.triangles, m.tri_region):
-            f.write("%d %d %d %d\n" % (a, b, c, r))
-        f.write(f"iface {m.iface_edges.shape[0]}\n")
-        for (u, v), s in zip(m.iface_edges, m.iface_seg):
-            f.write("%d %d %d\n" % (u, v, s))
-
-
-def read_mesh(path, geometry: InterfaceGeometry | None = None) -> Mesh:
-    """Read the text format written by write_mesh.
-
-    The file stores nodes, triangles, and interface edges only; boundary
-    edges are recovered topologically.  Pass the geometry to restore the
-    Dirichlet flags (needed for the meridian domain, where the symmetry
-    axis carries no condition); without it every outer edge is Dirichlet.
-    """
-    with open(path) as f:
-        tokens = f.read().split()
-    it = iter(tokens)
-
-    def expect(word):
-        got = next(it)
-        if got != word:
-            raise DomainError(f"bad mesh file: expected {word!r}, got {got!r}")
-
-    expect("mesh")
-    expect("1")
-    expect("nodes")
-    n = int(next(it))
-    nodes = np.empty((n, 2))
-    for i in range(n):
-        nodes[i, 0] = float(next(it))
-        nodes[i, 1] = float(next(it))
-    expect("triangles")
-    t = int(next(it))
-    triangles = np.empty((t, 3), dtype=np.int32)
-    region = np.empty(t, dtype=np.int8)
-    for i in range(t):
-        triangles[i, 0] = int(next(it))
-        triangles[i, 1] = int(next(it))
-        triangles[i, 2] = int(next(it))
-        region[i] = int(next(it))
-    expect("iface")
-    e = int(next(it))
-    iface = np.empty((e, 2), dtype=np.int32)
-    iseg = np.empty(e, dtype=np.int32)
-    for i in range(e):
-        iface[i, 0] = int(next(it))
-        iface[i, 1] = int(next(it))
-        iseg[i] = int(next(it))
-
-    # outer boundary = edges with a single adjacent triangle
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]])
-    sedges = np.sort(edges, axis=1)
-    uedges, counts = np.unique(sedges, axis=0, return_counts=True)
-    bedges = uedges[counts == 1].astype(np.int32)
-    if geometry is not None:
-        bdir = _dirichlet_flags(nodes, bedges, geometry)
-    else:
-        bdir = np.ones(bedges.shape[0], dtype=bool)
-    itris = _iface_adjacency(triangles, region, iface)
-    rw = geometry.radial_weight if geometry is not None else False
-    return Mesh(nodes=nodes, triangles=triangles, tri_region=region,
-                iface_edges=iface, iface_seg=iseg, iface_tris=itris,
-                boundary_edges=bedges, boundary_dirichlet=bdir,
-                radial_weight=rw)
-
-
-def _dirichlet_flags(nodes, bedges, geometry):
-    (x0, y0), (x1, y1) = geometry.box
-    tol = 1e-9 * geometry.halfwidth
-    mid = 0.5 * (nodes[bedges[:, 0]] + nodes[bedges[:, 1]])
-    side = np.full(bedges.shape[0], -1)
-    side[np.abs(mid[:, 1] - y0) <= tol] = 0
-    side[np.abs(mid[:, 0] - x1) <= tol] = 1
-    side[np.abs(mid[:, 1] - y1) <= tol] = 2
-    side[np.abs(mid[:, 0] - x0) <= tol] = 3
-    if np.any(side < 0):
-        raise DomainError("boundary edge not on any box side")
-    dirset = set(geometry.dirichlet_sides)
-    return np.asarray([s in dirset for s in side], dtype=bool)

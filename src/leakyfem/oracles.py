@@ -96,7 +96,6 @@ class OracleResult:
     """Eigenvalues below the continuum threshold of a 1d reference model."""
 
     eigenvalues: np.ndarray
-    method: str
     resolution: dict = field(default_factory=dict)
     per_mode: tuple | None = None
 
@@ -112,7 +111,7 @@ def point_delta_1d(alpha: float, step: float | None = None,
     """
     _check_grid(step, halfwidth)
     if alpha <= 0:
-        return OracleResult(np.empty(0), "point-delta-1d", {"alpha": alpha})
+        return OracleResult(np.empty(0), {"alpha": alpha})
     kappa = 0.5 * alpha
     R = halfwidth if halfwidth is not None else 25.0 / kappa
     h0 = step if step is not None else _KH_TARGET_1D / kappa
@@ -127,8 +126,7 @@ def point_delta_1d(alpha: float, step: float | None = None,
         return d, e, m
 
     eigs = _eigs_extrapolated(build, h0)
-    return OracleResult(eigs, "point-delta-1d",
-                        {"alpha": alpha, "step": h0, "halfwidth": R})
+    return OracleResult(eigs, {"alpha": alpha, "step": h0, "halfwidth": R})
 
 
 def point_deltaprime_1d(beta: float, step: float | None = None,
@@ -142,7 +140,7 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
     """
     _check_grid(step, halfwidth)
     if beta <= 0:
-        return OracleResult(np.empty(0), "point-deltaprime-1d", {"beta": beta})
+        return OracleResult(np.empty(0), {"beta": beta})
     kappa = 2.0 / beta
     R = halfwidth if halfwidth is not None else 25.0 / kappa
     h0 = step if step is not None else _KH_TARGET_1D / kappa
@@ -164,8 +162,7 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
         return d, e, m
 
     eigs = _eigs_extrapolated(build, h0)
-    return OracleResult(eigs, "point-deltaprime-1d",
-                        {"beta": beta, "step": h0, "halfwidth": R})
+    return OracleResult(eigs, {"beta": beta, "step": h0, "halfwidth": R})
 
 
 def _radial_pencil(R, strength, mode, h, r_out, coupling):
@@ -245,8 +242,7 @@ def circle_delta_radial(R: float, alpha: float, m_max: int = 2,
     if eigs.size and eigs[0] <= -0.25 * alpha * alpha - 0.5:
         raise ConsistencyError(
             f"radial oracle left its sanity band: {eigs[0]}")
-    return OracleResult(eigs, "circle-delta-radial", res,
-                        per_mode=tuple(per_mode))
+    return OracleResult(eigs, res, per_mode=tuple(per_mode))
 
 
 def circle_deltaprime_radial(R: float, beta: float, m_max: int = 2,
@@ -257,5 +253,4 @@ def circle_deltaprime_radial(R: float, beta: float, m_max: int = 2,
     per_mode, eigs, res = _radial_eigs(R, beta, m_max, step, r_out,
                                        "deltaprime", 2.0 / beta)
     res["beta"] = beta
-    return OracleResult(eigs, "circle-deltaprime-radial", res,
-                        per_mode=tuple(per_mode))
+    return OracleResult(eigs, res, per_mode=tuple(per_mode))

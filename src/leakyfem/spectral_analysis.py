@@ -99,16 +99,17 @@ class CountingRow:
                 "N_deltaprime": self.n_deltaprime}
 
 
-def counting(eigs: EigenResult, mu: float, A, M, threshold) -> int:
+def counting(eigs: EigenResult, mu: float, A, M,
+             threshold: ThresholdInfo) -> int:
     """Number of pencil eigenvalues <= mu, from the inertia of A - mu M,
     checked against the certified list eigs, which holds every eigenvalue
     below its top.  ConsistencyError when the list holds more values <= mu
     than the pencil has, or when it reaches mu and misses one; a list
     that stops below mu may hold fewer.  mu must lie strictly below the
     essential-spectrum threshold."""
-    thr = threshold.value if isinstance(threshold, ThresholdInfo) else threshold
-    if not mu < thr:
-        raise DomainError(f"level {mu} is not below the threshold {thr}")
+    if not mu < threshold.value:
+        raise DomainError(
+            f"level {mu} is not below the threshold {threshold.value}")
     got = int(np.sum(eigs.values <= mu))
     exact = inertia_count(A, M, mu)
     if got > exact or (got < exact and np.any(eigs.values >= mu)):
@@ -394,7 +395,9 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
 
     Returns (halfwidths, forms, delta results, delta-prime results), the
     halfwidths sorted and deduplicated (None without boxes) and one form
-    and one result per level, coarse to fine.
+    and one result per level, coarse to fine.  DomainError when k exceeds
+    the coarsest level's continuous dofs, since every level must hold k
+    values for the pairs to be graded against a per-pair budget.
     """
     if halfwidths is not None:
         halfwidths = _box_halfwidths(geometry, halfwidths)
@@ -402,6 +405,9 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
                                   inner_rings=halfwidths[:-1] if halfwidths
                                   else None)
     forms = pipeline.assemble_levels(meshes, material)
+    if k > forms[0].continuous.ndof:
+        raise DomainError(f"k = {k} exceeds the {forms[0].continuous.ndof} "
+                          "continuous dofs of the coarsest level")
     res_d = pipeline.cascade_solve(forms, DELTA, k, tol=tol, seed=seed)
     res_p = pipeline.cascade_solve(forms, DELTA_PRIME, k, tol=tol, seed=seed)
     return halfwidths, forms, res_d, res_p

@@ -196,6 +196,28 @@ def test_list_stopping_below_the_counting_levels_exits_0(tmp_path):
             for r in report["counting"]] == [(0, 1)]
 
 
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_k_above_the_coarsest_dofs_rejected(tmp_path, capsys, monkeypatch,
+                                            command):
+    # the coarsest level has 247 continuous dofs; every level must hold k
+    # values, so the run stops after assembly, before any eigensolve
+    from leakyfem import pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve started with an oversize k")
+
+    monkeypatch.setattr(pipeline, "cascade_solve", refuse)
+    cfg = _base_cfg(tmp_path / "out")
+    cfg["geometry"]["theta"] = 0.7
+    cfg["solver"]["k"] = 300
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main([command, "--config", p]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("errors.DomainError: k = 300 exceeds the 247 ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_short_value_list(tmp_path):
     cfg = _base_cfg(tmp_path / "out")
     cfg["sweep"] = {"parameter": "alpha", "values": [2.0]}
@@ -382,6 +404,8 @@ def _no_meshing(monkeypatch):
     (("discretization", "refinements"), 1),
     (("discretization", "box_halfwidths"), "46"),
     (("discretization", "truncation_refinements"), -1),
+    pytest.param(("geometry", "halfwidth"), 10 ** 400,  # no float holds it
+                 id="halfwidth-1e400"),
 ])
 def test_solve_rejects_malformed_values(tmp_path, capsys, monkeypatch, path,
                                         value):

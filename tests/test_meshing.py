@@ -160,7 +160,9 @@ def test_dofs_no_interface_marked(broken_mesh):
 
 def test_interface_quadrature_edge_mass(broken_mesh):
     g, m = broken_mesh
-    q = meshing.interface_quadrature(m)
+    q = meshing.interface_quadrature(
+        m, meshing.build_dofs(m, meshing.CONTINUOUS),
+        meshing.build_dofs(m, meshing.BROKEN))
     # exact linear edge mass: ell/6 * [[2, 1], [1, 2]]
     for k in range(q.lengths.shape[0]):
         ell = q.lengths[k]
@@ -177,8 +179,11 @@ def test_interface_quadrature_empty(broken_mesh):
         m, iface_edges=np.empty((0, 2), dtype=np.int32),
         iface_seg=np.empty(0, dtype=np.int32),
         iface_tris=np.empty((0, 2), dtype=np.int32))
-    q = meshing.interface_quadrature(bare)
+    q = meshing.interface_quadrature(
+        bare, meshing.build_dofs(bare, meshing.CONTINUOUS),
+        meshing.build_dofs(bare, meshing.BROKEN))
     assert q.lengths.shape == (0,)
+    assert q.cont_dofs.shape == (0, 2) and q.brok_dofs.shape == (0, 2, 2)
 
 
 def test_cone_mesh_axis_not_dirichlet():
@@ -190,23 +195,6 @@ def test_cone_mesh_axis_not_dirichlet():
     # axis nodes exist but are free
     axis = np.nonzero(np.abs(m.nodes[:, 0]) < 1e-12)[0]
     assert len(axis) > len(np.nonzero(np.abs(np.abs(m.nodes[axis, 1]) - 4.0) < 1e-9)[0])
-
-
-def test_mesh_io_roundtrip(tmp_path, circle_mesh):
-    g, m = circle_mesh
-    path = tmp_path / "circle.mesh"
-    meshing.write_mesh(m, path)
-    m2 = meshing.read_mesh(path, geometry=g)
-    assert np.array_equal(m.nodes, m2.nodes)  # bit-exact decimals
-    assert np.array_equal(m.triangles, m2.triangles)
-    assert np.array_equal(m.tri_region, m2.tri_region)
-    assert np.array_equal(m.iface_edges, m2.iface_edges)
-    assert np.array_equal(m.iface_seg, m2.iface_seg)
-    assert np.array_equal(m.boundary_nodes, m2.boundary_nodes)
-    # and a second write is byte-identical
-    path2 = tmp_path / "circle2.mesh"
-    meshing.write_mesh(m2, path2)
-    assert path.read_bytes() == path2.read_bytes()
 
 
 def test_inner_rings_are_conforming():
