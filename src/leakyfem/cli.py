@@ -16,6 +16,12 @@ variable SPEC_SEED overrides the solver seed.
 Exit codes for solve/sweep: 0 all comparisons strict, 2 some
 indistinguishable, 3 violated, 1 errors, usage errors included.  A sweep
 runs its points on --jobs threads (default 1).
+
+The one thread budget is set here: a solve or converge run, and each
+point of a --jobs 1 sweep, gets a second thread for its coarser levels
+when the process may use two CPUs (spectral_analysis.solve_levels); the
+points of a sweep on two or more threads keep one thread each, so no
+run starts more solver threads than CPUs.  No output depends on it.
 """
 
 from __future__ import annotations
@@ -171,24 +177,32 @@ def _run_settings(cfg):
                        "truncation_refinements"}, "discretization")
     scfg = cfg.get("solver", {})
     _check_keys(scfg, {"k", "tol", "seed"}, "solver")
-    boxes = dcfg.get("box_halfwidths")
-    t_ref = dcfg.get("truncation_refinements")
     seed = _value(scfg, "seed", "solver", DEFAULT_SEED, integer=True, low=0)
     env = os.environ.get("SPEC_SEED")
     if env is not None:
         seed = _number(int(env) if env.strip().isdecimal() else env,
                        "SPEC_SEED", integer=True, low=0)
+    h = _value(dcfg, "h", "discretization")
+    # three levels for the Richardson error estimate
+    refinements = _value(dcfg, "refinements", "discretization", 2,
+                         integer=True, low=2)
+    boxes = dcfg.get("box_halfwidths")
+    if boxes is not None:
+        boxes = [float(b) for b in _numbers(
+            boxes, "discretization.box_halfwidths", positive=True)]
+    # the level of the truncation study, which needs boxes to study
+    t_ref = dcfg.get("truncation_refinements")
+    if t_ref is not None:
+        t_ref = _value(dcfg, "truncation_refinements", "discretization",
+                       integer=True, low=0, high=refinements)
+        if boxes is None:
+            raise ConfigError("discretization.truncation_refinements needs "
+                              "discretization.box_halfwidths")
     return {
-        "h": _value(dcfg, "h", "discretization"),
-        # three levels for the Richardson error estimate
-        "refinements": _value(dcfg, "refinements", "discretization", 2,
-                              integer=True, low=2),
-        "halfwidths": None if boxes is None else [
-            float(b) for b in _numbers(boxes, "discretization.box_halfwidths",
-                                       positive=True)],
-        "truncation_refinements": None if t_ref is None else _value(
-            dcfg, "truncation_refinements", "discretization", integer=True,
-            low=0),
+        "h": h,
+        "refinements": refinements,
+        "halfwidths": boxes,
+        "truncation_refinements": t_ref,
         "k": _value(scfg, "k", "solver", 4, integer=True, low=1),
         "tol": _value(scfg, "tol", "solver", DEFAULT_TOL, positive=True),
         "seed": int(seed),
@@ -212,10 +226,19 @@ def _outputs(cfg, args):
 
 # -- core run -----------------------------------------------------------------
 
-def run_solve(cfg):
-    """Check a solve config, run spectral_analysis.verify on it, and return
-    (report_dict, exit_code).  Configuration and numerical failures raise
-    LeakyFemError subclasses (exit code 1 at the CLI)."""
+def _threads():
+    """Threads for one run: a second one for the coarser levels when the
+    process may use two CPUs."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return 2 if cpus >= 2 else 1
+
+
+def run_solve(cfg, threads=1):
+    """Check a solve config, run spectral_analysis.verify on it with the
+    given thread budget, and return (report_dict, exit_code).
+    Configuration and numerical failures raise LeakyFemError subclasses
+    (exit code 1 at the CLI)."""
     geom = build_geometry(_require(cfg, "geometry", "config"))
     mat = build_material(_require(cfg, "material", "config"), geom)
     if np.any(mat.beta > 4.0 / mat.alpha * (1.0 + 1e-12)):
@@ -223,7 +246,7 @@ def run_solve(cfg):
             "material outside the comparison regime: need beta <= 4/alpha "
             "on every segment")
     settings = _run_settings(cfg)
-    run = sa.verify(geom, mat, **settings)
+    run = sa.verify(geom, mat, **settings, threads=threads)
 
     code = EXIT_CODES[run.verdict]
     doc = run.report.as_dict()
@@ -278,7 +301,7 @@ def write_report_csv(path, doc):
 # -- commands -----------------------------------------------------------------
 
 def cmd_solve(args, cfg, out, formats):
-    doc, code = run_solve(cfg)
+    doc, code = run_solve(cfg, _threads())
     if "json" in formats:
         write_report_json(os.path.join(out, "report.json"), doc)
     if "csv" in formats:
@@ -298,7 +321,7 @@ def cmd_converge(args, cfg, out, formats):
     s = _run_settings(cfg)
     _, _, res_d, res_p = sa.solve_levels(
         geom, mat, s["h"], s["refinements"], s["halfwidths"], s["k"],
-        tol=s["tol"], seed=s["seed"])
+        tol=s["tol"], seed=s["seed"], threads=_threads())
     lines = ["operator,n,order,limit,error,flagged"]
     svg_series, svg_labels = [], []
     hs = [s["h"] / 2 ** i for i in range(s["refinements"] + 1)]
@@ -351,10 +374,12 @@ def cmd_sweep(args, cfg, out, formats):
     # errors fail only their point
     _run_settings(cfg)
     subs = [_sweep_config(cfg, parameter, v) for v in values]
+    # points on several threads keep one thread each
+    threads = _threads() if args.jobs == 1 else 1
 
     def one(value, sub):
         try:
-            doc, code = run_solve(sub)
+            doc, code = run_solve(sub, threads)
             return {"value": value, "status": "ok", "exit": code,
                     "pairs": doc["pairs"]}
         except LeakyFemError as exc:

@@ -16,6 +16,8 @@ expected to be below the new one once that regime holds.  A guessed pole
 that is not below the spectrum is refused when it is factored (a
 negative pivot), and solve_pencil falls back to the certified shift
 search.  The first level has no coarser one and always takes that search.
+cascade_solve can resume from the results of the levels already solved,
+so a caller may solve each level as soon as it is assembled.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
@@ -93,11 +95,17 @@ def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None,
     return smallest_eigenpairs(A, M, k, tol=tol, seed=seed)
 
 
-def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED):
+def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
+                  results=None):
     """Solve one operator on every refinement level: above the coarser
     level's list (pole_above), with the pole of cascade_shift below the
-    spectrum as the fallback."""
-    results = []
+    spectrum as the fallback.
+
+    results, when given, holds the results of the coarser levels already
+    solved, coarse to fine: the cascade resumes after them, with
+    forms_list the next levels, and appends to that list.  Returns the
+    list of results."""
+    results = [] if results is None else results
     for forms in forms_list:
         A, M = forms.matrices(which)
         above = pole_above(results[-1].values) if results else None

@@ -8,6 +8,13 @@ studies that are monotone by construction, `solve_levels`, the cascaded
 solves of both operators on a nested mesh family, and `verify`, the
 whole verification run for one geometry and material.
 
+Given two threads, `solve_levels` and `verify` run as a pipeline
+(_solve_levels): a worker solves the coarser levels and a coarser level's
+truncation studies while the calling thread assembles and solves the
+finest level, one operator after the other, because a finest-level
+factor is a run's largest allocation (eigensolver._factor).  Results and
+errors do not depend on the thread budget.
+
 The comparison verdicts are deliberately conservative: a pair is graded
 "strict" only when the observed gap exceeds the combined numerical error
 budget (Richardson estimate + truncation delta + solver tolerance);
@@ -18,6 +25,8 @@ because their internal ordering carries no information.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -386,9 +395,106 @@ class VerificationRun:
     nodes_finest: int
 
 
+class _Inline:
+    """The worker of a one-thread run: each task runs on the calling
+    thread as it is submitted, and its result or error waits in its
+    future, as a worker thread's would."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@contextmanager
+def _worker(threads):
+    """Executor for the coarser levels and the truncation studies: one
+    thread beside the caller's when threads >= 2, else _Inline.  On the
+    way out the tasks not yet started are cancelled and the thread is
+    joined."""
+    if threads < 2:
+        yield _Inline()
+        return
+    pool = ThreadPoolExecutor(1, thread_name_prefix="leakyfem-levels")
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _after(before, fn, *args):
+    """fn(*args) once the task `before` (a future, or None) is done; its
+    failure is passed on instead."""
+    if before is not None:
+        before.result()
+    return fn(*args)
+
+
+def _solve_levels(worker, geometry, material, h, refinements, halfwidths,
+                  k, tol, seed, t_idx=None):
+    """solve_levels on a two-thread schedule, plus the truncation studies
+    on level t_idx when it is given.
+
+    The calling thread meshes every level, assembles them one by one and
+    solves the finest delta, then the finest delta-prime pencil.  worker
+    solves each coarser level of both operators as soon as it is
+    assembled, then the truncation studies when t_idx is below the
+    finest level; on the finest level they run after its two solves.
+    So at most one finest-level factor is alive at a time, and every
+    solve gets the inputs of a serial run.  A failure surfaces where a
+    serial run meets it first: delta levels, delta-prime levels, then
+    truncation studies.
+
+    Returns (halfwidths, forms, delta results, delta-prime results,
+    futures of the (delta, delta-prime) truncation studies or ()).
+    """
+    if halfwidths is not None:
+        halfwidths = _box_halfwidths(geometry, halfwidths)
+    meshes = pipeline.mesh_levels(geometry, h, refinements,
+                                  inner_rings=halfwidths[:-1] if halfwidths
+                                  else None)
+    ops = (DELTA, DELTA_PRIME)
+    forms, results, tasks = [], {which: [] for which in ops}, {}
+
+    def solve(which, level):
+        return pipeline.cascade_solve([forms[level]], which, k, tol=tol,
+                                      seed=seed, results=results[which])
+
+    def truncation(which):
+        return truncation_from_forms(forms[t_idx], which, halfwidths, k,
+                                     tol=tol, seed=seed,
+                                     full=results[which][t_idx])
+
+    def studies(executor):
+        return tuple(executor.submit(_after, tasks.get(which), truncation,
+                                     which) for which in ops)
+
+    for level, mesh in enumerate(meshes):
+        forms.append(femforms.assemble(mesh, material))
+        if level == 0 and k > forms[0].continuous.ndof:
+            raise DomainError(f"k = {k} exceeds the "
+                              f"{forms[0].continuous.ndof} continuous dofs "
+                              "of the coarsest level")
+        if level < refinements:
+            for which in ops:
+                tasks[which] = worker.submit(_after, tasks.get(which), solve,
+                                             which, level)
+    trunc = (studies(worker) if t_idx is not None and t_idx < refinements
+             else ())
+    for which in ops:
+        _after(tasks.get(which), solve, which, refinements)
+    if t_idx == refinements:
+        trunc = studies(_Inline())
+    return halfwidths, forms, results[DELTA], results[DELTA_PRIME], trunc
+
+
 def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
                  h: float, refinements: int, halfwidths=None, k: int = 4,
-                 tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED):
+                 tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
+                 threads: int = 1):
     """Both operators on a coarse mesh and `refinements` nested red
     refinements of it, with the inner boxes constrained in as rings when
     box halfwidths are given.
@@ -398,58 +504,57 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     and one result per level, coarse to fine.  DomainError when k exceeds
     the coarsest level's continuous dofs, since every level must hold k
     values for the pairs to be graded against a per-pair budget.
+
+    threads >= 2 solves the coarser levels on a second thread while the
+    finer ones are assembled and solved (_solve_levels); the results do
+    not depend on it.
     """
-    if halfwidths is not None:
-        halfwidths = _box_halfwidths(geometry, halfwidths)
-    meshes = pipeline.mesh_levels(geometry, h, refinements,
-                                  inner_rings=halfwidths[:-1] if halfwidths
-                                  else None)
-    forms = pipeline.assemble_levels(meshes, material)
-    if k > forms[0].continuous.ndof:
-        raise DomainError(f"k = {k} exceeds the {forms[0].continuous.ndof} "
-                          "continuous dofs of the coarsest level")
-    res_d = pipeline.cascade_solve(forms, DELTA, k, tol=tol, seed=seed)
-    res_p = pipeline.cascade_solve(forms, DELTA_PRIME, k, tol=tol, seed=seed)
-    return halfwidths, forms, res_d, res_p
+    with _worker(threads) as worker:
+        return _solve_levels(worker, geometry, material, h, refinements,
+                             halfwidths, k, tol, seed)[:4]
 
 
 def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
            refinements: int = 2, halfwidths=None,
            truncation_refinements: int | None = None, k: int = 4,
-           tol: float = DEFAULT_TOL,
-           seed: int = DEFAULT_SEED) -> VerificationRun:
+           tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
+           threads: int = 1) -> VerificationRun:
     """Verification run: both operators on `refinements` >= 2 nested
     levels, the non-strict ordering required on each coarser one, a
     truncation study on level `truncation_refinements` (default: the
-    finest) when box halfwidths are given, and the finest level graded
-    against the budget Richardson errors + final truncation deltas + 20
-    tol, with a counting table unless a pair is violated.  The hypothesis
+    finest; DomainError outside 0..refinements) when box halfwidths are
+    given, and the finest level graded against the budget Richardson
+    errors + final truncation deltas + 20 tol, with a counting table
+    unless a pair is violated.  threads >= 2 runs the coarser levels and
+    a coarser level's truncation studies on a second thread
+    (_solve_levels); the run does not depend on it.  The hypothesis
     beta <= 4/alpha is the caller's to check.
     """
     thr_d = essential_threshold(geometry, material, DELTA)
     thr_p = essential_threshold(geometry, material, DELTA_PRIME)
-    halfwidths, forms, res_d, res_p = solve_levels(
-        geometry, material, h, refinements, halfwidths, k, tol=tol, seed=seed)
-
-    # the non-strict comparison must hold on every coarser level; the
-    # finest is graded below, where a violation is a verdict
-    for rd, rp in zip(res_d[:-1], res_p[:-1]):
-        n = min(rd.values.size, rp.values.size)
-        if np.any(rp.values[:n] > rd.values[:n] + HARD_TOL):
-            raise TheoremViolation(
-                "discrete eigenvalue comparison failed on a coarse level")
-
-    conv_d = convergence_study(res_d)
-    conv_p = convergence_study(res_p)
-
-    trunc = ()
+    t_idx = None
     if halfwidths:
-        t_idx = refinements if truncation_refinements is None else min(
-            truncation_refinements, refinements)
-        trunc = tuple(
-            truncation_from_forms(forms[t_idx], which, halfwidths, k,
-                                  tol=tol, seed=seed, full=res[t_idx])
-            for which, res in ((DELTA, res_d), (DELTA_PRIME, res_p)))
+        t_idx = (refinements if truncation_refinements is None
+                 else truncation_refinements)
+        if not 0 <= t_idx <= refinements:
+            raise DomainError(f"truncation level {t_idx} is not one of the "
+                              f"levels 0..{refinements}")
+    with _worker(threads) as worker:
+        halfwidths, forms, res_d, res_p, trunc = _solve_levels(
+            worker, geometry, material, h, refinements, halfwidths, k, tol,
+            seed, t_idx)
+
+        # the non-strict comparison must hold on every coarser level; the
+        # finest is graded below, where a violation is a verdict
+        for rd, rp in zip(res_d[:-1], res_p[:-1]):
+            n = min(rd.values.size, rp.values.size)
+            if np.any(rp.values[:n] > rd.values[:n] + HARD_TOL):
+                raise TheoremViolation(
+                    "discrete eigenvalue comparison failed on a coarse level")
+
+        conv_d = convergence_study(res_d)
+        conv_p = convergence_study(res_p)
+        trunc = tuple(study.result() for study in trunc)
 
     kk = min(len(conv_d["error"]), len(conv_p["error"]), k)
     budget = np.asarray(conv_d["error"][:kk]) + np.asarray(conv_p["error"][:kk])

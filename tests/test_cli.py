@@ -406,6 +406,12 @@ def _no_meshing(monkeypatch):
     (("discretization", "truncation_refinements"), -1),
     pytest.param(("geometry", "halfwidth"), 10 ** 400,  # no float holds it
                  id="halfwidth-1e400"),
+    # a truncation level is one of the levels, and needs boxes to study
+    (("discretization",), {"h": 0.8, "refinements": 2,
+                           "box_halfwidths": [4.0, 6.0],
+                           "truncation_refinements": 3}),
+    (("discretization", "truncation_refinements"), 7),
+    (("discretization", "truncation_refinements"), 1),
 ])
 def test_solve_rejects_malformed_values(tmp_path, capsys, monkeypatch, path,
                                         value):
@@ -486,7 +492,9 @@ def test_violation_exits_3(tmp_path, monkeypatch):
 def test_finest_level_violation_exits_3(tmp_path, monkeypatch):
     # the first finest-level delta-prime value 1e-6 above the delta one is
     # a graded violation, not a coarse-level error: exit 3, a violated
-    # pair in the report, and no counting table
+    # pair in the report, and no counting table.  The run resumes each
+    # cascade one level at a time, so the finest list is the one a call
+    # leaves as the third of the config's three levels
     import dataclasses
 
     from leakyfem import pipeline
@@ -496,6 +504,8 @@ def test_finest_level_violation_exits_3(tmp_path, monkeypatch):
 
     def flipped(forms_list, which, *args, **kwargs):
         res = cascade(forms_list, which, *args, **kwargs)
+        if len(res) < 3:
+            return res
         finest[which] = res[-1]
         if which == sa.DELTA_PRIME:
             values = res[-1].values.copy()
