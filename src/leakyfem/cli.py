@@ -17,11 +17,10 @@ Exit codes for solve/sweep: 0 all comparisons strict, 2 some
 indistinguishable, 3 violated, 1 errors, usage errors included.  A sweep
 runs its points on --jobs threads (default 1).
 
-The one thread budget is set here: a solve or converge run, and each
-point of a --jobs 1 sweep, gets a second thread for its coarser levels
-when the process may use two CPUs (spectral_analysis.solve_levels); the
-points of a sweep on two or more threads keep one thread each, so no
-run starts more solver threads than CPUs.  No output depends on it.
+A solve or converge run, and each point of a --jobs 1 sweep, solves its
+coarser levels on a second thread (spectral_analysis.solve_levels) when
+the process may use two CPUs; the points of a sweep on two or more
+threads keep one thread each.  No output depends on it.
 """
 
 from __future__ import annotations
@@ -226,19 +225,21 @@ def _outputs(cfg, args):
 
 # -- core run -----------------------------------------------------------------
 
-def _threads():
-    """Threads for one run: a second one for the coarser levels when the
-    process may use two CPUs."""
+def _second_thread(jobs=1):
+    """Whether a run solves its coarser levels on a second thread: when a
+    CPU is free for it, so the process may use two CPUs and no other
+    sweep point runs beside it.  Without a free CPU the thread only adds
+    memory (ROADMAP item 4)."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return 2 if cpus >= 2 else 1
+    return jobs == 1 and cpus >= 2
 
 
-def run_solve(cfg, threads=1):
-    """Check a solve config, run spectral_analysis.verify on it with the
-    given thread budget, and return (report_dict, exit_code).
-    Configuration and numerical failures raise LeakyFemError subclasses
-    (exit code 1 at the CLI)."""
+def run_solve(cfg, second_thread=False):
+    """Check a solve config, run spectral_analysis.verify on it, with the
+    coarser levels on a second thread if second_thread, and return
+    (report_dict, exit_code).  Configuration and numerical failures raise
+    LeakyFemError subclasses (exit code 1 at the CLI)."""
     geom = build_geometry(_require(cfg, "geometry", "config"))
     mat = build_material(_require(cfg, "material", "config"), geom)
     if np.any(mat.beta > 4.0 / mat.alpha * (1.0 + 1e-12)):
@@ -246,7 +247,7 @@ def run_solve(cfg, threads=1):
             "material outside the comparison regime: need beta <= 4/alpha "
             "on every segment")
     settings = _run_settings(cfg)
-    run = sa.verify(geom, mat, **settings, threads=threads)
+    run = sa.verify(geom, mat, **settings, second_thread=second_thread)
 
     code = EXIT_CODES[run.verdict]
     doc = run.report.as_dict()
@@ -301,7 +302,7 @@ def write_report_csv(path, doc):
 # -- commands -----------------------------------------------------------------
 
 def cmd_solve(args, cfg, out, formats):
-    doc, code = run_solve(cfg, _threads())
+    doc, code = run_solve(cfg, _second_thread())
     if "json" in formats:
         write_report_json(os.path.join(out, "report.json"), doc)
     if "csv" in formats:
@@ -321,7 +322,7 @@ def cmd_converge(args, cfg, out, formats):
     s = _run_settings(cfg)
     _, _, res_d, res_p = sa.solve_levels(
         geom, mat, s["h"], s["refinements"], s["halfwidths"], s["k"],
-        tol=s["tol"], seed=s["seed"], threads=_threads())
+        tol=s["tol"], seed=s["seed"], second_thread=_second_thread())
     lines = ["operator,n,order,limit,error,flagged"]
     svg_series, svg_labels = [], []
     hs = [s["h"] / 2 ** i for i in range(s["refinements"] + 1)]
@@ -374,12 +375,11 @@ def cmd_sweep(args, cfg, out, formats):
     # errors fail only their point
     _run_settings(cfg)
     subs = [_sweep_config(cfg, parameter, v) for v in values]
-    # points on several threads keep one thread each
-    threads = _threads() if args.jobs == 1 else 1
+    second_thread = _second_thread(args.jobs)
 
     def one(value, sub):
         try:
-            doc, code = run_solve(sub, threads)
+            doc, code = run_solve(sub, second_thread)
             return {"value": value, "status": "ok", "exit": code,
                     "pairs": doc["pairs"]}
         except LeakyFemError as exc:

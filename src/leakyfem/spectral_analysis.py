@@ -8,12 +8,12 @@ studies that are monotone by construction, `solve_levels`, the cascaded
 solves of both operators on a nested mesh family, and `verify`, the
 whole verification run for one geometry and material.
 
-Given two threads, `solve_levels` and `verify` run as a pipeline
+Given a second thread, `solve_levels` and `verify` run as a pipeline
 (_solve_levels): a worker solves the coarser levels and a coarser level's
 truncation studies while the calling thread assembles and solves the
 finest level, one operator after the other, because a finest-level
 factor is a run's largest allocation (eigensolver._factor).  Results and
-errors do not depend on the thread budget.
+errors are those of a serial run.
 
 The comparison verdicts are deliberately conservative: a pair is graded
 "strict" only when the observed gap exceeds the combined numerical error
@@ -408,17 +408,18 @@ class _Inline:
             future.set_exception(exc)
         return future
 
+    def shutdown(self, cancel_futures=False):
+        pass
+
 
 @contextmanager
-def _worker(threads):
+def _worker(second_thread):
     """Executor for the coarser levels and the truncation studies: one
-    thread beside the caller's when threads >= 2, else _Inline.  On the
+    thread beside the caller's when second_thread, else _Inline.  On the
     way out the tasks not yet started are cancelled and the thread is
     joined."""
-    if threads < 2:
-        yield _Inline()
-        return
-    pool = ThreadPoolExecutor(1, thread_name_prefix="leakyfem-levels")
+    pool = (ThreadPoolExecutor(1, thread_name_prefix="leakyfem-levels")
+            if second_thread else _Inline())
     try:
         yield pool
     finally:
@@ -426,10 +427,10 @@ def _worker(threads):
 
 
 def _after(before, fn, *args):
-    """fn(*args) once the task `before` (a future, or None) is done; its
-    failure is passed on instead."""
-    if before is not None:
-        before.result()
+    """fn(*args) once the tasks `before` (a list of futures) are done; the
+    failure of the first failed one is passed on instead."""
+    for future in before:
+        future.result()
     return fn(*args)
 
 
@@ -444,9 +445,10 @@ def _solve_levels(worker, geometry, material, h, refinements, halfwidths,
     assembled, then the truncation studies when t_idx is below the
     finest level; on the finest level they run after its two solves.
     So at most one finest-level factor is alive at a time, and every
-    solve gets the inputs of a serial run.  A failure surfaces where a
-    serial run meets it first: delta levels, delta-prime levels, then
-    truncation studies.
+    solve gets the inputs of a serial run.  Each task waits on the ones
+    a serial run does first, so a failure surfaces where that run meets
+    it first (delta levels, delta-prime levels, then truncation studies)
+    and stops the tasks after it.
 
     Returns (halfwidths, forms, delta results, delta-prime results,
     futures of the (delta, delta-prime) truncation studies or ()).
@@ -456,8 +458,8 @@ def _solve_levels(worker, geometry, material, h, refinements, halfwidths,
     meshes = pipeline.mesh_levels(geometry, h, refinements,
                                   inner_rings=halfwidths[:-1] if halfwidths
                                   else None)
-    ops = (DELTA, DELTA_PRIME)
-    forms, results, tasks = [], {which: [] for which in ops}, {}
+    forms, results = [], {DELTA: [], DELTA_PRIME: []}
+    delta, prime = [], []    # the worker's last level task of each operator
 
     def solve(which, level):
         return pipeline.cascade_solve([forms[level]], which, k, tol=tol,
@@ -469,8 +471,8 @@ def _solve_levels(worker, geometry, material, h, refinements, halfwidths,
                                      full=results[which][t_idx])
 
     def studies(executor):
-        return tuple(executor.submit(_after, tasks.get(which), truncation,
-                                     which) for which in ops)
+        d = executor.submit(_after, prime, truncation, DELTA)
+        return d, executor.submit(_after, [d], truncation, DELTA_PRIME)
 
     for level, mesh in enumerate(meshes):
         forms.append(femforms.assemble(mesh, material))
@@ -479,13 +481,13 @@ def _solve_levels(worker, geometry, material, h, refinements, halfwidths,
                               f"{forms[0].continuous.ndof} continuous dofs "
                               "of the coarsest level")
         if level < refinements:
-            for which in ops:
-                tasks[which] = worker.submit(_after, tasks.get(which), solve,
-                                             which, level)
+            delta = [worker.submit(_after, delta, solve, DELTA, level)]
+            prime = [worker.submit(_after, delta + prime, solve,
+                                   DELTA_PRIME, level)]
     trunc = (studies(worker) if t_idx is not None and t_idx < refinements
              else ())
-    for which in ops:
-        _after(tasks.get(which), solve, which, refinements)
+    _after(delta, solve, DELTA, refinements)
+    _after(prime, solve, DELTA_PRIME, refinements)
     if t_idx == refinements:
         trunc = studies(_Inline())
     return halfwidths, forms, results[DELTA], results[DELTA_PRIME], trunc
@@ -494,7 +496,7 @@ def _solve_levels(worker, geometry, material, h, refinements, halfwidths,
 def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
                  h: float, refinements: int, halfwidths=None, k: int = 4,
                  tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                 threads: int = 1):
+                 second_thread: bool = False):
     """Both operators on a coarse mesh and `refinements` nested red
     refinements of it, with the inner boxes constrained in as rings when
     box halfwidths are given.
@@ -505,11 +507,11 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     the coarsest level's continuous dofs, since every level must hold k
     values for the pairs to be graded against a per-pair budget.
 
-    threads >= 2 solves the coarser levels on a second thread while the
+    second_thread solves the coarser levels on a second thread while the
     finer ones are assembled and solved (_solve_levels); the results do
     not depend on it.
     """
-    with _worker(threads) as worker:
+    with _worker(second_thread) as worker:
         return _solve_levels(worker, geometry, material, h, refinements,
                              halfwidths, k, tol, seed)[:4]
 
@@ -518,15 +520,15 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
            refinements: int = 2, halfwidths=None,
            truncation_refinements: int | None = None, k: int = 4,
            tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-           threads: int = 1) -> VerificationRun:
+           second_thread: bool = False) -> VerificationRun:
     """Verification run: both operators on `refinements` >= 2 nested
     levels, the non-strict ordering required on each coarser one, a
     truncation study on level `truncation_refinements` (default: the
     finest; DomainError outside 0..refinements) when box halfwidths are
     given, and the finest level graded against the budget Richardson
     errors + final truncation deltas + 20 tol, with a counting table
-    unless a pair is violated.  threads >= 2 runs the coarser levels and
-    a coarser level's truncation studies on a second thread
+    unless a pair is violated.  second_thread runs the coarser levels
+    and a coarser level's truncation studies on a second thread
     (_solve_levels); the run does not depend on it.  The hypothesis
     beta <= 4/alpha is the caller's to check.
     """
@@ -539,7 +541,7 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
         if not 0 <= t_idx <= refinements:
             raise DomainError(f"truncation level {t_idx} is not one of the "
                               f"levels 0..{refinements}")
-    with _worker(threads) as worker:
+    with _worker(second_thread) as worker:
         halfwidths, forms, res_d, res_p, trunc = _solve_levels(
             worker, geometry, material, h, refinements, halfwidths, k, tol,
             seed, t_idx)

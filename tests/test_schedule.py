@@ -241,3 +241,32 @@ def test_sweep_points_keep_one_thread_each(tmp_path, monkeypatch):
         assert len(calls) == 12
         assert len(on_worker) == (0 if jobs == "2" else 8)
     assert sweeps[0] == sweeps[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_delta_failure_stops_the_delta_prime_levels(tmp_path, monkeypatch,
+                                                    capsys, cpus):
+    # a serial run solves every delta level before any delta-prime one, so
+    # a failed coarsest delta solve ends the run before a delta-prime solve
+    # or a truncation study starts
+    calls, truncations = [], []
+
+    def failing(forms_list, which, *args, **kwargs):
+        calls.append(which)
+        raise SolverError(f"injected {which} failure")
+
+    truncation = sa.truncation_from_forms
+
+    def spied(*args, **kwargs):
+        truncations.append(args[1])
+        return truncation(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "cascade_solve", failing)
+    monkeypatch.setattr(sa, "truncation_from_forms", spied)
+    _cpus(monkeypatch, cpus)
+    p = _write(tmp_path / "cfg.json", _cfg(tmp_path / "out"))
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == (f"errors.SolverError: injected "
+                                       f"{sa.DELTA} failure\n")
+    assert calls == [sa.DELTA]
+    assert truncations == []
