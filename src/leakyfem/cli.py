@@ -17,10 +17,11 @@ Exit codes for solve/sweep: 0 all comparisons strict, 2 some
 indistinguishable, 3 violated, 1 errors, usage errors included.  A sweep
 runs its points on --jobs threads (default 1).
 
-A solve or converge run, and each point of a --jobs 1 sweep, solves its
-coarser levels on a second thread (spectral_analysis.solve_levels) when
-the process may use two CPUs; the points of a sweep on two or more
-threads keep one thread each.  No output depends on it.
+A solve or converge run, and each point of a --jobs 1 sweep, assembles
+and solves its coarser levels on a second thread, beside the finest
+level's assembly and solves (spectral_analysis.solve_levels), when the
+process may use two CPUs; the points of a sweep on two or more threads
+keep one thread each.  No output depends on it.
 """
 
 from __future__ import annotations

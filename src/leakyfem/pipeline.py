@@ -17,7 +17,7 @@ that is not below the spectrum is refused when it is factored (a
 negative pivot), and solve_pencil falls back to the certified shift
 search.  The first level has no coarser one and always takes that search.
 cascade_solve can resume from the results of the levels already solved,
-so a caller may solve each level as soon as it is assembled.
+so a caller may solve the finest level apart from the coarser ones.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
@@ -90,9 +90,9 @@ def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None,
         try:
             return smallest_eigenpairs(A, M, k, tol=tol, shift=shift,
                                        seed=seed, above=above)
-        except SolverError:
-            pass
-    return smallest_eigenpairs(A, M, k, tol=tol, seed=seed)
+        except SolverError:  # the pole above was tried before the shift
+            above = None
+    return smallest_eigenpairs(A, M, k, tol=tol, seed=seed, above=above)
 
 
 def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,

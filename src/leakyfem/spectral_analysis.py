@@ -8,12 +8,13 @@ studies that are monotone by construction, `solve_levels`, the cascaded
 solves of both operators on a nested mesh family, and `verify`, the
 whole verification run for one geometry and material.
 
-Given a second thread, `solve_levels` and `verify` run as a pipeline
-(_solve_levels): a worker solves the coarser levels and a coarser level's
-truncation studies while the calling thread assembles and solves the
-finest level, one operator after the other, because a finest-level
-factor is a run's largest allocation (eigensolver._factor).  Results and
-errors are those of a serial run.
+Given a second thread, `solve_levels` and `verify` run three tasks on a
+worker (_solve_levels): the coarser levels' assembly and delta cascade,
+their delta-prime cascade, and a coarser level's truncation studies.
+Meanwhile the calling thread assembles the finest level and solves it,
+one operator after the other, because a finest-level factor is a run's
+largest allocation (eigensolver._factor).  Results and errors are those
+of a serial run.
 
 The comparison verdicts are deliberately conservative: a pair is graded
 "strict" only when the observed gap exceeds the combined numerical error
@@ -26,12 +27,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import femforms, pipeline
+from . import femforms, meshing, pipeline
 from .eigensolver import DEFAULT_SEED, DEFAULT_TOL, EigenResult, inertia_count
 from .errors import ConsistencyError, DomainError, TheoremViolation
 from .geometry import CIRCLE, CONE_MERIDIAN, InterfaceGeometry, MaterialData
@@ -412,85 +412,73 @@ class _Inline:
         pass
 
 
-@contextmanager
-def _worker(second_thread):
-    """Executor for the coarser levels and the truncation studies: one
-    thread beside the caller's when second_thread, else _Inline.  On the
-    way out the tasks not yet started are cancelled and the thread is
-    joined."""
-    pool = (ThreadPoolExecutor(1, thread_name_prefix="leakyfem-levels")
-            if second_thread else _Inline())
-    try:
-        yield pool
-    finally:
-        pool.shutdown(cancel_futures=True)
+def _solve_levels(geometry, material, h, refinements, halfwidths, k, tol,
+                  seed, t_idx=None, second_thread=False):
+    """solve_levels, plus the truncation studies on level t_idx when it
+    is given, with a worker thread (_Inline without second_thread).
 
-
-def _after(before, fn, *args):
-    """fn(*args) once the tasks `before` (a list of futures) are done; the
-    failure of the first failed one is passed on instead."""
-    for future in before:
-        future.result()
-    return fn(*args)
-
-
-def _solve_levels(worker, geometry, material, h, refinements, halfwidths,
-                  k, tol, seed, t_idx=None):
-    """solve_levels on a two-thread schedule, plus the truncation studies
-    on level t_idx when it is given.
-
-    The calling thread meshes every level, assembles them one by one and
-    solves the finest delta, then the finest delta-prime pencil.  worker
-    solves each coarser level of both operators as soon as it is
-    assembled, then the truncation studies when t_idx is below the
-    finest level; on the finest level they run after its two solves.
-    So at most one finest-level factor is alive at a time, and every
-    solve gets the inputs of a serial run.  Each task waits on the ones
-    a serial run does first, so a failure surfaces where that run meets
-    it first (delta levels, delta-prime levels, then truncation studies)
-    and stops the tasks after it.
+    The worker runs three tasks, each on the result of the one before:
+    assemble the coarser levels and cascade delta over them, cascade
+    delta-prime over those forms, and run the truncation studies of level
+    t_idx when it is below the finest.  Meanwhile the calling thread
+    assembles the finest level, solves its delta pencil after the first
+    task and its delta-prime pencil after the second, and then runs the
+    truncation studies when t_idx is the finest level.  So at most one
+    finest-level factor is alive at a time, every solve gets the inputs
+    of a serial run, and errors surface in the order the calling thread
+    waits: coarse delta, finest delta, coarse delta-prime, finest
+    delta-prime, truncation.  Tasks not started by the end are cancelled.
 
     Returns (halfwidths, forms, delta results, delta-prime results,
-    futures of the (delta, delta-prime) truncation studies or ()).
+    (delta, delta-prime) TruncationStudy or ()).
     """
     if halfwidths is not None:
         halfwidths = _box_halfwidths(geometry, halfwidths)
-    meshes = pipeline.mesh_levels(geometry, h, refinements,
-                                  inner_rings=halfwidths[:-1] if halfwidths
-                                  else None)
-    forms, results = [], {DELTA: [], DELTA_PRIME: []}
-    delta, prime = [], []    # the worker's last level task of each operator
+    rings = halfwidths[:-1] if halfwidths else None
+    meshes = pipeline.mesh_levels(geometry, h, refinements, inner_rings=rings)
+    ndof = meshing.build_dofs(meshes[0], meshing.CONTINUOUS).ndof
+    if k > ndof:
+        raise DomainError(f"k = {k} exceeds the {ndof} continuous dofs of "
+                          "the coarsest level")
 
-    def solve(which, level):
-        return pipeline.cascade_solve([forms[level]], which, k, tol=tol,
-                                      seed=seed, results=results[which])
+    def cascade(forms, which, results=None):
+        return pipeline.cascade_solve(forms, which, k, tol=tol, seed=seed,
+                                      results=results)
 
-    def truncation(which):
-        return truncation_from_forms(forms[t_idx], which, halfwidths, k,
-                                     tol=tol, seed=seed,
-                                     full=results[which][t_idx])
+    def studies(forms, res_d, res_p):
+        return tuple(truncation_from_forms(forms[t_idx], which, halfwidths,
+                                           k, tol=tol, seed=seed,
+                                           full=res[t_idx])
+                     for which, res in ((DELTA, res_d), (DELTA_PRIME, res_p)))
 
-    def studies(executor):
-        d = executor.submit(_after, prime, truncation, DELTA)
-        return d, executor.submit(_after, [d], truncation, DELTA_PRIME)
+    def coarse_delta():
+        forms = [femforms.assemble(mesh, material) for mesh in meshes[:-1]]
+        return forms, cascade(forms, DELTA)
 
-    for level, mesh in enumerate(meshes):
-        forms.append(femforms.assemble(mesh, material))
-        if level == 0 and k > forms[0].continuous.ndof:
-            raise DomainError(f"k = {k} exceeds the "
-                              f"{forms[0].continuous.ndof} continuous dofs "
-                              "of the coarsest level")
-        if level < refinements:
-            delta = [worker.submit(_after, delta, solve, DELTA, level)]
-            prime = [worker.submit(_after, delta + prime, solve,
-                                   DELTA_PRIME, level)]
-    trunc = (studies(worker) if t_idx is not None and t_idx < refinements
-             else ())
-    _after(delta, solve, DELTA, refinements)
-    _after(prime, solve, DELTA_PRIME, refinements)
-    if t_idx == refinements:
-        trunc = studies(_Inline())
-    return halfwidths, forms, results[DELTA], results[DELTA_PRIME], trunc
+    def coarse_prime(task_d):
+        return cascade(task_d.result()[0], DELTA_PRIME)
+
+    def coarse_studies(task_d, task_p):
+        return studies(*task_d.result(), task_p.result())
+
+    worker = (ThreadPoolExecutor(1, thread_name_prefix="leakyfem-levels")
+              if second_thread else _Inline())
+    try:
+        task_d = worker.submit(coarse_delta)
+        task_p = worker.submit(coarse_prime, task_d)
+        task_t = (worker.submit(coarse_studies, task_d, task_p)
+                  if t_idx is not None and t_idx < refinements else None)
+        finest = femforms.assemble(meshes[-1], material)
+        forms, res_d = task_d.result()
+        forms = forms + [finest]  # the delta-prime task reads the old list
+        cascade([finest], DELTA, res_d)
+        res_p = cascade([finest], DELTA_PRIME, task_p.result())
+        trunc = task_t.result() if task_t else ()
+        if t_idx == refinements:
+            trunc = studies(forms, res_d, res_p)
+    finally:
+        worker.shutdown(cancel_futures=True)
+    return halfwidths, forms, res_d, res_p, trunc
 
 
 def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
@@ -507,13 +495,12 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     the coarsest level's continuous dofs, since every level must hold k
     values for the pairs to be graded against a per-pair budget.
 
-    second_thread solves the coarser levels on a second thread while the
-    finer ones are assembled and solved (_solve_levels); the results do
-    not depend on it.
+    second_thread assembles and solves the coarser levels on a second
+    thread while the finest is assembled and solved (_solve_levels); the
+    results do not depend on it.
     """
-    with _worker(second_thread) as worker:
-        return _solve_levels(worker, geometry, material, h, refinements,
-                             halfwidths, k, tol, seed)[:4]
+    return _solve_levels(geometry, material, h, refinements, halfwidths, k,
+                         tol, seed, second_thread=second_thread)[:4]
 
 
 def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
@@ -541,23 +528,20 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
         if not 0 <= t_idx <= refinements:
             raise DomainError(f"truncation level {t_idx} is not one of the "
                               f"levels 0..{refinements}")
-    with _worker(second_thread) as worker:
-        halfwidths, forms, res_d, res_p, trunc = _solve_levels(
-            worker, geometry, material, h, refinements, halfwidths, k, tol,
-            seed, t_idx)
+    halfwidths, forms, res_d, res_p, trunc = _solve_levels(
+        geometry, material, h, refinements, halfwidths, k, tol, seed, t_idx,
+        second_thread)
 
-        # the non-strict comparison must hold on every coarser level; the
-        # finest is graded below, where a violation is a verdict
-        for rd, rp in zip(res_d[:-1], res_p[:-1]):
-            n = min(rd.values.size, rp.values.size)
-            if np.any(rp.values[:n] > rd.values[:n] + HARD_TOL):
-                raise TheoremViolation(
-                    "discrete eigenvalue comparison failed on a coarse level")
+    # the non-strict comparison must hold on every coarser level; the
+    # finest is graded below, where a violation is a verdict
+    for rd, rp in zip(res_d[:-1], res_p[:-1]):
+        n = min(rd.values.size, rp.values.size)
+        if np.any(rp.values[:n] > rd.values[:n] + HARD_TOL):
+            raise TheoremViolation(
+                "discrete eigenvalue comparison failed on a coarse level")
 
-        conv_d = convergence_study(res_d)
-        conv_p = convergence_study(res_p)
-        trunc = tuple(study.result() for study in trunc)
-
+    conv_d = convergence_study(res_d)
+    conv_p = convergence_study(res_p)
     kk = min(len(conv_d["error"]), len(conv_p["error"]), k)
     budget = np.asarray(conv_d["error"][:kk]) + np.asarray(conv_p["error"][:kk])
     for study in trunc:  # two or more boxes, so at least one row of deltas

@@ -200,13 +200,15 @@ def test_list_stopping_below_the_counting_levels_exits_0(tmp_path):
 def test_k_above_the_coarsest_dofs_rejected(tmp_path, capsys, monkeypatch,
                                             command):
     # the coarsest level has 247 continuous dofs; every level must hold k
-    # values, so the run stops after assembly, before any eigensolve
-    from leakyfem import pipeline
+    # values, so the run stops after meshing, before any assembly
+    from leakyfem import femforms, pipeline
 
     def refuse(*args, **kwargs):
-        raise AssertionError("eigensolve started with an oversize k")
+        raise AssertionError("assembly or eigensolve started with an "
+                             "oversize k")
 
     monkeypatch.setattr(pipeline, "cascade_solve", refuse)
+    monkeypatch.setattr(femforms, "assemble", refuse)
     cfg = _base_cfg(tmp_path / "out")
     cfg["geometry"]["theta"] = 0.7
     cfg["solver"]["k"] = 300

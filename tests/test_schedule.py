@@ -1,8 +1,9 @@
 """The two-thread schedule of `spec solve` and `spec converge`.
 
-With two CPUs a run solves the coarser levels and a coarser level's
-truncation studies on a worker thread, beside the assembly and the finest
-solves on the calling thread (spectral_analysis._solve_levels).  Its
+With two CPUs a run assembles and solves the coarser levels, and runs a
+coarser level's truncation studies, as three tasks on a worker thread,
+beside the finest level's assembly and solves on the calling thread
+(spectral_analysis._solve_levels).  Its
 outputs must not depend on that, at most one finest-level factor may be
 alive at a time, and a failure on either thread must end the run as a
 serial run would, with no thread left behind.
@@ -90,10 +91,9 @@ def test_pipelined_outputs_equal_inline(tmp_path, monkeypatch, capsys,
         on_worker = sorted((which, n) for name, which, n in calls
                            if name.startswith(WORKER))
         # the coarser levels go to the worker only when two CPUs are free
-        assert on_worker == ([] if cpus == 1 else [
-            (which, n) for which in (sa.DELTA, sa.DELTA_PRIME)
-            for n in (1, 2)])
-        assert len(calls) == 6
+        assert on_worker == ([] if cpus == 1 else [(sa.DELTA, 2),
+                                                   (sa.DELTA_PRIME, 2)])
+        assert len(calls) == 4
     assert runs[0] == runs[1]
     assert runs[0][0] in (cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
 
@@ -177,9 +177,9 @@ def test_worker_failure_exits_1_like_inline(tmp_path, monkeypatch, capsys):
 
 
 def test_main_failure_cancels_queued_tasks(tmp_path, monkeypatch, capsys):
-    # the worker holds the coarsest delta solve until the run shuts it
-    # down; the assembly of the next level fails on the calling thread
-    # meanwhile, so the queued coarsest delta-prime solve must never start
+    # the worker holds the coarse delta cascade until the run shuts it
+    # down; the finest assembly fails on the calling thread meanwhile, so
+    # the queued delta-prime cascade and truncation study must never start
     started, gate = threading.Event(), threading.Event()
 
     class Gated(ThreadPoolExecutor):
@@ -189,7 +189,7 @@ def test_main_failure_cancels_queued_tasks(tmp_path, monkeypatch, capsys):
             super().shutdown(wait=wait)
 
     cascade = pipeline.cascade_solve
-    calls = []
+    calls, truncations = [], []
 
     def held(forms_list, which, *args, **kwargs):
         calls.append(which)
@@ -198,18 +198,23 @@ def test_main_failure_cancels_queued_tasks(tmp_path, monkeypatch, capsys):
         return cascade(forms_list, which, *args, **kwargs)
 
     assemble = femforms.assemble
-    assembled = []
 
-    def assemble_once(mesh, material):
-        if assembled:
+    def failing_on_caller(mesh, material):
+        if not threading.current_thread().name.startswith(WORKER):
             assert started.wait(timeout=60)
             raise DomainError("injected assembly failure")
-        assembled.append(mesh)
         return assemble(mesh, material)
+
+    truncation = sa.truncation_from_forms
+
+    def spied(*args, **kwargs):
+        truncations.append(args[1])
+        return truncation(*args, **kwargs)
 
     monkeypatch.setattr(sa, "ThreadPoolExecutor", Gated)
     monkeypatch.setattr(pipeline, "cascade_solve", held)
-    monkeypatch.setattr(femforms, "assemble", assemble_once)
+    monkeypatch.setattr(femforms, "assemble", failing_on_caller)
+    monkeypatch.setattr(sa, "truncation_from_forms", spied)
     _cpus(monkeypatch, 2)
     threads = threading.active_count()
     p = _write(tmp_path / "cfg.json", _cfg(tmp_path / "out"))
@@ -217,7 +222,33 @@ def test_main_failure_cancels_queued_tasks(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ("errors.DomainError: injected "
                                        "assembly failure\n")
     assert calls == [sa.DELTA]
+    assert truncations == []
     assert threading.active_count() == threads
+
+
+def test_finest_delta_does_not_wait_for_the_coarse_delta_prime(tmp_path,
+                                                               monkeypatch):
+    # the worker holds its delta-prime cascade until the calling thread
+    # starts the finest delta solve; a schedule that puts that solve after
+    # the coarse delta-prime task waits out the timeout instead
+    entered = threading.Event()
+    waits = []
+    cascade = pipeline.cascade_solve
+
+    def spied(forms_list, which, *args, **kwargs):
+        on_worker = threading.current_thread().name.startswith(WORKER)
+        if which == sa.DELTA and not on_worker:
+            entered.set()
+        if which == sa.DELTA_PRIME and on_worker:
+            waits.append(entered.wait(timeout=5))
+        return cascade(forms_list, which, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "cascade_solve", spied)
+    _cpus(monkeypatch, 2)
+    p = _write(tmp_path / "cfg.json", _cfg(tmp_path / "out"))
+    assert cli.main(["solve", "--config", p]) in (
+        cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
+    assert waits == [True]
 
 
 def test_sweep_points_keep_one_thread_each(tmp_path, monkeypatch):
@@ -238,8 +269,8 @@ def test_sweep_points_keep_one_thread_each(tmp_path, monkeypatch):
             cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
         sweeps.append((out / "sweep.csv").read_text())
         on_worker = [name for name, _, _ in calls if name.startswith(WORKER)]
-        assert len(calls) == 12
-        assert len(on_worker) == (0 if jobs == "2" else 8)
+        assert len(calls) == 8
+        assert len(on_worker) == (0 if jobs == "2" else 4)
     assert sweeps[0] == sweeps[1]
 
 

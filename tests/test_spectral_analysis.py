@@ -387,6 +387,28 @@ def test_tight_pole_above_the_spectrum_falls_back(monkeypatch, broken_levels):
         assert np.abs(a.values - b.values).max() <= 1e-12
 
 
+def test_solve_pencil_keeps_the_pole_above_without_a_shift(monkeypatch,
+                                                           broken_levels):
+    # with no shift below the spectrum, the pole above still counts and
+    # drives the search: one factorization, at that pole
+    res0 = pipeline.cascade_solve(broken_levels[:1], sa.DELTA, 2)[0]
+    sigma = pipeline.pole_above(res0.values)
+    A, M = broken_levels[1].matrices(sa.DELTA)
+    factored = []
+    splu = eigensolver.splu
+
+    def spied(S, *args, **kwargs):
+        factored.append(S)
+        return splu(S, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolver, "splu", spied)
+    res = pipeline.solve_pencil(A, M, 2, above=sigma)
+    assert len(factored) == 1
+    assert abs(factored[0] - (A - sigma * M)).max() == 0.0
+    assert res.shift_used == sigma
+    assert res.values[-1] < sigma
+
+
 @settings(max_examples=12)
 @given(data=st.data(), kind=st.sampled_from(["broken_line", "circle"]),
        k=st.integers(2, 5))
