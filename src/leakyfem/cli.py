@@ -321,7 +321,7 @@ def cmd_converge(args, cfg, out, formats):
     geom = build_geometry(_require(cfg, "geometry", "config"))
     mat = build_material(_require(cfg, "material", "config"), geom)
     s = _run_settings(cfg)
-    _, _, res_d, res_p = sa.solve_levels(
+    _, _, res_d, res_p, _ = sa.solve_levels(
         geom, mat, s["h"], s["refinements"], s["halfwidths"], s["k"],
         tol=s["tol"], seed=s["seed"], second_thread=_second_thread())
     lines = ["operator,n,order,limit,error,flagged"]

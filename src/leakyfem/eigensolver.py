@@ -19,15 +19,17 @@ Every matrix is factored in the dof order it comes in (SuperLU's
 NATURAL column order): femforms numbers the dofs in nested-dissection
 order, which keeps the fill small.
 
-Each factorization certifies one fact:
+smallest_eigenpairs() solves at the one pole it is given and raises
+SolverError when that pole fails; falling back to another pole is the
+caller's choice (pipeline.solve_pencil).  Each factorization certifies
+one fact:
   a pole above     m = N(sigma) eigenvalues lie below a pole sigma known
                    to lie above the k-th (on a refined level, from the
                    coarser one); the same factor drives ARPACK on the
                    most negative shifted values 1/(lambda - sigma), which
                    belong to exactly those m, and the list is certified
                    once it holds m values below sigma.  A refused pole,
-                   m < k, m > 2k + 4 or an exhausted search fall back to
-                   the pole below;
+                   m < k, m > 2k + 4 or an exhausted search is an error;
   lower_shift      no negative pivot at each level of the pole search;
                    it hands Lanczos the factor at the pole it returns,
                    so every eigenvalue ARPACK can return lies above it;
@@ -51,7 +53,7 @@ from scipy.linalg import cholesky, eigh, null_space, solve_triangular
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from .errors import SolverError
+from .errors import DomainError, SolverError
 
 DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-9
@@ -80,7 +82,7 @@ def _factor(A, M, mu):
     and U and keep them with the factor: on the finest `borderline`
     pencil (8.9M nonzeros in L+U) they add 68 MB to the factor's 91 MB.
     So two finest-level factors alive at once cost about 320 MB, and no
-    caller lets them overlap (spectral_analysis._solve_levels).
+    caller lets them overlap (spectral_analysis.solve_levels).
     """
     try:
         lu = splu((A - mu * M).tocsc(), permc_spec="NATURAL",
@@ -212,15 +214,16 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     A, M : sparse symmetric matrices, M positive definite.
     k : number of eigenpairs (clamped to the pencil size).
     tol : residual tolerance for ||A x - lambda M x||_2 / ||x||_M.
-    shift : optional shift-invert pole below the spectrum; when omitted a
-        certified one is found and tightened automatically.
+    shift : optional guessed pole below the spectrum, refused when it is
+        not below it.
     seed : start-vector seed (results are deterministic given the seed).
     above : optional pole expected above the k-th eigenvalue.  Its one
         factorization counts the m eigenvalues below it and drives the
-        search for them (_search_above); when it is refused, m < k,
-        m > 2k + 4 or the search is exhausted, the pole below is used as
-        if above were not given.
+        search for them (_search_above); a refused pole, m < k,
+        m > 2k + 4 or an exhausted search raise SolverError.
 
+    At most one of shift and above is given (DomainError otherwise); with
+    neither, a certified pole below is found and tightened (lower_shift).
     After a pole below, the list is certified by one inertia count just
     above its top value (_top_count): it must hold every eigenvalue below
     that level.  A count above the list size restarts Lanczos, deflated
@@ -236,14 +239,13 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         raise SolverError("need k >= 1")
     if tol <= 0:
         raise SolverError("need tol > 0")
+    if shift is not None and above is not None:
+        raise DomainError("give a pole below (shift) or above, not both")
     k = min(k, A.shape[0])
     A = A.tocsr()
     M = M.tocsr()
     if above is not None:
-        try:
-            return _search_above(A, M, k, tol, float(above), seed)
-        except SolverError:
-            pass
+        return _search_above(A, M, k, tol, float(above), seed)
     if shift is None:
         sigma, lu = lower_shift(A, M)
     else:

@@ -5,19 +5,12 @@ eigenvalues decrease level by level (min-max) and the coarser level gives
 the shift-invert pole for the next one.  From the second level on, the
 pole sits just above the coarser level's k-th eigenvalue (pole_above),
 and so above the k-th of the finer level: its one factorization both
-counts the eigenvalues below it and drives ARPACK.
-
-Where that pole is refused or counts too many eigenvalues, the solver
-falls back to a pole below the spectrum.  On the second level that pole
-comes from one level; from the third level on it is predicted from two
-levels: the P1 error is O(h^2), so each refinement shrinks the drop of
-lambda_1 by about 4, and twice the last drop below the last lambda_1 is
-expected to be below the new one once that regime holds.  A guessed pole
-that is not below the spectrum is refused when it is factored (a
-negative pivot), and solve_pencil falls back to the certified shift
-search.  The first level has no coarser one and always takes that search.
-cascade_solve can resume from the results of the levels already solved,
-so a caller may solve the finest level apart from the coarser ones.
+counts the eigenvalues below it and drives ARPACK.  The first level has
+no coarser one and takes the certified shift search.  solve_pencil is
+the one place that falls back: a guessed pole that fails is followed by
+that search.  cascade_solve can resume from the results of the levels
+already solved, so a caller may solve the finest level apart from the
+coarser ones.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
@@ -32,7 +25,7 @@ import numpy as np
 
 from . import femforms, meshing
 from .eigensolver import DEFAULT_SEED, DEFAULT_TOL, smallest_eigenpairs
-from .errors import SolverError
+from .errors import DomainError, SolverError
 
 
 def mesh_levels(geometry, h, refinements, inner_rings=None):
@@ -45,26 +38,6 @@ def mesh_levels(geometry, h, refinements, inner_rings=None):
 
 def assemble_levels(meshes, material):
     return [femforms.assemble(m, material) for m in meshes]
-
-
-def shift_from_previous(values):
-    """Pole for the next (finer) level from one level: below the new
-    spectrum when the ground state drops by less than max(1, |lambda_1|/2)."""
-    lam1 = float(values[0])
-    return lam1 - max(1.0, 0.5 * abs(lam1))
-
-
-def cascade_shift(results):
-    """Pole for the next level from the results of the levels solved so
-    far (coarse to fine): none on the first level, shift_from_previous on
-    the second, and from the third on the drop of lambda_1 over the last
-    two levels, doubled, below the last lambda_1."""
-    if not results:
-        return None
-    if len(results) < 2:
-        return shift_from_previous(results[-1].values)
-    lam0, lam1 = (float(r.values[0]) for r in results[-2:])
-    return lam1 - 2.0 * abs(lam0 - lam1)
 
 
 def pole_above(values):
@@ -83,23 +56,24 @@ def truncation_shift(values):
 
 def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None,
                  above=None):
-    """smallest_eigenpairs at a guessed shift (and pole above), falling
-    back to the certified shift search when the guess fails.  A pole that
-    is not below the spectrum costs one refused factorization."""
-    if shift is not None:
+    """smallest_eigenpairs at a guessed pole, below the spectrum (shift)
+    or above the k-th eigenvalue (above), falling back to the certified
+    shift search when that pole fails.  A failed pole costs its one
+    refused factorization, or the search it drove."""
+    if shift is not None or above is not None:
         try:
             return smallest_eigenpairs(A, M, k, tol=tol, shift=shift,
                                        seed=seed, above=above)
-        except SolverError:  # the pole above was tried before the shift
-            above = None
-    return smallest_eigenpairs(A, M, k, tol=tol, seed=seed, above=above)
+        except SolverError:
+            pass
+    return smallest_eigenpairs(A, M, k, tol=tol, seed=seed)
 
 
 def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
                   results=None):
     """Solve one operator on every refinement level: above the coarser
-    level's list (pole_above), with the pole of cascade_shift below the
-    spectrum as the fallback.
+    level's list (pole_above), with the certified shift search on the
+    first level and as the fallback.
 
     results, when given, holds the results of the coarser levels already
     solved, coarse to fine: the cascade resumes after them, with
@@ -110,7 +84,6 @@ def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
         A, M = forms.matrices(which)
         above = pole_above(results[-1].values) if results else None
         results.append(solve_pencil(A, M, k, tol=tol, seed=seed,
-                                    shift=cascade_shift(results),
                                     above=above))
     return results
 
@@ -137,9 +110,13 @@ def interior_dofs(forms, which, halfwidth):
 
 def solve_restricted(forms, which, halfwidth, k, tol=DEFAULT_TOL,
                      seed=DEFAULT_SEED, shift=None):
-    """Solve the pencil restricted to dofs strictly inside an inner box."""
+    """Solve the pencil restricted to dofs strictly inside an inner box.
+    DomainError when the box holds no dof."""
     A, M = forms.matrices(which)
     keep = interior_dofs(forms, which, halfwidth)
+    if not keep.size:
+        raise DomainError(f"the box of halfwidth {halfwidth} holds no dof "
+                          "of this mesh")
     Ar = A[keep][:, keep].tocsr()
     Mr = M[keep][:, keep].tocsr()
     return solve_pencil(Ar, Mr, k, tol=tol, seed=seed, shift=shift), keep

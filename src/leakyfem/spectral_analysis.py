@@ -8,13 +8,12 @@ studies that are monotone by construction, `solve_levels`, the cascaded
 solves of both operators on a nested mesh family, and `verify`, the
 whole verification run for one geometry and material.
 
-Given a second thread, `solve_levels` and `verify` run three tasks on a
-worker (_solve_levels): the coarser levels' assembly and delta cascade,
-their delta-prime cascade, and a coarser level's truncation studies.
-Meanwhile the calling thread assembles the finest level and solves it,
-one operator after the other, because a finest-level factor is a run's
-largest allocation (eigensolver._factor).  Results and errors are those
-of a serial run.
+Given a second thread, `solve_levels` runs three tasks on a worker: the
+coarser levels' assembly and delta cascade, their delta-prime cascade,
+and a coarser level's truncation studies.  Meanwhile the calling thread
+assembles the finest level and solves it, one operator after the other,
+because a finest-level factor is a run's largest allocation
+(eigensolver._factor).  Results and errors are those of a serial run.
 
 The comparison verdicts are deliberately conservative: a pair is graded
 "strict" only when the observed gap exceeds the combined numerical error
@@ -41,6 +40,7 @@ DELTA_PRIME = femforms.DELTA_PRIME
 
 CLUSTER_TOL = 1e-8
 HARD_TOL = 1e-9
+STAB_TOL = 1e-6   # a truncation delta below it counts as stabilized
 
 
 @dataclass(frozen=True)
@@ -326,8 +326,7 @@ def _box_halfwidths(geometry: InterfaceGeometry, halfwidths):
 def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
                      halfwidths, h: float, which: str, refinements: int = 1,
                      k: int = 4, tol: float = DEFAULT_TOL,
-                     seed: int = DEFAULT_SEED,
-                     stab_tol: float = 1e-6) -> TruncationStudy:
+                     seed: int = DEFAULT_SEED) -> TruncationStudy:
     """Eigenvalues for a family of growing boxes, nested by construction.
 
     The geometry must be built at the largest halfwidth; the smaller
@@ -342,12 +341,11 @@ def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
                                   inner_rings=halfwidths[:-1])
     forms = femforms.assemble(meshes[-1], material)
     return truncation_from_forms(forms, which, halfwidths, k, tol=tol,
-                                 seed=seed, stab_tol=stab_tol)
+                                 seed=seed)
 
 
 def truncation_from_forms(forms, which: str, halfwidths, k: int,
                           tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                          stab_tol: float = 1e-6,
                           full: EigenResult | None = None) -> TruncationStudy:
     """Truncation study on an already assembled master mesh whose inner
     boxes were constrained in as rings.
@@ -378,10 +376,10 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
     kk = min(v.size for v in values)
     vals = np.asarray([v[:kk] for v in values])
     deltas = np.abs(np.diff(vals, axis=0))
-    stabilized = deltas[-1] < stab_tol if deltas.size else np.zeros(kk, bool)
+    stabilized = deltas[-1] < STAB_TOL if deltas.size else np.zeros(kk, bool)
     return TruncationStudy(operator=which, halfwidths=tuple(halfwidths),
                            values=vals, deltas=deltas, stabilized=stabilized,
-                           tolerance=stab_tol)
+                           tolerance=STAB_TOL)
 
 
 @dataclass(frozen=True)
@@ -412,25 +410,35 @@ class _Inline:
         pass
 
 
-def _solve_levels(geometry, material, h, refinements, halfwidths, k, tol,
-                  seed, t_idx=None, second_thread=False):
-    """solve_levels, plus the truncation studies on level t_idx when it
-    is given, with a worker thread (_Inline without second_thread).
+def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
+                 h: float, refinements: int, halfwidths=None, k: int = 4,
+                 tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
+                 t_idx: int | None = None, second_thread: bool = False):
+    """Both operators on a coarse mesh and `refinements` nested red
+    refinements of it, with the inner boxes constrained in as rings when
+    box halfwidths are given, and the truncation studies on level t_idx
+    when it is given (with the halfwidths).  DomainError when k exceeds the coarsest level's
+    continuous dofs, since every level must hold k values for the pairs
+    to be graded against a per-pair budget.
 
-    The worker runs three tasks, each on the result of the one before:
-    assemble the coarser levels and cascade delta over them, cascade
-    delta-prime over those forms, and run the truncation studies of level
-    t_idx when it is below the finest.  Meanwhile the calling thread
-    assembles the finest level, solves its delta pencil after the first
-    task and its delta-prime pencil after the second, and then runs the
-    truncation studies when t_idx is the finest level.  So at most one
-    finest-level factor is alive at a time, every solve gets the inputs
-    of a serial run, and errors surface in the order the calling thread
-    waits: coarse delta, finest delta, coarse delta-prime, finest
-    delta-prime, truncation.  Tasks not started by the end are cancelled.
+    A worker (a second thread with second_thread, else _Inline) runs
+    three tasks, each on the result of the one before: assemble the
+    coarser levels and cascade delta over them, cascade delta-prime over
+    those forms, and run the truncation studies of level t_idx when it is
+    below the finest.  Meanwhile the calling thread assembles the finest
+    level, solves its delta pencil after the first task and its
+    delta-prime pencil after the second, and then runs the truncation
+    studies when t_idx is the finest level.  So at most one finest-level
+    factor is alive at a time, every solve gets the inputs of a serial
+    run, and errors surface in the order the calling thread waits: coarse
+    delta, finest delta, coarse delta-prime, finest delta-prime,
+    truncation.  Tasks not started by the end are cancelled.  The results
+    do not depend on second_thread.
 
     Returns (halfwidths, forms, delta results, delta-prime results,
-    (delta, delta-prime) TruncationStudy or ()).
+    studies): the halfwidths sorted and deduplicated (None without
+    boxes), one form and one result per level, coarse to fine, and the
+    (delta, delta-prime) TruncationStudy, or () without t_idx.
     """
     if halfwidths is not None:
         halfwidths = _box_halfwidths(geometry, halfwidths)
@@ -481,28 +489,6 @@ def _solve_levels(geometry, material, h, refinements, halfwidths, k, tol,
     return halfwidths, forms, res_d, res_p, trunc
 
 
-def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
-                 h: float, refinements: int, halfwidths=None, k: int = 4,
-                 tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                 second_thread: bool = False):
-    """Both operators on a coarse mesh and `refinements` nested red
-    refinements of it, with the inner boxes constrained in as rings when
-    box halfwidths are given.
-
-    Returns (halfwidths, forms, delta results, delta-prime results), the
-    halfwidths sorted and deduplicated (None without boxes) and one form
-    and one result per level, coarse to fine.  DomainError when k exceeds
-    the coarsest level's continuous dofs, since every level must hold k
-    values for the pairs to be graded against a per-pair budget.
-
-    second_thread assembles and solves the coarser levels on a second
-    thread while the finest is assembled and solved (_solve_levels); the
-    results do not depend on it.
-    """
-    return _solve_levels(geometry, material, h, refinements, halfwidths, k,
-                         tol, seed, second_thread=second_thread)[:4]
-
-
 def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
            refinements: int = 2, halfwidths=None,
            truncation_refinements: int | None = None, k: int = 4,
@@ -516,7 +502,7 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
     errors + final truncation deltas + 20 tol, with a counting table
     unless a pair is violated.  second_thread runs the coarser levels
     and a coarser level's truncation studies on a second thread
-    (_solve_levels); the run does not depend on it.  The hypothesis
+    (solve_levels); the run does not depend on it.  The hypothesis
     beta <= 4/alpha is the caller's to check.
     """
     thr_d = essential_threshold(geometry, material, DELTA)
@@ -528,7 +514,7 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
         if not 0 <= t_idx <= refinements:
             raise DomainError(f"truncation level {t_idx} is not one of the "
                               f"levels 0..{refinements}")
-    halfwidths, forms, res_d, res_p, trunc = _solve_levels(
+    halfwidths, forms, res_d, res_p, trunc = solve_levels(
         geometry, material, h, refinements, halfwidths, k, tol, seed, t_idx,
         second_thread)
 

@@ -220,6 +220,33 @@ def test_k_above_the_coarsest_dofs_rejected(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+def test_truncation_box_without_a_dof_is_an_error(tmp_path, capsys):
+    # no node of the coarsest circle mesh lies inside the 0.2 box, so its
+    # restricted pencil is empty: an error before any factorization, which
+    # fails the solve and each sweep point
+    cfg = _base_cfg(tmp_path / "out")
+    cfg["geometry"] = {"kind": "circle", "radius": 1.0, "halfwidth": 3.0,
+                       "n_chords": 16}
+    cfg["material"] = {"alpha": 5.0, "beta": 0.8}
+    cfg["discretization"] = {"h": 0.7, "refinements": 2,
+                             "box_halfwidths": [0.2, 3.0],
+                             "truncation_refinements": 0}
+    cfg["solver"]["k"] = 2
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("errors.DomainError: the box of halfwidth 0.2 ")
+    assert err.count("\n") == 1
+    cfg["sweep"] = {"parameter": "alpha", "values": [4.0, 5.0]}
+    p = _write(tmp_path / "sweep.json", cfg)
+    assert cli.main(["sweep", "--config", p, "--jobs", "2"]) == cli.EXIT_ERROR
+    with open(tmp_path / "out" / "sweep.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["alpha"] for r in rows] == ["4.0", "5.0"]
+    assert all(r["status"].startswith("DomainError: the box of halfwidth 0.2")
+               for r in rows)
+
+
 def test_sweep_rejects_short_value_list(tmp_path):
     cfg = _base_cfg(tmp_path / "out")
     cfg["sweep"] = {"parameter": "alpha", "values": [2.0]}

@@ -6,8 +6,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from leakyfem import eigensolver as es
-from leakyfem import femforms, geometry as geo, meshing
-from leakyfem.errors import SolverError
+from leakyfem import femforms, geometry as geo, meshing, pipeline
+from leakyfem.errors import DomainError, SolverError
 
 
 def _identity(n):
@@ -373,10 +373,14 @@ def test_pole_above_counts_and_drives_the_search(monkeypatch,
         return factor(A, M, mu)
 
     monkeypatch.setattr(es, "_factor", recorded)
-    r = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0, above=above)
+    r = es.smallest_eigenpairs(A, M, 3, tol=1e-10, above=above)
     assert poles == [above]
     assert r.shift_used == above
     assert np.abs(r.values - today.values).max() <= 1e-9
+    # one pole per solve: a pole below and a pole above are refused
+    with pytest.raises(DomainError, match="not both"):
+        es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0, above=above)
+    assert poles == [above]
 
 
 @pytest.mark.parametrize("fault", ["refused", "too_few", "too_many",
@@ -385,7 +389,8 @@ def test_pole_above_falls_back_to_the_pole_below(monkeypatch,
                                                  assembled_broken_line,
                                                  fault):
     # a refused pole above, m < k, m > 2k + 4 or an exhausted ARPACK run
-    # leave the list to the pole below, which gives today's values
+    # is an error of the solve at that pole; solve_pencil then takes the
+    # certified shift search, which gives today's values
     A, M = assembled_broken_line.matrices(femforms.DELTA_PRIME)
     today = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0)
     lam = today.values
@@ -413,8 +418,10 @@ def test_pole_above_falls_back_to_the_pole_below(monkeypatch,
             return eigsh(A, k, **kw)
 
         monkeypatch.setattr(es, "eigsh", stalled)
-    r = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0, above=above)
-    assert r.shift_used == -8.0
+    with pytest.raises(SolverError):
+        es.smallest_eigenpairs(A, M, 3, tol=1e-10, above=above)
+    r = pipeline.solve_pencil(A, M, 3, tol=1e-10, above=above)
+    assert r.shift_used == es.lower_shift(A, M)[0]
     assert np.abs(r.values - lam).max() <= 1e-12
 
 

@@ -3,10 +3,10 @@
 With two CPUs a run assembles and solves the coarser levels, and runs a
 coarser level's truncation studies, as three tasks on a worker thread,
 beside the finest level's assembly and solves on the calling thread
-(spectral_analysis._solve_levels).  Its
-outputs must not depend on that, at most one finest-level factor may be
-alive at a time, and a failure on either thread must end the run as a
-serial run would, with no thread left behind.
+(spectral_analysis.solve_levels).  Its outputs must not depend on that,
+at most one finest-level factor may be alive at a time, and a failure on
+either thread must end the run as a serial run would, with no thread
+left behind.
 """
 
 import json

@@ -330,11 +330,12 @@ def broken_levels():
 
 
 def _factored_poles(monkeypatch):
+    """(pencil size, pole) of every factorization."""
     poles = []
     factor = eigensolver._factor
 
     def recorded(A, M, mu):
-        poles.append(mu)
+        poles.append((A.shape[0], mu))
         return factor(A, M, mu)
 
     monkeypatch.setattr(eigensolver, "_factor", recorded)
@@ -343,47 +344,28 @@ def _factored_poles(monkeypatch):
 
 def test_cascade_poles_from_two_levels(monkeypatch, broken_levels):
     # from level 1 on, the pole lies just above the coarser level's list,
-    # and the pole below the spectrum is never factored
+    # and it is the only pole that level factors
     poles = _factored_poles(monkeypatch)
     res = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
     for lev in (1, 2):
         pole = pipeline.pole_above(res[lev - 1].values)
         assert res[lev].shift_used == pole
         assert res[lev].values[-1] < pole
-    below = [pipeline.cascade_shift(res[:lev]) for lev in (1, 2)]
-    assert not set(below) & set(poles)
-    # without a pole above, the poles below come from one and two levels
-    monkeypatch.setattr(pipeline, "pole_above", lambda values: None)
-    res = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
-    lam = [float(r.values[0]) for r in res]
-    assert res[1].shift_used == pipeline.shift_from_previous(res[0].values)
-    assert res[2].shift_used == lam[1] - 2.0 * abs(lam[0] - lam[1])
-    assert res[2].shift_used < lam[2]
+        n = broken_levels[lev].matrices(sa.DELTA)[0].shape[0]
+        assert [mu for size, mu in poles if size == n] == [pole]
 
 
 def test_tight_pole_above_the_spectrum_falls_back(monkeypatch, broken_levels):
-    # a pole above the list that counts more than 2k + 4 eigenvalues falls
-    # back to the pole below; one above lambda_1 is refused when it is
-    # factored, and the certified shift search gives the same values
+    # a pole above the list that counts more than 2k + 4 eigenvalues
+    # fails, and the level falls back to the certified shift search, which
+    # gives the same values
     tight = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
-    pole = pipeline.cascade_shift
-
-    def above(results):
-        if len(results) < 2:
-            return pole(results)
-        return float(results[-1].values[0]) + 0.1
-
-    monkeypatch.setattr(pipeline, "cascade_shift", above)
-    same = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
-    for a, b in zip(same, tight):
-        assert np.array_equal(a.values, b.values)
-        assert a.shift_used == b.shift_used
     monkeypatch.setattr(pipeline, "pole_above", lambda values: 50.0)
     forced = pipeline.cascade_solve(broken_levels, sa.DELTA, 2)
-    assert forced[1].shift_used == pole(forced[:1])
-    assert forced[2].shift_used < float(forced[2].values[0])
-    assert forced[2].shift_used != above(forced[:2])
-    for a, b in zip(forced, tight):
+    for forms, a, b in zip(broken_levels, forced, tight):
+        A, M = forms.matrices(sa.DELTA)
+        assert a.shift_used == eigensolver.lower_shift(A, M)[0]
+        assert a.shift_used < float(a.values[0])
         assert np.abs(a.values - b.values).max() <= 1e-12
 
 
