@@ -212,7 +212,8 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     Parameters
     ----------
     A, M : sparse symmetric matrices, M positive definite.
-    k : number of eigenpairs (clamped to the pencil size).
+    k : number of eigenpairs (clamped to the pencil size, which must not
+        be 0: an empty pencil raises DomainError).
     tol : residual tolerance for ||A x - lambda M x||_2 / ||x||_M.
     shift : optional guessed pole below the spectrum, refused when it is
         not below it.
@@ -241,6 +242,8 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         raise SolverError("need tol > 0")
     if shift is not None and above is not None:
         raise DomainError("give a pole below (shift) or above, not both")
+    if not A.shape[0]:
+        raise DomainError("the pencil is empty: it has no dof")
     k = min(k, A.shape[0])
     A = A.tocsr()
     M = M.tocsr()

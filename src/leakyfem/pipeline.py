@@ -25,7 +25,7 @@ import numpy as np
 
 from . import femforms, meshing
 from .eigensolver import DEFAULT_SEED, DEFAULT_TOL, smallest_eigenpairs
-from .errors import DomainError, SolverError
+from .errors import SolverError
 
 
 def mesh_levels(geometry, h, refinements, inner_rings=None):
@@ -88,18 +88,22 @@ def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
     return results
 
 
+def box_nodes(mesh, halfwidth):
+    """Mask of the nodes strictly inside the (inner) box of the given
+    halfwidth."""
+    tol = 1e-12 * max(np.abs(mesh.nodes).max(), 1.0)
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    if not mesh.radial_weight:
+        x = np.abs(x)
+    return (x < halfwidth - tol) & (np.abs(y) < halfwidth - tol)
+
+
 def interior_dofs(forms, which, halfwidth):
     """Dofs whose node lies strictly inside the (inner) box of the given
     halfwidth; pinning the rest reproduces the smaller-box problem exactly
     when that box was constrained into the mesh as a ring."""
-    mesh = forms.mesh
     dofmap = forms.continuous if which == femforms.DELTA else forms.broken
-    tol = 1e-12 * max(np.abs(mesh.nodes).max(), 1.0)
-    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    if mesh.radial_weight:
-        inside = (x < halfwidth - tol) & (np.abs(y) < halfwidth - tol)
-    else:
-        inside = (np.abs(x) < halfwidth - tol) & (np.abs(y) < halfwidth - tol)
+    inside = box_nodes(forms.mesh, halfwidth)
     keep = []
     for nd in (dofmap.node_dof1, dofmap.node_dof2):
         ok = (nd >= 0) & inside
@@ -110,13 +114,9 @@ def interior_dofs(forms, which, halfwidth):
 
 def solve_restricted(forms, which, halfwidth, k, tol=DEFAULT_TOL,
                      seed=DEFAULT_SEED, shift=None):
-    """Solve the pencil restricted to dofs strictly inside an inner box.
-    DomainError when the box holds no dof."""
+    """Solve the pencil restricted to dofs strictly inside an inner box."""
     A, M = forms.matrices(which)
     keep = interior_dofs(forms, which, halfwidth)
-    if not keep.size:
-        raise DomainError(f"the box of halfwidth {halfwidth} holds no dof "
-                          "of this mesh")
     Ar = A[keep][:, keep].tocsr()
     Mr = M[keep][:, keep].tocsr()
     return solve_pencil(Ar, Mr, k, tol=tol, seed=seed, shift=shift), keep

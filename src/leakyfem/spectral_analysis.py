@@ -323,6 +323,18 @@ def _box_halfwidths(geometry: InterfaceGeometry, halfwidths):
     return halfwidths
 
 
+def _check_boxes(mesh, halfwidths, k):
+    """DomainError when the smallest box holds fewer than k nodes of the
+    mesh.  A box's continuous pencil has one dof per node inside it and
+    its broken pencil at least as many, so past this check every box of
+    the study yields k values and every graded pair gets its delta."""
+    L = halfwidths[0]
+    n = int(pipeline.box_nodes(mesh, L).sum())
+    if n < k:
+        raise DomainError(f"the box of halfwidth {L} holds {n} nodes of the "
+                          f"truncation level's mesh, fewer than k = {k}")
+
+
 def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
                      halfwidths, h: float, which: str, refinements: int = 1,
                      k: int = 4, tol: float = DEFAULT_TOL,
@@ -335,10 +347,13 @@ def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
     genuinely nested and the eigenvalues decrease monotonically in L.
     Bound states below the threshold decay exponentially, so successive
     deltas shrink geometrically once the box dominates the decay length.
+    DomainError, before assembly, when the smallest box holds fewer than
+    k nodes.
     """
     halfwidths = _box_halfwidths(geometry, halfwidths)
     meshes = pipeline.mesh_levels(geometry, h, refinements,
                                   inner_rings=halfwidths[:-1])
+    _check_boxes(meshes[-1], halfwidths, k)
     forms = femforms.assemble(meshes[-1], material)
     return truncation_from_forms(forms, which, halfwidths, k, tol=tol,
                                  seed=seed)
@@ -357,7 +372,8 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
     without full of the largest box, which is then solved first with the
     certified shift search.  By min-max the eigenvalues of a restricted
     pencil are no smaller than the full pencil's, so that pole is below
-    every box's spectrum.
+    every box's spectrum.  Each box must hold at least k nodes
+    (_check_boxes), so every row holds k values.
     """
     halfwidths = sorted(set(float(L) for L in halfwidths))
     ndof = forms.matrices(which)[0].shape[0]
@@ -373,10 +389,10 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
         values.insert(0, res.values[:k])
         if shift is None:
             shift = pipeline.truncation_shift(res.values)
-    kk = min(v.size for v in values)
-    vals = np.asarray([v[:kk] for v in values])
+    vals = np.asarray(values)
     deltas = np.abs(np.diff(vals, axis=0))
-    stabilized = deltas[-1] < STAB_TOL if deltas.size else np.zeros(kk, bool)
+    stabilized = (deltas[-1] < STAB_TOL if deltas.size
+                  else np.zeros(vals.shape[1], bool))
     return TruncationStudy(operator=which, halfwidths=tuple(halfwidths),
                            values=vals, deltas=deltas, stabilized=stabilized,
                            tolerance=STAB_TOL)
@@ -417,9 +433,11 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     """Both operators on a coarse mesh and `refinements` nested red
     refinements of it, with the inner boxes constrained in as rings when
     box halfwidths are given, and the truncation studies on level t_idx
-    when it is given (with the halfwidths).  DomainError when k exceeds the coarsest level's
-    continuous dofs, since every level must hold k values for the pairs
-    to be graded against a per-pair budget.
+    when it is given (with the halfwidths).  DomainError, before any
+    assembly, when k exceeds the coarsest level's continuous dofs or the
+    smallest box holds fewer than k nodes of level t_idx, since every
+    level and every box must hold k values for the pairs to be graded
+    against a per-pair budget.
 
     A worker (a second thread with second_thread, else _Inline) runs
     three tasks, each on the result of the one before: assemble the
@@ -448,6 +466,8 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     if k > ndof:
         raise DomainError(f"k = {k} exceeds the {ndof} continuous dofs of "
                           "the coarsest level")
+    if t_idx is not None:
+        _check_boxes(meshes[t_idx], halfwidths, k)
 
     def cascade(forms, which, results=None):
         return pipeline.cascade_solve(forms, which, k, tol=tol, seed=seed,
@@ -528,11 +548,11 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
 
     conv_d = convergence_study(res_d)
     conv_p = convergence_study(res_p)
-    kk = min(len(conv_d["error"]), len(conv_p["error"]), k)
-    budget = np.asarray(conv_d["error"][:kk]) + np.asarray(conv_p["error"][:kk])
+    # every level and every box holds k values (solve_levels), so each
+    # term has one entry per pair
+    budget = np.asarray(conv_d["error"]) + np.asarray(conv_p["error"])
     for study in trunc:  # two or more boxes, so at least one row of deltas
-        deltas = study.deltas[-1][:kk]
-        budget[:deltas.size] += deltas
+        budget += study.deltas[-1]
     budget += 20.0 * tol
 
     try:

@@ -222,7 +222,7 @@ def test_k_above_the_coarsest_dofs_rejected(tmp_path, capsys, monkeypatch,
 
 def test_truncation_box_without_a_dof_is_an_error(tmp_path, capsys):
     # no node of the coarsest circle mesh lies inside the 0.2 box, so its
-    # restricted pencil is empty: an error before any factorization, which
+    # restricted pencil is empty: an error before any assembly, which
     # fails the solve and each sweep point
     cfg = _base_cfg(tmp_path / "out")
     cfg["geometry"] = {"kind": "circle", "radius": 1.0, "halfwidth": 3.0,
@@ -245,6 +245,22 @@ def test_truncation_box_without_a_dof_is_an_error(tmp_path, capsys):
     assert [r["alpha"] for r in rows] == ["4.0", "5.0"]
     assert all(r["status"].startswith("DomainError: the box of halfwidth 0.2")
                for r in rows)
+    # the 0.3 box holds one node, so its studies could give pairs 2-5 no
+    # truncation delta; the 0.5 box holds k = 5 and grades every pair
+    del cfg["sweep"]
+    cfg["solver"]["k"] = 5
+    cfg["discretization"]["box_halfwidths"] = [0.3, 3.0]
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == ("errors.DomainError: the box of halfwidth 0.3 holds 1 "
+                   "nodes of the truncation level's mesh, fewer than k = 5\n")
+    cfg["discretization"]["box_halfwidths"] = [0.5, 3.0]
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_INDISTINGUISHABLE
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [len(t["deltas"][-1]) for t in report["truncation"].values()] \
+        == [5, 5]
 
 
 def test_sweep_rejects_short_value_list(tmp_path):

@@ -175,6 +175,18 @@ def test_bad_inputs():
         es.smallest_eigenpairs(A, _identity(2), 1, shift=1.5)  # not below
 
 
+@pytest.mark.parametrize("pole", [{}, {"shift": -1.0}, {"above": 1.0}])
+def test_empty_pencil_is_refused(monkeypatch, pole):
+    # a 0x0 pencil has nothing to solve: DomainError before any
+    # factorization, whatever the pole
+    factored = []
+    monkeypatch.setattr(es, "splu", lambda *a, **kw: factored.append(1))
+    empty = sp.csr_matrix((0, 0))
+    with pytest.raises(DomainError, match="empty"):
+        es.smallest_eigenpairs(empty, empty, 2, **pole)
+    assert not factored
+
+
 def test_missed_eigenvalue_below_the_top_is_recovered(monkeypatch):
     # a first sweep that skips 4 in diag(1, 4, 5, 7, 9) passes every
     # check between its values; the count above its top finds 3, not 2
