@@ -212,8 +212,7 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     Parameters
     ----------
     A, M : sparse symmetric matrices, M positive definite.
-    k : number of eigenpairs (clamped to the pencil size, which must not
-        be 0: an empty pencil raises DomainError).
+    k : number of eigenpairs (clamped to the pencil size, DomainError if 0).
     tol : residual tolerance for ||A x - lambda M x||_2 / ||x||_M.
     shift : optional guessed pole below the spectrum, refused when it is
         not below it.

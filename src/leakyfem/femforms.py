@@ -15,15 +15,16 @@ All integrals of products of linear basis functions are evaluated in
 closed form, including the radial weight r used on meridian meshes, so
 assembly is exact up to rounding.
 
-Each space's dofs are numbered in the geometric nested-dissection order
-of its pencil, which keeps the fill of every sparse factorization small,
-so the pencils are factored as they come and nothing downstream handles
+The dofs of both spaces are numbered once, before any matrix is
+scattered, by one nested-dissection order of the nodes (_numbered).  It
+keeps the fill of every sparse factorization small, so each pencil is
+assembled in the order it is factored in and nothing downstream handles
 orderings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +49,8 @@ class AssembledForms:
     embed_map        broken dof -> continuous dof realizing the inclusion
     sign_omega2      -1 on broken dofs resolved to the Omega2 side
 
-    The dofs of each space are numbered in nested-dissection order.
+    Both spaces are numbered by one nested-dissection order of the
+    nodes, fixed before assembly (_numbered).
     """
 
     mesh: Mesh
@@ -157,34 +159,30 @@ def _tri_geometry(mesh):
     return x, area, gx, gy
 
 
-def _local_stiffness(mesh):
-    x, area, gx, gy = _tri_geometry(mesh)
+def _local_stiffness(geom, radial_weight):
+    x, area, gx, gy = geom
     Ke = (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
     Ke *= area[:, None, None]
-    if mesh.radial_weight:
+    if radial_weight:
         Ke *= x.mean(axis=1)[:, None, None]  # int_T r = area * centroid radius
     return Ke
 
 
-def _local_mass(mesh):
-    x, area, _, _ = _tri_geometry(mesh)
+def _local_mass(geom, radial_weight):
+    x, area, _, _ = geom
     T = area.shape[0]
     Me = np.empty((T, 3, 3))
-    if not mesh.radial_weight:
+    if not radial_weight:
         Me[:] = area[:, None, None] / 12.0
         Me[:, [0, 1, 2], [0, 1, 2]] = area[:, None] / 6.0
         return Me
     # exact moments of r * phi_i * phi_j with r linear in the vertices
     r = x
     for i in range(3):
-        for j in range(3):
-            k = 3 - i - j if i != j else None
-            if i == j:
-                others = [m for m in range(3) if m != i]
-                Me[:, i, i] = area * (r[:, i] / 10.0
-                                      + (r[:, others[0]] + r[:, others[1]]) / 30.0)
-            else:
-                Me[:, i, j] = area * ((r[:, i] + r[:, j]) / 30.0 + r[:, k] / 60.0)
+        a, b = [m for m in range(3) if m != i]
+        Me[:, i, i] = area * (r[:, i] / 10.0 + (r[:, a] + r[:, b]) / 30.0)
+        Me[:, a, b] = Me[:, b, a] = area * ((r[:, a] + r[:, b]) / 30.0
+                                            + r[:, i] / 60.0)
     return Me
 
 
@@ -199,36 +197,40 @@ def _scatter(blocks, dofs, ndof):
     return A.tocsr()
 
 
-def _dissected(mesh, dofmap, K, M, T):
-    """The dof map and the matrices K, M, T of one space renumbered in the
-    nested-dissection order of its pencil (K - T, M), from the dof
-    coordinates and the graph of |K - T| + |M|."""
-    xy = np.empty((dofmap.ndof, 2))
-    for nd in (dofmap.node_dof1, dofmap.node_dof2):
-        ok = nd >= 0
-        xy[nd[ok]] = mesh.nodes[ok]
-    G = sp.triu(abs(K - T) + abs(M), k=1).tocoo()
-    perm = nested_dissection(xy, G.row, G.col)
-    # new[old dof] = its position in perm; the extra last entry keeps the
+def _numbered(mesh, continuous, broken):
+    """The two natural dof maps of the mesh (build_dofs) renumbered by one
+    nested-dissection order of the free nodes, from their coordinates and
+    the mesh edges between them, the graph of the continuous pencil, and
+    the embedding broken dof -> continuous dof.  A continuous dof takes
+    its node's position in that order; the broken dofs follow the same
+    order, with the Omega2 dof of a doubled interface node right after
+    its Omega1 dof."""
+    free = continuous.node_dof1 >= 0
+    d = continuous.node_dof1[mesh.triangles]
+    u, v = d.ravel(), np.roll(d, -1, axis=1).ravel()
+    edge = (u >= 0) & (v >= 0)
+    perm = nested_dissection(mesh.nodes[free], u[edge], v[edge])
+    first = broken.node_dof1[free][perm]
+    second = broken.node_dof2[free][perm]
+    twin = (second != first).astype(np.int64)
+    embed_map = np.repeat(np.arange(perm.size), 1 + twin)
+    # new[old dof] = its new number; the extra last entry keeps the
     # Dirichlet marker -1 at -1
-    new = np.empty(perm.size + 1, dtype=np.int64)
-    new[perm] = np.arange(perm.size)
-    new[-1] = -1
-    dofmap = DofMap(kind=dofmap.kind, ndof=dofmap.ndof,
-                    node_dof1=new[dofmap.node_dof1],
-                    node_dof2=new[dofmap.node_dof2],
-                    tri_dofs=new[dofmap.tri_dofs])
-
-    def permuted(X):
-        X = X[perm][:, perm]
-        X.sort_indices()
-        return X
-    return (dofmap, *map(permuted, (K, M, T)))
+    new_c = np.full(continuous.ndof + 1, -1, dtype=np.int64)
+    new_c[perm] = np.arange(perm.size)
+    new_b = np.full(broken.ndof + 1, -1, dtype=np.int64)
+    last = np.cumsum(1 + twin) - 1  # each node's last broken dof
+    new_b[first] = last - twin
+    new_b[second] = last
+    return (*(replace(m, node_dof1=new[m.node_dof1],
+                      node_dof2=new[m.node_dof2], tri_dofs=new[m.tri_dofs])
+              for m, new in ((continuous, new_c), (broken, new_b))),
+            embed_map)
 
 
 def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
     """Assemble stiffness, mass, trace, and jump matrices for one mesh,
-    each space numbered in nested-dissection order.
+    in the dof order of _numbered.
 
     Parameters
     ----------
@@ -238,15 +240,16 @@ def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
     """
     if mesh.iface_seg.size and material.n_segments() <= int(mesh.iface_seg.max()):
         raise DomainError("material carries fewer segments than the mesh")
-    continuous = build_dofs(mesh, CONTINUOUS)
-    broken = build_dofs(mesh, BROKEN)
+    continuous, broken, embed_map = _numbered(
+        mesh, build_dofs(mesh, CONTINUOUS), build_dofs(mesh, BROKEN))
 
     quad = interface_quadrature(mesh, continuous, broken)
     alpha = material.alpha[quad.seg]
     beta = material.beta[quad.seg]
 
-    Ke = _local_stiffness(mesh)
-    Me = _local_mass(mesh)
+    geom = _tri_geometry(mesh)
+    Ke = _local_stiffness(geom, mesh.radial_weight)
+    Me = _local_mass(geom, mesh.radial_weight)
     K_cont = _scatter(Ke, continuous.tri_dofs, continuous.ndof)
     M_cont = _scatter(Me, continuous.tri_dofs, continuous.ndof)
     K_brok = _scatter(Ke, broken.tri_dofs, broken.ndof)
@@ -258,30 +261,13 @@ def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
 
     # jump mass on the broken space: (1/beta) * edge mass expanded with
     # signs +1 on the Omega1 copy and -1 on the Omega2 copy of each node
-    E = quad.lengths.shape[0]
-    jd = quad.brok_dofs.reshape(E, 4)          # [n1s1, n1s2, n2s1, n2s2]
+    jd = quad.brok_dofs.reshape(-1, 4)         # [n1s1, n1s2, n2s1, n2s2]
     signs = np.array([1.0, -1.0, 1.0, -1.0])
     node_of = np.array([0, 0, 1, 1])
-    Jblocks = np.empty((E, 4, 4))
-    for a in range(4):
-        for b in range(4):
-            Jblocks[:, a, b] = (signs[a] * signs[b]
-                                * quad.edge_mass[:, node_of[a], node_of[b]])
+    Jblocks = (np.outer(signs, signs)
+               * quad.edge_mass[:, node_of][:, :, node_of])
     Jblocks /= beta[:, None, None]
     J_beta = _scatter(Jblocks, jd, broken.ndof)
-
-    continuous, K_cont, M_cont, T_alpha = _dissected(
-        mesh, continuous, K_cont, M_cont, T_alpha)
-    broken, K_brok, M_brok, J_beta = _dissected(
-        mesh, broken, K_brok, M_brok, J_beta)
-
-    embed_map = np.full(broken.ndof, -1, dtype=np.int64)
-    for nd_b, nd_c in ((broken.node_dof1, continuous.node_dof1),
-                       (broken.node_dof2, continuous.node_dof1)):
-        ok = nd_b >= 0
-        embed_map[nd_b[ok]] = nd_c[ok]
-    if np.any(embed_map < 0):
-        raise DomainError("broken dof without a continuous counterpart")
 
     node_region = np.zeros(mesh.num_nodes, dtype=np.int8)
     node_region[mesh.triangles.ravel()] = np.repeat(mesh.tri_region, 3)

@@ -14,9 +14,10 @@ coarser ones.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
-lambda_1 serves every box.  A restricted pencil keeps a sorted subset of
-the assembled dofs, so it inherits their nested-dissection order and is
-factored as it is, like every full pencil.
+lambda_1 serves every box.  femforms numbers both spaces' dofs once, by
+one nested-dissection order of the nodes, before any matrix is scattered;
+a restricted pencil keeps a sorted subset of those dofs, so it inherits
+their order and is factored as it is, like every full pencil.
 """
 
 from __future__ import annotations
@@ -104,12 +105,8 @@ def interior_dofs(forms, which, halfwidth):
     when that box was constrained into the mesh as a ring."""
     dofmap = forms.continuous if which == femforms.DELTA else forms.broken
     inside = box_nodes(forms.mesh, halfwidth)
-    keep = []
-    for nd in (dofmap.node_dof1, dofmap.node_dof2):
-        ok = (nd >= 0) & inside
-        keep.append(nd[ok])
-    keep = np.unique(np.concatenate(keep))
-    return keep
+    nd = np.concatenate([dofmap.node_dof1[inside], dofmap.node_dof2[inside]])
+    return np.unique(nd[nd >= 0])
 
 
 def solve_restricted(forms, which, halfwidth, k, tol=DEFAULT_TOL,

@@ -325,9 +325,7 @@ def _box_halfwidths(geometry: InterfaceGeometry, halfwidths):
 
 def _check_boxes(mesh, halfwidths, k):
     """DomainError when the smallest box holds fewer than k nodes of the
-    mesh.  A box's continuous pencil has one dof per node inside it and
-    its broken pencil at least as many, so past this check every box of
-    the study yields k values and every graded pair gets its delta."""
+    mesh; otherwise each box's pencils, a dof or more per node, hold k."""
     L = halfwidths[0]
     n = int(pipeline.box_nodes(mesh, L).sum())
     if n < k:
@@ -347,8 +345,7 @@ def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
     genuinely nested and the eigenvalues decrease monotonically in L.
     Bound states below the threshold decay exponentially, so successive
     deltas shrink geometrically once the box dominates the decay length.
-    DomainError, before assembly, when the smallest box holds fewer than
-    k nodes.
+    DomainError before assembly when a box holds fewer than k nodes.
     """
     halfwidths = _box_halfwidths(geometry, halfwidths)
     meshes = pipeline.mesh_levels(geometry, h, refinements,
@@ -372,8 +369,7 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
     without full of the largest box, which is then solved first with the
     certified shift search.  By min-max the eigenvalues of a restricted
     pencil are no smaller than the full pencil's, so that pole is below
-    every box's spectrum.  Each box must hold at least k nodes
-    (_check_boxes), so every row holds k values.
+    every box's spectrum.  Every box holds k nodes (_check_boxes).
     """
     halfwidths = sorted(set(float(L) for L in halfwidths))
     ndof = forms.matrices(which)[0].shape[0]
@@ -391,8 +387,7 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
             shift = pipeline.truncation_shift(res.values)
     vals = np.asarray(values)
     deltas = np.abs(np.diff(vals, axis=0))
-    stabilized = (deltas[-1] < STAB_TOL if deltas.size
-                  else np.zeros(vals.shape[1], bool))
+    stabilized = deltas[-1] < STAB_TOL if deltas.size else np.zeros(k, bool)
     return TruncationStudy(operator=which, halfwidths=tuple(halfwidths),
                            values=vals, deltas=deltas, stabilized=stabilized,
                            tolerance=STAB_TOL)
@@ -433,11 +428,9 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     """Both operators on a coarse mesh and `refinements` nested red
     refinements of it, with the inner boxes constrained in as rings when
     box halfwidths are given, and the truncation studies on level t_idx
-    when it is given (with the halfwidths).  DomainError, before any
-    assembly, when k exceeds the coarsest level's continuous dofs or the
-    smallest box holds fewer than k nodes of level t_idx, since every
-    level and every box must hold k values for the pairs to be graded
-    against a per-pair budget.
+    when it is given (with the halfwidths).  DomainError before assembly
+    when k exceeds the coarsest level's continuous dofs or a box's nodes
+    on level t_idx: each pair is graded on k values of every level and box.
 
     A worker (a second thread with second_thread, else _Inline) runs
     three tasks, each on the result of the one before: assemble the
@@ -548,8 +541,6 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
 
     conv_d = convergence_study(res_d)
     conv_p = convergence_study(res_p)
-    # every level and every box holds k values (solve_levels), so each
-    # term has one entry per pair
     budget = np.asarray(conv_d["error"]) + np.asarray(conv_p["error"])
     for study in trunc:  # two or more boxes, so at least one row of deltas
         budget += study.deltas[-1]

@@ -30,7 +30,7 @@ ONE_NODE_BOX = {
 }
 
 
-def _unit(lo, hi):
+def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False)
 
 
@@ -38,43 +38,42 @@ def _unit(lo, hi):
 def configs(draw):
     kind = draw(st.sampled_from(["broken_line", "circle", "line_plus_circle",
                                  "cone_meridian"]))
-    h = draw(_unit(0.6, 1.0))
-    L = draw(_unit(4.0 * h, 4.0 * h + 0.8))  # meshing needs h <= L / 4
+    h = draw(_floats(0.6, 1.0))
+    L = draw(_floats(4.0 * h, 4.0 * h + 0.8))  # meshing needs h <= L / 4
     if kind in ("broken_line", "cone_meridian"):
-        geometry = {"kind": kind, "theta": draw(_unit(0.3, 1.3)),
+        geometry = {"kind": kind, "theta": draw(_floats(0.3, 1.3)),
                     "halfwidth": L}
     elif kind == "circle":
-        R = draw(_unit(0.4, L - 1.0))
+        R = draw(_floats(0.4, L - 1.0))
         geometry = {"kind": kind, "radius": R, "halfwidth": L,
-                    "center": [draw(_unit(-0.3, 0.3)), 0.0],
+                    "center": [draw(_floats(-0.3, 0.3)), 0.0],
                     "n_chords": draw(st.integers(16, 20))}
     else:
-        R = draw(_unit(0.3, 0.6))
+        R = draw(_floats(0.3, 0.6))
         geometry = {"kind": kind, "radius": R, "halfwidth": L,
-                    "height": draw(_unit(R + 0.2, L - R - 0.4)),
+                    "height": draw(_floats(R + 0.2, L - R - 0.4)),
                     "n_chords": 16}
-    alpha = draw(_unit(1.0, 6.0))
-    ratio = draw(_unit(0.3, 1.0))  # beta = ratio * 4 / alpha <= 4 / alpha
+    alpha = draw(_floats(1.0, 6.0))
+    ratio = draw(_floats(0.3, 1.0))  # beta = ratio * 4 / alpha <= 4 / alpha
     material = {"alpha": alpha, "beta": ratio * 4.0 / alpha}
     # per-segment strengths on the circle only: the threshold of an
     # unbounded interface needs one strength on its unbounded part
     if kind == "circle" and draw(st.booleans()):
         n_seg = geometry["n_chords"]
-        alphas = draw(st.lists(_unit(1.0, 6.0), min_size=n_seg,
+        alphas = draw(st.lists(_floats(1.0, 6.0), min_size=n_seg,
                                max_size=n_seg))
-        ratios = draw(st.lists(_unit(0.3, 1.0), min_size=n_seg,
+        ratios = draw(st.lists(_floats(0.3, 1.0), min_size=n_seg,
                                max_size=n_seg))
         material = {"alpha": alphas,
                     "beta": [r * 4.0 / a for r, a in zip(ratios, alphas)]}
     disc = {"h": h, "refinements": 2}
     if draw(st.booleans()):
         # inner boxes from well inside the interface to near the boundary
-        inner = draw(st.lists(_unit(0.05, 0.9), min_size=1, max_size=2))
+        inner = draw(st.lists(_floats(0.05, 0.9), min_size=1, max_size=2))
         disc["box_halfwidths"] = [round(f * L, 3) for f in inner] + [L]
-        disc["truncation_refinements"] = draw(st.sampled_from([None, 0, 1,
-                                                               2]))
-        if disc["truncation_refinements"] is None:
-            del disc["truncation_refinements"]
+        level = draw(st.sampled_from([None, 0, 1, 2]))  # None: the finest
+        if level is not None:
+            disc["truncation_refinements"] = level
     return {"geometry": geometry, "material": material,
             "discretization": disc, "solver": {"k": draw(st.integers(1, 6))}}
 

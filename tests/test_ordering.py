@@ -1,7 +1,9 @@
-"""Nested-dissection dof numbering: the assembled spaces are numbered in
-the dissection order of their natural-order pencils, the dissection
-agrees with a plain recursive reference, and factorization inertia in
-that numbering matches dense eigenvalues."""
+"""Nested-dissection dof numbering: the continuous space is numbered in
+the dissection order of its natural-order pencil and the broken space by
+the same node order, the broken numbering fills about as little as a
+dissection of its own, the dissection agrees with a plain recursive
+reference, and factorization inertia in that numbering matches dense
+eigenvalues."""
 
 import math
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from leakyfem import femforms, geometry as geo, meshing, pipeline
 from leakyfem.eigensolver import inertia_count
@@ -97,10 +100,23 @@ def test_ordering_is_a_permutation(forms, which):
 @pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
 def test_assembled_numbering_is_the_dissection_of_the_natural_pencil(
         forms, which):
-    # dof i of the assembled space is dof perm[i] of the natural one, and
-    # perm is nested_dissection of the natural-order pencil's graph with
-    # the natural dof coordinates
+    # dof i of the assembled space is dof perm[i] of the natural one.  For
+    # the continuous space perm is nested_dissection of the natural-order
+    # pencil's graph with the natural dof coordinates; the broken space
+    # takes the nodes in the same order, each Omega2 twin right after its
+    # Omega1 dof
     F, _ = forms
+    if which == femforms.DELTA_PRIME:
+        perm_c, nat_c = _numbering(F, femforms.DELTA)
+        perm, natural = _numbering(F, which)
+        nodes = np.flatnonzero(nat_c.node_dof1 >= 0)[perm_c]
+        d1, d2 = natural.node_dof1[nodes], natural.node_dof2[nodes]
+        twin = d2 != d1
+        assert twin.sum() == natural.ndof - perm_c.size > 0
+        expected = np.concatenate([[a] if a == b else [a, b]
+                                   for a, b in zip(d1, d2)])
+        assert np.array_equal(perm, expected)
+        return
     A, M = F.matrices(which)
     perm, natural = _numbering(F, which)
     inv = np.empty_like(perm)
@@ -112,6 +128,42 @@ def test_assembled_numbering_is_the_dissection_of_the_natural_pencil(
         xy[nd[ok]] = F.mesh.nodes[ok]
     G = sp.triu(abs(An) + abs(Mn), k=1).tocoo()
     assert np.array_equal(femforms.nested_dissection(xy, G.row, G.col), perm)
+
+
+def _fill(A, M):
+    """Nonzeros of L + U of the pencil's pattern factored in its own
+    order, as eigensolver._factor factors A - sigma M; the diagonal is
+    made dominant so that the diagonal pivots hold."""
+    B = abs(A) + abs(M)
+    B = (B + sp.diags(np.asarray(B.sum(axis=1)).ravel())).tocsc()
+    lu = splu(B, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.mark.parametrize("case, refinements", [
+    (_broken_line, 0), (_circle, 1),
+    (lambda: (geo.make_cone_meridian(math.pi / 5, 3.0), None, [2.0]), 1)],
+    ids=["broken_line-0", "circle-1", "cone-1"])
+def test_broken_numbering_fills_like_its_own_dissection(case, refinements):
+    # the broken pencil in the continuous node order fills at most 5%
+    # more than in a nested dissection of its own natural-order graph
+    g, mat, rings = case()
+    mat = mat or geo.MaterialData.borderline(g, alpha=2.0)
+    mesh = pipeline.mesh_levels(g, 0.6, refinements, inner_rings=rings)[-1]
+    F = femforms.assemble(mesh, mat)
+    A, M = F.matrices(femforms.DELTA_PRIME)
+    perm, natural = _numbering(F, femforms.DELTA_PRIME)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    An, Mn = A[inv][:, inv], M[inv][:, inv]
+    xy = np.empty((natural.ndof, 2))
+    for nd in (natural.node_dof1, natural.node_dof2):
+        ok = nd >= 0
+        xy[nd[ok]] = mesh.nodes[ok]
+    G = sp.triu(abs(An) + abs(Mn), k=1).tocoo()
+    own = femforms.nested_dissection(xy, G.row, G.col)
+    assert _fill(A, M) <= 1.05 * _fill(An[own][:, own], Mn[own][:, own])
 
 
 @pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
