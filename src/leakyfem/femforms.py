@@ -250,6 +250,7 @@ def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
     geom = _tri_geometry(mesh)
     Ke = _local_stiffness(geom, mesh.radial_weight)
     Me = _local_mass(geom, mesh.radial_weight)
+    del geom  # about 100 bytes per triangle, not needed by the scatters
     K_cont = _scatter(Ke, continuous.tri_dofs, continuous.ndof)
     M_cont = _scatter(Me, continuous.tri_dofs, continuous.ndof)
     K_brok = _scatter(Ke, broken.tri_dofs, broken.ndof)
