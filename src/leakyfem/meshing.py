@@ -184,6 +184,29 @@ def _proper_intersection(a, b, c, d, tol):
     return None
 
 
+def _ring_sides(geometry, Lr):
+    """Sides (a, b) of the inner ring of halfwidth Lr."""
+    if geometry.kind == "cone_meridian":
+        ring = [(0.0, -Lr), (Lr, -Lr), (Lr, Lr), (0.0, Lr)]
+        sides = [(0, 1), (1, 2), (2, 3)]  # leave the axis side open
+    else:
+        ring = [(-Lr, -Lr), (Lr, -Lr), (Lr, Lr), (-Lr, Lr)]
+        sides = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    return [(ring[i], ring[j]) for i, j in sides]
+
+
+def _crossing_ring(geometry, inner_rings):
+    """Halfwidth of the first inner ring whose sides properly cross an
+    interface segment, or None."""
+    tol = 1e-12 * geometry.halfwidth
+    for Lr in inner_rings or ():
+        for a, b in _ring_sides(geometry, Lr):
+            if any(_proper_intersection(a, b, s.a, s.b, tol)
+                   for s in geometry.segments):
+                return Lr
+    return None
+
+
 def _build_pslg(geometry, h, inner_rings):
     """Segments with labels, split at mutual intersections, chopped to <= h.
 
@@ -201,14 +224,8 @@ def _build_pslg(geometry, h, inner_rings):
     for k, Lr in enumerate(inner_rings or ()):
         if not (0 < Lr < L):
             raise DomainError(f"inner ring halfwidth {Lr} must lie in (0, {L})")
-        if geometry.kind == "cone_meridian":
-            ring = [(0.0, -Lr), (Lr, -Lr), (Lr, Lr), (0.0, Lr)]
-            sides = [(0, 1), (1, 2), (2, 3)]  # leave the axis side open
-        else:
-            ring = [(-Lr, -Lr), (Lr, -Lr), (Lr, Lr), (-Lr, Lr)]
-            sides = [(0, 1), (1, 2), (2, 3), (3, 0)]
-        for i, j in sides:
-            segs.append([ring[i], ring[j], ("ring", k)])
+        for a, b in _ring_sides(geometry, Lr):
+            segs.append([a, b, ("ring", k)])
 
     snap = _snap_points([s[0] for s in segs] + [s[1] for s in segs], tol)
     for s in segs:
@@ -315,13 +332,25 @@ def triangulate(geometry: InterfaceGeometry, h_target: float,
     edges; triangles are refined until every edge is at most h_target
     (h_target/2 within h_target of an interface apex) and no angle is
     below MIN_ANGLE_DEG.  Raises MeshingError with diagnostics when the
-    refinement budget is exhausted.
+    refinement budget is exhausted; its message names an inner ring that
+    crosses the interface, when one does.
     """
     L = geometry.halfwidth
     if not (0 < h_target <= L / 4):
         raise DomainError(f"h_target must lie in (0, L/4], got {h_target}")
     pieces, acute = _build_pslg(geometry, h_target, inner_rings)
+    try:
+        return _mesh_pslg(geometry, h_target, pieces, acute)
+    except MeshingError as exc:
+        Lr = _crossing_ring(geometry, inner_rings)
+        if Lr is None:
+            raise
+        raise MeshingError(f"the inner ring of halfwidth {Lr} crosses the "
+                           f"interface: {exc}", exc.diagnostics) from exc
 
+
+def _mesh_pslg(geometry, h_target, pieces, acute):
+    """triangulate's constrained Delaunay refinement of the PSLG pieces."""
     tri = delaunay.Triangulation(geometry.box_corners)
     for side in range(4):
         u = tri.box_vertices[side]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from leakyfem import geometry as geo
-from leakyfem import meshing
+from leakyfem import meshing, pipeline
 from leakyfem.errors import DomainError, MeshingError
 
 
@@ -215,6 +215,18 @@ def test_inner_rings_are_conforming():
         if dv and not du and mu > 4.0:
             crossing += 1
     assert crossing == 0
+
+
+def test_ring_across_the_interface_is_named():
+    # the ring of halfwidth 0.957 cuts the circle of radius 1 about (0.2, 0);
+    # a mesh that then fails says which ring crosses the interface
+    g = geo.make_circle(1.0, (0.2, 0.0), 4.447, 16)
+    with pytest.raises(MeshingError, match=r"^the inner ring of halfwidth "
+                       r"0\.957 crosses the interface: no path from"):
+        pipeline.mesh_levels(g, 1.0, 0, inner_rings=[0.957])
+    # only a ring that properly crosses an interface segment is named
+    assert meshing._crossing_ring(g, [2.0, 0.957, 0.5]) == 0.957
+    assert meshing._crossing_ring(g, [2.0]) is None
 
 
 def _dict_adjacency(triangles, tri_region, iface_edges):
