@@ -80,9 +80,13 @@ def _factor(A, M, mu):
 
     Reading the pivots through lu.U makes SuperLU build CSC copies of L
     and U and keep them with the factor: on the finest `borderline`
-    pencil (8.9M nonzeros in L+U) they add 68 MB to the factor's 91 MB.
-    So two finest-level factors alive at once cost about 320 MB, and no
-    caller lets them overlap (spectral_analysis.solve_levels).
+    pencil (8.9M nonzeros in L+U) they would add 68 MB to the factor's
+    91 MB.  lu.L and lu.U hand out those cached copies, so once the
+    diagonal is read their data and indices are replaced by new empty
+    arrays (a [:0] view would keep the buffers alive).  lu.solve does
+    not read them, and their nnz, read off indptr, is kept.  Two
+    finest-level factors alive at once then cost about 180 MB
+    (spectral_analysis.solve_levels).
     """
     try:
         lu = splu((A - mu * M).tocsc(), permc_spec="NATURAL",
@@ -93,6 +97,9 @@ def _factor(A, M, mu):
         raise SolverError("factorization pivoted off the diagonal; "
                           "level too close to the spectrum")
     d = lu.U.diagonal()
+    for T in (lu.L, lu.U):
+        T.data = np.empty(0, T.data.dtype)
+        T.indices = np.empty(0, T.indices.dtype)
     if d.size and np.min(np.abs(d)) < PIVOT_FLOOR:
         raise SolverError("level too close to spectrum: pivot below 1e-14")
     return lu, int((d < 0).sum())

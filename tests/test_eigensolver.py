@@ -21,6 +21,26 @@ def test_diag_smallest():
     assert np.all(r.residuals <= 1e-12)
 
 
+def test_factor_drops_the_cached_triangles():
+    # reading the pivots caches CSC copies of L and U on the factor; lu.L
+    # and lu.U must hand out those cached objects, so that emptying them
+    # frees the memory, and the factor must solve as before
+    n = 60
+    A = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1]).tocsr()
+    M = _identity(n)
+    lu, neg = es._factor(A, M, 0.5)
+    assert neg == int(np.sum(np.linalg.eigvalsh(A.toarray()) < 0.5))
+    assert lu.U is lu.U and lu.L is lu.L
+    assert lu.L.data.size == lu.U.data.size == 0
+    assert lu.L.indices.size == lu.U.indices.size == 0
+    fresh = es.splu((A - 0.5 * M).tocsc(), permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    b = np.random.default_rng(3).standard_normal(n)
+    assert np.array_equal(lu.solve(b), fresh.solve(b))
+
+
 def test_lower_shift_diag():
     A = sp.diags([1.0, 2.0, 3.0]).tocsr()
     s, lu = es.lower_shift(A, _identity(3))
