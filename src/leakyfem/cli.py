@@ -227,10 +227,11 @@ def _outputs(cfg, args):
 # -- core run -----------------------------------------------------------------
 
 def _second_thread(jobs=1):
-    """Whether a run solves its coarser levels on a second thread: when a
-    CPU is free for it, so the process may use two CPUs and no other
-    sweep point runs beside it.  Without a free CPU the thread only adds
-    memory (ROADMAP item 4)."""
+    """Whether a run solves its coarser levels and its finest delta-prime
+    pencil on a second thread: when a CPU is free for it, so the process
+    may use two CPUs and no other sweep point runs beside it.  Without a
+    free CPU the thread only adds memory: its finest factor is alive
+    beside the calling thread's."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return jobs == 1 and cpus >= 2

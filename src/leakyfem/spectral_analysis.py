@@ -10,10 +10,11 @@ whole verification run for one geometry and material.
 
 Given a second thread, `solve_levels` runs three tasks on a worker: the
 coarser levels' assembly and delta cascade, their delta-prime cascade,
-and a coarser level's truncation studies.  Meanwhile the calling thread
-assembles the finest level and solves it, one operator after the other,
-because a finest-level factor is a run's largest allocation
-(eigensolver._factor).  Results and errors are those of a serial run.
+and the finest delta-prime solve.  Meanwhile the calling thread
+assembles the finest level, solves its delta pencil and then runs the
+truncation studies, so the two finest factors, a run's largest
+allocations (eigensolver._factor), may be alive together.  Results and
+errors are those of a serial run.
 
 The comparison verdicts are deliberately conservative: a pair is graded
 "strict" only when the observed gap exceeds the combined numerical error
@@ -435,14 +436,15 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     A worker (a second thread with second_thread, else _Inline) runs
     three tasks, each on the result of the one before: assemble the
     coarser levels and cascade delta over them, cascade delta-prime over
-    those forms, and run the truncation studies of level t_idx when it is
-    below the finest.  Meanwhile the calling thread assembles the finest
-    level, solves its delta pencil after the first task and its
-    delta-prime pencil after the second, and then runs the truncation
-    studies when t_idx is the finest level.  So at most one finest-level
-    factor is alive at a time, every solve gets the inputs of a serial
-    run, and errors surface in the order the calling thread waits: coarse
-    delta, finest delta, coarse delta-prime, finest delta-prime,
+    those forms, and solve the finest delta-prime pencil, submitted once
+    the calling thread has assembled the finest level.  The calling
+    thread then solves the finest delta pencil after the first task, and
+    runs the truncation studies of level t_idx: on a coarser level after
+    the second task, on the finest after the third.  So with a second
+    thread at most two finest-level factors are alive at a time, and
+    without one at most one.  Every solve gets the inputs of a serial
+    run, and errors surface in the order the calling thread reads them:
+    coarse delta, finest delta, coarse delta-prime, finest delta-prime,
     truncation.  Tasks not started by the end are cancelled.  The results
     do not depend on second_thread.
 
@@ -482,18 +484,22 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     def coarse_studies(task_d, task_p):
         return studies(*task_d.result(), task_p.result())
 
+    def finest_prime(task_p, finest):
+        return cascade([finest], DELTA_PRIME, list(task_p.result()))
+
     worker = (ThreadPoolExecutor(1, thread_name_prefix="leakyfem-levels")
               if second_thread else _Inline())
     try:
         task_d = worker.submit(coarse_delta)
         task_p = worker.submit(coarse_prime, task_d)
-        task_t = (worker.submit(coarse_studies, task_d, task_p)
-                  if t_idx is not None and t_idx < refinements else None)
         finest = femforms.assemble(meshes[-1], material)
+        task_fp = worker.submit(finest_prime, task_p, finest)
         forms, res_d = task_d.result()
         forms = forms + [finest]  # the delta-prime task reads the old list
         cascade([finest], DELTA, res_d)
-        res_p = cascade([finest], DELTA_PRIME, task_p.result())
+        task_t = (_Inline().submit(coarse_studies, task_d, task_p)
+                  if t_idx is not None and t_idx < refinements else None)
+        res_p = task_fp.result()
         trunc = task_t.result() if task_t else ()
         if t_idx == refinements:
             trunc = studies(forms, res_d, res_p)
@@ -514,8 +520,8 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
     given, and the finest level graded against the budget Richardson
     errors + final truncation deltas + 20 tol, with a counting table
     unless a pair is violated.  second_thread runs the coarser levels
-    and a coarser level's truncation studies on a second thread
-    (solve_levels); the run does not depend on it.  The hypothesis
+    and the finest delta-prime solve on a second thread (solve_levels);
+    the run does not depend on it.  The hypothesis
     beta <= 4/alpha is the caller's to check.
     """
     thr_d = essential_threshold(geometry, material, DELTA)

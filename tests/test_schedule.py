@@ -1,12 +1,12 @@
 """The two-thread schedule of `spec solve` and `spec converge`.
 
-With two CPUs a run assembles and solves the coarser levels, and runs a
-coarser level's truncation studies, as three tasks on a worker thread,
-beside the finest level's assembly and solves on the calling thread
-(spectral_analysis.solve_levels).  Its outputs must not depend on that,
-at most one finest-level factor may be alive at a time, and a failure on
-either thread must end the run as a serial run would, with no thread
-left behind.
+With two CPUs a run assembles and solves the coarser levels, and then
+solves the finest delta-prime pencil, as three tasks on a worker thread,
+beside the finest level's assembly, its delta solve and the truncation
+studies on the calling thread (spectral_analysis.solve_levels).  Its
+outputs must not depend on that, at most two finest-level factors may be
+alive at a time (one with one CPU), and a failure on either thread must
+end the run as a serial run would, with no thread left behind.
 """
 
 import json
@@ -26,9 +26,16 @@ from leakyfem.errors import DomainError, SolverError
 WORKER = "leakyfem-levels"
 
 
+NO_BOXES = "no boxes"
+
+
 def _cfg(outdir, truncation_refinements=1):
-    dcfg = {"h": 0.8, "refinements": 2, "box_halfwidths": [2.5, 4.0]}
-    if truncation_refinements is not None:
+    """The criterion-8 broken line; truncation_refinements None studies
+    the finest level, and NO_BOXES asks for no truncation study."""
+    dcfg = {"h": 0.8, "refinements": 2}
+    if truncation_refinements != NO_BOXES:
+        dcfg["box_halfwidths"] = [2.5, 4.0]
+    if truncation_refinements not in (None, NO_BOXES):
         dcfg["truncation_refinements"] = truncation_refinements
     return {
         "geometry": {"kind": "broken_line", "theta": math.pi / 4,
@@ -68,12 +75,23 @@ def _strip(text):
     return "\n".join(l for l in text.splitlines() if '"timestamp"' not in l)
 
 
-@pytest.mark.parametrize("command,outputs", [
-    ("solve", ("report.json", "report.csv")),
-    ("converge", ("convergence.csv", "convergence.svg"))])
+SOLVE_OUT = ("report.json", "report.csv")
+CONVERGE_OUT = ("convergence.csv", "convergence.svg")
+
+
+@pytest.mark.parametrize("command,outputs,truncation_refinements", [
+    pytest.param("solve", SOLVE_OUT, 1, id="solve-outputs0"),
+    pytest.param("converge", CONVERGE_OUT, 1, id="converge-outputs1"),
+    pytest.param("solve", SOLVE_OUT, 0, id="solve-truncation0"),
+    pytest.param("solve", SOLVE_OUT, 2, id="solve-truncation2"),
+    pytest.param("solve", SOLVE_OUT, NO_BOXES, id="solve-no-boxes")])
 def test_pipelined_outputs_equal_inline(tmp_path, monkeypatch, capsys,
-                                        command, outputs):
-    p = _write(tmp_path / "cfg.json", _cfg(tmp_path / "out"))
+                                        command, outputs,
+                                        truncation_refinements):
+    # a coarser level's studies and the finest level's take different
+    # paths through solve_levels; so does a run without them
+    p = _write(tmp_path / "cfg.json",
+               _cfg(tmp_path / "out", truncation_refinements))
     calls = _spy_cascade(monkeypatch)
     runs = []
     for cpus in (1, 2):
@@ -90,9 +108,11 @@ def test_pipelined_outputs_equal_inline(tmp_path, monkeypatch, capsys,
                      [_strip((out / name).read_text()) for name in outputs]))
         on_worker = sorted((which, n) for name, which, n in calls
                            if name.startswith(WORKER))
-        # the coarser levels go to the worker only when two CPUs are free
+        # the coarser levels and the finest delta-prime level go to the
+        # worker only when two CPUs are free
         assert on_worker == ([] if cpus == 1 else [(sa.DELTA, 2),
-                                                   (sa.DELTA_PRIME, 2)])
+                                                   (sa.DELTA_PRIME, 2),
+                                                   (sa.DELTA_PRIME, 3)])
         assert len(calls) == 4
     assert runs[0] == runs[1]
     assert runs[0][0] in (cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
@@ -112,11 +132,13 @@ class _Factor:
 
 
 @pytest.mark.parametrize("truncation_refinements", [1, None])
-def test_one_finest_factor_alive_at_a_time(tmp_path, monkeypatch,
-                                           truncation_refinements):
-    # the worker never factors a finest-level pencil, so the finest delta
-    # and delta-prime factors, one after the other on the calling thread,
-    # are never alive together
+@pytest.mark.parametrize("cpus", [1, 2], ids=["cpus1", "cpus2"])
+def test_finest_factors_alive_at_a_time(tmp_path, monkeypatch, cpus,
+                                        truncation_refinements):
+    # the calling thread holds one factor at a time, and so does the
+    # worker, which factors the finest delta-prime pencil beside the
+    # calling thread's finest delta one; with one CPU the worker runs on
+    # the calling thread, so only one finest factor is ever alive
     live, snapshots, sizes = {}, [], []
     lock = threading.Lock()
     splu = eigensolver.splu
@@ -136,7 +158,7 @@ def test_one_finest_factor_alive_at_a_time(tmp_path, monkeypatch,
         return lu
 
     monkeypatch.setattr(eigensolver, "splu", spied)
-    _cpus(monkeypatch, 2)
+    _cpus(monkeypatch, cpus)
     p = _write(tmp_path / "cfg.json",
                _cfg(tmp_path / "out", truncation_refinements))
     assert cli.main(["solve", "--config", p]) in (
@@ -145,7 +167,7 @@ def test_one_finest_factor_alive_at_a_time(tmp_path, monkeypatch,
     # factor of more than half the largest size is a finest-level one
     finest = max(sizes) / 2
     assert sum(n > finest for n in sizes) >= 2
-    assert max(sum(n > finest for n in snap) for snap in snapshots) == 1
+    assert max(sum(n > finest for n in snap) for snap in snapshots) <= cpus
     assert not live
 
 
@@ -228,9 +250,9 @@ def test_main_failure_cancels_queued_tasks(tmp_path, monkeypatch, capsys):
 
 def test_finest_delta_does_not_wait_for_the_coarse_delta_prime(tmp_path,
                                                                monkeypatch):
-    # the worker holds its delta-prime cascade until the calling thread
-    # starts the finest delta solve; a schedule that puts that solve after
-    # the coarse delta-prime task waits out the timeout instead
+    # the worker holds its coarse delta-prime cascade until the calling
+    # thread starts the finest delta solve; a schedule that puts that
+    # solve after the coarse delta-prime task waits out the timeout instead
     entered = threading.Event()
     waits = []
     cascade = pipeline.cascade_solve
@@ -239,7 +261,8 @@ def test_finest_delta_does_not_wait_for_the_coarse_delta_prime(tmp_path,
         on_worker = threading.current_thread().name.startswith(WORKER)
         if which == sa.DELTA and not on_worker:
             entered.set()
-        if which == sa.DELTA_PRIME and on_worker:
+        if which == sa.DELTA_PRIME and kwargs["results"] is None:
+            assert on_worker
             waits.append(entered.wait(timeout=5))
         return cascade(forms_list, which, *args, **kwargs)
 
@@ -270,7 +293,9 @@ def test_sweep_points_keep_one_thread_each(tmp_path, monkeypatch):
         sweeps.append((out / "sweep.csv").read_text())
         on_worker = [name for name, _, _ in calls if name.startswith(WORKER)]
         assert len(calls) == 8
-        assert len(on_worker) == (0 if jobs == "2" else 4)
+        # three of each point's four cascades: the coarse delta and
+        # delta-prime levels and the finest delta-prime one
+        assert len(on_worker) == (0 if jobs == "2" else 6)
     assert sweeps[0] == sweeps[1]
 
 
@@ -301,3 +326,33 @@ def test_delta_failure_stops_the_delta_prime_levels(tmp_path, monkeypatch,
                                        f"{sa.DELTA} failure\n")
     assert calls == [sa.DELTA]
     assert truncations == []
+
+
+@pytest.mark.parametrize("truncation_refinements", [1, None])
+@pytest.mark.parametrize("cpus", [1, 2], ids=["cpus1", "cpus2"])
+def test_finest_delta_prime_failure_comes_before_truncation(
+        tmp_path, monkeypatch, capsys, cpus, truncation_refinements):
+    # a serial run solves the finest delta-prime pencil before any
+    # truncation study, so when both fail its error ends the run, whether
+    # the studies are a coarser level's or the finest level's
+    cascade = pipeline.cascade_solve
+
+    def failing_finest_prime(forms_list, which, *args, **kwargs):
+        if which == sa.DELTA_PRIME and kwargs["results"] is not None:
+            raise SolverError("injected finest delta-prime failure")
+        return cascade(forms_list, which, *args, **kwargs)
+
+    def failing_study(*args, **kwargs):
+        raise SolverError("injected truncation failure")
+
+    monkeypatch.setattr(pipeline, "cascade_solve", failing_finest_prime)
+    monkeypatch.setattr(sa, "truncation_from_forms", failing_study)
+    _cpus(monkeypatch, cpus)
+    threads = threading.active_count()
+    p = _write(tmp_path / "cfg.json",
+               _cfg(tmp_path / "out", truncation_refinements))
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_ERROR
+    assert capsys.readouterr().err == ("errors.SolverError: injected finest "
+                                       "delta-prime failure\n")
+    assert threading.active_count() == threads
+    assert not (tmp_path / "out").exists()
