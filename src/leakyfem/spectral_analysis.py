@@ -485,7 +485,7 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
         return studies(*task_d.result(), task_p.result())
 
     def finest_prime(task_p, finest):
-        return cascade([finest], DELTA_PRIME, list(task_p.result()))
+        return cascade([finest], DELTA_PRIME, task_p.result())
 
     worker = (ThreadPoolExecutor(1, thread_name_prefix="leakyfem-levels")
               if second_thread else _Inline())
@@ -521,8 +521,8 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
     errors + final truncation deltas + 20 tol, with a counting table
     unless a pair is violated.  second_thread runs the coarser levels
     and the finest delta-prime solve on a second thread (solve_levels);
-    the run does not depend on it.  The hypothesis
-    beta <= 4/alpha is the caller's to check.
+    the run does not depend on it.  The hypothesis beta <= 4/alpha is
+    the caller's to check.
     """
     thr_d = essential_threshold(geometry, material, DELTA)
     thr_p = essential_threshold(geometry, material, DELTA_PRIME)
