@@ -24,14 +24,12 @@ from leakyfem import spectral_analysis as sa
 from leakyfem.errors import DomainError, SolverError
 
 WORKER = "leakyfem-levels"
-
-
 NO_BOXES = "no boxes"
 
 
 def _cfg(outdir, truncation_refinements=1):
-    """The criterion-8 broken line; truncation_refinements None studies
-    the finest level, and NO_BOXES asks for no truncation study."""
+    """A small broken-line run; truncation_refinements None studies the
+    finest level, and NO_BOXES asks for no truncation study."""
     dcfg = {"h": 0.8, "refinements": 2}
     if truncation_refinements != NO_BOXES:
         dcfg["box_halfwidths"] = [2.5, 4.0]
@@ -135,10 +133,10 @@ class _Factor:
 @pytest.mark.parametrize("cpus", [1, 2], ids=["cpus1", "cpus2"])
 def test_finest_factors_alive_at_a_time(tmp_path, monkeypatch, cpus,
                                         truncation_refinements):
-    # the calling thread holds one factor at a time, and so does the
-    # worker, which factors the finest delta-prime pencil beside the
-    # calling thread's finest delta one; with one CPU the worker runs on
-    # the calling thread, so only one finest factor is ever alive
+    # each thread holds one finest factor at a time: the worker's finest
+    # delta-prime one beside the calling thread's finest delta one; with
+    # one CPU the worker's tasks run on the calling thread, so only one
+    # finest factor is ever alive
     live, snapshots, sizes = {}, [], []
     lock = threading.Lock()
     splu = eigensolver.splu
