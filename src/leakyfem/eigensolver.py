@@ -21,20 +21,22 @@ order, which keeps the fill small.
 
 smallest_eigenpairs() solves at the one pole it is given and raises
 SolverError when that pole fails; falling back to another pole is the
-caller's choice (pipeline.solve_pencil).  Each factorization certifies
-one fact:
-  a pole above     m = N(sigma) eigenvalues lie below a pole sigma known
-                   to lie above the k-th (on a refined level, from the
-                   coarser one); the same factor drives ARPACK on the
-                   most negative shifted values 1/(lambda - sigma), which
-                   belong to exactly those m, and the list is certified
-                   once it holds m values below sigma.  A refused pole,
-                   m < k, m > 2k + 4 or an exhausted search is an error;
+caller's choice (pipeline.solve_pencil).  The pole's side of the spectrum
+is read off its own factorization.  Each factorization certifies one
+fact:
+  a given pole     m = N(sigma) eigenvalues lie below the pole sigma.
+                   m = 0 puts it below the spectrum, and the list is
+                   certified by _top_count.  k <= m <= 2k + 4 puts it
+                   above the k-th eigenvalue (on a refined level, by
+                   min-max from the coarser one); the same factor drives
+                   ARPACK on the most negative shifted values
+                   1/(lambda - sigma), which belong to exactly those m,
+                   and the list is certified once it holds m values below
+                   sigma.  Any other m, a refused pole or an exhausted
+                   search is an error;
   lower_shift      no negative pivot at each level of the pole search;
                    it hands Lanczos the factor at the pole it returns,
                    so every eigenvalue ARPACK can return lies above it;
-  a guessed pole   the same in one factorization, refused on any
-                   negative pivot;
   _top_count       after a pole below, one count just above the top of
                    the computed list, equal to the list size, so no
                    eigenvalue up to the k-th was missed.  A level that
@@ -211,9 +213,8 @@ def _residuals(A, M, X, lams):
 
 
 def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
-                        shift: float | None = None,
-                        seed: int = DEFAULT_SEED,
-                        above: float | None = None) -> EigenResult:
+                        pole: float | None = None,
+                        seed: int = DEFAULT_SEED) -> EigenResult:
     """k smallest eigenpairs of A x = lambda M x.
 
     Parameters
@@ -221,16 +222,14 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     A, M : sparse symmetric matrices, M positive definite.
     k : number of eigenpairs (clamped to the pencil size, DomainError if 0).
     tol : residual tolerance for ||A x - lambda M x||_2 / ||x||_M.
-    shift : optional guessed pole below the spectrum, refused when it is
-        not below it.
+    pole : optional shift-invert pole.  Its one factorization counts the
+        m eigenvalues below it, which tells its side: m = 0 is a pole
+        below the spectrum, k <= m <= 2k + 4 a pole above the k-th
+        eigenvalue whose factor also drives the search for those m.  Any
+        other m raises SolverError.  With no pole, a certified pole below
+        is found and tightened (lower_shift).
     seed : start-vector seed (results are deterministic given the seed).
-    above : optional pole expected above the k-th eigenvalue.  Its one
-        factorization counts the m eigenvalues below it and drives the
-        search for them (_search_above); a refused pole, m < k,
-        m > 2k + 4 or an exhausted search raise SolverError.
 
-    At most one of shift and above is given (DomainError otherwise); with
-    neither, a certified pole below is found and tightened (lower_shift).
     After a pole below, the list is certified by one inertia count just
     above its top value (_top_count): it must hold every eigenvalue below
     that level.  A count above the list size restarts Lanczos, deflated
@@ -246,34 +245,21 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         raise SolverError("need k >= 1")
     if tol <= 0:
         raise SolverError("need tol > 0")
-    if shift is not None and above is not None:
-        raise DomainError("give a pole below (shift) or above, not both")
     if not A.shape[0]:
         raise DomainError("the pencil is empty: it has no dof")
     k = min(k, A.shape[0])
     A = A.tocsr()
     M = M.tocsr()
-    if above is not None:
-        return _search_above(A, M, k, tol, float(above), seed)
-    if shift is None:
+    if pole is None:
         sigma, lu = lower_shift(A, M)
+        m = 0
     else:
-        sigma = float(shift)
-        lu, neg = _factor(A, M, sigma)
-        if neg:
-            raise SolverError(f"shift {sigma} is not below the spectrum")
-    return _search(A, M, k, tol, sigma, lu, seed, None)
-
-
-def _search_above(A, M, k, tol, sigma, seed):
-    """The k smallest pairs from one factorization of A - sigma M, with
-    the pole sigma above them: its m negative pivots are the certificate,
-    and the list is complete when it holds m values below sigma."""
-    lu, m = _factor(A, M, sigma)
-    if not k <= m <= 2 * k + 4:
+        sigma = float(pole)
+        lu, m = _factor(A, M, sigma)
+    if m and not k <= m <= 2 * k + 4:
         raise SolverError(f"{m} eigenvalues below the pole {sigma}, "
                           f"for k = {k}")
-    return _search(A, M, k, tol, sigma, lu, seed, (sigma, m))
+    return _search(A, M, k, tol, sigma, lu, seed, (sigma, m) if m else None)
 
 
 def _search(A, M, k, tol, sigma, lu, seed, top):

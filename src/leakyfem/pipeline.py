@@ -6,11 +6,12 @@ the shift-invert pole for the next one.  From the second level on, the
 pole sits just above the coarser level's k-th eigenvalue (pole_above),
 and so above the k-th of the finer level: its one factorization both
 counts the eigenvalues below it and drives ARPACK.  The first level has
-no coarser one and takes the certified shift search.  solve_pencil is
-the one place that falls back: a guessed pole that fails is followed by
-that search.  cascade_solve can resume from the results of the levels
-already solved, so a caller may solve the finest level apart from the
-coarser ones.
+no coarser one and takes the certified shift search.  Every solve takes
+one pole, whose side of the spectrum the eigensolver reads off its
+factorization.  solve_pencil is the one place that falls back: a given
+pole that fails is followed by that search.  cascade_solve can resume
+from the results of the levels already solved, so a caller may solve the
+finest level apart from the coarser ones.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
@@ -55,16 +56,15 @@ def truncation_shift(values):
     return lam1 - 1e-2 * max(1.0, abs(lam1))
 
 
-def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, shift=None,
-                 above=None):
-    """smallest_eigenpairs at a guessed pole, below the spectrum (shift)
-    or above the k-th eigenvalue (above), falling back to the certified
-    shift search when that pole fails.  A failed pole costs its one
-    refused factorization, or the search it drove."""
-    if shift is not None or above is not None:
+def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, pole=None):
+    """smallest_eigenpairs at a given pole, below the spectrum or above
+    the k-th eigenvalue as its factorization tells, falling back to the
+    certified shift search when that pole fails.  A failed pole costs its
+    one refused factorization, or the search it drove."""
+    if pole is not None:
         try:
-            return smallest_eigenpairs(A, M, k, tol=tol, shift=shift,
-                                       seed=seed, above=above)
+            return smallest_eigenpairs(A, M, k, tol=tol, pole=pole,
+                                       seed=seed)
         except SolverError:
             pass
     return smallest_eigenpairs(A, M, k, tol=tol, seed=seed)
@@ -83,9 +83,8 @@ def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
     results = [] if results is None else results
     for forms in forms_list:
         A, M = forms.matrices(which)
-        above = pole_above(results[-1].values) if results else None
-        results.append(solve_pencil(A, M, k, tol=tol, seed=seed,
-                                    above=above))
+        pole = pole_above(results[-1].values) if results else None
+        results.append(solve_pencil(A, M, k, tol=tol, seed=seed, pole=pole))
     return results
 
 
@@ -110,10 +109,11 @@ def interior_dofs(forms, which, halfwidth):
 
 
 def solve_restricted(forms, which, halfwidth, k, tol=DEFAULT_TOL,
-                     seed=DEFAULT_SEED, shift=None):
-    """Solve the pencil restricted to dofs strictly inside an inner box."""
+                     seed=DEFAULT_SEED, pole=None):
+    """Solve the pencil restricted to dofs strictly inside an inner box,
+    at the given pole (solve_pencil); returns the result and the dofs."""
     A, M = forms.matrices(which)
     keep = interior_dofs(forms, which, halfwidth)
     Ar = A[keep][:, keep].tocsr()
     Mr = M[keep][:, keep].tocsr()
-    return solve_pencil(Ar, Mr, k, tol=tol, seed=seed, shift=shift), keep
+    return solve_pencil(Ar, Mr, k, tol=tol, seed=seed, pole=pole), keep

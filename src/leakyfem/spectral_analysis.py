@@ -204,6 +204,14 @@ def _clusters(values, tol):
     return {i: (s, e) for s, e in zip(starts, ends) for i in range(s, e)}
 
 
+def _out_of_order(vd, vp):
+    """0-based indices n, over the shorter list, where the non-strict
+    ordering lambda_n(delta-prime) <= lambda_n(delta) fails by more than
+    HARD_TOL."""
+    n = min(vd.size, vp.size)
+    return np.flatnonzero(vp[:n] > vd[:n] + HARD_TOL).tolist()
+
+
 def verify_theoremA(res_delta: EigenResult, res_deltaprime: EigenResult,
                     thresholds, errors) -> TheoremAReport:
     """Grade the eigenvalue comparison between the two operators.
@@ -224,10 +232,7 @@ def verify_theoremA(res_delta: EigenResult, res_deltaprime: EigenResult,
     ncmp = min(vd.size, vp.size)
     errors = np.broadcast_to(np.asarray(errors, dtype=float), (ncmp,))
 
-    bad = []
-    for i in range(ncmp):
-        if vp[i] > vd[i] + HARD_TOL:
-            bad.append(i)
+    bad = _out_of_order(vd, vp)
     scale = max(1.0, float(np.max(np.abs(vd[:ncmp]))) if ncmp else 1.0)
     cd = _clusters(vd[:ncmp], CLUSTER_TOL * scale)
     cp = _clusters(vp[:ncmp], CLUSTER_TOL * scale)
@@ -346,46 +351,46 @@ def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
     genuinely nested and the eigenvalues decrease monotonically in L.
     Bound states below the threshold decay exponentially, so successive
     deltas shrink geometrically once the box dominates the decay length.
-    DomainError before assembly when a box holds fewer than k nodes.
+    DomainError before assembly when a box holds fewer than k nodes.  The
+    full pencil is solved as a one-level cascade (pipeline.cascade_solve,
+    the certified shift search) and handed to truncation_from_forms.
     """
     halfwidths = _box_halfwidths(geometry, halfwidths)
     meshes = pipeline.mesh_levels(geometry, h, refinements,
                                   inner_rings=halfwidths[:-1])
     _check_boxes(meshes[-1], halfwidths, k)
     forms = femforms.assemble(meshes[-1], material)
-    return truncation_from_forms(forms, which, halfwidths, k, tol=tol,
+    full = pipeline.cascade_solve([forms], which, k, tol=tol, seed=seed)[0]
+    return truncation_from_forms(forms, which, halfwidths, k, full, tol=tol,
                                  seed=seed)
 
 
 def truncation_from_forms(forms, which: str, halfwidths, k: int,
-                          tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                          full: EigenResult | None = None) -> TruncationStudy:
+                          full: EigenResult, tol: float = DEFAULT_TOL,
+                          seed: int = DEFAULT_SEED) -> TruncationStudy:
     """Truncation study on an already assembled master mesh whose inner
     boxes were constrained in as rings.
 
-    full is an optional result of the full pencil on this mesh (the
-    cascade's).  When the largest box keeps every dof its row is full's
-    values, with no new solve; otherwise that box is solved like the rest.
-    Every box is solved at the pole pipeline.truncation_shift of full, or
-    without full of the largest box, which is then solved first with the
-    certified shift search.  By min-max the eigenvalues of a restricted
-    pencil are no smaller than the full pencil's, so that pole is below
-    every box's spectrum.  Every box holds k nodes (_check_boxes).
+    full is the result of the full pencil on this mesh (the cascade's).
+    When the largest box keeps every dof its row is full's values, with
+    no new solve; otherwise that box is solved like the rest.  Every box
+    is solved at the pole pipeline.truncation_shift of full: by min-max
+    the eigenvalues of a restricted pencil are no smaller than the full
+    pencil's, so that pole is below every box's spectrum.  Every box
+    holds k nodes (_check_boxes).
     """
     halfwidths = sorted(set(float(L) for L in halfwidths))
-    ndof = forms.matrices(which)[0].shape[0]
-    shift = None if full is None else pipeline.truncation_shift(full.values)
+    ndof = full.vectors.shape[0]
+    pole = pipeline.truncation_shift(full.values)
     values = []
-    for L in reversed(halfwidths):  # the largest box has the lowest spectrum
-        if (full is not None and L == halfwidths[-1]
+    for L in halfwidths:
+        if (L == halfwidths[-1]
                 and pipeline.interior_dofs(forms, which, L).size == ndof):
             res = full
         else:
             res, _ = pipeline.solve_restricted(forms, which, L, k, tol=tol,
-                                               seed=seed, shift=shift)
-        values.insert(0, res.values[:k])
-        if shift is None:
-            shift = pipeline.truncation_shift(res.values)
+                                               seed=seed, pole=pole)
+        values.append(res.values[:k])
     vals = np.asarray(values)
     deltas = np.abs(np.diff(vals, axis=0))
     stabilized = deltas[-1] < STAB_TOL if deltas.size else np.zeros(k, bool)
@@ -470,8 +475,7 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
 
     def studies(forms, res_d, res_p):
         return tuple(truncation_from_forms(forms[t_idx], which, halfwidths,
-                                           k, tol=tol, seed=seed,
-                                           full=res[t_idx])
+                                           k, res[t_idx], tol=tol, seed=seed)
                      for which, res in ((DELTA, res_d), (DELTA_PRIME, res_p)))
 
     def coarse_delta():
@@ -540,8 +544,7 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
     # the non-strict comparison must hold on every coarser level; the
     # finest is graded below, where a violation is a verdict
     for rd, rp in zip(res_d[:-1], res_p[:-1]):
-        n = min(rd.values.size, rp.values.size)
-        if np.any(rp.values[:n] > rd.values[:n] + HARD_TOL):
+        if _out_of_order(rd.values, rp.values):
             raise TheoremViolation(
                 "discrete eigenvalue comparison failed on a coarse level")
 

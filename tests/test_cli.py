@@ -537,28 +537,22 @@ def test_violation_exits_3(tmp_path, monkeypatch):
 def test_finest_level_violation_exits_3(tmp_path, monkeypatch):
     # the first finest-level delta-prime value 1e-6 above the delta one is
     # a graded violation, not a coarse-level error: exit 3, a violated
-    # pair in the report, and no counting table.  The run resumes each
-    # cascade one level at a time, so the finest list is the one a call
-    # leaves as the third of the config's three levels
+    # pair in the report, and no counting table.  The value is moved once
+    # both finest lists exist, whichever thread solved them first
     import dataclasses
 
-    from leakyfem import pipeline
     from leakyfem import spectral_analysis as sa
-    cascade = pipeline.cascade_solve
-    finest = {}
+    solve_levels = sa.solve_levels
 
-    def flipped(forms_list, which, *args, **kwargs):
-        res = cascade(forms_list, which, *args, **kwargs)
-        if len(res) < 3:
-            return res
-        finest[which] = res[-1]
-        if which == sa.DELTA_PRIME:
-            values = res[-1].values.copy()
-            values[0] = finest[sa.DELTA].values[0] + 1e-6
-            res[-1] = dataclasses.replace(res[-1], values=values)
-        return res
+    def flipped(*args, **kwargs):
+        halfwidths, forms, res_d, res_p, trunc = solve_levels(*args,
+                                                              **kwargs)
+        values = res_p[-1].values.copy()
+        values[0] = res_d[-1].values[0] + 1e-6
+        res_p[-1] = dataclasses.replace(res_p[-1], values=values)
+        return halfwidths, forms, res_d, res_p, trunc
 
-    monkeypatch.setattr(pipeline, "cascade_solve", flipped)
+    monkeypatch.setattr(sa, "solve_levels", flipped)
     p = _write(tmp_path / "cfg.json", _base_cfg(tmp_path / "out"))
     assert cli.main(["solve", "--config", p]) == cli.EXIT_VIOLATED
     report = json.loads((tmp_path / "out" / "report.json").read_text())

@@ -153,8 +153,8 @@ def test_rayleigh_quotient_consistency(assembled_broken_line):
 def test_shift_invariance(assembled_broken_line):
     F = assembled_broken_line
     A, M = F.matrices(femforms.DELTA_PRIME)
-    r1 = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0)
-    r2 = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-3.0)
+    r1 = es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=-8.0)
+    r2 = es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=-3.0)
     assert np.abs(r1.values - r2.values).max() <= 1e-9
     assert r1.shift_used != r2.shift_used
 
@@ -192,10 +192,11 @@ def test_bad_inputs():
     with pytest.raises(SolverError):
         es.smallest_eigenpairs(A, _identity(2), 1, tol=0.0)
     with pytest.raises(SolverError):
-        es.smallest_eigenpairs(A, _identity(2), 1, shift=1.5)  # not below
+        # one eigenvalue below the pole: neither below nor above k = 2
+        es.smallest_eigenpairs(A, _identity(2), 2, pole=1.5)
 
 
-@pytest.mark.parametrize("pole", [{}, {"shift": -1.0}, {"above": 1.0}])
+@pytest.mark.parametrize("pole", [{}, {"pole": -1.0}, {"pole": 1.0}])
 def test_empty_pencil_is_refused(monkeypatch, pole):
     # a 0x0 pencil has nothing to solve: DomainError before any
     # factorization, whatever the pole
@@ -316,11 +317,11 @@ def test_unfactorable_top_probe_is_moved_up(monkeypatch):
     # eigenvalue: the level moves up to 2 delta, with no restart
     A = sp.diags(np.arange(1.0, 11.0)).tocsr()
     M = _identity(10)
-    plain = es.smallest_eigenpairs(A, M, 3, tol=1e-12, shift=0.0)
+    plain = es.smallest_eigenpairs(A, M, 3, tol=1e-12, pole=0.0)
     top = plain.values[-1]
     delta = 1e-8 * top
     probes, wants = _recorded(monkeypatch, lambda mu: mu == top + delta)
-    r = es.smallest_eigenpairs(A, M, 3, tol=1e-12, shift=0.0)
+    r = es.smallest_eigenpairs(A, M, 3, tol=1e-12, pole=0.0)
     assert wants == [3]
     assert np.array_equal(r.values, plain.values)
     assert probes == [top + delta, top + 2.0 * delta]
@@ -332,7 +333,7 @@ def test_top_without_a_factorable_probe_counts_as_missing(monkeypatch):
     probes, wants = _recorded(monkeypatch, lambda mu: True)
     A = sp.diags(np.arange(1.0, 11.0)).tocsr()
     with pytest.raises(SolverError, match="did not converge"):
-        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, shift=0.0)
+        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, pole=0.0)
     assert wants == [3, 1, 1, 1]
     assert len(probes) == 12
 
@@ -341,7 +342,7 @@ def test_top_count_below_the_list_is_an_error(monkeypatch):
     monkeypatch.setattr(es, "inertia_count", lambda A, M, mu: 1)
     A = sp.diags(np.arange(1.0, 11.0)).tocsr()
     with pytest.raises(SolverError, match="list holds 3"):
-        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, shift=0.0)
+        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, pole=0.0)
 
 
 def test_deflated_restart_over_the_whole_complement(monkeypatch):
@@ -387,7 +388,7 @@ def test_arpack_without_convergence_is_an_error(monkeypatch):
     monkeypatch.setattr(es, "eigsh", stalled)
     A = sp.diags(np.arange(1.0, 11.0)).tocsr()
     with pytest.raises(SolverError, match="did not converge") as err:
-        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, shift=0.0)
+        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, pole=0.0)
     assert np.array_equal(err.value.partial.values, [1.0])
 
 
@@ -395,7 +396,7 @@ def test_pole_above_counts_and_drives_the_search(monkeypatch,
                                                  assembled_broken_line):
     # one factorization at the pole above the list, and no count after it
     A, M = assembled_broken_line.matrices(femforms.DELTA_PRIME)
-    today = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0)
+    today = es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=-8.0)
     above = today.values[-1] + 1e-3 * max(1.0, abs(today.values[-1]))
     poles = []
     factor = es._factor
@@ -405,14 +406,47 @@ def test_pole_above_counts_and_drives_the_search(monkeypatch,
         return factor(A, M, mu)
 
     monkeypatch.setattr(es, "_factor", recorded)
-    r = es.smallest_eigenpairs(A, M, 3, tol=1e-10, above=above)
+    r = es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=above)
     assert poles == [above]
     assert r.shift_used == above
     assert np.abs(r.values - today.values).max() <= 1e-9
-    # one pole per solve: a pole below and a pole above are refused
-    with pytest.raises(DomainError, match="not both"):
-        es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0, above=above)
-    assert poles == [above]
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 10, 11])
+def test_pole_side_is_read_off_its_factor(monkeypatch, assembled_broken_line,
+                                          m):
+    # the m negative pivots of the pole's factor tell its side for k = 3:
+    # m = 0 is a pole below, certified by one count above the list;
+    # 3 <= m <= 10 a pole above, whose factor alone counts and drives
+    # ARPACK; 0 < m < 3 and m > 10 are refused after that one factor, and
+    # solve_pencil then takes the certified shift search
+    A, M = assembled_broken_line.matrices(femforms.DELTA_PRIME)
+    lam = es.smallest_eigenpairs(A, M, max(m + 1, 3), tol=1e-10,
+                                 pole=-8.0).values
+    pole = 0.5 * (lam[m - 1] + lam[m]) if m else -8.0
+    assert es.inertia_count(A, M, pole) == m
+    poles = []
+    factor = es._factor
+
+    def recorded(A, M, mu):
+        poles.append(mu)
+        return factor(A, M, mu)
+
+    monkeypatch.setattr(es, "_factor", recorded)
+    if m in (1, 11):
+        with pytest.raises(SolverError, match=f"{m} eigenvalues below"):
+            es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=pole)
+        assert poles == [pole]
+        r = pipeline.solve_pencil(A, M, 3, tol=1e-10, pole=pole)
+        assert r.shift_used == es.lower_shift(A, M)[0]
+        assert np.abs(r.values - lam[:3]).max() <= 1e-12
+        return
+    r = es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=pole)
+    top = r.values[-1]
+    assert poles == ([pole, top + 1e-8 * max(1.0, abs(top))] if m == 0
+                     else [pole])
+    assert r.shift_used == pole
+    assert np.abs(r.values - lam[:3]).max() <= 1e-9
 
 
 @pytest.mark.parametrize("fault", ["refused", "too_few", "too_many",
@@ -424,7 +458,7 @@ def test_pole_above_falls_back_to_the_pole_below(monkeypatch,
     # is an error of the solve at that pole; solve_pencil then takes the
     # certified shift search, which gives today's values
     A, M = assembled_broken_line.matrices(femforms.DELTA_PRIME)
-    today = es.smallest_eigenpairs(A, M, 3, tol=1e-10, shift=-8.0)
+    today = es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=-8.0)
     lam = today.values
     # 1.178 lies between the 11th and 12th eigenvalues: m = 2k + 5
     above = {"too_few": 0.5 * (lam[0] + lam[1]),
@@ -451,8 +485,8 @@ def test_pole_above_falls_back_to_the_pole_below(monkeypatch,
 
         monkeypatch.setattr(es, "eigsh", stalled)
     with pytest.raises(SolverError):
-        es.smallest_eigenpairs(A, M, 3, tol=1e-10, above=above)
-    r = pipeline.solve_pencil(A, M, 3, tol=1e-10, above=above)
+        es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=above)
+    r = pipeline.solve_pencil(A, M, 3, tol=1e-10, pole=above)
     assert r.shift_used == es.lower_shift(A, M)[0]
     assert np.abs(r.values - lam).max() <= 1e-12
 

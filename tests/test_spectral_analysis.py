@@ -307,7 +307,8 @@ def test_truncation_shift_seeded_from_full_box(monkeypatch):
     mesh = pipeline.mesh_levels(g, 0.6, 0, inner_rings=[3.0, 4.5])[0]
     forms = femforms.assemble(mesh, mat)
     boxes = [3.0, 4.5, 6.0]
-    plain = sa.truncation_from_forms(forms, sa.DELTA, boxes, 2)
+    plain = [pipeline.solve_restricted(forms, sa.DELTA, L, 2)[0].values
+             for L in boxes]
     full = pipeline.cascade_solve([forms], sa.DELTA, 2)[0]
     searches = []
     lower_shift = eigensolver.lower_shift
@@ -317,9 +318,9 @@ def test_truncation_shift_seeded_from_full_box(monkeypatch):
         return lower_shift(*args, **kwargs)
 
     monkeypatch.setattr(eigensolver, "lower_shift", counted)
-    seeded = sa.truncation_from_forms(forms, sa.DELTA, boxes, 2, full=full)
+    seeded = sa.truncation_from_forms(forms, sa.DELTA, boxes, 2, full)
     assert not searches
-    assert np.abs(seeded.values - plain.values).max() <= 1e-9
+    assert np.abs(seeded.values - plain).max() <= 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -371,8 +372,8 @@ def test_tight_pole_above_the_spectrum_falls_back(monkeypatch, broken_levels):
 
 def test_solve_pencil_keeps_the_pole_above_without_a_shift(monkeypatch,
                                                            broken_levels):
-    # with no shift below the spectrum, the pole above still counts and
-    # drives the search: one factorization, at that pole
+    # a pole above the list counts and drives the search: one
+    # factorization, at that pole
     res0 = pipeline.cascade_solve(broken_levels[:1], sa.DELTA, 2)[0]
     sigma = pipeline.pole_above(res0.values)
     A, M = broken_levels[1].matrices(sa.DELTA)
@@ -384,7 +385,7 @@ def test_solve_pencil_keeps_the_pole_above_without_a_shift(monkeypatch,
         return splu(S, *args, **kwargs)
 
     monkeypatch.setattr(eigensolver, "splu", spied)
-    res = pipeline.solve_pencil(A, M, 2, above=sigma)
+    res = pipeline.solve_pencil(A, M, 2, pole=sigma)
     assert len(factored) == 1
     assert abs(factored[0] - (A - sigma * M)).max() == 0.0
     assert res.shift_used == sigma
@@ -447,24 +448,24 @@ def _solved_boxes(monkeypatch):
 
 def test_full_box_row_is_the_full_solve(monkeypatch, ringed_forms):
     forms, full = ringed_forms
-    plain = sa.truncation_from_forms(forms, sa.DELTA, [3.0, 4.5, 6.0], 2)
+    plain = [pipeline.solve_restricted(forms, sa.DELTA, L, 2)[0].values
+             for L in (3.0, 4.5, 6.0)]
     boxes = _solved_boxes(monkeypatch)
     study = sa.truncation_from_forms(forms, sa.DELTA, [3.0, 4.5, 6.0], 2,
-                                     full=full)
+                                     full)
     assert sorted(boxes) == [3.0, 4.5]
     assert np.array_equal(study.values[-1], full.values[:2])
-    assert np.abs(study.values - plain.values).max() <= 1e-9
+    assert np.abs(study.values - plain).max() <= 1e-9
 
 
 def test_box_that_leaves_out_dofs_is_solved(monkeypatch, ringed_forms):
     forms, full = ringed_forms
     pole = pipeline.truncation_shift(full.values)
     alone, keep = pipeline.solve_restricted(forms, sa.DELTA, 4.5, 2,
-                                            shift=pole)
+                                            pole=pole)
     assert keep.size < full.vectors.shape[0]
     boxes = _solved_boxes(monkeypatch)
-    study = sa.truncation_from_forms(forms, sa.DELTA, [3.0, 4.5], 2,
-                                     full=full)
+    study = sa.truncation_from_forms(forms, sa.DELTA, [3.0, 4.5], 2, full)
     assert sorted(boxes) == [3.0, 4.5]
     assert np.array_equal(study.values[-1], alone.values[:2])
 
