@@ -11,8 +11,7 @@ Commands (console script `spec`):
 
 Configuration is strict JSON: unknown keys and mistyped numbers (a bool
 is not a number) are rejected, units follow the library (lengths in the
-coordinate unit, alpha in 1/length, beta in length).  The environment
-variable SPEC_SEED overrides the solver seed.
+coordinate unit, alpha in 1/length, beta in length).
 Exit codes for solve/sweep: 0 all comparisons strict, 2 some
 indistinguishable, 3 violated, 1 errors, usage errors included.  A sweep
 runs its points on --jobs threads (default 1).
@@ -178,10 +177,6 @@ def _run_settings(cfg):
     scfg = cfg.get("solver", {})
     _check_keys(scfg, {"k", "tol", "seed"}, "solver")
     seed = _value(scfg, "seed", "solver", DEFAULT_SEED, integer=True, low=0)
-    env = os.environ.get("SPEC_SEED")
-    if env is not None:
-        seed = _number(int(env) if env.strip().isdecimal() else env,
-                       "SPEC_SEED", integer=True, low=0)
     h = _value(dcfg, "h", "discretization")
     # three levels for the Richardson error estimate
     refinements = _value(dcfg, "refinements", "discretization", 2,

@@ -1,11 +1,12 @@
 """Constrained Delaunay triangulation with Ruppert-style quality refinement.
 
-Incremental insertion with Lawson flips, constraint recovery by edge
-flipping, and a refinement loop that splits encroached constrained edges
-and inserts circumcenters of skinny or oversized triangles.  Predicates
-use floating point with an exact rational fallback near ties, so the
-triangulation stays topologically consistent for the collinear and
-cocircular point sets that box-clipped interfaces produce.
+Incremental insertion with Lawson flips, constraint recovery by midpoint
+splitting (a missing constraint piece gets a vertex at its midpoint until
+every piece is an edge), and a refinement loop that splits encroached
+constrained edges and inserts circumcenters of skinny or oversized
+triangles.  Predicates use floating point with an exact rational fallback
+near ties, so the triangulation stays topologically consistent for the
+collinear and cocircular point sets that box-clipped interfaces produce.
 
 Concentric-shell splitting protects constraint junctions with small
 angles.  Triangles whose short edge spans such a junction are exempt
@@ -161,10 +162,6 @@ class Triangulation:
     def is_constrained(self, u, v):
         return self._ekey(u, v) in self.constraint
 
-    def _orient_v(self, i, j, k):
-        return orient(self.px[i], self.py[i], self.px[j], self.py[j],
-                      self.px[k], self.py[k])
-
     def _incircle_v(self, i, j, k, l):
         return incircle(self.px[i], self.py[i], self.px[j], self.py[j],
                         self.px[k], self.py[k], self.px[l], self.py[l])
@@ -292,20 +289,12 @@ class Triangulation:
         self._split_edge_at((u, v), p)
         return p
 
-    # -- constraint segment recovery ------------------------------------------
-
     def _fan_around(self, u):
         """All triangles incident to u, as (u, a, b) tuples."""
         out = []
         t0 = self.vtri.get(u)
-        if t0 is None or t0 not in self.tris:
-            t0 = None
-            for tid, tri in self.tris.items():
-                if u in tri:
-                    t0 = tid
-                    break
-            if t0 is None:
-                raise MeshingError(f"vertex {u} has no incident triangle")
+        if t0 not in self.tris:
+            raise MeshingError(f"vertex {u} has no incident triangle")
         seen = set()
         stack = [t0]
         while stack:
@@ -325,90 +314,36 @@ class Triangulation:
                     stack.append(nbr)
         return out
 
-    def _segment_crossings(self, u, v):
-        """Ordered list of edges properly crossing the open segment u-v."""
-        for tid, a, b in self._fan_around(u):
-            if a == v or b == v:
-                return []
-            sa = self._orient_v(u, v, a)
-            sb = self._orient_v(u, v, b)
-            if sa == 0 and self._between(u, v, a):
-                raise MeshingError("constraint passes through an existing vertex")
-            if sb == 0 and self._between(u, v, b):
-                raise MeshingError("constraint passes through an existing vertex")
-            if sa > 0 and sb < 0:
-                # segment leaves through edge (a, b) if they straddle it
-                if self._orient_v(a, b, u) != self._orient_v(a, b, v):
-                    crossings = [(a, b)]
-                    left, right, cur = a, b, tid
-                    while True:
-                        nxt = self.edge_tri.get((right, left))
-                        if nxt is None:
-                            raise MeshingError("segment walk left the domain")
-                        c = [w for w in self.tris[nxt] if w not in (left, right)][0]
-                        if c == v:
-                            return crossings
-                        sc = self._orient_v(u, v, c)
-                        if sc == 0 and self._between(u, v, c):
-                            raise MeshingError(
-                                "constraint passes through an existing vertex")
-                        if sc > 0:
-                            left = c
-                        else:
-                            right = c
-                        crossings.append((left, right))
-        raise MeshingError(f"no path from vertex {u} toward segment end {v}")
-
-    def _between(self, u, v, w):
-        """True if w (collinear with u, v) lies strictly inside segment u-v."""
-        dx, dy = self.px[v] - self.px[u], self.py[v] - self.py[u]
-        t = (self.px[w] - self.px[u]) * dx + (self.py[w] - self.py[u]) * dy
-        return 0 < t < dx * dx + dy * dy
+    # -- constraint segment recovery ------------------------------------------
 
     def insert_segment(self, u, v, label):
-        """Force edge (u, v) into the triangulation and constrain it."""
+        """Force edge (u, v) into the triangulation and constrain it.
+
+        A piece that is not yet an edge is split at its midpoint, inserted
+        through insert_point, and each half is recovered in turn (Ruppert's
+        and Shewchuk's segment recovery: no edge flips).  A piece still
+        missing once shorter than 1e-9 of the segment ends in MeshingError:
+        it crosses another constraint or runs through a vertex.
+        """
         if u == v:
             raise MeshingError("degenerate constraint segment")
-        guard = 0
-        while (u, v) not in self.edge_tri and (v, u) not in self.edge_tri:
-            guard += 1
-            if guard > 10000:
-                raise MeshingError("constraint recovery did not terminate")
-            pending = deque(self._segment_crossings(u, v))
-            while pending:
-                a, b = pending.popleft()
-                if (a, b) not in self.edge_tri or (b, a) not in self.edge_tri:
-                    continue
-                if not self._crosses(a, b, u, v):
-                    continue
-                if self.is_constrained(a, b):
-                    raise MeshingError("constraint crosses an existing constraint")
-                t1 = self.edge_tri[(a, b)]
-                t2 = self.edge_tri[(b, a)]
-                c = [w for w in self.tris[t1] if w not in (a, b)][0]
-                d = [w for w in self.tris[t2] if w not in (a, b)][0]
-                # flippable only if the quad a-c-b-d is strictly convex
-                if (self._orient_v(c, d, a) != self._orient_v(c, d, b)
-                        and self._orient_v(c, d, a) != 0
-                        and self._orient_v(c, d, b) != 0):
-                    self._remove_tri(t1)
-                    self._remove_tri(t2)
-                    self._add_tri(c, a, d)
-                    self._add_tri(d, b, c)
-                    if self._crosses(c, d, u, v):
-                        pending.append((c, d))
-                else:
-                    pending.append((a, b))
-        self.constraint[self._ekey(u, v)] = label
-
-    def _crosses(self, a, b, u, v):
-        sa = self._orient_v(u, v, a)
-        sb = self._orient_v(u, v, b)
-        if sa == 0 or sb == 0 or sa == sb:
-            return False
-        su = self._orient_v(a, b, u)
-        sv = self._orient_v(a, b, v)
-        return su != sv and su != 0 and sv != 0
+        floor = 1e-18 * self._edge_len2(u, v)   # squared, so 1e-9 of its length
+        pieces = [(u, v)]
+        while pieces:
+            a, b = pieces.pop()
+            if (a, b) in self.edge_tri or (b, a) in self.edge_tri:
+                self.constraint[self._ekey(a, b)] = label
+                continue
+            m = None
+            if self._edge_len2(a, b) >= floor:
+                m = self.insert_point(0.5 * (self.px[a] + self.px[b]),
+                                      0.5 * (self.py[a] + self.py[b]),
+                                      hint=self.vtri.get(a))
+            if m in (None, a, b):
+                raise MeshingError(
+                    f"constraint {u}-{v} cannot be recovered: its piece "
+                    f"{a}-{b} crosses another constraint or a vertex")
+            pieces += [(m, b), (a, m)]
 
     # -- refinement -----------------------------------------------------------
 

@@ -1,0 +1,58 @@
+"""The coarse meshes of the catalog geometries and of the two acceptance
+configs, pinned by a digest of every array the solvers read.
+
+A change to the triangulator's data structures or bookkeeping must leave
+these meshes bit for bit as they are; a change that moves a vertex, a
+triangle or a marker fails here before it shows up as a shifted eigenvalue.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from leakyfem import geometry as geo
+from leakyfem import meshing
+
+FIELDS = ("nodes", "triangles", "tri_region", "iface_edges", "iface_seg",
+          "boundary_edges", "boundary_dirichlet")
+
+# name -> (geometry, h, inner rings, sha256 of FIELDS)
+CASES = {
+    "broken_line": (
+        lambda: geo.make_broken_line(math.pi / 4, 4.0), 0.5, None,
+        "35805e209e8b5a59d5f3a992ed0c44b8a9de2a107308b4f840ad69a8d56368fd"),
+    "circle": (
+        lambda: geo.make_circle(1.0, (0.0, 0.0), 4.0, 64), 0.35, None,
+        "9680257e8fd8257a49289db0677da60832d7f52fff48ca476c6d759679be0b8e"),
+    "line_plus_circle": (
+        lambda: geo.make_line_plus_circle(2.5, 1.0, 6.0, 48), 0.5, None,
+        "a26a8b80a3dd2ddca852d5d7155bbf3b25755f5e668f50fda03ad934b1694a2e"),
+    "cone_meridian": (
+        lambda: geo.make_cone_meridian(math.pi / 6, 4.0), 0.4, None,
+        "47dbc004c636e422a3b1aafabbdf324f1e46383de8fad881770d876083211be9"),
+    # the coarse meshes of the borderline and circle strict acceptance runs
+    "borderline": (
+        lambda: geo.make_broken_line(math.pi / 4, 12.0), 0.5, [6.0, 9.0],
+        "acd98493a2a3a4b1727bd3af4f3844266dfc5e7b57eced95b517d73e0956812a"),
+    "circle_strict": (
+        lambda: geo.make_circle(1.0, (0.0, 0.0), 3.5, 64), 0.15, [2.5],
+        "d40995381517eeed46e222ce94c9f3404e9a859a3b3bb940f65c0a8cce7295e3"),
+}
+
+
+def mesh_digest(mesh):
+    h = hashlib.sha256()
+    for name in FIELDS:
+        a = np.ascontiguousarray(getattr(mesh, name))
+        h.update(f"{name}:{a.dtype.str}:{a.shape};".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_coarse_mesh_digest(name):
+    make, h, rings, digest = CASES[name]
+    mesh = meshing.triangulate(make(), h, inner_rings=rings)
+    assert mesh_digest(mesh) == digest

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from leakyfem import geometry as geo
-from leakyfem import meshing, pipeline
+from leakyfem import delaunay, meshing, pipeline
 from leakyfem.errors import DomainError, MeshingError
 
 
@@ -222,11 +223,86 @@ def test_ring_across_the_interface_is_named():
     # a mesh that then fails says which ring crosses the interface
     g = geo.make_circle(1.0, (0.2, 0.0), 4.447, 16)
     with pytest.raises(MeshingError, match=r"^the inner ring of halfwidth "
-                       r"0\.957 crosses the interface: no path from"):
+                       r"0\.957 crosses the interface: "):
         pipeline.mesh_levels(g, 1.0, 0, inner_rings=[0.957])
     # only a ring that properly crosses an interface segment is named
     assert meshing._crossing_ring(g, [2.0, 0.957, 0.5]) == 0.957
     assert meshing._crossing_ring(g, [2.0]) is None
+
+
+def _straddling_edges(m, r):
+    """Number of mesh edges with one end inside the ring of halfwidth r and
+    the other outside, by more than the mesher's snapping tolerance."""
+    d = np.max(np.abs(m.nodes), axis=1)[_unique_edges(m)]
+    inside, outside = d < r * (1 - 1e-12), d > r * (1 + 1e-12)
+    return int(np.sum((inside[:, 0] & outside[:, 1])
+                      | (outside[:, 0] & inside[:, 1])))
+
+
+def test_ring_close_to_the_interface_is_recovered():
+    # the top side of the ring of halfwidth 1 runs through the circle of
+    # radius 0.5 at height 1, and some of its pieces are no Delaunay edges
+    # once the points are in: they are split at their midpoints
+    g = geo.make_line_plus_circle(1.0, 0.5, 4.0, 16)
+    m = meshing.triangulate(g, 1.0, inner_rings=[1.0])
+    meshing.check_mesh(m, g)
+    assert _straddling_edges(m, 1.0) == 0
+
+
+@st.composite
+def _ringed_geometries(draw):
+    """(kind, geometry args, h, rings) with one ring near or across the
+    interface."""
+    kind = draw(st.sampled_from(["broken_line", "circle", "line_plus_circle",
+                                 "cone_meridian"]))
+    L = draw(st.floats(2.5, 6.0))
+    if kind in ("broken_line", "cone_meridian"):
+        args = (draw(st.floats(0.2, 1.4)), L)
+        near = L * draw(st.floats(0.1, 0.9))
+    elif kind == "circle":
+        R = L * draw(st.floats(0.1, 0.4))
+        c = (draw(st.floats(-0.2, 0.2)) * L, draw(st.floats(-0.2, 0.2)) * L)
+        args = (R, c, L, draw(st.integers(16, 32)))
+        near = max(abs(c[0]), abs(c[1])) + R
+    else:
+        R = L * draw(st.floats(0.05, 0.3))
+        height = R + L * draw(st.floats(0.05, 0.3))
+        args = (height, R, L, draw(st.integers(16, 32)))
+        near = draw(st.sampled_from([height - R, height, height + R]))
+    Lr = min(max(near * draw(st.floats(0.9, 1.1)), 0.05 * L), 0.95 * L)
+    h = L * draw(st.floats(1 / 8, 1 / 4))
+    return kind, args, h, [Lr]
+
+
+@settings(max_examples=25)
+@example(case=("line_plus_circle", (1.0, 0.5, 4.0, 16), 1.0, [1.0]))
+@given(case=_ringed_geometries())
+def test_rings_near_the_interface_mesh_or_fail_explicitly(case):
+    kind, args, h, rings = case
+    try:
+        g = getattr(geo, "make_" + kind)(*args)
+        m = meshing.triangulate(g, h, inner_rings=rings)
+    except DomainError:
+        return
+    except MeshingError as exc:
+        # a ring that meets the interface at a small angle may miss the
+        # angle floor or the vertex budget; no constraint is left missing
+        assert {"min_angle", "budget"} & set(exc.diagnostics), exc
+        return
+    meshing.check_mesh(m, g)
+    assert _straddling_edges(m, rings[0]) == 0
+
+
+def test_crossing_constraints_are_refused():
+    # two constraints that cross away from any vertex: the pieces of the
+    # second around the crossing stay missing however often they are split
+    tri = delaunay.Triangulation([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0),
+                                  (0.0, 4.0)])
+    a, b, c, d = (tri.insert_point(x, y) for x, y in
+                  ((1.0, 1.0), (3.0, 3.0), (0.5, 2.9), (3.3, 1.1)))
+    tri.insert_segment(a, b, "first")
+    with pytest.raises(MeshingError, match="crosses another constraint"):
+        tri.insert_segment(c, d, "second")
 
 
 def _dict_adjacency(triangles, tri_region, iface_edges):
