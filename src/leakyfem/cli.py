@@ -208,9 +208,12 @@ def _outputs(cfg, args):
     """Output directory and formats, checked before any command runs."""
     ocfg = cfg.get("outputs", {})
     _check_keys(ocfg, {"directory", "formats"}, "outputs")
-    out = ocfg.get("directory", ".") if args.out is None else args.out
+    out = ocfg.get("directory", ".")
     if not isinstance(out, str):
         raise ConfigError(f"outputs.directory must be a string, got {out!r}")
+    out = out if args.out is None else args.out
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"output directory {out!r} names a file")
     formats = ocfg.get("formats", list(FORMATS))
     if not isinstance(formats, list) or not all(f in FORMATS
                                                 for f in formats):

@@ -11,6 +11,10 @@ collinear and cocircular point sets that box-clipped interfaces produce.
 Concentric-shell splitting protects constraint junctions with small
 angles.  Triangles whose short edge spans such a junction are exempt
 from the angle criterion (they cannot be improved by further splitting).
+
+Callers build a mesh through insert_points, insert_segment, mark_corners
+and refine, and read it back through triangles(), constrained_edges(), px
+and py; the triangle, edge and constraint tables stay inside this module.
 """
 
 from __future__ import annotations
@@ -166,8 +170,13 @@ class Triangulation:
         return incircle(self.px[i], self.py[i], self.px[j], self.py[j],
                         self.px[k], self.py[k], self.px[l], self.py[l])
 
-    def n_vertices(self):
-        return len(self.px)
+    def triangles(self):
+        """Vertex triples of the live triangles, in creation order."""
+        return [self.tris[t] for t in sorted(self.tris)]
+
+    def constrained_edges(self):
+        """Sorted ((u, v), label) pairs of the constrained edges, u < v."""
+        return sorted(self.constraint.items())
 
     # -- point location ------------------------------------------------------
 
@@ -176,37 +185,31 @@ class Triangulation:
         if hint is None or hint not in self.tris:
             hint = next(iter(self.tris))
         tid = hint
-        steps = 0
-        limit = 4 * len(self.tris) + 64
-        while True:
-            steps += 1
-            if steps > limit:
-                raise MeshingError("point location walk failed to terminate")
+        for _ in range(4 * len(self.tris) + 64):
             a, b, c = self.tris[tid]
             self._walk_tick += 1
             start = self._walk_tick % 3
-            signs = {}
-            moved = False
+            zeros = []
             for k in range(3):
                 u, v = ((a, b), (b, c), (c, a))[(start + k) % 3]
                 s = orient(self.px[u], self.py[u], self.px[v], self.py[v], x, y)
-                signs[(u, v)] = s
+                if s == 0:
+                    zeros.append((u, v))
                 if s < 0:
-                    nxt = self.edge_tri.get((v, u))
-                    if nxt is None:
+                    tid = self.edge_tri.get((v, u))
+                    if tid is None:
                         raise MeshingError("walk left the triangulated domain")
-                    tid = nxt
-                    moved = True
                     break
-            if moved:
-                continue
-            zeros = [e for e, s in signs.items() if s == 0]
-            if not zeros:
-                return ("tri", tid)
-            if len(zeros) == 1:
-                return ("edge", zeros[0])
-            verts = set(zeros[0]) & set(zeros[1])
-            return ("vertex", verts.pop())
+            else:  # no edge has the point on its far side: stop here
+                break
+        else:
+            raise MeshingError("point location walk failed to terminate")
+        if not zeros:
+            return ("tri", tid)
+        if len(zeros) == 1:
+            return ("edge", zeros[0])
+        verts = set(zeros[0]) & set(zeros[1])
+        return ("vertex", verts.pop())
 
     # -- insertion with Lawson flips ------------------------------------------
 
@@ -254,6 +257,16 @@ class Triangulation:
             self._split_edge_at(where, p)
         return p
 
+    def insert_points(self, points):
+        """Insert (x, y) points in order and return their vertex ids; each
+        walk starts from the triangle of the vertex inserted before."""
+        ids = []
+        hint = None
+        for x, y in points:
+            ids.append(self.insert_point(x, y, hint))
+            hint = self.vtri.get(ids[-1])
+        return ids
+
     def _split_edge_at(self, edge, p):
         """Split edge (u, v) at vertex p, inheriting any constraint label."""
         u, v = edge
@@ -279,16 +292,6 @@ class Triangulation:
             out += [(v, w2), (w2, u)]
         self._legalize(p, out)
 
-    def split_constrained_edge(self, u, v, x, y):
-        """Forced split of constrained edge (u, v) at coordinates (x, y).
-
-        The split point is taken to lie on the edge by fiat; this avoids a
-        point-location step whose roundoff could miss the edge.
-        """
-        p = self._new_vertex(x, y)
-        self._split_edge_at((u, v), p)
-        return p
-
     def _fan_around(self, u):
         """All triangles incident to u, as (u, a, b) tuples."""
         out = []
@@ -299,11 +302,9 @@ class Triangulation:
         stack = [t0]
         while stack:
             tid = stack.pop()
-            if tid in seen or tid not in self.tris:
+            if tid in seen:
                 continue
             tri = self.tris[tid]
-            if u not in tri:
-                continue
             seen.add(tid)
             i = tri.index(u)
             a, b = tri[(i + 1) % 3], tri[(i + 2) % 3]
@@ -347,6 +348,18 @@ class Triangulation:
 
     # -- refinement -----------------------------------------------------------
 
+    def mark_corners(self, angles):
+        """Mark junction vertices {vertex: angle in degrees} as corners and
+        let each claim its constrained neighbours not yet claimed, so that
+        refine splits the constraints at a corner on shells around it."""
+        for vid, ang in angles.items():
+            self.corner_of[vid] = vid
+            self.corner_angle[vid] = ang
+        for (u, v) in list(self.constraint):
+            for a, b in ((u, v), (v, u)):
+                if self.corner_of.get(a) == a and b not in self.corner_of:
+                    self.corner_of[b] = a
+
     def _edge_len2(self, u, v):
         dx = self.px[u] - self.px[v]
         dy = self.py[u] - self.py[v]
@@ -355,16 +368,12 @@ class Triangulation:
     def _encroached(self, u, v):
         """A constrained edge is encroached if an adjacent apex lies strictly
         inside its diametral circle."""
-        mx = 0.5 * (self.px[u] + self.px[v])
-        my = 0.5 * (self.py[u] + self.py[v])
-        r2 = 0.25 * self._edge_len2(u, v)
         for e in ((u, v), (v, u)):
             tid = self.edge_tri.get(e)
             if tid is None:
                 continue
             w = [q for q in self.tris[tid] if q not in (u, v)][0]
-            dx, dy = self.px[w] - mx, self.py[w] - my
-            if dx * dx + dy * dy < r2 * (1.0 - 1e-12):
+            if self._point_encroaches(u, v, self.px[w], self.py[w]):
                 return True
         return False
 
@@ -378,17 +387,11 @@ class Triangulation:
     def _split_position(self, u, v):
         """Split point of a constrained edge: midpoint, or a power-of-two
         shell radius around an acute junction endpoint."""
-        cu = self.corner_of.get(u)
-        cv = self.corner_of.get(v)
-        anchor = None
-        if cu is not None and cu == u and (cv is None or cv != v):
-            anchor = u
-        elif cv is not None and cv == v and (cu is None or cu != u):
-            anchor = v
-        if anchor is None:
+        is_u, is_v = self.corner_of.get(u) == u, self.corner_of.get(v) == v
+        if is_u == is_v:  # neither end or both ends are junctions
             return (0.5 * (self.px[u] + self.px[v]),
                     0.5 * (self.py[u] + self.py[v]), None)
-        other = v if anchor == u else u
+        anchor, other = (u, v) if is_u else (v, u)
         d = math.sqrt(self._edge_len2(u, v))
         r = 2.0 ** round(math.log2(0.5 * d))
         t = min(max(r / d, 0.33), 0.67)
@@ -434,19 +437,16 @@ class Triangulation:
         tri_queue = deque(self.tris.keys())
         retries = {}
 
-        def overflow_guard():
-            if self.n_vertices() > max_vertices:
+        def after_insert(p):
+            if len(self.px) > max_vertices:
                 raise MeshingError(
                     "refinement exceeded its vertex budget",
                     diagnostics={
-                        "vertices": self.n_vertices(),
+                        "vertices": len(self.px),
                         "budget": max_vertices,
                         "pending_segments": len(seg_queue),
                         "pending_triangles": len(tri_queue),
                     })
-
-        def after_insert(p):
-            overflow_guard()
             for tid, a, b in self._fan_around(p):
                 tri_queue.append(tid)
                 for e in ((p, a), (a, b), (b, p)):
@@ -459,8 +459,10 @@ class Triangulation:
             u, v = key
             if not forced and not self._encroached(u, v):
                 return
+            # on the edge by fiat: locating it could miss the edge by roundoff
             x, y, anchor = self._split_position(u, v)
-            p = self.split_constrained_edge(u, v, x, y)
+            p = self._new_vertex(x, y)
+            self._split_edge_at((u, v), p)
             if anchor is not None:
                 self.corner_of[p] = self.corner_of.get(anchor, anchor)
             after_insert(p)
@@ -491,17 +493,14 @@ class Triangulation:
                                    self.px[tri[2]], self.py[tri[2]])
             blocked = self._walk_blocking_constraint(tid, ux, uy)
             if blocked is not None:
+                offending = [self._ekey(*blocked)]
+            else:
+                offending = [key for key in self._nearby_constraints(tid)
+                             if self._point_encroaches(*key, ux, uy)]
+            if offending:
                 if retries.get(tid, 0) < 8:
                     retries[tid] = retries.get(tid, 0) + 1
-                    split_seg(self._ekey(*blocked), forced=True)
-                    tri_queue.append(tid)
-                continue
-            encroach = [key for key in self._nearby_constraints(tid)
-                        if self._point_encroaches(key[0], key[1], ux, uy)]
-            if encroach:
-                if retries.get(tid, 0) < 8:
-                    retries[tid] = retries.get(tid, 0) + 1
-                    for key in encroach:
+                    for key in offending:
                         split_seg(key, forced=True)
                     tri_queue.append(tid)
                 continue
@@ -518,7 +517,7 @@ class Triangulation:
             if self.is_constrained(u, v):
                 out.add(self._ekey(u, v))
             nbr = self.edge_tri.get((v, u))
-            if nbr is not None and nbr in self.tris:
+            if nbr is not None:
                 na, nb, nc = self.tris[nbr]
                 for e in ((na, nb), (nb, nc), (nc, na)):
                     if self.is_constrained(*e):

@@ -29,7 +29,7 @@ CONTINUOUS = "continuous"
 BROKEN = "broken"
 
 _SHUFFLE_SEED = 987654321
-MIN_ANGLE_DEG = 20.0  # Ruppert's bound, lowered only at sharp interface corners
+MIN_ANGLE_DEG = 20.0  # Ruppert's bound, lowered only at sharp junctions
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,8 @@ class Mesh:
     boundary_edges   (B, 2) int32 node pairs on the outer box boundary
     boundary_dirichlet (B,) bool, True where the Dirichlet condition applies
     radial_weight    bool, True for the cone meridian domain
+    angle_floor      float, smallest angle allowed (degrees): MIN_ANGLE_DEG,
+                     or half the smallest junction angle of the PSLG if less
     """
 
     nodes: np.ndarray
@@ -56,6 +58,7 @@ class Mesh:
     boundary_edges: np.ndarray
     boundary_dirichlet: np.ndarray
     radial_weight: bool = False
+    angle_floor: float = MIN_ANGLE_DEG
 
     @property
     def num_nodes(self):
@@ -150,13 +153,9 @@ def _snap_points(points, tol):
     return lookup
 
 
-def _seg_param(a, b, p):
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    return ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
-
-
 def _point_on_segment(a, b, p, tol):
-    t = _seg_param(a, b, p)
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    t = ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / (dx * dx + dy * dy)
     if t <= 0.0 or t >= 1.0:
         return None
     cx, cy = a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])
@@ -210,8 +209,11 @@ def _crossing_ring(geometry, inner_rings):
 def _build_pslg(geometry, h, inner_rings):
     """Segments with labels, split at mutual intersections, chopped to <= h.
 
-    Returns (pieces, acute_corners): pieces is a list of (p, q, label);
-    acute corners are junction points where constraints meet below 60 deg.
+    Returns (pieces, acute, angle_floor): pieces is a list of (p, q, label);
+    acute maps junction points where constraints meet below 60 deg to that
+    angle; angle_floor is the smaller of MIN_ANGLE_DEG and half the smallest
+    junction angle (Shewchuk, CGTA 22, 2002, ties the reachable angle near
+    a small input angle to that angle).
     """
     L = geometry.halfwidth
     tol = 1e-12 * L
@@ -269,12 +271,14 @@ def _build_pslg(geometry, h, inner_rings):
         by_point[a].append(((b[0] - a[0]) / d, (b[1] - a[1]) / d))
         by_point[b].append(((a[0] - b[0]) / d, (a[1] - b[1]) / d))
     acute = {}
+    smallest = 180.0
     for p, dirs in by_point.items():
         for i in range(len(dirs)):
             for j in range(i + 1, len(dirs)):
                 dot = dirs[i][0] * dirs[j][0] + dirs[i][1] * dirs[j][1]
+                ang = math.degrees(math.acos(max(-1.0, min(1.0, dot))))
+                smallest = min(smallest, ang)
                 if dot > 0.5 + 1e-9:  # angle below 60 degrees
-                    ang = math.degrees(math.acos(min(1.0, dot)))
                     acute[p] = min(ang, acute.get(p, 180.0))
 
     pieces = []
@@ -282,7 +286,7 @@ def _build_pslg(geometry, h, inner_rings):
         pts = _segment_pieces(a, b, h)
         for k in range(len(pts) - 1):
             pieces.append((pts[k], pts[k + 1], label))
-    return pieces, acute
+    return pieces, acute, min(MIN_ANGLE_DEG, smallest / 2)
 
 
 def _iface_adjacency(triangles, tri_region, iface_edges):
@@ -331,16 +335,20 @@ def triangulate(geometry: InterfaceGeometry, h_target: float,
     The interface segments (and any inner rings) become unions of mesh
     edges; triangles are refined until every edge is at most h_target
     (h_target/2 within h_target of an interface apex) and no angle is
-    below MIN_ANGLE_DEG.  Raises MeshingError with diagnostics when the
-    refinement budget is exhausted; its message names an inner ring that
-    crosses the interface, when one does.
+    below MIN_ANGLE_DEG, save near a junction too sharp for it.  No angle
+    lies below the mesh's angle_floor, half the smallest angle at which two
+    constraints meet if that is less: a ring that meets the interface at
+    angle phi meshes with angles down to phi/2.  Raises MeshingError with
+    diagnostics when the refinement budget is exhausted or an angle lies
+    below the floor; its message names an inner ring that crosses the
+    interface, when one does.
     """
     L = geometry.halfwidth
     if not (0 < h_target <= L / 4):
         raise DomainError(f"h_target must lie in (0, L/4], got {h_target}")
-    pieces, acute = _build_pslg(geometry, h_target, inner_rings)
+    pieces, acute, floor = _build_pslg(geometry, h_target, inner_rings)
     try:
-        return _mesh_pslg(geometry, h_target, pieces, acute)
+        return _mesh_pslg(geometry, h_target, pieces, acute, floor)
     except MeshingError as exc:
         Lr = _crossing_ring(geometry, inner_rings)
         if Lr is None:
@@ -349,42 +357,21 @@ def triangulate(geometry: InterfaceGeometry, h_target: float,
                            f"interface: {exc}", exc.diagnostics) from exc
 
 
-def _mesh_pslg(geometry, h_target, pieces, acute):
+def _mesh_pslg(geometry, h_target, pieces, acute, floor):
     """triangulate's constrained Delaunay refinement of the PSLG pieces."""
     tri = delaunay.Triangulation(geometry.box_corners)
+    box = tri.box_vertices
     for side in range(4):
-        u = tri.box_vertices[side]
-        v = tri.box_vertices[(side + 1) % 4]
-        tri.constraint[tri._ekey(u, v)] = ("box", side)
+        tri.insert_segment(box[side], box[(side + 1) % 4], ("box", side))
 
-    rng = np.random.default_rng(_SHUFFLE_SEED)
-    pts = []
-    seen = set()
-    for a, b, _ in pieces:
-        for p in (a, b):
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
-    hint = None
-    for idx in rng.permutation(len(pts)):
-        x, y = pts[int(idx)]
-        vid = tri.insert_point(x, y, hint)
-        hint = tri.vtri.get(vid)
+    pts = list(dict.fromkeys(p for a, b, _ in pieces for p in (a, b)))
+    order = np.random.default_rng(_SHUFFLE_SEED).permutation(len(pts))
+    pts = [pts[int(i)] for i in order]
+    vid = dict(zip(pts, tri.insert_points(pts)))
     for a, b, label in pieces:
-        u = tri.coord_index[a]
-        v = tri.coord_index[b]
-        if u != v:
-            tri.insert_segment(u, v, label)
-
-    for p, ang in acute.items():
-        vid = tri.coord_index.get(p)
-        if vid is not None:
-            tri.corner_of[vid] = vid
-            tri.corner_angle[vid] = ang
-    for (u, v) in list(tri.constraint.keys()):
-        for a, b in ((u, v), (v, u)):
-            if tri.corner_of.get(a) == a and b not in tri.corner_of:
-                tri.corner_of[b] = a
+        if vid[a] != vid[b]:
+            tri.insert_segment(vid[a], vid[b], label)
+    tri.mark_corners({vid[p]: ang for p, ang in acute.items()})
 
     (x0, y0), (x1, y1) = geometry.box
     area = (x1 - x0) * (y1 - y0)
@@ -401,15 +388,14 @@ def _mesh_pslg(geometry, h_target, pieces, acute):
         return h_target
 
     tri.refine(MIN_ANGLE_DEG, size_fn, budget)
-    mesh = _extract(tri, geometry)
+    mesh = _extract(tri, geometry, floor)
     check_mesh(mesh, geometry)
     return mesh
 
 
-def _extract(tri, geometry):
+def _extract(tri, geometry, floor):
     nodes = np.column_stack([np.asarray(tri.px), np.asarray(tri.py)])
-    tids = sorted(tri.tris.keys())
-    triangles = np.asarray([tri.tris[t] for t in tids], dtype=np.int32)
+    triangles = np.asarray(tri.triangles(), dtype=np.int32)
 
     cent = nodes[triangles].mean(axis=1)
     region = geometry.classify_points(cent).astype(np.int8)
@@ -417,7 +403,7 @@ def _extract(tri, geometry):
         raise MeshingError("triangle centroid classified on the interface")
 
     iface, iseg, bedges, bside = [], [], [], []
-    for (u, v), label in sorted(tri.constraint.items()):
+    for (u, v), label in tri.constrained_edges():
         if label[0] == "iface":
             iface.append((u, v))
             iseg.append(label[1])
@@ -433,7 +419,7 @@ def _extract(tri, geometry):
     return Mesh(nodes=nodes, triangles=triangles, tri_region=region,
                 iface_edges=iface, iface_seg=iseg, iface_tris=itris,
                 boundary_edges=bedges, boundary_dirichlet=bdir,
-                radial_weight=geometry.radial_weight)
+                radial_weight=geometry.radial_weight, angle_floor=floor)
 
 
 def refine_uniform(m: Mesh) -> Mesh:
@@ -481,7 +467,7 @@ def refine_uniform(m: Mesh) -> Mesh:
     return Mesh(nodes=nodes, triangles=children, tri_region=region,
                 iface_edges=iface, iface_seg=iseg, iface_tris=itris,
                 boundary_edges=bedges, boundary_dirichlet=bdir,
-                radial_weight=m.radial_weight)
+                radial_weight=m.radial_weight, angle_floor=m.angle_floor)
 
 
 def build_dofs(m: Mesh, kind: str) -> DofMap:
@@ -555,12 +541,13 @@ def interface_quadrature(m: Mesh, continuous: DofMap,
 
 
 def check_mesh(m: Mesh, geometry: InterfaceGeometry):
-    """Validate mesh invariants; raises MeshingError on violation."""
+    """Validate mesh invariants; raises MeshingError on violation.  No
+    angle may lie below m.angle_floor, which triangulate read off the PSLG."""
     areas = m.signed_areas()
     if np.any(areas <= 0):
         raise MeshingError("non-positive triangle area")
     ang = m.min_angle_deg()
-    floor = min(MIN_ANGLE_DEG, _input_angle_floor(geometry)) - 1e-9
+    floor = m.angle_floor - 1e-9
     if ang < floor:
         raise MeshingError(f"minimum angle {ang:.3f} below bound {floor:.3f}",
                            diagnostics={"min_angle": ang})
@@ -578,13 +565,4 @@ def check_mesh(m: Mesh, geometry: InterfaceGeometry):
     _iface_adjacency(m.triangles, m.tri_region, m.iface_edges)
     return {"min_angle_deg": ang, "max_edge": m.max_edge(),
             "nodes": m.num_nodes, "triangles": m.num_triangles}
-
-
-def _input_angle_floor(geometry):
-    """Smallest admissible angle bound given sharp interface junctions."""
-    if geometry.kind == "broken_line":
-        return math.degrees(geometry.theta)  # half the apex angle
-    if geometry.kind == "cone_meridian":
-        return math.degrees(geometry.theta) / 2  # ray meets the axis at theta
-    return 90.0
 

@@ -106,6 +106,15 @@ def test_ring_close_to_the_interface_is_graded(tmp_path):
     cfg["solver"] = {"k": 2}
     p = _write(tmp_path / "cfg.json", cfg)
     assert cli.main(["solve", "--config", p]) == cli.EXIT_INDISTINGUISHABLE
+    # the ring of halfwidth 0.957 meets the circle at 11.25 degrees, so the
+    # mesh's angle floor is 5.625; the box cuts the bound state, and both
+    # pairs are indistinguishable
+    cfg["geometry"] = {"kind": "circle", "radius": 1.0, "center": [0.2, 0.0],
+                       "halfwidth": 4.447, "n_chords": 16}
+    cfg["material"] = {"alpha": 5.0, "beta": 0.8}
+    cfg["discretization"] = {"h": 1.0, "box_halfwidths": [0.957, 4.447]}
+    p = _write(tmp_path / "cfg2.json", cfg)
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_INDISTINGUISHABLE
 
 
 def test_converge_command(tmp_path):
@@ -475,20 +484,31 @@ def test_solve_rejects_malformed_values(tmp_path, capsys, monkeypatch, path,
 
 @pytest.mark.parametrize("command", ["solve", "converge", "sweep", "oracle"])
 @pytest.mark.parametrize("outputs", [{"directori": "x"}, {"formats": ["jsn"]},
-                                     {"formats": "json"}])
+                                     {"formats": "json"},
+                                     # checked even when --out replaces it
+                                     {"directory": 5, "--out": "out"},
+                                     # an output path that names a file
+                                     {"directory": "a_file"}])
 def test_outputs_checked_before_any_work(tmp_path, capsys, monkeypatch,
                                          command, outputs):
     from leakyfem import oracles
     _no_meshing(monkeypatch)
     monkeypatch.setattr(oracles, "point_delta_1d", None)
+    (tmp_path / "a_file").write_text("not a directory\n")
+    outputs = dict(outputs)
+    argv = ["--out", str(tmp_path / outputs.pop("--out"))] \
+        if "--out" in outputs else []
+    if outputs.get("directory") == "a_file":
+        outputs["directory"] = str(tmp_path / "a_file")
     cfg = _base_cfg(tmp_path / "out")
     cfg["sweep"] = {"parameter": "alpha", "values": [1.5, 2.0]}
     cfg["oracle"] = {"alpha": [2.0]}
     cfg["outputs"] = {"directory": str(tmp_path / "out"), **outputs}
     p = _write(tmp_path / "cfg.json", cfg)
-    assert cli.main([command, "--config", p]) == cli.EXIT_ERROR
+    assert cli.main([command, "--config", p, *argv]) == cli.EXIT_ERROR
     assert "ConfigError" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    assert (tmp_path / "a_file").read_text() == "not a directory\n"
 
 
 def test_duplicate_box_halfwidths_collapse():

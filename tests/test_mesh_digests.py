@@ -39,6 +39,18 @@ CASES = {
     "circle_strict": (
         lambda: geo.make_circle(1.0, (0.0, 0.0), 3.5, 64), 0.15, [2.5],
         "d40995381517eeed46e222ce94c9f3404e9a859a3b3bb940f65c0a8cce7295e3"),
+    # the ring meets the circle, and one missing piece of it is recovered
+    # by a split at its midpoint
+    "ring_recovery": (
+        lambda: geo.make_line_plus_circle(1.0, 0.5, 4.0, 16), 1.0, [1.0],
+        "72652808a19f0fa96b3abdc70fce2800f8d2279fafcba64a218167c5ed37e8a4"),
+    # apexes sharper than the junctions the angle criterion exempts (41 deg)
+    "sharp_broken_line": (
+        lambda: geo.make_broken_line(0.1, 4.0), 0.8, None,
+        "1615153351e0f2209ebf7cc322776ed503407c72f5b1cc19a3ccff92ca1191c3"),
+    "cone_sharp": (
+        lambda: geo.make_cone_meridian(0.3, 4.0), 0.5, [2.0],
+        "1a079eaaae7d0aff6c4f90443972af911f451edaec125182f33d54c60a97fc2a"),
 }
 
 

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -219,15 +221,81 @@ def test_inner_rings_are_conforming():
 
 
 def test_ring_across_the_interface_is_named():
-    # the ring of halfwidth 0.957 cuts the circle of radius 1 about (0.2, 0);
-    # a mesh that then fails says which ring crosses the interface
-    g = geo.make_circle(1.0, (0.2, 0.0), 4.447, 16)
+    # the ring of halfwidth 1 cuts the circle of radius 1.2 at 33.75 degrees,
+    # and an angle near a crossing stays below half of it; a mesh that then
+    # fails says which ring crosses the interface
+    g = geo.make_circle(1.2, (0.0, 0.0), 4.0, 16)
     with pytest.raises(MeshingError, match=r"^the inner ring of halfwidth "
-                       r"0\.957 crosses the interface: "):
-        pipeline.mesh_levels(g, 1.0, 0, inner_rings=[0.957])
+                       r"1\.0 crosses the interface: minimum angle 11\.573 "
+                       r"below bound 16\.875$"):
+        pipeline.mesh_levels(g, 1.0, 0, inner_rings=[1.0])
     # only a ring that properly crosses an interface segment is named
+    g = geo.make_circle(1.0, (0.2, 0.0), 4.447, 16)
     assert meshing._crossing_ring(g, [2.0, 0.957, 0.5]) == 0.957
     assert meshing._crossing_ring(g, [2.0]) is None
+
+
+_THETAS = np.linspace(0.02, 1.55, 50)
+_FLOORS = {
+    # kind -> (geometry from one parameter and L, expected floor in degrees)
+    "broken_line": (geo.make_broken_line,  # half the apex angle 2 theta
+                    lambda t: min(20.0, math.degrees(t))),
+    "cone_meridian": (geo.make_cone_meridian,  # the ray meets the axis
+                      lambda t: min(20.0, math.degrees(t) / 2)),
+    "circle": (lambda t, L: geo.make_circle(L * t / 4, (0.0, 0.0), L, 16),
+               lambda t: 20.0),
+    "line_plus_circle": (
+        lambda t, L: geo.make_line_plus_circle(L * t / 3, L * t / 8, L, 16),
+        lambda t: 20.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FLOORS))
+def test_angle_floor_is_read_off_the_junctions(kind):
+    # no ring: the floor is half the sharpest junction of the interface and
+    # the box, read off the PSLG without meshing
+    make, expected = _FLOORS[kind]
+    for L in (2.5, 4.0, 12.0):
+        for t in _THETAS:
+            _, _, floor = meshing._build_pslg(make(t, L), L / 4, None)
+            assert abs(floor - expected(t)) < 1e-9, (kind, L, t, floor)
+
+
+@pytest.mark.parametrize("kind,t,h", [("broken_line", 0.3, 1.0),
+                                      ("cone_meridian", 0.5, 0.8),
+                                      ("circle", 1.0, 1.0),
+                                      ("line_plus_circle", 1.2, 1.0)])
+def test_mesh_carries_its_angle_floor(kind, t, h):
+    make, expected = _FLOORS[kind]
+    g = make(t, 4.0)
+    m = meshing.triangulate(g, h)
+    assert abs(m.angle_floor - expected(t)) < 1e-9
+    assert m.min_angle_deg() >= m.angle_floor - 1e-9
+    f = meshing.refine_uniform(m)
+    assert f.angle_floor == m.angle_floor
+    meshing.check_mesh(f, g)
+
+
+def test_meshing_uses_only_the_triangulators_methods():
+    # meshing builds and reads a Triangulation through its methods and the
+    # coordinates px, py and box_vertices; its tables stay in delaunay, so
+    # a change of their data structures cannot reach meshing
+    tri = delaunay.Triangulation([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0),
+                                  (0.0, 1.0)])
+    hidden = set(vars(tri)) - {"px", "py", "box_vertices"}
+    hidden |= {n for n in vars(delaunay.Triangulation)
+               if n.startswith("_") and not n.startswith("__")}
+    tree = ast.parse(inspect.getsource(meshing))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in hidden, (node.lineno, node.attr)
+            assert isinstance(node.ctx, ast.Load), (node.lineno, node.attr)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+            targets = getattr(node, "targets", None) or [node.target]
+            for t in targets:
+                while isinstance(t, ast.Subscript):
+                    t = t.value
+                assert not isinstance(t, ast.Attribute), (node.lineno, t.attr)
 
 
 def _straddling_edges(m, r):
@@ -247,6 +315,13 @@ def test_ring_close_to_the_interface_is_recovered():
     m = meshing.triangulate(g, 1.0, inner_rings=[1.0])
     meshing.check_mesh(m, g)
     assert _straddling_edges(m, 1.0) == 0
+    # the ring of halfwidth 0.957 meets a chord of the circle about
+    # (0.2, 0) at 11.25 degrees: the mesh may go down to half of that
+    g = geo.make_circle(1.0, (0.2, 0.0), 4.447, 16)
+    m = meshing.triangulate(g, 1.0, inner_rings=[0.957])
+    meshing.check_mesh(m, g)
+    assert abs(m.angle_floor - 5.625) < 1e-9
+    assert _straddling_edges(m, 0.957) == 0
 
 
 @st.composite
