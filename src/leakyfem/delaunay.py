@@ -9,8 +9,9 @@ near ties, so the triangulation stays topologically consistent for the
 collinear and cocircular point sets that box-clipped interfaces produce.
 
 Concentric-shell splitting protects constraint junctions with small
-angles.  Triangles whose short edge spans such a junction are exempt
-from the angle criterion (they cannot be improved by further splitting).
+angles.  A triangle whose short edge spans the shells of such a junction
+need only meet that junction's angle floor, the one its caller passes to
+mark_corners, in place of the refinement's minimum angle.
 
 Callers build a mesh through insert_points, insert_segment, mark_corners
 and refine, and read it back through triangles(), constrained_edges(), px
@@ -119,7 +120,7 @@ class Triangulation:
         self.vtri = {}
         self.coord_index = {}
         self.corner_of = {}
-        self.corner_angle = {}
+        self.corner_floor = {}
         self._next_tid = 0
         self._walk_tick = 0
         c = [self._new_vertex(x, y) for x, y in corners]
@@ -348,13 +349,13 @@ class Triangulation:
 
     # -- refinement -----------------------------------------------------------
 
-    def mark_corners(self, angles):
-        """Mark junction vertices {vertex: angle in degrees} as corners and
-        let each claim its constrained neighbours not yet claimed, so that
+    def mark_corners(self, floors):
+        """Mark junction vertices {vertex: angle floor in degrees} as corners
+        and let each claim its unclaimed constrained neighbours, so that
         refine splits the constraints at a corner on shells around it."""
-        for vid, ang in angles.items():
+        for vid, floor in floors.items():
             self.corner_of[vid] = vid
-            self.corner_angle[vid] = ang
+            self.corner_floor[vid] = math.radians(floor)
         for (u, v) in list(self.constraint):
             for a, b in ((u, v), (v, u)):
                 if self.corner_of.get(a) == a and b not in self.corner_of:
@@ -413,15 +414,15 @@ class Triangulation:
         edges = [(b, c), (c, a), (a, b)]
         return min(angles), max(lens), edges[imin]
 
-    def _is_seditious(self, short_edge, angle_thresh_deg):
-        """Short edge spanning shells of a junction too sharp to ever meet
-        the angle bound: leave the triangle alone."""
+    def _angle_floor(self, short_edge, min_angle):
+        """Smallest angle (radians) a triangle with this short edge must
+        reach: its corner's floor where the edge spans that corner's
+        shells, min_angle elsewhere."""
         u, v = short_edge
         cu = self.corner_of.get(u)
-        cv = self.corner_of.get(v)
-        if cu is None or cu != cv or u == cu or v == cu:
-            return False
-        return self.corner_angle.get(cu, 180.0) < angle_thresh_deg
+        if cu is None or cu != self.corner_of.get(v) or cu in (u, v):
+            return min_angle
+        return self.corner_floor[cu]
 
     def refine(self, min_angle_deg, size_fn, max_vertices):
         """Ruppert loop: split encroached constrained edges, then insert
@@ -432,7 +433,6 @@ class Triangulation:
         keeps the loop finite even in degenerate corner configurations.
         """
         min_angle = math.radians(min_angle_deg)
-        seditious_thresh = 2.0 * min_angle_deg + 1.0
         seg_queue = deque(self.constraint.keys())
         tri_queue = deque(self.tris.keys())
         retries = {}
@@ -481,8 +481,8 @@ class Triangulation:
             tri = self.tris[tid]
             ang, hmax, short_edge = self._tri_quality(tri)
             too_small_angle = (ang < min_angle
-                               and not self._is_seditious(short_edge,
-                                                          seditious_thresh))
+                               and ang < self._angle_floor(short_edge,
+                                                           min_angle))
             cx = (self.px[tri[0]] + self.px[tri[1]] + self.px[tri[2]]) / 3.0
             cy = (self.py[tri[0]] + self.py[tri[1]] + self.py[tri[2]]) / 3.0
             too_big = hmax > size_fn(cx, cy)

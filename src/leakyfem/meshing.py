@@ -209,11 +209,11 @@ def _crossing_ring(geometry, inner_rings):
 def _build_pslg(geometry, h, inner_rings):
     """Segments with labels, split at mutual intersections, chopped to <= h.
 
-    Returns (pieces, acute, angle_floor): pieces is a list of (p, q, label);
-    acute maps junction points where constraints meet below 60 deg to that
-    angle; angle_floor is the smaller of MIN_ANGLE_DEG and half the smallest
-    junction angle (Shewchuk, CGTA 22, 2002, ties the reachable angle near
-    a small input angle to that angle).
+    Returns (pieces, floors, angle_floor): pieces is a list of (p, q, label);
+    floors maps junction points where constraints meet below 60 deg to
+    min(MIN_ANGLE_DEG, half the smallest angle there) (Shewchuk, CGTA 22,
+    2002, ties the reachable angle near a small input angle to that angle);
+    angle_floor is the smallest of them, or MIN_ANGLE_DEG.
     """
     L = geometry.halfwidth
     tol = 1e-12 * L
@@ -270,23 +270,21 @@ def _build_pslg(geometry, h, inner_rings):
         d = math.hypot(b[0] - a[0], b[1] - a[1])
         by_point[a].append(((b[0] - a[0]) / d, (b[1] - a[1]) / d))
         by_point[b].append(((a[0] - b[0]) / d, (a[1] - b[1]) / d))
-    acute = {}
-    smallest = 180.0
+    floors = {}
     for p, dirs in by_point.items():
         for i in range(len(dirs)):
             for j in range(i + 1, len(dirs)):
                 dot = dirs[i][0] * dirs[j][0] + dirs[i][1] * dirs[j][1]
-                ang = math.degrees(math.acos(max(-1.0, min(1.0, dot))))
-                smallest = min(smallest, ang)
                 if dot > 0.5 + 1e-9:  # angle below 60 degrees
-                    acute[p] = min(ang, acute.get(p, 180.0))
+                    ang = math.degrees(math.acos(min(1.0, dot)))
+                    floors[p] = min(floors.get(p, MIN_ANGLE_DEG), ang / 2)
 
     pieces = []
     for a, b, label in split:
         pts = _segment_pieces(a, b, h)
         for k in range(len(pts) - 1):
             pieces.append((pts[k], pts[k + 1], label))
-    return pieces, acute, min(MIN_ANGLE_DEG, smallest / 2)
+    return pieces, floors, min([MIN_ANGLE_DEG, *floors.values()])
 
 
 def _iface_adjacency(triangles, tri_region, iface_edges):
@@ -335,10 +333,10 @@ def triangulate(geometry: InterfaceGeometry, h_target: float,
     The interface segments (and any inner rings) become unions of mesh
     edges; triangles are refined until every edge is at most h_target
     (h_target/2 within h_target of an interface apex) and no angle is
-    below MIN_ANGLE_DEG, save near a junction too sharp for it.  No angle
-    lies below the mesh's angle_floor, half the smallest angle at which two
-    constraints meet if that is less: a ring that meets the interface at
-    angle phi meshes with angles down to phi/2.  Raises MeshingError with
+    below MIN_ANGLE_DEG, or, near a junction where two constraints meet at
+    an angle phi below 40 deg, below phi/2: a ring that meets the interface
+    at angle phi meshes with angles down to phi/2.  The mesh's angle_floor
+    is the smallest of these floors.  Raises MeshingError with
     diagnostics when the refinement budget is exhausted or an angle lies
     below the floor; its message names an inner ring that crosses the
     interface, when one does.
@@ -346,9 +344,9 @@ def triangulate(geometry: InterfaceGeometry, h_target: float,
     L = geometry.halfwidth
     if not (0 < h_target <= L / 4):
         raise DomainError(f"h_target must lie in (0, L/4], got {h_target}")
-    pieces, acute, floor = _build_pslg(geometry, h_target, inner_rings)
+    pieces, floors, floor = _build_pslg(geometry, h_target, inner_rings)
     try:
-        return _mesh_pslg(geometry, h_target, pieces, acute, floor)
+        return _mesh_pslg(geometry, h_target, pieces, floors, floor)
     except MeshingError as exc:
         Lr = _crossing_ring(geometry, inner_rings)
         if Lr is None:
@@ -357,7 +355,7 @@ def triangulate(geometry: InterfaceGeometry, h_target: float,
                            f"interface: {exc}", exc.diagnostics) from exc
 
 
-def _mesh_pslg(geometry, h_target, pieces, acute, floor):
+def _mesh_pslg(geometry, h_target, pieces, floors, floor):
     """triangulate's constrained Delaunay refinement of the PSLG pieces."""
     tri = delaunay.Triangulation(geometry.box_corners)
     box = tri.box_vertices
@@ -371,7 +369,7 @@ def _mesh_pslg(geometry, h_target, pieces, acute, floor):
     for a, b, label in pieces:
         if vid[a] != vid[b]:
             tri.insert_segment(vid[a], vid[b], label)
-    tri.mark_corners({vid[p]: ang for p, ang in acute.items()})
+    tri.mark_corners({vid[p]: f for p, f in floors.items()})
 
     (x0, y0), (x1, y1) = geometry.box
     area = (x1 - x0) * (y1 - y0)

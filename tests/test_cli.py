@@ -115,6 +115,13 @@ def test_ring_close_to_the_interface_is_graded(tmp_path):
     cfg["discretization"] = {"h": 1.0, "box_halfwidths": [0.957, 4.447]}
     p = _write(tmp_path / "cfg2.json", cfg)
     assert cli.main(["solve", "--config", p]) == cli.EXIT_INDISTINGUISHABLE
+    # the ring of halfwidth 1 meets chords of the circle of radius 1.2 at
+    # 33.75 degrees, and the mesh reaches the floor of 16.875 there
+    cfg["geometry"] = {"kind": "circle", "radius": 1.2, "center": [0.0, 0.0],
+                       "halfwidth": 4.0, "n_chords": 16}
+    cfg["discretization"] = {"h": 1.0, "box_halfwidths": [1.0, 4.0]}
+    p = _write(tmp_path / "cfg3.json", cfg)
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_INDISTINGUISHABLE
 
 
 def test_converge_command(tmp_path):

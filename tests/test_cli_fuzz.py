@@ -1,8 +1,9 @@
 """Property test of `spec solve` on small random configs: every run ends in
 one of the four exit codes, an error is one line with no traceback, the
 discrete comparison and the counting order hold, a "strict" pair's
-budget carries every truncation delta, and the report does not depend on
-the second thread."""
+budget carries every truncation delta, the eigenvalues of a truncation
+study do not increase as the box grows, and the report does not depend
+on the second thread."""
 
 import io
 import json
@@ -113,6 +114,9 @@ def test_solve_on_random_configs(cfg):
     report = json.loads(text)
     assert report["exit_status"] == code
     studies = report["truncation"].values()
+    for s in studies:  # nested boxes: a larger box lowers every eigenvalue
+        for small, large in zip(s["values"], s["values"][1:]):
+            assert all(b <= a + 1e-9 * abs(a) for a, b in zip(small, large))
     for p in report["pairs"]:
         if code != cli.EXIT_VIOLATED:
             assert p["lambda_deltaprime"] <= p["lambda_delta"] + 1e-9

@@ -220,15 +220,23 @@ def test_inner_rings_are_conforming():
     assert crossing == 0
 
 
-def test_ring_across_the_interface_is_named():
-    # the ring of halfwidth 1 cuts the circle of radius 1.2 at 33.75 degrees,
-    # and an angle near a crossing stays below half of it; a mesh that then
-    # fails says which ring crosses the interface
+def test_ring_across_the_interface_is_named(monkeypatch):
+    # a mesh that fails says which ring crosses the interface, ahead of the
+    # refinement's own message, and keeps its diagnostics
+    def fail(*args):
+        raise MeshingError("minimum angle 1.000 below bound 16.875",
+                           diagnostics={"min_angle": 1.0})
+
+    monkeypatch.setattr(meshing, "_mesh_pslg", fail)
     g = geo.make_circle(1.2, (0.0, 0.0), 4.0, 16)
     with pytest.raises(MeshingError, match=r"^the inner ring of halfwidth "
-                       r"1\.0 crosses the interface: minimum angle 11\.573 "
-                       r"below bound 16\.875$"):
+                       r"1\.0 crosses the interface: minimum angle 1\.000 "
+                       r"below bound 16\.875$") as info:
         pipeline.mesh_levels(g, 1.0, 0, inner_rings=[1.0])
+    assert info.value.diagnostics == {"min_angle": 1.0}
+    # without a crossing ring the error passes through as it is
+    with pytest.raises(MeshingError, match=r"^minimum angle 1\.000"):
+        meshing.triangulate(g, 1.0, inner_rings=[2.0])
     # only a ring that properly crosses an interface segment is named
     g = geo.make_circle(1.0, (0.2, 0.0), 4.447, 16)
     assert meshing._crossing_ring(g, [2.0, 0.957, 0.5]) == 0.957
@@ -322,6 +330,13 @@ def test_ring_close_to_the_interface_is_recovered():
     meshing.check_mesh(m, g)
     assert abs(m.angle_floor - 5.625) < 1e-9
     assert _straddling_edges(m, 0.957) == 0
+    # the ring of halfwidth 1 meets chords of the circle of radius 1.2 at
+    # 33.75 degrees: refinement works down to half of that, as the check does
+    g = geo.make_circle(1.2, (0.0, 0.0), 4.0, 16)
+    m = meshing.triangulate(g, 1.0, inner_rings=[1.0])
+    meshing.check_mesh(m, g)
+    assert abs(m.angle_floor - 16.875) < 1e-9
+    assert _straddling_edges(m, 1.0) == 0
 
 
 @st.composite
