@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError
-from .geometry import MaterialData, OMEGA2
+from .geometry import MaterialData
 from .meshing import (BROKEN, CONTINUOUS, DofMap, Mesh, build_dofs,
                       interface_quadrature)
 
@@ -46,11 +46,11 @@ class AssembledForms:
     K_brok / M_brok  stiffness and mass on the broken space
     T_alpha          interface trace mass (continuous space)
     J_beta           interface jump mass (broken space)
-    embed_map        broken dof -> continuous dof realizing the inclusion
-    sign_omega2      -1 on broken dofs resolved to the Omega2 side
 
     Both spaces are numbered by one nested-dissection order of the
-    nodes, fixed before assembly (_numbered).
+    nodes, fixed before assembly (_numbered).  The dof maps alone relate
+    the two spaces: a node's continuous dof (continuous.node_dof1) is
+    included into its broken dofs (broken.node_dof1 and node_dof2).
     """
 
     mesh: Mesh
@@ -63,8 +63,6 @@ class AssembledForms:
     M_brok: sp.csr_matrix
     T_alpha: sp.csr_matrix
     J_beta: sp.csr_matrix
-    embed_map: np.ndarray
-    sign_omega2: np.ndarray
 
     @property
     def A_delta(self):
@@ -200,11 +198,11 @@ def _scatter(blocks, dofs, ndof):
 def _numbered(mesh, continuous, broken):
     """The two natural dof maps of the mesh (build_dofs) renumbered by one
     nested-dissection order of the free nodes, from their coordinates and
-    the mesh edges between them, the graph of the continuous pencil, and
-    the embedding broken dof -> continuous dof.  A continuous dof takes
-    its node's position in that order; the broken dofs follow the same
-    order, with the Omega2 dof of a doubled interface node right after
-    its Omega1 dof."""
+    the mesh edges between them, the graph of the continuous pencil.
+    Returns the continuous and the broken map.  A continuous dof takes its
+    node's position in that order; the broken dofs follow the same order,
+    with the Omega2 dof of a doubled interface node right after its Omega1
+    dof."""
     free = continuous.node_dof1 >= 0
     d = continuous.node_dof1[mesh.triangles]
     u, v = d.ravel(), np.roll(d, -1, axis=1).ravel()
@@ -213,7 +211,6 @@ def _numbered(mesh, continuous, broken):
     first = broken.node_dof1[free][perm]
     second = broken.node_dof2[free][perm]
     twin = (second != first).astype(np.int64)
-    embed_map = np.repeat(np.arange(perm.size), 1 + twin)
     # new[old dof] = its new number; the extra last entry keeps the
     # Dirichlet marker -1 at -1
     new_c = np.full(continuous.ndof + 1, -1, dtype=np.int64)
@@ -222,10 +219,9 @@ def _numbered(mesh, continuous, broken):
     last = np.cumsum(1 + twin) - 1  # each node's last broken dof
     new_b[first] = last - twin
     new_b[second] = last
-    return (*(replace(m, node_dof1=new[m.node_dof1],
-                      node_dof2=new[m.node_dof2], tri_dofs=new[m.tri_dofs])
-              for m, new in ((continuous, new_c), (broken, new_b))),
-            embed_map)
+    return tuple(replace(m, node_dof1=new[m.node_dof1],
+                         node_dof2=new[m.node_dof2], tri_dofs=new[m.tri_dofs])
+                 for m, new in ((continuous, new_c), (broken, new_b)))
 
 
 def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
@@ -240,7 +236,7 @@ def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
     """
     if mesh.iface_seg.size and material.n_segments() <= int(mesh.iface_seg.max()):
         raise DomainError("material carries fewer segments than the mesh")
-    continuous, broken, embed_map = _numbered(
+    continuous, broken = _numbered(
         mesh, build_dofs(mesh, CONTINUOUS), build_dofs(mesh, BROKEN))
 
     quad = interface_quadrature(mesh, continuous, broken)
@@ -270,61 +266,8 @@ def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
     Jblocks /= beta[:, None, None]
     J_beta = _scatter(Jblocks, jd, broken.ndof)
 
-    node_region = np.zeros(mesh.num_nodes, dtype=np.int8)
-    node_region[mesh.triangles.ravel()] = np.repeat(mesh.tri_region, 3)
-    sign = np.ones(broken.ndof)
-    dup = broken.node_dof1 != broken.node_dof2
-    sign[broken.node_dof2[dup]] = -1.0
-    single = (~dup) & (broken.node_dof1 >= 0) & (node_region == OMEGA2)
-    sign[broken.node_dof1[single]] = -1.0
-
     return AssembledForms(mesh=mesh, material=material, continuous=continuous,
                           broken=broken, K_cont=K_cont, M_cont=M_cont,
                           K_brok=K_brok, M_brok=M_brok, T_alpha=T_alpha,
-                          J_beta=J_beta, embed_map=embed_map, sign_omega2=sign)
+                          J_beta=J_beta)
 
-
-def form_value(forms: AssembledForms, which: str, u: np.ndarray) -> float:
-    """Quadratic form value a[u, u] for the requested operator."""
-    u = np.asarray(u, dtype=float)
-    if which == DELTA:
-        if u.shape != (forms.continuous.ndof,):
-            raise DomainError("coefficient vector sized for the wrong space")
-        return float(u @ (forms.K_cont @ u) - u @ (forms.T_alpha @ u))
-    if which == DELTA_PRIME:
-        if u.shape != (forms.broken.ndof,):
-            raise DomainError("coefficient vector sized for the wrong space")
-        return float(u @ (forms.K_brok @ u) - u @ (forms.J_beta @ u))
-    raise DomainError(f"unknown operator kind {which!r}")
-
-
-def embed(forms: AssembledForms, u_cont: np.ndarray) -> np.ndarray:
-    """Inclusion of the continuous space into the broken space.
-
-    Copies every continuous nodal value to both side copies, so the jump
-    of the embedded vector vanishes on every interface edge.
-    """
-    u_cont = np.asarray(u_cont, dtype=float)
-    if u_cont.shape != (forms.continuous.ndof,):
-        raise DomainError("coefficient vector sized for the wrong space")
-    return u_cont[forms.embed_map]
-
-
-def apply_U(forms: AssembledForms, u_brok: np.ndarray) -> np.ndarray:
-    """Unitary sign flip on the Omega2 component (an involution)."""
-    u_brok = np.asarray(u_brok, dtype=float)
-    if u_brok.shape != (forms.broken.ndof,):
-        raise DomainError("coefficient vector sized for the wrong space")
-    return forms.sign_omega2 * u_brok
-
-
-def borderline_identity_check(forms: AssembledForms, u_cont: np.ndarray) -> float:
-    """a_deltaprime[U embed(u)] - a_delta[u].
-
-    With beta = 4/alpha on every edge the jump of U embed(u) is twice the
-    trace, so (1/beta)(2u)^2 = alpha u^2 per edge and the residual is zero
-    up to rounding; with beta < 4/alpha somewhere it is strictly negative
-    whenever u has a nonzero trace there.
-    """
-    w = apply_U(forms, embed(forms, u_cont))
-    return form_value(forms, DELTA_PRIME, w) - form_value(forms, DELTA, u_cont)

@@ -225,9 +225,18 @@ class MaterialData:
         return self.alpha.shape[0]
 
 
-def _check_angle(theta):
+def _ray_exit(theta, L):
+    """Where the ray from the origin along (sin theta, cos theta) leaves
+    the box of halfwidth L: through the top edge when cot(theta) >= 1,
+    through the side edge otherwise."""
     if not (0.0 < theta < math.pi / 2):
         raise DomainError(f"theta must lie strictly in (0, pi/2), got {theta}")
+    if L <= 0:
+        raise DomainError(f"box halfwidth must be positive, got {L}")
+    cot = math.cos(theta) / math.sin(theta)
+    if cot >= 1.0:
+        return L / cot, L
+    return L, L * cot
 
 
 def make_broken_line(theta: float, L: float) -> InterfaceGeometry:
@@ -236,14 +245,7 @@ def make_broken_line(theta: float, L: float) -> InterfaceGeometry:
     Omega1 is the wedge above the line, Omega2 the region below.  Two
     segments run from the apex (0, 0) to the box boundary.
     """
-    _check_angle(theta)
-    if L <= 0:
-        raise DomainError(f"box halfwidth must be positive, got {L}")
-    cot = math.cos(theta) / math.sin(theta)
-    if cot >= 1.0:
-        xe, ye = L / cot, L      # exits through the top edge
-    else:
-        xe, ye = L, L * cot      # exits through the side edges
+    xe, ye = _ray_exit(theta, L)
     segs = (
         Segment((-xe, ye), (0.0, 0.0), unbounded=True),
         Segment((0.0, 0.0), (xe, ye), unbounded=True),
@@ -310,14 +312,7 @@ def make_cone_meridian(theta: float, L: float) -> InterfaceGeometry:
     the radial weight r (lowest angular mode of the 3d problem).  Omega1
     is the region above the ray.
     """
-    _check_angle(theta)
-    if L <= 0:
-        raise DomainError(f"box halfwidth must be positive, got {L}")
-    cot = math.cos(theta) / math.sin(theta)
-    if cot >= 1.0:
-        re, ze = L / cot, L
-    else:
-        re, ze = L, L * cot
+    re, ze = _ray_exit(theta, L)
     segs = (Segment((0.0, 0.0), (re, ze), unbounded=True),)
     return InterfaceGeometry(kind=CONE_MERIDIAN, halfwidth=float(L),
                              segments=segs, theta=float(theta),

@@ -502,15 +502,13 @@ def build_dofs(m: Mesh, kind: str) -> DofMap:
 class InterfaceQuadrature:
     """Exact integration data for products of linear traces on interface edges.
 
-    For each edge: its length, the parent segment id, endpoint nodes, the
-    endpoint dofs in the continuous map and per side in the broken map,
-    and the exact 2x2 edge mass matrix (with the radial weight folded in
-    on meridian meshes).
+    For each edge (in the order of Mesh.iface_edges): the parent segment
+    id, the endpoint dofs in the continuous map and per side in the broken
+    map, and the exact 2x2 edge mass matrix (with the radial weight folded
+    in on meridian meshes).
     """
 
-    lengths: np.ndarray             # (E,)
     seg: np.ndarray                 # (E,)
-    nodes: np.ndarray               # (E, 2)
     edge_mass: np.ndarray           # (E, 2, 2)
     cont_dofs: np.ndarray           # (E, 2)
     brok_dofs: np.ndarray           # (E, 2, 2) [node, side]
@@ -520,12 +518,10 @@ def interface_quadrature(m: Mesh, continuous: DofMap,
                          broken: DofMap) -> InterfaceQuadrature:
     """Per-edge quadrature data for the interface integrals."""
     e = m.iface_edges
-    p = m.nodes[e]
-    ell = np.hypot(p[:, 1, 0] - p[:, 0, 0], p[:, 1, 1] - p[:, 0, 1])
-    E = e.shape[0]
-    mass = np.empty((E, 2, 2))
+    ell = m.edge_lengths()
+    mass = np.empty((e.shape[0], 2, 2))
     if m.radial_weight:
-        r1, r2 = p[:, 0, 0], p[:, 1, 0]
+        r1, r2 = m.nodes[e[:, 0], 0], m.nodes[e[:, 1], 0]
         mass[:, 0, 0] = ell * (r1 / 4 + r2 / 12)
         mass[:, 1, 1] = ell * (r1 / 12 + r2 / 4)
         mass[:, 0, 1] = mass[:, 1, 0] = ell * (r1 + r2) / 12
@@ -533,8 +529,7 @@ def interface_quadrature(m: Mesh, continuous: DofMap,
         mass[:, 0, 0] = mass[:, 1, 1] = ell / 3.0
         mass[:, 0, 1] = mass[:, 1, 0] = ell / 6.0
     bd = np.stack([broken.node_dof1[e], broken.node_dof2[e]], axis=2)
-    return InterfaceQuadrature(lengths=ell, seg=m.iface_seg.copy(),
-                               nodes=e.copy(), edge_mass=mass,
+    return InterfaceQuadrature(seg=m.iface_seg.copy(), edge_mass=mass,
                                cont_dofs=continuous.node_dof1[e], brok_dofs=bd)
 
 

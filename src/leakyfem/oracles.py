@@ -190,7 +190,7 @@ def _radial_pencil(R, strength, mode, h, r_out, coupling):
         d += mode * mode * h / r
     e = -c
     m = r * h
-    return d, e, m, h
+    return d, e, m
 
 
 def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
@@ -210,9 +210,7 @@ def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
         per_mode = []
         for mode in range(m_max + 1):
             def build(h, mode=mode):
-                d, e, m, _ = _radial_pencil(R, strength, mode, h, rout,
-                                            coupling)
-                return d, e, m
+                return _radial_pencil(R, strength, mode, h, rout, coupling)
             per_mode.append(_eigs_extrapolated(build, h0))
         out = per_mode
         lam1 = per_mode[0][0] if per_mode[0].size else None

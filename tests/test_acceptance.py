@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import forms_reference as ref
 from leakyfem import cli, eigensolver, femforms, geometry as geo, meshing
 from leakyfem import oracles, pipeline
 from leakyfem import spectral_analysis as sa
@@ -119,7 +120,7 @@ def test_criterion_1_form_inequality(case):
     X = rng.standard_normal((n, 1000))
     a_d = (np.einsum("ij,ij->j", X, F.K_cont @ X)
            - np.einsum("ij,ij->j", X, F.T_alpha @ X))
-    W = F.sign_omega2[:, None] * X[F.embed_map]
+    W = ref.flipped_embedding(F, X)
     a_p = (np.einsum("ij,ij->j", W, F.K_brok @ W)
            - np.einsum("ij,ij->j", W, F.J_beta @ W))
     scale = np.abs(a_d) + np.einsum("ij,ij->j", X, X)
@@ -141,7 +142,7 @@ def test_criterion_1_form_inequality(case):
     # borderline: the same construction collapses the gap to rounding level
     a_db = (np.einsum("ij,ij->j", X, Fb.K_cont @ X)
             - np.einsum("ij,ij->j", X, Fb.T_alpha @ X))
-    Wb = Fb.sign_omega2[:, None] * X[Fb.embed_map]
+    Wb = ref.flipped_embedding(Fb, X)
     a_pb = (np.einsum("ij,ij->j", Wb, Fb.K_brok @ Wb)
             - np.einsum("ij,ij->j", Wb, Fb.J_beta @ Wb))
     scale_b = np.abs(a_db) + np.einsum("ij,ij->j", X, X)

@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+import forms_reference as ref
 from leakyfem import femforms, geometry as geo, meshing, pipeline
 from leakyfem.eigensolver import inertia_count
-from leakyfem.errors import DomainError
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +88,10 @@ def test_trace_mass_local_block(broken_forms):
     quad = meshing.interface_quadrature(m, F.continuous, F.broken)
     alpha = F.material.alpha[quad.seg]
     checked = 0
-    for k in range(quad.lengths.shape[0]):
+    for k, ell in enumerate(m.edge_lengths()):
         d1, d2 = quad.cont_dofs[k]
         if d1 < 0 or d2 < 0:
             continue
-        ell = quad.lengths[k]
         # the off-diagonal pair receives contributions from this edge only
         assert F.T_alpha[d1, d2] == pytest.approx(alpha[k] * ell / 6.0, rel=1e-13)
         checked += 1
@@ -104,11 +103,10 @@ def test_jump_mass_local_block(broken_forms):
     quad = meshing.interface_quadrature(m, F.continuous, F.broken)
     beta = F.material.beta[quad.seg]
     checked = 0
-    for k in range(quad.lengths.shape[0]):
+    for k, ell in enumerate(m.edge_lengths()):
         (d1p, d1m), (d2p, d2m) = quad.brok_dofs[k]
         if min(d1p, d1m, d2p, d2m) < 0:
             continue
-        ell = quad.lengths[k]
         base = ell / (6.0 * beta[k])
         assert F.J_beta[d1p, d2p] == pytest.approx(base, rel=1e-13)
         assert F.J_beta[d1p, d2m] == pytest.approx(-base, rel=1e-13)
@@ -129,14 +127,6 @@ def test_vanishing_alpha_limit(broken_forms):
     assert x @ (tiny.K_cont @ x) >= 0  # pure Dirichlet energy
 
 
-def test_form_value_basics(broken_forms):
-    g, m, F = broken_forms
-    assert femforms.form_value(F, femforms.DELTA,
-                               np.zeros(F.continuous.ndof)) == 0.0
-    with pytest.raises(DomainError):
-        femforms.form_value(F, femforms.DELTA, np.zeros(3))
-
-
 @pytest.mark.parametrize("which", [femforms.DELTA, femforms.DELTA_PRIME])
 def test_form_value_against_quadrature_oracle(broken_forms, which):
     g, m, F = broken_forms
@@ -144,7 +134,7 @@ def test_form_value_against_quadrature_oracle(broken_forms, which):
     dofmap = F.continuous if which == femforms.DELTA else F.broken
     for _ in range(5):
         u = rng.standard_normal(dofmap.ndof)
-        got = femforms.form_value(F, which, u)
+        got = ref.form(F, which, u)
         want = _quadrature_form_oracle(m, F.material, dofmap, u, which, F)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -156,7 +146,7 @@ def test_radial_form_value_against_quadrature_oracle(cone_forms, which):
     dofmap = F.continuous if which == femforms.DELTA else F.broken
     for _ in range(5):
         u = rng.standard_normal(dofmap.ndof)
-        got = femforms.form_value(F, which, u)
+        got = ref.form(F, which, u)
         want = _quadrature_form_oracle(m, F.material, dofmap, u, which, F)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -165,20 +155,21 @@ def test_embed_properties(broken_forms):
     g, m, F = broken_forms
     rng = np.random.default_rng(7)
     u = rng.standard_normal(F.continuous.ndof)
-    w = femforms.embed(F, u)
+    E = ref.embed_map(F)
+    w = u[E]
     assert w @ (F.J_beta @ w) == pytest.approx(0.0, abs=1e-12)  # zero jump
     assert w @ (F.K_brok @ w) == pytest.approx(u @ (F.K_cont @ u), rel=1e-12)
     assert w @ (F.M_brok @ w) == pytest.approx(u @ (F.M_cont @ u), rel=1e-12)
-    assert np.all(femforms.embed(F, np.zeros(F.continuous.ndof)) == 0.0)
+    assert np.array_equal(np.unique(E), np.arange(F.continuous.ndof))
 
 
 def test_apply_U_involution_and_invariance(broken_forms):
     g, m, F = broken_forms
     rng = np.random.default_rng(8)
     w = rng.standard_normal(F.broken.ndof)
-    ww = femforms.apply_U(F, femforms.apply_U(F, w))
-    assert np.array_equal(ww, w)
-    flipped = femforms.apply_U(F, w)
+    U = ref.sign_omega2(F)
+    assert np.array_equal(U * (U * w), w)
+    flipped = U * w
     assert flipped @ (F.K_brok @ flipped) == pytest.approx(
         w @ (F.K_brok @ w), rel=1e-12)
     assert flipped @ (F.M_brok @ flipped) == pytest.approx(
@@ -190,17 +181,24 @@ def test_flipped_embedding_doubles_the_jump(broken_forms):
     g, m, F = broken_forms
     rng = np.random.default_rng(9)
     u = rng.standard_normal(F.continuous.ndof)
-    w = femforms.apply_U(F, femforms.embed(F, u))
+    w = ref.flipped_embedding(F, u)
     got = w @ (F.J_beta @ w)
     quad = meshing.interface_quadrature(m, F.continuous, F.broken)
     beta = F.material.beta[quad.seg]
     vals = _node_values(F.continuous, u, 1)
     want = 0.0
-    for k in range(quad.lengths.shape[0]):
-        n1, n2 = quad.nodes[k]
+    for k, (n1, n2) in enumerate(m.iface_edges):
         tr = np.array([vals[n1], vals[n2]])
         want += (4.0 / beta[k]) * tr @ (quad.edge_mass[k] @ tr)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _comparison_gap(F, u):
+    """a_deltaprime[U E u] - a_delta[u]: zero up to rounding where
+    beta = 4/alpha on every edge, negative where beta < 4/alpha on an edge
+    with a nonzero trace of u."""
+    return (ref.form(F, femforms.DELTA_PRIME, ref.flipped_embedding(F, u))
+            - ref.form(F, femforms.DELTA, u))
 
 
 def test_borderline_identity(broken_forms):
@@ -208,8 +206,8 @@ def test_borderline_identity(broken_forms):
     rng = np.random.default_rng(10)
     for _ in range(10):
         u = rng.standard_normal(F.continuous.ndof)
-        res = femforms.borderline_identity_check(F, u)
-        scale = abs(femforms.form_value(F, femforms.DELTA, u)) + u @ u
+        res = _comparison_gap(F, u)
+        scale = abs(ref.form(F, femforms.DELTA, u)) + u @ u
         assert abs(res) <= 1e-12 * scale
 
 
@@ -218,8 +216,7 @@ def test_below_borderline_strictly_negative(broken_forms):
     beta = F.material.beta.copy()
     beta[m.iface_seg[0]] *= 0.5  # beta < 4/alpha on the segment of edge 0
     F2 = femforms.assemble(m, geo.MaterialData(F.material.alpha, beta))
-    quad = meshing.interface_quadrature(m, F2.continuous, F2.broken)
-    n1, n2 = quad.nodes[0]
+    n1, n2 = m.iface_edges[0]
     d1 = F2.continuous.node_dof1[n1]
     d2 = F2.continuous.node_dof1[n2]
     u = np.zeros(F2.continuous.ndof)
@@ -227,14 +224,14 @@ def test_below_borderline_strictly_negative(broken_forms):
         u[d1] = 1.0
     if d2 >= 0:
         u[d2] = 0.7
-    assert femforms.borderline_identity_check(F2, u) < 0
+    assert _comparison_gap(F2, u) < 0
 
     # zero trace on the interface: residual vanishes for any beta
     z = np.zeros(F2.continuous.ndof)
     free = np.setdiff1d(np.arange(F2.continuous.ndof),
                         F2.continuous.node_dof1[m.interface_nodes])
     z[free[:10]] = 1.0
-    assert femforms.borderline_identity_check(F2, z) == pytest.approx(0.0, abs=1e-12)
+    assert _comparison_gap(F2, z) == pytest.approx(0.0, abs=1e-12)
 
 
 def _symmetry_error(A):
@@ -280,17 +277,14 @@ def test_form_comparison_random_materials(broken_forms):
     F2 = femforms.assemble(m, geo.MaterialData(F.material.alpha, seg_beta))
     alpha = F.material.alpha[quad.seg]
     beta = seg_beta[quad.seg]
-    vals = None
     for _ in range(20):
         u = rng.standard_normal(F2.continuous.ndof)
-        a_d = femforms.form_value(F2, femforms.DELTA, u)
-        w = femforms.apply_U(F2, femforms.embed(F2, u))
-        a_dp = femforms.form_value(F2, femforms.DELTA_PRIME, w)
+        a_d = ref.form(F2, femforms.DELTA, u)
+        a_dp = ref.form(F2, femforms.DELTA_PRIME, ref.flipped_embedding(F2, u))
         assert a_dp <= a_d + 1e-10 * (abs(a_d) + 1)
         tr = _node_values(F2.continuous, u, 1)
         gap = 0.0
-        for k in range(quad.lengths.shape[0]):
-            n1, n2 = quad.nodes[k]
+        for k, (n1, n2) in enumerate(m.iface_edges):
             t = np.array([tr[n1], tr[n2]])
             gap += (4.0 / beta[k] - alpha[k]) * t @ (quad.edge_mass[k] @ t)
         assert a_d - a_dp == pytest.approx(gap, rel=1e-10, abs=1e-12)
@@ -302,7 +296,7 @@ def test_embedded_mass_matrix_identity(broken_forms):
     import scipy.sparse as sp
     g, m, F = broken_forms
     nb, nc = F.broken.ndof, F.continuous.ndof
-    E = sp.csr_matrix((np.ones(nb), (np.arange(nb), F.embed_map)),
+    E = sp.csr_matrix((np.ones(nb), (np.arange(nb), ref.embed_map(F))),
                       shape=(nb, nc))
     diff = abs((E.T @ F.M_brok @ E) - F.M_cont)
     assert diff.max() <= 1e-14 * abs(F.M_cont).max()
@@ -320,18 +314,29 @@ def _gap_levels(A, M, count=4):
 
 
 @settings(max_examples=15)
-@given(data=st.data(), kind=st.sampled_from(["broken_line", "circle"]))
+@given(data=st.data(), kind=st.sampled_from(
+    [geo.BROKEN_LINE, geo.CIRCLE, geo.CONE_MERIDIAN, geo.LINE_PLUS_CIRCLE]))
 def test_forms_invariants_on_random_geometries(data, kind):
-    # the dof maps, embed_map and sign_omega2 of the renumbered spaces
-    # must realize the form comparison for any geometry and strengths
-    if kind == "broken_line":
+    # the renumbered dof maps, through the E and U that forms_reference
+    # reads off them, must realize the form comparison for every geometry
+    # kind (each its own branch of classify_points; the cone carries the
+    # radial weight) and any strengths
+    if kind == geo.BROKEN_LINE:
         g = geo.make_broken_line(data.draw(st.floats(0.3, 1.3)), 3.0)
         ring = 2.0
-    else:
+    elif kind == geo.CIRCLE:
         center = (data.draw(st.floats(-0.3, 0.3)),
                   data.draw(st.floats(-0.3, 0.3)))
         g = geo.make_circle(data.draw(st.floats(0.5, 1.0)), center, 2.5, 16)
         ring = 1.8
+    elif kind == geo.CONE_MERIDIAN:
+        g = geo.make_cone_meridian(data.draw(st.floats(0.3, 1.3)), 3.0)
+        ring = 2.0
+    else:
+        # h + R <= 1.9 keeps the circle inside the ring
+        g = geo.make_line_plus_circle(data.draw(st.floats(1.0, 1.3)),
+                                      data.draw(st.floats(0.3, 0.6)), 3.0, 16)
+        ring = 2.0
     n = len(g.segments)
     segs = st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)
     alpha = 4.0 * np.array(data.draw(segs))
@@ -346,12 +351,11 @@ def test_forms_invariants_on_random_geometries(data, kind):
         assert _symmetry_error(X) == 0.0
     for _ in range(5):
         u = rng.standard_normal(F.continuous.ndof)
-        a_d = femforms.form_value(F, femforms.DELTA, u)
-        w = femforms.apply_U(F, femforms.embed(F, u))
-        a_dp = femforms.form_value(F, femforms.DELTA_PRIME, w)
+        a_d = ref.form(F, femforms.DELTA, u)
+        a_dp = ref.form(F, femforms.DELTA_PRIME, ref.flipped_embedding(F, u))
         assert a_dp <= a_d + 1e-10 * (abs(a_d) + 1)
-        scale = abs(femforms.form_value(Fb, femforms.DELTA, u)) + u @ u
-        assert abs(femforms.borderline_identity_check(Fb, u)) <= 1e-12 * scale
+        scale = abs(ref.form(Fb, femforms.DELTA, u)) + u @ u
+        assert abs(_comparison_gap(Fb, u)) <= 1e-12 * scale
 
     Ff = femforms.assemble(fine, F.material)
     for which in (femforms.DELTA, femforms.DELTA_PRIME):
