@@ -16,8 +16,8 @@ so its U-diagonal carries the pivots; any off-diagonal pivoting or a tiny
 pivot aborts the count instead of risking a wrong answer.
 
 Every matrix is factored in the dof order it comes in (SuperLU's
-NATURAL column order): femforms numbers the dofs in nested-dissection
-order, which keeps the fill small.
+NATURAL column order): meshing.build_dofs numbers the dofs in
+nested-dissection order, which keeps the fill small.
 
 smallest_eigenpairs() solves at the one pole it is given and raises
 SolverError when that pole fails; falling back to another pole is the

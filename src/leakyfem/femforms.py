@@ -15,24 +15,21 @@ All integrals of products of linear basis functions are evaluated in
 closed form, including the radial weight r used on meridian meshes, so
 assembly is exact up to rounding.
 
-The dofs of both spaces are numbered once, before any matrix is
-scattered, by one nested-dissection order of the nodes (_numbered).  It
-keeps the fill of every sparse factorization small, so each pencil is
-assembled in the order it is factored in and nothing downstream handles
-orderings.
+The dofs of both spaces come numbered from meshing.build_dofs, in one
+nested-dissection order of the free nodes; each matrix is scattered in
+that numbering, the order it is factored in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError
 from .geometry import MaterialData
-from .meshing import (BROKEN, CONTINUOUS, DofMap, Mesh, build_dofs,
-                      interface_quadrature)
+from .meshing import DofMap, Mesh, build_dofs, interface_quadrature
 
 DELTA = "delta"
 DELTA_PRIME = "delta_prime"
@@ -47,14 +44,13 @@ class AssembledForms:
     T_alpha          interface trace mass (continuous space)
     J_beta           interface jump mass (broken space)
 
-    Both spaces are numbered by one nested-dissection order of the
-    nodes, fixed before assembly (_numbered).  The dof maps alone relate
-    the two spaces: a node's continuous dof (continuous.node_dof1) is
+    continuous / broken are the dof maps of meshing.build_dofs, which
+    fixes the numbering of both spaces.  The dof maps alone relate the
+    two spaces: a node's continuous dof (continuous.node_dof1) is
     included into its broken dofs (broken.node_dof1 and node_dof2).
     """
 
     mesh: Mesh
-    material: MaterialData
     continuous: DofMap
     broken: DofMap
     K_cont: sp.csr_matrix
@@ -79,67 +75,6 @@ class AssembledForms:
         if which == DELTA_PRIME:
             return self.A_deltaprime, self.M_brok
         raise DomainError(f"unknown operator kind {which!r}")
-
-
-def nested_dissection(xy, u, v, leaf=16):
-    """Geometric nested-dissection ordering of a graph with vertex
-    coordinates xy (n, 2) and undirected edges (u[i], v[i]).
-
-    Each subset of more than `leaf` vertices is split at the median of its
-    longer coordinate extent (ties by vertex number); the left vertices
-    with an edge to the right side form its separator, and the order is
-    left, right, separator (George, SIAM J. Numer. Anal. 10, 1973).  The
-    recursion runs one tree level at a time over all subsets of that
-    level, passing down the edges that stay inside a subset.  Returns
-    perm with perm[new position] = vertex.
-    """
-    n = xy.shape[0]
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    # per axis, the position of each vertex in (coordinate, number) order
-    rank = np.empty((2, n), dtype=np.int64)
-    for axis in (0, 1):
-        rank[axis, np.lexsort((np.arange(n), xy[:, axis]))] = np.arange(n)
-    # ids: vertices not yet placed, grouped by subset; code: their subset
-    # (root 1, children of c are 2c and 2c+1); node, depth: the subset
-    # that placed each vertex
-    ids = np.arange(n)
-    code = np.ones(n, dtype=np.int64)
-    node = np.zeros(n, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    live = np.zeros(n, dtype=bool)
-    right = np.zeros(n, dtype=bool)
-    level = 0
-    while ids.size:
-        starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
-        sizes = np.diff(np.r_[starts, ids.size])
-        sub = np.repeat(np.arange(starts.size), sizes)
-        p = xy[ids]
-        axis = np.argmax(np.maximum.reduceat(p, starts)
-                         - np.minimum.reduceat(p, starts), axis=1)
-        o = np.argsort(sub * n + rank[axis[sub], ids])
-        ids, code = ids[o], code[o]
-        node[ids] = code
-        depth[ids] = level
-        live[ids] = sizes[sub] > leaf       # leaves are placed whole
-        right[ids] = np.arange(ids.size) - starts[sub] >= sizes[sub] // 2
-        e = live[u]
-        u, v = u[e], v[e]
-        ru = right[u]
-        cross = ru != right[v]
-        live[np.where(ru[cross], v[cross], u[cross])] = False  # separators
-        e = ~cross & live[u] & live[v]
-        u, v = u[e], v[e]
-        keep = live[ids]
-        ids = ids[keep]
-        code = 2 * code[keep] + right[ids]
-        level += 1
-    # postorder of the subset tree: pad each code with ones to the full
-    # depth, so a subtree sorts before its root and left before right;
-    # a root ties with its rightmost descendants, which go first
-    pad = (int(depth.max()) if n else 0) - depth
-    key = (node << pad) | ((np.int64(1) << pad) - 1)
-    return np.lexsort((np.arange(n), -depth, key))
 
 
 def _tri_geometry(mesh):
@@ -195,38 +130,9 @@ def _scatter(blocks, dofs, ndof):
     return A.tocsr()
 
 
-def _numbered(mesh, continuous, broken):
-    """The two natural dof maps of the mesh (build_dofs) renumbered by one
-    nested-dissection order of the free nodes, from their coordinates and
-    the mesh edges between them, the graph of the continuous pencil.
-    Returns the continuous and the broken map.  A continuous dof takes its
-    node's position in that order; the broken dofs follow the same order,
-    with the Omega2 dof of a doubled interface node right after its Omega1
-    dof."""
-    free = continuous.node_dof1 >= 0
-    d = continuous.node_dof1[mesh.triangles]
-    u, v = d.ravel(), np.roll(d, -1, axis=1).ravel()
-    edge = (u >= 0) & (v >= 0)
-    perm = nested_dissection(mesh.nodes[free], u[edge], v[edge])
-    first = broken.node_dof1[free][perm]
-    second = broken.node_dof2[free][perm]
-    twin = (second != first).astype(np.int64)
-    # new[old dof] = its new number; the extra last entry keeps the
-    # Dirichlet marker -1 at -1
-    new_c = np.full(continuous.ndof + 1, -1, dtype=np.int64)
-    new_c[perm] = np.arange(perm.size)
-    new_b = np.full(broken.ndof + 1, -1, dtype=np.int64)
-    last = np.cumsum(1 + twin) - 1  # each node's last broken dof
-    new_b[first] = last - twin
-    new_b[second] = last
-    return tuple(replace(m, node_dof1=new[m.node_dof1],
-                         node_dof2=new[m.node_dof2], tri_dofs=new[m.tri_dofs])
-                 for m, new in ((continuous, new_c), (broken, new_b)))
-
-
 def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
     """Assemble stiffness, mass, trace, and jump matrices for one mesh,
-    in the dof order of _numbered.
+    in the dof numbering of meshing.build_dofs.
 
     Parameters
     ----------
@@ -236,12 +142,11 @@ def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
     """
     if mesh.iface_seg.size and material.n_segments() <= int(mesh.iface_seg.max()):
         raise DomainError("material carries fewer segments than the mesh")
-    continuous, broken = _numbered(
-        mesh, build_dofs(mesh, CONTINUOUS), build_dofs(mesh, BROKEN))
-
-    quad = interface_quadrature(mesh, continuous, broken)
-    alpha = material.alpha[quad.seg]
-    beta = material.beta[quad.seg]
+    continuous, broken = build_dofs(mesh)
+    e = mesh.iface_edges
+    edge_mass = interface_quadrature(mesh)
+    alpha = material.alpha[mesh.iface_seg]
+    beta = material.beta[mesh.iface_seg]
 
     geom = _tri_geometry(mesh)
     Ke = _local_stiffness(geom, mesh.radial_weight)
@@ -253,21 +158,20 @@ def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
     M_brok = _scatter(Me, broken.tri_dofs, broken.ndof)
 
     # trace mass on the continuous space: alpha * edge mass
-    Tblocks = alpha[:, None, None] * quad.edge_mass
-    T_alpha = _scatter(Tblocks, quad.cont_dofs, continuous.ndof)
+    Tblocks = alpha[:, None, None] * edge_mass
+    T_alpha = _scatter(Tblocks, continuous.node_dof1[e], continuous.ndof)
 
     # jump mass on the broken space: (1/beta) * edge mass expanded with
     # signs +1 on the Omega1 copy and -1 on the Omega2 copy of each node
-    jd = quad.brok_dofs.reshape(-1, 4)         # [n1s1, n1s2, n2s1, n2s2]
+    jd = np.stack([broken.node_dof1[e], broken.node_dof2[e]],
+                  axis=2).reshape(-1, 4)  # [n1s1, n1s2, n2s1, n2s2]
     signs = np.array([1.0, -1.0, 1.0, -1.0])
     node_of = np.array([0, 0, 1, 1])
-    Jblocks = (np.outer(signs, signs)
-               * quad.edge_mass[:, node_of][:, :, node_of])
+    Jblocks = np.outer(signs, signs) * edge_mass[:, node_of][:, :, node_of]
     Jblocks /= beta[:, None, None]
     J_beta = _scatter(Jblocks, jd, broken.ndof)
 
-    return AssembledForms(mesh=mesh, material=material, continuous=continuous,
-                          broken=broken, K_cont=K_cont, M_cont=M_cont,
-                          K_brok=K_brok, M_brok=M_brok, T_alpha=T_alpha,
-                          J_beta=J_beta)
+    return AssembledForms(mesh=mesh, continuous=continuous, broken=broken,
+                          K_cont=K_cont, M_cont=M_cont, K_brok=K_brok,
+                          M_brok=M_brok, T_alpha=T_alpha, J_beta=J_beta)
 

@@ -5,7 +5,9 @@ segments as constrained edges, refined to a target edge length and a
 minimum-angle bound.  build_dofs() produces the two discrete spaces: a
 continuous one (one dof per free node) and a broken one in which nodes on
 the interface carry one dof per side, realizing functions that may jump
-across the interface.
+across the interface.  It fixes the numbering of both at once, by one
+nested-dissection order of the free nodes, so every matrix is assembled
+in the order it is factored in and nothing downstream handles orderings.
 
 Optional inner rings (axis-aligned boxes at smaller halfwidths) can be
 constrained into the mesh; restricting the assembled problem to nodes
@@ -468,55 +470,111 @@ def refine_uniform(m: Mesh) -> Mesh:
                 radial_weight=m.radial_weight, angle_floor=m.angle_floor)
 
 
-def build_dofs(m: Mesh, kind: str) -> DofMap:
-    """Dof map for the continuous or the broken space.
+def nested_dissection(xy, u, v, leaf=16):
+    """Geometric nested-dissection ordering of a graph with vertex
+    coordinates xy (n, 2) and undirected edges (u[i], v[i]).
 
-    Continuous: one dof per non-Dirichlet node.  Broken: non-Dirichlet
-    interface nodes additionally carry a second, Omega2-side dof; all
-    other nodes keep a single shared dof.
+    Each subset of more than `leaf` vertices is split at the median of its
+    longer coordinate extent (ties by vertex number); the left vertices
+    with an edge to the right side form its separator, and the order is
+    left, right, separator (George, SIAM J. Numer. Anal. 10, 1973).  The
+    recursion runs one tree level at a time over all subsets of that
+    level, passing down the edges that stay inside a subset.  Returns
+    perm with perm[new position] = vertex.
     """
-    if kind not in (CONTINUOUS, BROKEN):
-        raise DomainError(f"unknown dof map kind {kind!r}")
+    n = xy.shape[0]
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    # per axis, the position of each vertex in (coordinate, number) order
+    rank = np.empty((2, n), dtype=np.int64)
+    for axis in (0, 1):
+        rank[axis, np.lexsort((np.arange(n), xy[:, axis]))] = np.arange(n)
+    # ids: vertices not yet placed, grouped by subset; code: their subset
+    # (root 1, children of c are 2c and 2c+1); node, depth: the subset
+    # that placed each vertex
+    ids = np.arange(n)
+    code = np.ones(n, dtype=np.int64)
+    node = np.zeros(n, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    live = np.zeros(n, dtype=bool)
+    right = np.zeros(n, dtype=bool)
+    level = 0
+    while ids.size:
+        starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+        sizes = np.diff(np.r_[starts, ids.size])
+        sub = np.repeat(np.arange(starts.size), sizes)
+        p = xy[ids]
+        axis = np.argmax(np.maximum.reduceat(p, starts)
+                         - np.minimum.reduceat(p, starts), axis=1)
+        o = np.argsort(sub * n + rank[axis[sub], ids])
+        ids, code = ids[o], code[o]
+        node[ids] = code
+        depth[ids] = level
+        live[ids] = sizes[sub] > leaf       # leaves are placed whole
+        right[ids] = np.arange(ids.size) - starts[sub] >= sizes[sub] // 2
+        e = live[u]
+        u, v = u[e], v[e]
+        ru = right[u]
+        cross = ru != right[v]
+        live[np.where(ru[cross], v[cross], u[cross])] = False  # separators
+        e = ~cross & live[u] & live[v]
+        u, v = u[e], v[e]
+        keep = live[ids]
+        ids = ids[keep]
+        code = 2 * code[keep] + right[ids]
+        level += 1
+    # postorder of the subset tree: pad each code with ones to the full
+    # depth, so a subtree sorts before its root and left before right;
+    # a root ties with its rightmost descendants, which go first
+    pad = (int(depth.max()) if n else 0) - depth
+    key = (node << pad) | ((np.int64(1) << pad) - 1)
+    return np.lexsort((np.arange(n), -depth, key))
+
+
+def build_dofs(m: Mesh) -> tuple[DofMap, DofMap]:
+    """The continuous and the broken dof map, numbered once.
+
+    The free (non-Dirichlet) nodes are ordered by nested dissection of
+    their coordinates and the mesh edges between them, the graph of the
+    continuous pencil; it keeps the fill of every sparse factorization
+    small.  In that order each free node takes the next dof, and in the
+    broken space a free interface node also takes the one after it, its
+    Omega2-side dof.  So a node's continuous dof (continuous.node_dof1)
+    is included into its broken dofs (broken.node_dof1 and node_dof2).
+    """
     N = m.num_nodes
-    dirichlet = np.zeros(N, dtype=bool)
-    dirichlet[m.boundary_nodes] = True
+    free = np.ones(N, dtype=bool)
+    free[m.boundary_nodes] = False
     on_iface = np.zeros(N, dtype=bool)
     on_iface[m.interface_nodes] = True
 
-    # in node order, each free node takes the next dof, and a broken
-    # interface node the one after it as well
-    free = ~dirichlet
-    second = free & on_iface if kind == BROKEN else np.zeros(N, dtype=bool)
-    count = free.astype(np.int64) + second
-    first = np.cumsum(count) - count
-    dof1 = np.where(free, first, -1)
-    dof2 = np.where(second, first + 1, dof1)
-
+    # the mesh edges between free nodes, in positions among the free nodes
+    d = np.where(free, np.cumsum(free) - 1, -1)[m.triangles]
+    u, v = d.ravel(), np.roll(d, -1, axis=1).ravel()
+    edge = (u >= 0) & (v >= 0)
+    order = np.flatnonzero(free)[nested_dissection(m.nodes[free], u[edge],
+                                                   v[edge])]
     side1 = m.tri_region == OMEGA1
-    tri_dofs = np.where(side1[:, None], dof1[m.triangles], dof2[m.triangles])
-    return DofMap(kind=kind, ndof=int(count.sum()), node_dof1=dof1,
-                  node_dof2=dof2, tri_dofs=tri_dofs.astype(np.int64))
+    maps = []
+    for kind, twin in ((CONTINUOUS, np.zeros(order.size, dtype=np.int64)),
+                       (BROKEN, on_iface[order].astype(np.int64))):
+        last = np.cumsum(1 + twin) - 1  # each node's last dof
+        dof1 = np.full(N, -1, dtype=np.int64)
+        dof1[order] = last - twin
+        dof2 = dof1.copy()
+        dof2[order] = last
+        tri_dofs = np.where(side1[:, None], dof1[m.triangles],
+                            dof2[m.triangles])
+        maps.append(DofMap(kind=kind, ndof=order.size + int(twin.sum()),
+                           node_dof1=dof1, node_dof2=dof2,
+                           tri_dofs=tri_dofs))
+    return tuple(maps)
 
 
-@dataclass(frozen=True)
-class InterfaceQuadrature:
-    """Exact integration data for products of linear traces on interface edges.
-
-    For each edge (in the order of Mesh.iface_edges): the parent segment
-    id, the endpoint dofs in the continuous map and per side in the broken
-    map, and the exact 2x2 edge mass matrix (with the radial weight folded
-    in on meridian meshes).
-    """
-
-    seg: np.ndarray                 # (E,)
-    edge_mass: np.ndarray           # (E, 2, 2)
-    cont_dofs: np.ndarray           # (E, 2)
-    brok_dofs: np.ndarray           # (E, 2, 2) [node, side]
-
-
-def interface_quadrature(m: Mesh, continuous: DofMap,
-                         broken: DofMap) -> InterfaceQuadrature:
-    """Per-edge quadrature data for the interface integrals."""
+def interface_quadrature(m: Mesh) -> np.ndarray:
+    """Exact (E, 2, 2) mass matrix of the linear traces on each interface
+    edge, in the order of Mesh.iface_edges, with the radial weight folded
+    in on meridian meshes."""
     e = m.iface_edges
     ell = m.edge_lengths()
     mass = np.empty((e.shape[0], 2, 2))
@@ -528,9 +586,7 @@ def interface_quadrature(m: Mesh, continuous: DofMap,
     else:
         mass[:, 0, 0] = mass[:, 1, 1] = ell / 3.0
         mass[:, 0, 1] = mass[:, 1, 0] = ell / 6.0
-    bd = np.stack([broken.node_dof1[e], broken.node_dof2[e]], axis=2)
-    return InterfaceQuadrature(seg=m.iface_seg.copy(), edge_mass=mass,
-                               cont_dofs=continuous.node_dof1[e], brok_dofs=bd)
+    return mass
 
 
 def check_mesh(m: Mesh, geometry: InterfaceGeometry):

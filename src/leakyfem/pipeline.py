@@ -15,10 +15,10 @@ finest level apart from the coarser ones.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
-lambda_1 serves every box.  femforms numbers both spaces' dofs once, by
-one nested-dissection order of the nodes, before any matrix is scattered;
-a restricted pencil keeps a sorted subset of those dofs, so it inherits
-their order and is factored as it is, like every full pencil.
+lambda_1 serves every box.  meshing.build_dofs numbers both spaces' dofs
+once, by one nested-dissection order of the free nodes, before any matrix
+is scattered; a restricted pencil keeps a sorted subset of those dofs, so
+it inherits their order and is factored as it is, like every full pencil.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import femforms, meshing, pipeline
+from . import femforms, pipeline
 from .eigensolver import DEFAULT_SEED, DEFAULT_TOL, EigenResult, inertia_count
 from .errors import ConsistencyError, DomainError, TheoremViolation
 from .geometry import CIRCLE, CONE_MERIDIAN, InterfaceGeometry, MaterialData
@@ -435,8 +435,9 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     refinements of it, with the inner boxes constrained in as rings when
     box halfwidths are given, and the truncation studies on level t_idx
     when it is given (with the halfwidths).  DomainError before assembly
-    when k exceeds the coarsest level's continuous dofs or a box's nodes
-    on level t_idx: each pair is graded on k values of every level and box.
+    when k exceeds the coarsest level's free nodes (its continuous dofs)
+    or a box's nodes on level t_idx: each pair is graded on k values of
+    every level and box.
 
     A worker (a second thread with second_thread, else _Inline) runs
     three tasks, each on the result of the one before: assemble the
@@ -453,16 +454,15 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     truncation.  Tasks not started by the end are cancelled.  The results
     do not depend on second_thread.
 
-    Returns (halfwidths, forms, delta results, delta-prime results,
-    studies): the halfwidths sorted and deduplicated (None without
-    boxes), one form and one result per level, coarse to fine, and the
-    (delta, delta-prime) TruncationStudy, or () without t_idx.
+    Returns (forms, delta results, delta-prime results, studies): one
+    form and one result per level, coarse to fine, and the (delta,
+    delta-prime) TruncationStudy, or () without t_idx.
     """
     if halfwidths is not None:
         halfwidths = _box_halfwidths(geometry, halfwidths)
     rings = halfwidths[:-1] if halfwidths else None
     meshes = pipeline.mesh_levels(geometry, h, refinements, inner_rings=rings)
-    ndof = meshing.build_dofs(meshes[0], meshing.CONTINUOUS).ndof
+    ndof = meshes[0].num_nodes - meshes[0].boundary_nodes.size
     if k > ndof:
         raise DomainError(f"k = {k} exceeds the {ndof} continuous dofs of "
                           "the coarsest level")
@@ -479,7 +479,7 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
                      for which, res in ((DELTA, res_d), (DELTA_PRIME, res_p)))
 
     def coarse_delta():
-        forms = [femforms.assemble(mesh, material) for mesh in meshes[:-1]]
+        forms = pipeline.assemble_levels(meshes[:-1], material)
         return forms, cascade(forms, DELTA)
 
     def coarse_prime(task_d):
@@ -509,7 +509,7 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
             trunc = studies(forms, res_d, res_p)
     finally:
         worker.shutdown(cancel_futures=True)
-    return halfwidths, forms, res_d, res_p, trunc
+    return forms, res_d, res_p, trunc
 
 
 def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
@@ -537,7 +537,7 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
         if not 0 <= t_idx <= refinements:
             raise DomainError(f"truncation level {t_idx} is not one of the "
                               f"levels 0..{refinements}")
-    halfwidths, forms, res_d, res_p, trunc = solve_levels(
+    forms, res_d, res_p, trunc = solve_levels(
         geometry, material, h, refinements, halfwidths, k, tol, seed, t_idx,
         second_thread)
 

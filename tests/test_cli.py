@@ -566,12 +566,11 @@ def test_finest_level_violation_exits_3(tmp_path, monkeypatch):
     solve_levels = sa.solve_levels
 
     def flipped(*args, **kwargs):
-        halfwidths, forms, res_d, res_p, trunc = solve_levels(*args,
-                                                              **kwargs)
+        forms, res_d, res_p, trunc = solve_levels(*args, **kwargs)
         values = res_p[-1].values.copy()
         values[0] = res_d[-1].values[0] + 1e-6
         res_p[-1] = dataclasses.replace(res_p[-1], values=values)
-        return halfwidths, forms, res_d, res_p, trunc
+        return forms, res_d, res_p, trunc
 
     monkeypatch.setattr(sa, "solve_levels", flipped)
     p = _write(tmp_path / "cfg.json", _base_cfg(tmp_path / "out"))

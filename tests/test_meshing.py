@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import forms_reference as ref
 from leakyfem import geometry as geo
-from leakyfem import delaunay, meshing, pipeline
+from leakyfem import delaunay, femforms, meshing, pipeline
 from leakyfem.errors import DomainError, MeshingError
 
 
@@ -97,8 +98,8 @@ def test_refine_uniform_counts(broken_mesh):
 
 def test_dof_counts(broken_mesh):
     g, m = broken_mesh
-    cont = meshing.build_dofs(m, meshing.CONTINUOUS)
-    brok = meshing.build_dofs(m, meshing.BROKEN)
+    cont, brok = meshing.build_dofs(m)
+    assert (cont.kind, brok.kind) == (meshing.CONTINUOUS, meshing.BROKEN)
     dirichlet = set(m.boundary_nodes.tolist())
     free_iface = [n for n in m.interface_nodes.tolist() if n not in dirichlet]
     assert brok.ndof - cont.ndof == len(free_iface)
@@ -108,24 +109,15 @@ def test_dof_counts(broken_mesh):
     assert cont.tri_dofs.shape == (m.num_triangles, 3)
 
 
-def _loop_dofs(m, kind):
-    """Node-by-node reference for build_dofs: each free node takes the
-    next dof, and in the broken space a free interface node also the one
-    after it."""
-    dirichlet = set(m.boundary_nodes.tolist())
-    iface = set(m.interface_nodes.tolist())
-    dof1 = np.full(m.num_nodes, -1, dtype=np.int64)
-    dof2 = np.full(m.num_nodes, -1, dtype=np.int64)
-    nxt = 0
-    for n in range(m.num_nodes):
-        if n in dirichlet:
-            continue
-        dof1[n] = dof2[n] = nxt
-        nxt += 1
-        if kind == meshing.BROKEN and n in iface:
-            dof2[n] = nxt
-            nxt += 1
-    return nxt, dof1, dof2
+def _dissection_order(m):
+    """The free nodes in meshing.nested_dissection order of their
+    coordinates and the mesh edges between them."""
+    free = np.setdiff1d(np.arange(m.num_nodes), m.boundary_nodes)
+    local = np.full(m.num_nodes, -1)
+    local[free] = np.arange(free.size)
+    e = local[_unique_edges(m)]
+    e = e[(e >= 0).all(axis=1)]
+    return free[meshing.nested_dissection(m.nodes[free], e[:, 0], e[:, 1])]
 
 
 @pytest.mark.parametrize("make", [
@@ -134,58 +126,58 @@ def _loop_dofs(m, kind):
     lambda: geo.make_cone_meridian(math.pi / 4, 4.0)],
     ids=["broken_line", "circle", "cone"])
 def test_build_dofs_matches_a_node_loop(make):
+    # both maps number the free nodes one by one in one dissection order
     m = meshing.triangulate(make(), 0.8)
     for level in range(2):
-        for kind in (meshing.CONTINUOUS, meshing.BROKEN):
-            dm = meshing.build_dofs(m, kind)
-            ndof, dof1, dof2 = _loop_dofs(m, kind)
-            assert dm.ndof == ndof
-            assert np.array_equal(dm.node_dof1, dof1)
-            assert np.array_equal(dm.node_dof2, dof2)
-            side1 = m.tri_region == geo.OMEGA1
-            assert np.array_equal(dm.tri_dofs, np.where(
-                side1[:, None], dof1[m.triangles], dof2[m.triangles]))
+        order = _dissection_order(m)
+        for dm in meshing.build_dofs(m):
+            want = ref.loop_dofs(m, order, dm.kind)
+            assert dm.ndof == want.ndof
+            assert np.array_equal(dm.node_dof1, want.node_dof1)
+            assert np.array_equal(dm.node_dof2, want.node_dof2)
+            assert np.array_equal(dm.tri_dofs, want.tri_dofs)
         m = meshing.refine_uniform(m)
+
+
+def _bare(m):
+    """The mesh with no interface edges marked."""
+    return dataclasses.replace(
+        m, iface_edges=np.empty((0, 2), dtype=np.int32),
+        iface_seg=np.empty(0, dtype=np.int32),
+        iface_tris=np.empty((0, 2), dtype=np.int32))
 
 
 def test_dofs_no_interface_marked(broken_mesh):
     # with no interface nodes marked, both maps have identical counts
     g, m = broken_mesh
-    bare = dataclasses.replace(
-        m, iface_edges=np.empty((0, 2), dtype=np.int32),
-        iface_seg=np.empty(0, dtype=np.int32),
-        iface_tris=np.empty((0, 2), dtype=np.int32))
-    cont = meshing.build_dofs(bare, meshing.CONTINUOUS)
-    brok = meshing.build_dofs(bare, meshing.BROKEN)
+    cont, brok = meshing.build_dofs(_bare(m))
     assert cont.ndof == brok.ndof
     assert np.array_equal(cont.node_dof1, brok.node_dof1)
 
 
 def test_interface_quadrature_edge_mass(broken_mesh):
     g, m = broken_mesh
-    q = meshing.interface_quadrature(
-        m, meshing.build_dofs(m, meshing.CONTINUOUS),
-        meshing.build_dofs(m, meshing.BROKEN))
+    q = meshing.interface_quadrature(m)
+    assert q.shape == (m.iface_seg.size, 2, 2)
     # exact linear edge mass: ell/6 * [[2, 1], [1, 2]]
     for k, ell in enumerate(m.edge_lengths()):
         expect = ell / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert np.allclose(q.edge_mass[k], expect, rtol=1e-14, atol=0)
-    total = q.edge_mass.sum()  # the entries of each block sum to ell
+        assert np.allclose(q[k], expect, rtol=1e-14, atol=0)
+    total = q.sum()  # the entries of each block sum to ell
     expect_total = sum(s.length for s in g.segments)
     assert abs(total - expect_total) <= 1e-10
 
 
 def test_interface_quadrature_empty(broken_mesh):
+    # no interface edges: an empty quadrature, and no interface terms in
+    # the assembled forms
     g, m = broken_mesh
-    bare = dataclasses.replace(
-        m, iface_edges=np.empty((0, 2), dtype=np.int32),
-        iface_seg=np.empty(0, dtype=np.int32),
-        iface_tris=np.empty((0, 2), dtype=np.int32))
-    q = meshing.interface_quadrature(
-        bare, meshing.build_dofs(bare, meshing.CONTINUOUS),
-        meshing.build_dofs(bare, meshing.BROKEN))
-    assert q.seg.shape == (0,) and q.edge_mass.shape == (0, 2, 2)
-    assert q.cont_dofs.shape == (0, 2) and q.brok_dofs.shape == (0, 2, 2)
+    bare = _bare(m)
+    assert meshing.interface_quadrature(bare).shape == (0, 2, 2)
+    F = femforms.assemble(bare, geo.MaterialData.constant(g, 2.0, 1.0))
+    assert F.T_alpha.shape == (F.continuous.ndof,) * 2
+    assert F.J_beta.shape == (F.broken.ndof,) * 2
+    assert F.T_alpha.nnz == F.J_beta.nnz == 0
 
 
 def test_cone_mesh_axis_not_dirichlet():

@@ -1,9 +1,10 @@
-"""Nested-dissection dof numbering: the continuous space is numbered in
-the dissection order of its natural-order pencil and the broken space by
-the same node order, the broken numbering fills about as little as a
-dissection of its own, the dissection agrees with a plain recursive
-reference, and factorization inertia in that numbering matches dense
-eigenvalues."""
+"""Nested-dissection dof numbering (meshing.build_dofs): the continuous
+space is numbered in the dissection order of its natural-order pencil
+and the broken space by the same node order, the broken numbering fills
+about as little as a dissection of its own, the dissection agrees with a
+plain recursive reference, and factorization inertia in that numbering
+matches dense eigenvalues.  The natural-order maps come from the node
+loop of forms_reference, walking the nodes in their mesh order."""
 
 import math
 
@@ -13,12 +14,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+import forms_reference as ref
 from leakyfem import femforms, geometry as geo, meshing, pipeline
 from leakyfem.eigensolver import inertia_count
 
 
 def _reference_dissection(ids, xy, u, v, leaf, out):
-    """Recursive form of femforms.nested_dissection on the subset ids
+    """Recursive form of meshing.nested_dissection on the subset ids
     (local edges u, v); appends the ordered vertices to out."""
     m = ids.size
     if m <= leaf:
@@ -68,10 +70,11 @@ def _levels(A, M, count=4):
 
 
 def _numbering(F, which):
-    """(perm, natural): the natural dof map of the space of `which` and the
-    assembled numbering as perm[assembled dof] = natural dof."""
+    """(perm, natural): the natural dof map of the space of `which`, its
+    nodes numbered in mesh order, and the assembled numbering as
+    perm[assembled dof] = natural dof."""
     dofmap = F.continuous if which == femforms.DELTA else F.broken
-    natural = meshing.build_dofs(F.mesh, dofmap.kind)
+    natural = ref.loop_dofs(F.mesh, range(F.mesh.num_nodes), dofmap.kind)
     perm = np.full(dofmap.ndof, -1, dtype=np.int64)
     for nd, nat in ((dofmap.node_dof1, natural.node_dof1),
                     (dofmap.node_dof2, natural.node_dof2)):
@@ -127,7 +130,7 @@ def test_assembled_numbering_is_the_dissection_of_the_natural_pencil(
         ok = nd >= 0
         xy[nd[ok]] = F.mesh.nodes[ok]
     G = sp.triu(abs(An) + abs(Mn), k=1).tocoo()
-    assert np.array_equal(femforms.nested_dissection(xy, G.row, G.col), perm)
+    assert np.array_equal(meshing.nested_dissection(xy, G.row, G.col), perm)
 
 
 def _fill(A, M):
@@ -162,7 +165,7 @@ def test_broken_numbering_fills_like_its_own_dissection(case, refinements):
         ok = nd >= 0
         xy[nd[ok]] = mesh.nodes[ok]
     G = sp.triu(abs(An) + abs(Mn), k=1).tocoo()
-    own = femforms.nested_dissection(xy, G.row, G.col)
+    own = meshing.nested_dissection(xy, G.row, G.col)
     assert _fill(A, M) <= 1.05 * _fill(An[own][:, own], Mn[own][:, own])
 
 
@@ -181,7 +184,7 @@ def test_ordering_matches_recursive_reference(forms, which):
         _reference_dissection(np.arange(xy.shape[0]), xy, G.row, G.col,
                               leaf, out)
         assert np.array_equal(
-            femforms.nested_dissection(xy, G.row, G.col, leaf=leaf),
+            meshing.nested_dissection(xy, G.row, G.col, leaf=leaf),
             np.concatenate(out))
 
 
