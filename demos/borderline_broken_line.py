@@ -53,8 +53,9 @@ for theta in thetas:
               "resolution (binding too weak)")
 
 os.makedirs(OUT, exist_ok=True)
-svgplot.line_plot(os.path.join(OUT, "borderline_gap_vs_theta.svg"),
-                  thetas, [gaps], ["gap lambda_1"],
-                  title="borderline gap vs corner angle",
-                  xlabel="theta (rad)", ylabel="lambda1(delta) - lambda1(delta')")
+with open(os.path.join(OUT, "borderline_gap_vs_theta.svg"), "w") as f:
+    f.write(svgplot.line_plot(thetas, [gaps], ["gap lambda_1"],
+                              title="borderline gap vs corner angle",
+                              xlabel="theta (rad)",
+                              ylabel="lambda1(delta) - lambda1(delta')"))
 print(f"\nwrote {OUT}/borderline_gap_vs_theta.svg")

@@ -342,24 +342,24 @@ def cmd_converge(args, cfg, out, formats):
         _atomic_write(os.path.join(out, "convergence.csv"),
                       "\n".join(lines) + "\n")
     if "svg" in formats:
-        svgplot.line_plot(os.path.join(out, "convergence.svg"),
-                          [hh * hh for hh in hs], svg_series, svg_labels,
-                          title="eigenvalue vs h^2", xlabel="h^2",
-                          ylabel="lambda_1")
+        _atomic_write(os.path.join(out, "convergence.svg"), svgplot.line_plot(
+            [hh * hh for hh in hs], svg_series, svg_labels,
+            title="eigenvalue vs h^2", xlabel="h^2", ylabel="lambda_1"))
     return EXIT_STRICT
 
 
 def _sweep_config(cfg, parameter, value):
     sub = json.loads(json.dumps(cfg))  # deep copy
     sub.pop("sweep", None)
-    if parameter == "theta":
-        if "theta" not in _require(sub, "geometry", "config"):
-            raise ConfigError("theta sweep needs a geometry with an angle")
-        sub["geometry"]["theta"] = value
-    elif parameter in ("alpha", "beta"):
-        _require(sub, "material", "config")[parameter] = value
-    else:
+    if parameter not in ("theta", "alpha", "beta"):
         raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    where = "geometry" if parameter == "theta" else "material"
+    block = _require(sub, where, "config")
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    if parameter == "theta" and "theta" not in block:
+        raise ConfigError("theta sweep needs a geometry with an angle")
+    block[parameter] = value
     return sub
 
 
@@ -412,9 +412,9 @@ def cmd_sweep(args, cfg, out, formats):
     if "csv" in formats:
         _atomic_write(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
     if "svg" in formats and len(xs) >= 2:
-        svgplot.line_plot(os.path.join(out, "sweep.svg"), xs, [gaps],
-                          ["gap lambda_1"], title=f"gap vs {parameter}",
-                          xlabel=parameter, ylabel="lambda_delta - lambda_dp")
+        _atomic_write(os.path.join(out, "sweep.svg"), svgplot.line_plot(
+            xs, [gaps], ["gap lambda_1"], title=f"gap vs {parameter}",
+            xlabel=parameter, ylabel="lambda_delta - lambda_dp"))
 
     codes = [pt["exit"] for pt in points if pt["status"] == "ok"]
     failed = [pt for pt in points if pt["status"] != "ok"]

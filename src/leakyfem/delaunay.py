@@ -394,7 +394,7 @@ class Triangulation:
                     0.5 * (self.py[u] + self.py[v]), None)
         anchor, other = (u, v) if is_u else (v, u)
         d = math.sqrt(self._edge_len2(u, v))
-        r = 2.0 ** round(math.log2(0.5 * d))
+        r = 2.0 ** math.floor(math.log2(0.5 * d) + 0.5)  # ties round up
         t = min(max(r / d, 0.33), 0.67)
         x = self.px[anchor] + t * (self.px[other] - self.px[anchor])
         y = self.py[anchor] + t * (self.py[other] - self.py[anchor])

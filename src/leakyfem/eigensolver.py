@@ -34,9 +34,9 @@ fact:
                    and the list is certified once it holds m values below
                    sigma.  Any other m, a refused pole or an exhausted
                    search is an error;
-  lower_shift      no negative pivot at each level of the pole search;
-                   it hands Lanczos the factor at the pole it returns,
-                   so every eigenvalue ARPACK can return lies above it;
+  lower_shift      no negative pivot at the highest bisection level it
+                   returns, whose factor drives Lanczos, so every
+                   eigenvalue ARPACK can return lies above it;
   _top_count       after a pole below, one count just above the top of
                    the computed list, equal to the list size, so no
                    eigenvalue up to the k-th was missed.  A level that
@@ -119,39 +119,37 @@ def _inf_norm(A):
 def lower_shift(A, M):
     """(sigma, factor of A - sigma M) with A - sigma M positive definite.
 
-    Starts from the heuristic sigma0 = -1 - ||A||_inf / min(diag M) and
-    doubles it until a factorization certifies definiteness, then halves
-    it toward the spectrum while the count below stays 0.  The factor of
-    the last certified level is returned for the shift-invert solves.
+    sigma_s = -4 (1 + ||A||_inf / min diag M) lies below the spectrum, as
+    lambda_min(A) >= -||A||_inf (Gershgorin) and every P1 mass matrix is a
+    sum of blocks M_e >= diag(M_e) / 4.  Bisection on j in [0, j_max], the
+    last j with |sigma_s / 2^j| >= 1e-6, finds the highest level
+    sigma_s / 2^j whose factor has no negative pivot (an unfactorable level
+    counts as a negative one) and returns it with that factor.  sigma_s is
+    factored only when no probe succeeds; a negative pivot there is an error.
     """
     dm = M.diagonal()
     if np.any(dm <= 0):
         raise SolverError("mass matrix has non-positive diagonal entries")
-    sigma = -1.0 - _inf_norm(A) / float(dm.min())
-    for _ in range(40):
+    start = -4.0 * (1.0 + _inf_norm(A) / float(dm.min()))
+    # hi = j_max + 1: with -start = m 2^e and 1e-6 = m6 2^e6,
+    # j_max = e - e6 - (m < m6)
+    (m, e), (m6, e6) = np.frexp(-start), np.frexp(1e-6)
+    lo, hi, lu = 0, int(e - e6 + (m >= m6)), None
+    while hi - lo > 1:
+        j = (lo + hi) // 2
         try:
-            lu, neg = _factor(A, M, sigma)
-            if not neg:
-                break
+            lu_j, neg = _factor(A, M, start * 0.5 ** j)
         except SolverError:
-            pass
-        sigma *= 2.0
-    else:
-        raise SolverError("no positive definite shift found after 40 "
-                          "doublings")
-    probe = sigma
-    for _ in range(60):
-        probe = 0.5 * probe
-        if abs(probe) < 1e-6:
-            break
-        try:
-            lu_probe, neg = _factor(A, M, probe)
-        except SolverError:
-            break
+            neg = 1
         if neg:
-            break
-        sigma, lu = probe, lu_probe
-    return sigma, lu
+            hi = j
+        else:
+            lo, lu = j, lu_j
+    if lu is None:
+        lu, neg = _factor(A, M, start)
+        if neg:
+            raise SolverError(f"{neg} eigenvalues below the bound {start}")
+    return start * 0.5 ** lo, lu
 
 
 def _lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget, which):
@@ -227,7 +225,7 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         below the spectrum, k <= m <= 2k + 4 a pole above the k-th
         eigenvalue whose factor also drives the search for those m.  Any
         other m raises SolverError.  With no pole, a certified pole below
-        is found and tightened (lower_shift).
+        is found by bisection up from a proven lower bound (lower_shift).
     seed : start-vector seed (results are deterministic given the seed).
 
     After a pole below, the list is certified by one inertia count just

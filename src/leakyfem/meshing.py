@@ -43,7 +43,6 @@ class Mesh:
     tri_region       (T,)  int8, OMEGA1 or OMEGA2 per triangle
     iface_edges      (E, 2) int32 node pairs lying on the interface
     iface_seg        (E,)  int32 geometry segment id per interface edge
-    iface_tris       (E, 2) int32 adjacent triangles (Omega1 side, Omega2 side)
     boundary_edges   (B, 2) int32 node pairs on the outer box boundary
     boundary_dirichlet (B,) bool, True where the Dirichlet condition applies
     radial_weight    bool, True for the cone meridian domain
@@ -56,7 +55,6 @@ class Mesh:
     tri_region: np.ndarray
     iface_edges: np.ndarray
     iface_seg: np.ndarray
-    iface_tris: np.ndarray
     boundary_edges: np.ndarray
     boundary_dirichlet: np.ndarray
     radial_weight: bool = False
@@ -415,9 +413,8 @@ def _extract(tri, geometry, floor):
     bedges = np.asarray(bedges, dtype=np.int32).reshape(-1, 2)
     dirset = set(geometry.dirichlet_sides)
     bdir = np.asarray([s in dirset for s in bside], dtype=bool)
-    itris = _iface_adjacency(triangles, region, iface)
     return Mesh(nodes=nodes, triangles=triangles, tri_region=region,
-                iface_edges=iface, iface_seg=iseg, iface_tris=itris,
+                iface_edges=iface, iface_seg=iseg,
                 boundary_edges=bedges, boundary_dirichlet=bdir,
                 radial_weight=geometry.radial_weight, angle_floor=floor)
 
@@ -463,9 +460,9 @@ def refine_uniform(m: Mesh) -> Mesh:
     iseg = np.repeat(m.iface_seg, 2)
     bedges = split_edges(m.boundary_edges)
     bdir = np.repeat(m.boundary_dirichlet, 2)
-    itris = _iface_adjacency(children, region, iface)
+    _iface_adjacency(children, region, iface)  # checks the refined interface
     return Mesh(nodes=nodes, triangles=children, tri_region=region,
-                iface_edges=iface, iface_seg=iseg, iface_tris=itris,
+                iface_edges=iface, iface_seg=iseg,
                 boundary_edges=bedges, boundary_dirichlet=bdir,
                 radial_weight=m.radial_weight, angle_floor=m.angle_floor)
 

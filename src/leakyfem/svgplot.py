@@ -36,14 +36,14 @@ def _fmt(x):
     return f"{x:.6g}"
 
 
-def line_plot(path, xs, series, labels=None, title="", xlabel="", ylabel=""):
-    """Write a polyline plot; series is a list of y-arrays over xs."""
+def line_plot(xs, series, labels=None, title="", xlabel="", ylabel=""):
+    """SVG text of a polyline plot; series is a list of y-arrays over xs."""
     xs = [float(x) for x in xs]
     series = [[float(v) for v in ys] for ys in series]
     labels = labels or ["" for _ in series]
     all_y = [v for ys in series for v in ys if math.isfinite(v)]
     if not all_y or not xs:
-        all_y, xs2 = [0.0, 1.0], [0.0, 1.0]
+        all_y = [0.0, 1.0]
     xlo, xhi = min(xs), max(xs)
     ylo, yhi = min(all_y), max(all_y)
     if xhi == xlo:
@@ -104,5 +104,4 @@ def line_plot(path, xs, series, labels=None, title="", xlabel="", ylabel=""):
                          f'text-anchor="end" font-size="12" fill="{color}" '
                          f'font-family="sans-serif">{labels[i]}</text>')
     parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -317,12 +317,12 @@ def test_criterion_8_determinism(tmp_path):
 
 def test_acceptance_factorization_budget(circle_strict_doc, borderline_doc):
     # every tight pole holds, the coarse-level Lanczos runs on the shift
-    # search's last factor, each refined level is factored once at the
+    # search's certified factor, each refined level is factored once at the
     # pole above the coarser list, every full-box truncation row comes
     # from the cascade, and the counting rows are read off the certified
     # lists (one count for circle strict's delta-prime list, whose top
     # lies below the highest level): a fallback pole, a refactored search
     # pole, a repeated full-box solve or a per-row count adds calls
-    assert SPLU_CALLS == {"circle_strict": 33, "borderline": 39}
+    assert SPLU_CALLS == {"circle_strict": 21, "borderline": 24}
     _report(f"factorizations: circle strict {SPLU_CALLS['circle_strict']}, "
             f"borderline {SPLU_CALLS['borderline']}")

@@ -289,6 +289,24 @@ def test_sweep_rejects_short_value_list(tmp_path):
     assert cli.main(["sweep", "--config", p]) == cli.EXIT_ERROR
 
 
+@pytest.mark.parametrize("parameter,block,value", [
+    ("theta", "geometry", ["theta"]),
+    ("alpha", "material", [2.0]),
+])
+def test_sweep_rejects_a_swept_block_that_is_not_an_object(
+        tmp_path, capsys, monkeypatch, parameter, block, value):
+    # the swept block is checked up front, before any point is meshed
+    _no_meshing(monkeypatch)
+    cfg = _base_cfg(tmp_path / "out")
+    cfg[block] = value
+    cfg["sweep"] = {"parameter": parameter, "values": [0.5, 0.6]}
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["sweep", "--config", p]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == f"errors.ConfigError: {block} must be an object\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_command(tmp_path):
     cfg = {"oracle": {"alpha": [2.0], "beta": [2.0]},
            "outputs": {"directory": str(tmp_path / "out")}}
@@ -408,15 +426,16 @@ def _spy_factored(monkeypatch):
 
 
 def test_factorization_budget(monkeypatch):
-    # the criterion-8 run, per operator: the shift search on the coarse
-    # level, whose last factor Lanczos runs on, with one inertia check
-    # above its list, and one factor per refined level at the pole above
-    # the coarser list, which both counts and drives Lanczos; a fallback
-    # to the pole below or a repeated check raises the count
+    # the criterion-8 run, per operator: the bisected shift search on the
+    # coarse level, whose certified factor Lanczos runs on, with one
+    # inertia check above its list, and one factor per refined level at
+    # the pole above the coarser list, which both counts and drives
+    # Lanczos; a fallback to the pole below or a repeated check raises the
+    # count
     calls = _spy_factored(monkeypatch)
     _, code = cli.run_solve(_criterion_8_cfg())
     assert code in (cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
-    assert len(calls) == 29
+    assert len(calls) == 16
 
 
 def test_no_matrix_is_factored_twice(monkeypatch):

@@ -57,6 +57,141 @@ def test_lower_shift_negative_definite():
     assert s < -1.0
 
 
+def _walked_shift(A, M):
+    """The doubling-and-halving search lower_shift replaced: from
+    sigma0 = -1 - ||A||_inf / min diag M, double until a level factors
+    with no negative pivot, then halve while the next level does too.
+    Kept as the reference for the pole of the bisection."""
+    sigma = -1.0 - es._inf_norm(A) / float(M.diagonal().min())
+    for _ in range(40):
+        try:
+            if not es._factor(A, M, sigma)[1]:
+                break
+        except SolverError:
+            pass
+        sigma *= 2.0
+    else:
+        raise SolverError("no positive definite shift after 40 doublings")
+    probe = sigma
+    for _ in range(60):
+        probe = 0.5 * probe
+        if abs(probe) < 1e-6:
+            break
+        try:
+            if es._factor(A, M, probe)[1]:
+                break
+        except SolverError:
+            break
+        sigma = probe
+    return sigma
+
+
+_RINGED = {
+    "broken_line": (lambda: geo.make_broken_line(math.pi / 4, 4.0), 0.8, 2.5),
+    "circle": (lambda: geo.make_circle(1.0, (0.0, 0.0), 3.0, 16), 0.7, 2.0),
+    "line_plus_circle": (lambda: geo.make_line_plus_circle(1.5, 0.8, 3.5, 16),
+                         0.7, 2.5),
+    "cone_meridian": (lambda: geo.make_cone_meridian(math.pi / 3, 4.0), 0.8,
+                      2.5),
+}
+
+
+@pytest.fixture(scope="module")
+def ringed_pencils():
+    """(A, M) of every geometry kind with a ring, both spaces, full and
+    restricted to the ring's box."""
+    out = {}
+    for kind, (make, h, ring) in _RINGED.items():
+        g = make()
+        m = meshing.triangulate(g, h, inner_rings=[ring])
+        F = femforms.assemble(m, geo.MaterialData.borderline(g, alpha=2.0))
+        for which in (femforms.DELTA, femforms.DELTA_PRIME):
+            A, M = F.matrices(which)
+            out[kind, which, "full"] = A.tocsr(), M.tocsr()
+            keep = pipeline.interior_dofs(F, which, ring)
+            out[kind, which, "box"] = (A[keep][:, keep].tocsr(),
+                                       M[keep][:, keep].tocsr())
+    return out
+
+
+_PENCIL_IDS = [(kind, which, part) for kind in _RINGED
+               for which in (femforms.DELTA, femforms.DELTA_PRIME)
+               for part in ("full", "box")]
+
+
+@pytest.mark.parametrize("key", _PENCIL_IDS, ids="-".join)
+def test_mass_matrix_dominates_a_quarter_of_its_diagonal(ringed_pencils,
+                                                         key):
+    # the bound behind lower_shift's start: every P1 mass matrix, plain or
+    # r-weighted, continuous or broken, full or restricted, has
+    # D^-1/2 M D^-1/2 >= 1/4 (element blocks give 1/2 plain, 0.396 weighted)
+    M = ringed_pencils[key][1].toarray()
+    d = 1.0 / np.sqrt(np.diag(M))
+    assert np.linalg.eigvalsh(d[:, None] * M * d[None, :])[0] >= 0.25
+
+
+def _diag_pencils():
+    A_chain = sp.diags([np.full(201, 2e4), np.full(200, -1e4),
+                        np.full(200, -1e4)], [0, -1, 1]).tocsr()
+    A_chain[100, 100] -= 200.0
+    return {"identity": (_identity(4), _identity(4)),
+            "diag": (sp.diags([1.0, 2.0, 3.0]).tocsr(), _identity(3)),
+            "negative_identity": ((-_identity(3)).tocsr(), _identity(3)),
+            "mixed_diag": (sp.diags([-1.0, 0.5, 2.0, 7.0]).tocsr(),
+                           _identity(4)),
+            "point_chain": (A_chain, _identity(201))}
+
+
+@pytest.mark.parametrize("key", _PENCIL_IDS, ids="-".join)
+def test_lower_shift_keeps_the_walked_pole(ringed_pencils, key):
+    # bisection from the proven bound returns the pole of the old walk,
+    # bit for bit, and the factor of that pole
+    A, M = ringed_pencils[key]
+    sigma, lu = es.lower_shift(A, M)
+    assert sigma == _walked_shift(A, M)
+    b = np.random.default_rng(5).standard_normal(A.shape[0])
+    x = lu.solve(b)
+    assert np.abs((A - sigma * M) @ x - b).max() <= 1e-8 * np.abs(b).max()
+
+
+def test_lower_shift_keeps_the_walked_pole_on_diagonal_pencils():
+    for A, M in _diag_pencils().values():
+        assert es.lower_shift(A, M)[0] == _walked_shift(A, M)
+
+
+def test_pencil_outside_the_bound_is_an_error():
+    # lambda_min = -1 / (1 - 0.99) = -100 lies below the start
+    # -4 (1 + 1 / 1) = -8: an explicit error, not a pole above lambda_min
+    A = (-_identity(2)).tocsr()
+    M = sp.csr_matrix(np.array([[1.0, 0.99], [0.99, 1.0]]))
+    with pytest.raises(SolverError, match="below the bound -8.0"):
+        es.lower_shift(A, M)
+    with pytest.raises(SolverError):
+        es.smallest_eigenpairs(A, M, 1)
+
+
+def test_lower_shift_bisects(monkeypatch, ringed_pencils):
+    # at most ceil(log2(j_max + 1)) + 1 factorizations, j_max the last j
+    # with |start / 2^j| >= 1e-6
+    factored = []
+    factor = es._factor
+
+    def counted(A, M, mu):
+        factored.append(mu)
+        return factor(A, M, mu)
+
+    monkeypatch.setattr(es, "_factor", counted)
+    for A, M in [*ringed_pencils.values(), *_diag_pencils().values()]:
+        start = -4.0 * (1.0 + es._inf_norm(A) / M.diagonal().min())
+        j_max = 0
+        while abs(start * 0.5 ** (j_max + 1)) >= 1e-6:
+            j_max += 1
+        factored.clear()
+        sigma, _ = es.lower_shift(A, M)
+        assert len(factored) <= math.ceil(math.log2(j_max + 1)) + 1
+        assert sigma in factored
+
+
 def test_inertia_diag():
     A = sp.diags([-3.0, -2.0, -0.5]).tocsr()
     M = _identity(3)

@@ -71,8 +71,9 @@ def test_region_tags_match_classification(circle_mesh):
 def test_interface_edges_separate_regions(circle_mesh):
     g, m = circle_mesh
     r = m.tri_region
-    assert np.all(r[m.iface_tris[:, 0]] == geo.OMEGA1)
-    assert np.all(r[m.iface_tris[:, 1]] == geo.OMEGA2)
+    t = meshing._iface_adjacency(m.triangles, r, m.iface_edges)
+    assert np.all(r[t[:, 0]] == geo.OMEGA1)
+    assert np.all(r[t[:, 1]] == geo.OMEGA2)
 
 
 def test_h_target_precondition():
@@ -143,8 +144,7 @@ def _bare(m):
     """The mesh with no interface edges marked."""
     return dataclasses.replace(
         m, iface_edges=np.empty((0, 2), dtype=np.int32),
-        iface_seg=np.empty(0, dtype=np.int32),
-        iface_tris=np.empty((0, 2), dtype=np.int32))
+        iface_seg=np.empty(0, dtype=np.int32))
 
 
 def test_dofs_no_interface_marked(broken_mesh):
@@ -412,19 +412,19 @@ def test_iface_adjacency_matches_dict_reference(case):
         assert got.dtype == np.int32
         assert np.array_equal(got, _dict_adjacency(m.triangles, m.tri_region,
                                                    m.iface_edges))
-        assert np.array_equal(got, m.iface_tris)
         m = meshing.refine_uniform(m)
 
 
 def test_iface_adjacency_errors(broken_mesh):
     _, m = broken_mesh
-    t_in = m.iface_tris[0, 0]
+    t = meshing._iface_adjacency(m.triangles, m.tri_region, m.iface_edges)
+    t_in = t[0, 0]
     keep = np.arange(m.triangles.shape[0]) != t_in
     with pytest.raises(MeshingError, match="lacks a triangle"):
         meshing._iface_adjacency(m.triangles[keep], m.tri_region[keep],
                                  m.iface_edges)
     region = m.tri_region.copy()
-    region[m.iface_tris[-1, 1]] = geo.OMEGA1
+    region[t[-1, 1]] = geo.OMEGA1
     with pytest.raises(MeshingError, match="not separating"):
         meshing._iface_adjacency(m.triangles, region, m.iface_edges)
 
@@ -475,3 +475,18 @@ def test_refine_uniform_rejects_an_edge_of_no_triangle(broken_mesh):
         [m.boundary_edges, [far]]).astype(np.int32))
     with pytest.raises(MeshingError, match="not a triangle edge"):
         meshing.refine_uniform(bad)
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5])
+def test_dilated_broken_line_meshes_to_the_scaled_mesh(s):
+    # a shell exponent log2(d/2) that sits exactly on a tie (-1.5 for the
+    # 45 deg piece from (2.5, 2.5) to (3, 3)) and one ulp past it in the
+    # dilated copy must round the same way, so the copy is the same mesh
+    # with every coordinate scaled exactly
+    g = geo.make_broken_line(math.pi / 4, 4.0)
+    m = meshing.triangulate(g, 0.8, inner_rings=[2.5])
+    gs = geo.make_broken_line(math.pi / 4, 4.0 * s)
+    ms = meshing.triangulate(gs, 0.8 * s, inner_rings=[2.5 * s])
+    assert np.array_equal(ms.triangles, m.triangles)
+    assert np.array_equal(ms.nodes, s * m.nodes)
+    assert np.array_equal(ms.iface_edges, m.iface_edges)
