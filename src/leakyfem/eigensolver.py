@@ -26,7 +26,7 @@ is read off its own factorization.  Each factorization certifies one
 fact:
   a given pole     m = N(sigma) eigenvalues lie below the pole sigma.
                    m = 0 puts it below the spectrum, and the list is
-                   certified by _top_count.  k <= m <= 2k + 4 puts it
+                   certified at pole_above.  k <= m <= 2k + 4 puts it
                    above the k-th eigenvalue (on a refined level, by
                    min-max from the coarser one); the same factor drives
                    ARPACK on the most negative shifted values
@@ -37,13 +37,12 @@ fact:
   lower_shift      no negative pivot at the highest bisection level it
                    returns, whose factor drives Lanczos, so every
                    eigenvalue ARPACK can return lies above it;
-  _top_count       after a pole below, one count just above the top of
-                   the computed list, equal to the list size, so no
-                   eigenvalue up to the k-th was missed.  A level that
-                   does not factor is moved up twice before the count is
-                   taken as missing.  After a count above the list, the
-                   list is filled below that same level, with no further
-                   count.
+  pole_above       after a pole below, one count at pole_above of the
+                   computed list (the level a refined level takes as its
+                   pole), equal to the list size, so no eigenvalue up to
+                   the k-th was missed.  A level that does not factor is
+                   an error.  After a count above the list, the list is
+                   filled below that same level, with no further count.
 """
 
 from __future__ import annotations
@@ -110,6 +109,15 @@ def _factor(A, M, mu):
 def inertia_count(A, M, mu: float) -> int:
     """Number of pencil eigenvalues of (A, M) strictly below mu."""
     return _factor(A, M, mu)[1]
+
+
+def pole_above(values):
+    """Level just above the top of an ascending list, 1e-3 max(1, |top|)
+    higher: the certificate of a list solved below the spectrum, and the
+    pole of the next refinement level, which by min-max has at least as
+    many eigenvalues below it."""
+    lam = float(values[-1])
+    return lam + 1e-3 * max(1.0, abs(lam))
 
 
 def _inf_norm(A):
@@ -228,13 +236,15 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         is found by bisection up from a proven lower bound (lower_shift).
     seed : start-vector seed (results are deterministic given the seed).
 
-    After a pole below, the list is certified by one inertia count just
-    above its top value (_top_count): it must hold every eigenvalue below
-    that level.  A count above the list size restarts Lanczos, deflated
-    against the whole list, for the eigenvalues a single Krylov sequence
-    missed (multiplicities); later sweeps keep only values below that
-    level until the list holds the counted number, which certifies it
-    with no new count.  A count below the list size raises SolverError.
+    After a pole below, the list is certified by one inertia count at
+    pole_above of its top value: it must hold every eigenvalue below that
+    level, and a level that does not factor raises SolverError.  A count
+    above the list size restarts Lanczos, deflated against the whole list,
+    for the eigenvalues a single Krylov sequence missed (multiplicities,
+    or neighbours within the level's 1e-3 window); later sweeps keep only
+    values below that level until the list holds the counted number,
+    which certifies it with no new count.  A count below the list size
+    raises SolverError.
 
     Raises SolverError (carrying the best partial result) when the list is
     not complete and certified within the iteration budget.
@@ -265,9 +275,9 @@ def _search(A, M, k, tol, sigma, lu, seed, top):
     list of the k smallest pairs is certified.
 
     top is the (level, count) of a count above the list: None for a pole
-    below the spectrum, where _top_count takes it once the list holds k
-    values, and (sigma, m) for a pole above, whose sweeps then ask ARPACK
-    for the values nearest below it.
+    below the spectrum, where it is counted at pole_above once the list
+    holds k values, and (sigma, m) for a pole above, whose sweeps then ask
+    ARPACK for the values nearest below it.
     """
     n = A.shape[0]
     rng = np.random.default_rng(seed)
@@ -296,17 +306,18 @@ def _search(A, M, k, tol, sigma, lu, seed, top):
                 break
             want = (k if top is None else top[1]) - vals.shape[0]
             continue
-        level, count = top or _top_count(A, M, vals)
+        if top is None:
+            level = pole_above(vals)
+            top = (level, inertia_count(A, M, level))
+        count = top[1]
         if count == vals.shape[0]:
             return _finalize(A, M, vals[:k], X[:, :k], sigma)
         if count < vals.shape[0]:
-            raise SolverError(f"inertia counts {count} eigenvalues up to "
-                              f"{vals[-1]}, but the list holds "
+            raise SolverError(f"inertia counts {count} eigenvalues below "
+                              f"{top[0]}, but the list holds "
                               f"{vals.shape[0]}")
         # keep the whole list, deflate it, and search its complement for
         # the eigenvalues below the level that the Krylov sequence missed
-        if level is not None:
-            top = (level, count)
         want = count - vals.shape[0]
 
     partial = _finalize(A, M, vals[:k], X[:, :k], sigma)
@@ -325,22 +336,3 @@ def _finalize(A, M, vals, X, sigma):
     return EigenResult(values=vals.copy(), vectors=X, residuals=res,
                        shift_used=sigma)
 
-
-def _top_count(A, M, vals):
-    """(level, count): the number of pencil eigenvalues below the level
-    theta + delta, where theta is the top of the ascending list vals and
-    delta = 1e-8 max(1, |theta|) its cluster tolerance.
-
-    A level too close to the spectrum to factor (SolverError) is moved up
-    to 2 delta, then 4 delta; when none factors the level is None and the
-    count is taken as one more than the list holds, so the caller
-    searches again and counts at its new top.
-    """
-    theta = float(vals[-1])
-    delta = 1e-8 * max(1.0, abs(theta))
-    for step in (delta, 2.0 * delta, 4.0 * delta):
-        try:
-            return theta + step, inertia_count(A, M, theta + step)
-        except SolverError:
-            pass
-    return None, vals.shape[0] + 1

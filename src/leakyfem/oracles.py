@@ -204,7 +204,6 @@ def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
     h0 = step if step is not None else _KH_TARGET_RADIAL / tent_kappa
     if coupling == "deltaprime" and h0 >= strength / 20.0:
         h0 = strength / 20.0
-    out = None
     rout = r_out if r_out is not None else R + 24.0 / tent_kappa
     for _ in range(3):
         per_mode = []
@@ -220,7 +219,7 @@ def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
         if rout >= need:
             break
         rout = 1.1 * need
-    all_eigs = np.sort(np.concatenate([p for p in out])) if out else np.empty(0)
+    all_eigs = np.sort(np.concatenate(out))
     return out, all_eigs, {"step": h0, "r_out": rout, "m_max": m_max}
 
 

@@ -3,15 +3,17 @@
 Refinement families are nested by construction (red refinement), so
 eigenvalues decrease level by level (min-max) and the coarser level gives
 the shift-invert pole for the next one.  From the second level on, the
-pole sits just above the coarser level's k-th eigenvalue (pole_above),
-and so above the k-th of the finer level: its one factorization both
-counts the eigenvalues below it and drives ARPACK.  The first level has
-no coarser one and takes the certified shift search.  Every solve takes
-one pole, whose side of the spectrum the eigensolver reads off its
-factorization.  solve_pencil is the one place that falls back: a given
-pole that fails is followed by that search.  cascade_solve can resume
-from the results of the levels already solved, so a caller may solve the
-finest level apart from the coarser ones.
+pole sits just above the coarser level's k-th eigenvalue, and so above
+the k-th of the finer level: its one factorization both counts the
+eigenvalues below it and drives ARPACK.  That pole is
+eigensolver.pole_above, the level at which the eigensolver certifies a
+list solved below the spectrum; pipeline imports it from there.  The
+first level has no coarser one and takes the certified shift search.
+Every solve takes one pole, whose side of the spectrum the eigensolver
+reads off its factorization.  solve_pencil is the one place that falls
+back: a given pole that fails is followed by that search.  cascade_solve
+can resume from the results of the levels already solved, so a caller
+may solve the finest level apart from the coarser ones.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
@@ -26,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import femforms, meshing
-from .eigensolver import DEFAULT_SEED, DEFAULT_TOL, smallest_eigenpairs
+from .eigensolver import (DEFAULT_SEED, DEFAULT_TOL, pole_above,
+                          smallest_eigenpairs)
 from .errors import SolverError
 
 
@@ -42,13 +45,6 @@ def assemble_levels(meshes, material):
     return [femforms.assemble(m, material) for m in meshes]
 
 
-def pole_above(values):
-    """Pole just above the top of a coarser level's list: by min-max the
-    finer level has at least as many eigenvalues below it."""
-    lam = float(values[-1])
-    return lam + 1e-3 * max(1.0, abs(lam))
-
-
 def truncation_shift(values):
     """Pole for every restricted box of one mesh, just below the full
     box's lambda_1: by min-max no restricted eigenvalue is smaller."""
@@ -60,7 +56,8 @@ def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, pole=None):
     """smallest_eigenpairs at a given pole, below the spectrum or above
     the k-th eigenvalue as its factorization tells, falling back to the
     certified shift search when that pole fails.  A failed pole costs its
-    one refused factorization, or the search it drove."""
+    one refused factorization, or the search it drove; a failed search
+    raises SolverError."""
     if pole is not None:
         try:
             return smallest_eigenpairs(A, M, k, tol=tol, pole=pole,

@@ -134,7 +134,8 @@ def counting_table(forms, res_delta: EigenResult, res_deltaprime: EigenResult,
     """Counting functions of both operators at the midpoints between
     consecutive computed eigenvalues below both thresholds, 1e-8 or more
     from every computed value, read off the lists: a certified list holds
-    every eigenvalue below its top (eigensolver._top_count).  A list whose
+    every eigenvalue below its top (smallest_eigenpairs certifies it by an
+    inertia count at a level above that top).  A list whose
     top lies below the highest level is counted there once (`counting`):
     a count equal to its size certifies every lower row, and a larger one
     drops the levels from that top up.  ConsistencyError if N' < N."""

@@ -44,7 +44,7 @@ def line_plot(xs, series, labels=None, title="", xlabel="", ylabel=""):
     all_y = [v for ys in series for v in ys if math.isfinite(v)]
     if not all_y or not xs:
         all_y = [0.0, 1.0]
-    xlo, xhi = min(xs), max(xs)
+    xlo, xhi = (min(xs), max(xs)) if xs else (0.0, 1.0)
     ylo, yhi = min(all_y), max(all_y)
     if xhi == xlo:
         xhi = xlo + 1.0

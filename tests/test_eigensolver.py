@@ -447,30 +447,34 @@ def _recorded(monkeypatch, fail):
     return probes, wants
 
 
-def test_unfactorable_top_probe_is_moved_up(monkeypatch):
-    # a tiny pivot just above the top value is no evidence of a missed
-    # eigenvalue: the level moves up to 2 delta, with no restart
-    A = sp.diags(np.arange(1.0, 11.0)).tocsr()
-    M = _identity(10)
-    plain = es.smallest_eigenpairs(A, M, 3, tol=1e-12, pole=0.0)
-    top = plain.values[-1]
-    delta = 1e-8 * top
-    probes, wants = _recorded(monkeypatch, lambda mu: mu == top + delta)
-    r = es.smallest_eigenpairs(A, M, 3, tol=1e-12, pole=0.0)
-    assert wants == [3]
-    assert np.array_equal(r.values, plain.values)
-    assert probes == [top + delta, top + 2.0 * delta]
-
-
-def test_top_without_a_factorable_probe_counts_as_missing(monkeypatch):
-    # three failed levels count as one missing value: each attempt asks
-    # the next sweep for one more, and the uncertified list is an error
+def test_unfactorable_certifying_level_is_an_error(monkeypatch):
+    # a list solved below the spectrum whose count at pole_above does not
+    # factor is not certified: the solve at the pole below raises, and so
+    # does the search solve_pencil falls back to, which certifies at the
+    # same level; no list comes back
     probes, wants = _recorded(monkeypatch, lambda mu: True)
     A = sp.diags(np.arange(1.0, 11.0)).tocsr()
-    with pytest.raises(SolverError, match="did not converge"):
-        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, pole=0.0)
-    assert wants == [3, 1, 1, 1]
-    assert len(probes) == 12
+    M = _identity(10)
+    with pytest.raises(SolverError, match="pivot below"):
+        es.smallest_eigenpairs(A, M, 3, tol=1e-12, pole=0.0)
+    assert wants == [3] and len(probes) == 1
+    with pytest.raises(SolverError, match="pivot below"):
+        pipeline.solve_pencil(A, M, 3, tol=1e-12, pole=0.0)
+    assert wants == [3, 3, 3]
+    assert np.allclose(probes, es.pole_above([3.0]), rtol=0, atol=1e-12)
+
+
+def test_neighbour_inside_the_certifying_window_is_swept(monkeypatch):
+    # 2.001 lies below pole_above(2) = 2.002: the one count there finds 3
+    # values, a second sweep asks for the missing one, and the list holds
+    # the two smallest
+    d = np.concatenate([[1.0, 2.0, 2.001], np.linspace(3.0, 10.0, 37)])
+    A = sp.diags(d).tocsr()
+    probes, wants = _recorded(monkeypatch, lambda mu: False)
+    r = es.smallest_eigenpairs(A, _identity(40), 2, tol=1e-12, pole=0.0)
+    assert probes == [pytest.approx(2.002, rel=0, abs=1e-12)]
+    assert wants == [2, 1]
+    assert np.allclose(r.values, [1.0, 2.0], rtol=0, atol=1e-12)
 
 
 def test_top_count_below_the_list_is_an_error(monkeypatch):
@@ -577,9 +581,7 @@ def test_pole_side_is_read_off_its_factor(monkeypatch, assembled_broken_line,
         assert np.abs(r.values - lam[:3]).max() <= 1e-12
         return
     r = es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=pole)
-    top = r.values[-1]
-    assert poles == ([pole, top + 1e-8 * max(1.0, abs(top))] if m == 0
-                     else [pole])
+    assert poles == ([pole, es.pole_above(r.values)] if m == 0 else [pole])
     assert r.shift_used == pole
     assert np.abs(r.values - lam[:3]).max() <= 1e-9
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import forms_reference as ref
+from test_mesh_digests import sampled_configs
 from leakyfem import geometry as geo
 from leakyfem import delaunay, femforms, meshing, pipeline
 from leakyfem.errors import DomainError, MeshingError
@@ -490,3 +491,53 @@ def test_dilated_broken_line_meshes_to_the_scaled_mesh(s):
     assert np.array_equal(ms.triangles, m.triangles)
     assert np.array_equal(ms.nodes, s * m.nodes)
     assert np.array_equal(ms.iface_edges, m.iface_edges)
+
+
+# the four geometry kinds, each with a ring, and a share of the sampler
+DILATED = [
+    ("broken_line", (math.pi / 4, 4.0), 0.8, [2.5]),
+    ("circle", (1.0, (0.2, 0.0), 4.0, 16), 0.8, [2.0]),
+    ("cone_meridian", (0.6, 3.0), 0.6, [2.0]),
+    ("line_plus_circle", (1.2, 0.5, 3.0, 16), 0.6, [2.0]),
+] + sampled_configs(4242, 12)
+
+
+def _dilated_args(kind, args, s):
+    if kind == "circle":
+        R, (cx, cy), L, n = args
+        return s * R, (s * cx, s * cy), s * L, n
+    if kind == "line_plus_circle":
+        height, R, L, n = args
+        return s * height, s * R, s * L, n
+    theta, L = args
+    return theta, s * L
+
+
+@pytest.mark.parametrize("kind, args, h, rings", DILATED,
+                         ids=[f"{c[0]}-{i}" for i, c in enumerate(DILATED)])
+def test_dilation_scales_the_mesh_and_the_pencils_exactly(kind, args, h,
+                                                          rings):
+    # every length times a power of two s, alpha / s and s beta: the same
+    # mesh with every node scaled exactly, K, T_alpha and J_beta unchanged
+    # and M times s^2, bit for bit; the cone's radial weight r adds one
+    # more factor s to each
+    alpha, beta = 2.7, 1.3
+    g = getattr(geo, "make_" + kind)(*args)
+    m = meshing.triangulate(g, h, inner_rings=rings)
+    forms = femforms.assemble(m, geo.MaterialData.constant(g, alpha, beta))
+    for s in (2.0, 0.5):
+        gs = getattr(geo, "make_" + kind)(*_dilated_args(kind, args, s))
+        rings_s = None if rings is None else [s * r for r in rings]
+        ms = meshing.triangulate(gs, s * h, inner_rings=rings_s)
+        assert np.array_equal(ms.triangles, m.triangles)
+        assert np.array_equal(ms.nodes, s * m.nodes)
+        fs = femforms.assemble(ms, geo.MaterialData.constant(
+            gs, alpha / s, s * beta))
+        w = s if m.radial_weight else 1.0
+        for name, c in (("K_cont", w), ("K_brok", w), ("T_alpha", w),
+                        ("J_beta", w), ("M_cont", w * s * s),
+                        ("M_brok", w * s * s)):
+            X, Y = getattr(forms, name), getattr(fs, name)
+            assert np.array_equal(Y.indptr, X.indptr), name
+            assert np.array_equal(Y.indices, X.indices), name
+            assert np.array_equal(Y.data, c * X.data), name
