@@ -41,8 +41,9 @@ fact:
                    computed list (the level a refined level takes as its
                    pole), equal to the list size, so no eigenvalue up to
                    the k-th was missed.  A level that does not factor is
-                   an error.  After a count above the list, the list is
-                   filled below that same level, with no further count.
+                   a CertificationError, which no other pole can mend.
+                   After a count above the list, the list is filled
+                   below that same level, with no further count.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from scipy.linalg import cholesky, eigh, null_space, solve_triangular
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                  splu)
 
-from .errors import DomainError, SolverError
+from .errors import CertificationError, DomainError, SolverError
 
 DEFAULT_SEED = 1729
 DEFAULT_TOL = 1e-9
@@ -238,13 +239,13 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
 
     After a pole below, the list is certified by one inertia count at
     pole_above of its top value: it must hold every eigenvalue below that
-    level, and a level that does not factor raises SolverError.  A count
-    above the list size restarts Lanczos, deflated against the whole list,
-    for the eigenvalues a single Krylov sequence missed (multiplicities,
-    or neighbours within the level's 1e-3 window); later sweeps keep only
-    values below that level until the list holds the counted number,
-    which certifies it with no new count.  A count below the list size
-    raises SolverError.
+    level, and a level that does not factor raises CertificationError.  A
+    count above the list size restarts Lanczos, deflated against the whole
+    list, for the eigenvalues a single Krylov sequence missed
+    (multiplicities, or neighbours within the level's 1e-3 window); later
+    sweeps keep only values below that level until the list holds the
+    counted number, which certifies it with no new count.  A count below
+    the list size raises SolverError.
 
     Raises SolverError (carrying the best partial result) when the list is
     not complete and certified within the iteration budget.
@@ -308,7 +309,12 @@ def _search(A, M, k, tol, sigma, lu, seed, top):
             continue
         if top is None:
             level = pole_above(vals)
-            top = (level, inertia_count(A, M, level))
+            try:
+                top = (level, inertia_count(A, M, level))
+            except SolverError as exc:
+                raise CertificationError(
+                    f"certifying level {level} does not factor: {exc}"
+                ) from exc
         count = top[1]
         if count == vals.shape[0]:
             return _finalize(A, M, vals[:k], X[:, :k], sigma)

@@ -25,6 +25,12 @@ class SolverError(LeakyFemError):
         self.partial = partial
 
 
+class CertificationError(SolverError):
+    """A computed eigenvalue list cannot be certified: its certifying
+    inertia count does not factor.  Another pole certifies the same list
+    at the same level, so no fallback is tried."""
+
+
 class ConsistencyError(LeakyFemError):
     """Two independent computations of the same quantity disagree."""
 

@@ -8,12 +8,17 @@ scales it to the standard form M^{-1/2} T M^{-1/2}, and finds every
 eigenvalue below a level with LAPACK dstebz: bisection on Sturm counts
 (Barth, Martin & Wilkinson 1967) to absolute tolerance 1e-10.  The
 counts are exact, but rounding in the second-difference matrix limits a
-single grid's absolute accuracy to about eps * ||T||.  At the fixed
-kappa * h used here (kappa the decay rate, alpha/2 or 2/beta) that floor
-grows as kappa^2; the closed forms are met within 1e-8 for kappa <= 4,
-that is alpha <= 8 and beta >= 0.5.  No transcendental matching
-formulas are trusted: the closed forms -alpha^2/4 and -4/beta^2 appear
-only in the test suite as cross-checks of the oracles themselves.
+single grid's absolute accuracy to about eps * ||T||, which grows as
+1/h^2.  Each oracle solves on two grids, kappa * h = 4e-3 and about half
+that (kappa the decay rate, alpha/2 or 2/beta), and extrapolates the h^2
+term away.  That step balances the two errors left: the extrapolation
+remainder, O((kappa h)^4), and the rounding floor, O(eps / (kappa h)^2),
+both scaled by kappa^2.  The closed forms are met within 7e-10 for
+kappa <= 4, that is alpha <= 8 and beta >= 0.5 (measured at eleven
+values of alpha from 0.2 to 8 with beta = 4/alpha).  No transcendental
+matching formulas are trusted: the closed forms -alpha^2/4 and -4/beta^2,
+and the Bessel matching conditions of the circle, appear only in the
+test suite as cross-checks of the oracles themselves.
 
 Point couplings enter the grid exactly: the delta sits on a grid node
 and subtracts alpha from that diagonal entry of the form; the
@@ -32,8 +37,7 @@ from scipy.linalg.lapack import dstebz
 
 from .errors import ConsistencyError, DomainError
 
-_KH_TARGET_1D = 1e-3      # decay rate times grid step for the line models
-_KH_TARGET_RADIAL = 2e-3
+_KH_TARGET = 4e-3         # decay rate times the coarse grid step
 _BISECT_TOL = 1e-10
 
 
@@ -44,7 +48,7 @@ def _eigs_below(d, e, m, upper):
     M = diag(m) positive, is scaled in place to M^{-1/2} T M^{-1/2}, so d
     and e are overwritten.  LAPACK dstebz then bisects on Sturm counts
     over (Gershgorin bound - 1, upper) to absolute tolerance 1e-10; its
-    own default, eps * ||T||, would be about 1e-8 on the fine grids.
+    own default, eps * ||T||, would be up to 4e-9 on the fine grids.
     """
     s = np.sqrt(m)
     d /= s          # d / s / s, not d / m: each entry is divided by the
@@ -67,18 +71,25 @@ def _eigs_below(d, e, m, upper):
 
 
 def _eigs_extrapolated(build, h0, upper=0.0):
-    """Eigenvalues below `upper` on grids h0 and h0/2, combined by quadratic
-    extrapolation (4 E(h/2) - E(h)) / 3.
+    """Eigenvalues below `upper` on grids near h0 and h0/2, combined by
+    quadratic extrapolation (r^2 E_f - E_c) / (r^2 - 1).
 
-    The bisection counts are exact for each grid, but the second-difference
-    pencil limits single-grid absolute accuracy to about eps * ||T||; two
-    moderately fine grids plus extrapolation beat one very fine grid.
-    Unpaired near-threshold states keep their fine-grid values.
+    build(h) returns the pencil and the step it actually used (the radial
+    grids move h to put the circle on or between nodes), and r = h_c/h_f
+    is the ratio of those steps, so the h^2 term cancels exactly even
+    when it is not 2.  The bisection counts are exact for each grid, but
+    the second-difference pencil limits single-grid absolute accuracy to
+    about eps * ||T||; two moderately fine grids plus extrapolation beat
+    one very fine grid.  Unpaired near-threshold states keep their
+    fine-grid values.
     """
-    coarse = _eigs_below(*build(h0), upper)
-    fine = _eigs_below(*build(0.5 * h0), upper)
+    *pencil, hc = build(h0)
+    coarse = _eigs_below(*pencil, upper)
+    *pencil, hf = build(0.5 * h0)
+    fine = _eigs_below(*pencil, upper)
+    r2 = (hc / hf) ** 2
     n = min(coarse.size, fine.size)
-    vals = (4.0 * fine[:n] - coarse[:n]) / 3.0
+    vals = (r2 * fine[:n] - coarse[:n]) / (r2 - 1.0)
     if fine.size > n:
         vals = np.concatenate([vals, fine[n:]])
     return np.sort(vals)
@@ -114,7 +125,7 @@ def point_delta_1d(alpha: float, step: float | None = None,
         return OracleResult(np.empty(0), {"alpha": alpha})
     kappa = 0.5 * alpha
     R = halfwidth if halfwidth is not None else 25.0 / kappa
-    h0 = step if step is not None else _KH_TARGET_1D / kappa
+    h0 = step if step is not None else _KH_TARGET / kappa
 
     def build(h):
         half = int(math.ceil(R / h))
@@ -123,7 +134,7 @@ def point_delta_1d(alpha: float, step: float | None = None,
         d[half] -= alpha
         e = np.full(n - 1, -1.0 / h)
         m = np.full(n, h)
-        return d, e, m
+        return d, e, m, h
 
     eigs = _eigs_extrapolated(build, h0)
     return OracleResult(eigs, {"alpha": alpha, "step": h0, "halfwidth": R})
@@ -143,7 +154,7 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
         return OracleResult(np.empty(0), {"beta": beta})
     kappa = 2.0 / beta
     R = halfwidth if halfwidth is not None else 25.0 / kappa
-    h0 = step if step is not None else _KH_TARGET_1D / kappa
+    h0 = step if step is not None else _KH_TARGET / kappa
     if h0 >= beta / 20.0:
         h0 = beta / 20.0
 
@@ -159,7 +170,7 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
         d[-1] += 1.0 / h
         e = -c
         m = np.full(n, h)
-        return d, e, m
+        return d, e, m, h
 
     eigs = _eigs_extrapolated(build, h0)
     return OracleResult(eigs, {"beta": beta, "step": h0, "halfwidth": R})
@@ -167,7 +178,8 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
 
 def _radial_pencil(R, strength, mode, h, r_out, coupling):
     """Tridiagonal form/mass pencil of the radial reduction at one angular
-    mode; `coupling` is "delta" (node term) or "deltaprime" (bond term)."""
+    mode, and the step it used; `coupling` is "delta" (node term) or
+    "deltaprime" (bond term)."""
     if coupling == "delta":
         i0 = max(4, round(R / h - 0.5))
         h = R / (i0 + 0.5)          # interface exactly on node i0
@@ -190,7 +202,7 @@ def _radial_pencil(R, strength, mode, h, r_out, coupling):
         d += mode * mode * h / r
     e = -c
     m = r * h
-    return d, e, m
+    return d, e, m, h
 
 
 def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
@@ -201,7 +213,7 @@ def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
     _check_grid(step, None)
     if r_out is not None and not r_out > R:
         raise DomainError(f"r_out must exceed the radius {R}, got {r_out!r}")
-    h0 = step if step is not None else _KH_TARGET_RADIAL / tent_kappa
+    h0 = step if step is not None else _KH_TARGET / tent_kappa
     if coupling == "deltaprime" and h0 >= strength / 20.0:
         h0 = strength / 20.0
     rout = r_out if r_out is not None else R + 24.0 / tent_kappa
@@ -229,16 +241,18 @@ def circle_delta_radial(R: float, alpha: float, m_max: int = 2,
     """Negative eigenvalues of the plane problem with a delta coupling of
     strength alpha on the circle of radius R, one list per angular mode.
 
-    The outer truncation radius adapts to the computed decay rate.  A
-    sanity band is enforced: the lowest eigenvalue must stay above
-    -alpha^2/4 - 0.5 (the straight-line limit minus a margin).
+    The outer truncation radius adapts to the computed decay rate.  The
+    lowest eigenvalue must respect the proven bound lambda_1 >= -alpha^2:
+    on each ray r > R, R |u(R)|^2 <= 2 ||u|| ||d_r u||, so
+    alpha * int_circle |u|^2 <= ||grad u||^2 + alpha^2 ||u||^2.  A value
+    below it raises ConsistencyError.
     """
     per_mode, eigs, res = _radial_eigs(R, alpha, m_max, step, r_out,
                                        "delta", 0.5 * alpha)
     res["alpha"] = alpha
-    if eigs.size and eigs[0] <= -0.25 * alpha * alpha - 0.5:
+    if eigs.size and eigs[0] < -alpha * alpha:
         raise ConsistencyError(
-            f"radial oracle left its sanity band: {eigs[0]}")
+            f"radial oracle fell below the bound -alpha^2: {eigs[0]}")
     return OracleResult(eigs, res, per_mode=tuple(per_mode))
 
 

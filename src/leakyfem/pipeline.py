@@ -11,9 +11,11 @@ list solved below the spectrum; pipeline imports it from there.  The
 first level has no coarser one and takes the certified shift search.
 Every solve takes one pole, whose side of the spectrum the eigensolver
 reads off its factorization.  solve_pencil is the one place that falls
-back: a given pole that fails is followed by that search.  cascade_solve
-can resume from the results of the levels already solved, so a caller
-may solve the finest level apart from the coarser ones.
+back: a given pole that fails is followed by that search, unless the
+list it computed has a certifying level that does not factor, which the
+search would certify at the same level.  cascade_solve can resume from
+the results of the levels already solved, so a caller may solve the
+finest level apart from the coarser ones.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
@@ -30,7 +32,7 @@ import numpy as np
 from . import femforms, meshing
 from .eigensolver import (DEFAULT_SEED, DEFAULT_TOL, pole_above,
                           smallest_eigenpairs)
-from .errors import SolverError
+from .errors import CertificationError, SolverError
 
 
 def mesh_levels(geometry, h, refinements, inner_rings=None):
@@ -57,11 +59,15 @@ def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, pole=None):
     the k-th eigenvalue as its factorization tells, falling back to the
     certified shift search when that pole fails.  A failed pole costs its
     one refused factorization, or the search it drove; a failed search
-    raises SolverError."""
+    raises SolverError.  A list whose certifying level does not factor
+    raises CertificationError at once: the search would certify it at
+    that same level."""
     if pole is not None:
         try:
             return smallest_eigenpairs(A, M, k, tol=tol, pole=pole,
                                        seed=seed)
+        except CertificationError:
+            raise
         except SolverError:
             pass
     return smallest_eigenpairs(A, M, k, tol=tol, seed=seed)

@@ -381,6 +381,18 @@ def test_oracle_set_with_circle_block(tmp_path):
     assert all(float(r["eigenvalue"]) < 0 for r in circle)
 
 
+def test_oracle_small_circle_below_the_line_limit(tmp_path):
+    # at R = 0.5 the delta circle's lambda_1 lies below -alpha^2/4 - 0.5,
+    # but above the proven bound -alpha^2: the run reports it
+    cfg = {"oracle": {"circle": {"radius": 0.5, "alpha": 5, "beta": 0.8}},
+           "outputs": {"directory": str(tmp_path / "out")}}
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["oracle", "--config", p]) == 0
+    with open(tmp_path / "out" / "oracle.csv") as f:
+        rows = {r["model"]: float(r["eigenvalue"]) for r in csv.DictReader(f)}
+    assert abs(rows["circle_delta_m0"] + 7.050629744632) <= 1e-9
+
+
 def test_config_error_messages_are_module_qualified(tmp_path, capsys):
     cfg = _base_cfg(tmp_path / "out")
     cfg["geometry"]["kind"] = "pentagon"

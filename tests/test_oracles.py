@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import optimize, special
 
 from leakyfem import oracles
 from leakyfem.errors import DomainError
@@ -19,6 +20,19 @@ def test_point_delta_closed_form():
         r = oracles.point_delta_1d(alpha)
         assert r.eigenvalues.shape == (1,)
         assert r.eigenvalues[0] == pytest.approx(exact, abs=1e-8)
+
+
+def test_point_closed_forms_over_the_safe_range():
+    # beta = 4/alpha: both models have the one bound state -alpha^2/4
+    # (= -4/beta^2), met within 2e-9 from alpha = 0.2 to the edge of the
+    # safe range
+    for alpha in (0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0):
+        exact = -0.25 * alpha * alpha
+        d = oracles.point_delta_1d(alpha).eigenvalues
+        dp = oracles.point_deltaprime_1d(4.0 / alpha).eigenvalues
+        assert d.shape == dp.shape == (1,)
+        assert abs(d[0] - exact) <= 2e-9, alpha
+        assert abs(dp[0] - exact) <= 2e-9, alpha
 
 
 def test_point_delta_small_alpha_limit():
@@ -90,6 +104,68 @@ def test_circle_radial_resolution_convergence():
                                         step=0.5 * base.resolution["step"],
                                         r_out=base.resolution["r_out"])
     assert abs(base.eigenvalues[0] - finer.eigenvalues[0]) < 1e-7
+
+
+def _delta_matching(R, alpha, m):
+    """alpha R I_m(x) K_m(x) - 1 at x = kappa R: zero at lambda = -kappa^2.
+    The scaled Bessel functions keep large x finite."""
+    return lambda x: alpha * R * special.ive(m, x) * special.kve(m, x) - 1.0
+
+
+def _deltaprime_matching(R, beta, m):
+    """-beta kappa^2 R I'_m(x) K'_m(x) - 1 at x = kappa R."""
+    def f(x):
+        di = 0.5 * (special.ive(m - 1, x) + special.ive(m + 1, x))
+        dk = -0.5 * (special.kve(m - 1, x) + special.kve(m + 1, x))
+        return -beta / R * x * x * di * dk - 1.0
+    return f
+
+
+def _bessel_eigenvalue(f, R, kappa_max):
+    """The eigenvalue -kappa^2 of one angular mode, or None when the
+    matching function keeps its sign on (0, kappa_max R]: each mode holds
+    at most one bound state."""
+    lo, hi = 1e-6, kappa_max * R
+    if f(lo) * f(hi) > 0:
+        return None
+    x = optimize.brentq(f, lo, hi, xtol=1e-15,
+                        rtol=4 * np.finfo(float).eps)
+    return -(x / R) ** 2
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0, 5.0])
+def test_circle_oracles_match_the_bessel_conditions(R):
+    # with lambda = -kappa^2 the radial mode m is bound where
+    # alpha R I_m K_m = 1 (delta) or -beta kappa^2 R I'_m K'_m = 1
+    # (delta-prime), the Bessel functions taken at kappa R
+    for alpha in (1.0, 2.0, 5.0, 8.0):
+        cases = [(oracles.circle_delta_radial, alpha, _delta_matching)]
+        cases += [(oracles.circle_deltaprime_radial, beta,
+                   _deltaprime_matching) for beta in (4.0 / alpha,
+                                                      3.2 / alpha)]
+        for oracle, strength, matching in cases:
+            per_mode = oracle(R, strength, m_max=2).per_mode
+            for m, got in enumerate(per_mode):
+                where = (oracle.__name__, R, strength, m)
+                exact = _bessel_eigenvalue(matching(R, strength, m), R,
+                                           4.0 * (alpha + 2.5 / strength))
+                if exact is None:
+                    assert got.size == 0, where
+                else:
+                    assert got.shape == (1,), where
+                    assert abs(got[0] - exact) <= 1e-9, (where,
+                                                         got[0] - exact)
+
+
+def test_circle_delta_below_the_line_limit_at_small_radius():
+    # curvature pulls lambda_1 of a small circle below -alpha^2/4 - 0.5,
+    # but never below the proven bound -alpha^2
+    for R, alpha in ((0.5, 5.0), (0.5, 8.0), (0.25, 8.0)):
+        exact = _bessel_eigenvalue(_delta_matching(R, alpha, 0), R,
+                                   4.0 * alpha)
+        assert exact < -0.25 * alpha * alpha - 0.5
+        got = oracles.circle_delta_radial(R, alpha).eigenvalues
+        assert abs(got[0] - exact) <= 1e-9, (R, alpha, got[0] - exact)
 
 
 def test_circle_deltaprime_pairing():
