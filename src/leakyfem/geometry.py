@@ -104,36 +104,12 @@ class InterfaceGeometry:
             return ((0.0, 0.0),)
         return ()
 
-    def contains(self, p, slack=0.0) -> bool:
-        (x0, y0), (x1, y1) = self.box
-        return (x0 - slack <= p[0] <= x1 + slack
-                and y0 - slack <= p[1] <= y1 + slack)
-
     # -- side classification ------------------------------------------------
 
-    def classify_side(self, p):
-        """Classify a point as OMEGA1, OMEGA2, or ON_INTERFACE.
-
-        Classification is relative to the polygonalized interface.  Points
-        within 1e-12 * halfwidth of a segment are ON_INTERFACE.  Raises
-        DomainError for points outside the closed box.
-        """
-        if not self.contains(p):
-            raise DomainError(f"point {p} outside the box of halfwidth {self.halfwidth}")
-        labels = self.classify_points(np.asarray([p], dtype=float))
-        return int(labels[0])
-
     def classify_points(self, pts):
-        """Vectorized classify_side without the inside-box check.
-
-        Parameters
-        ----------
-        pts : (n, 2) array
-
-        Returns
-        -------
-        (n,) int array of OMEGA1 / OMEGA2 / ON_INTERFACE labels.
-        """
+        """(n,) int array labelling each of the (n, 2) points pts OMEGA1,
+        OMEGA2 or ON_INTERFACE, relative to the polygonalized interface:
+        points within 1e-12 * halfwidth of a segment are ON_INTERFACE."""
         pts = np.asarray(pts, dtype=float)
         tol = 1e-12 * self.halfwidth
         x, y = pts[:, 0], pts[:, 1]

@@ -7,19 +7,24 @@ pole sits just above the coarser level's k-th eigenvalue, and so above
 the k-th of the finer level: its one factorization both counts the
 eigenvalues below it and drives ARPACK.  That pole is
 eigensolver.pole_above, the level at which the eigensolver certifies a
-list solved below the spectrum; pipeline imports it from there.  The
-first level has no coarser one and takes the certified shift search.
-Every solve takes one pole, whose side of the spectrum the eigensolver
-reads off its factorization.  solve_pencil is the one place that falls
-back: a given pole that fails is followed by that search, unless the
-list it computed has a certifying level that does not factor, which the
-search would certify at the same level.  cascade_solve can resume from
-the results of the levels already solved, so a caller may solve the
-finest level apart from the coarser ones.
+list solved below the spectrum; pipeline imports it from there.  On one
+mesh, and on every box of it, lambda_n(delta-prime) <= lambda_n(delta)
+(min-max: the broken space holds U·E of the continuous one, with the
+same mass and a_dp[U·Eu] <= a_d[u]), so the first level's delta-prime
+pencil takes pole_above of the delta list on the same mesh, and only the
+first delta level takes the certified shift search.  Every solve takes
+one pole, whose side of the spectrum the eigensolver reads off its
+factorization.  solve_pencil is the one place that falls back: a given
+pole that fails is followed by that search, unless the list it computed
+has a certifying level that does not factor, which the search would
+certify at the same level.  cascade_solve can resume from the results of
+the levels already solved, so a caller may solve the finest level apart
+from the coarser ones.
 
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
-lambda_1 serves every box.  meshing.build_dofs numbers both spaces' dofs
+lambda_1 serves every delta box; a delta-prime box takes pole_above of
+the same box's delta list.  meshing.build_dofs numbers both spaces' dofs
 once, by one nested-dissection order of the free nodes, before any matrix
 is scattered; a restricted pencil keeps a sorted subset of those dofs, so
 it inherits their order and is factored as it is, like every full pencil.
@@ -48,8 +53,8 @@ def assemble_levels(meshes, material):
 
 
 def truncation_shift(values):
-    """Pole for every restricted box of one mesh, just below the full
-    box's lambda_1: by min-max no restricted eigenvalue is smaller."""
+    """Pole for every restricted delta box of one mesh, just below the
+    full box's lambda_1: by min-max no restricted eigenvalue is smaller."""
     lam1 = float(values[0])
     return lam1 - 1e-2 * max(1.0, abs(lam1))
 
@@ -74,10 +79,11 @@ def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, pole=None):
 
 
 def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
-                  results=None):
+                  results=None, pole=None):
     """Solve one operator on every refinement level: above the coarser
-    level's list (pole_above), with the certified shift search on the
-    first level and as the fallback.
+    level's list (pole_above), with the certified shift search as the
+    fallback.  The first level takes pole (for delta-prime, pole_above of
+    the delta list on the same mesh), or the search when it is None.
 
     results, when given, holds the results of the coarser levels already
     solved, coarse to fine: the cascade resumes after them, with
@@ -86,7 +92,8 @@ def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
     results = [] if results is None else results
     for forms in forms_list:
         A, M = forms.matrices(which)
-        pole = pole_above(results[-1].values) if results else None
+        if results:
+            pole = pole_above(results[-1].values)
         results.append(solve_pencil(A, M, k, tol=tol, seed=seed, pole=pole))
     return results
 

@@ -368,23 +368,26 @@ def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
 
 def truncation_from_forms(forms, which: str, halfwidths, k: int,
                           full: EigenResult, tol: float = DEFAULT_TOL,
-                          seed: int = DEFAULT_SEED) -> TruncationStudy:
+                          seed: int = DEFAULT_SEED,
+                          above=None) -> TruncationStudy:
     """Truncation study on an already assembled master mesh whose inner
-    boxes were constrained in as rings.
+    boxes were constrained in as rings.  The halfwidths come in sorted
+    and distinct (_box_halfwidths).
 
     full is the result of the full pencil on this mesh (the cascade's).
     When the largest box keeps every dof its row is full's values, with
-    no new solve; otherwise that box is solved like the rest.  Every box
-    is solved at the pole pipeline.truncation_shift of full: by min-max
-    the eigenvalues of a restricted pencil are no smaller than the full
-    pencil's, so that pole is below every box's spectrum.  Every box
+    no new solve; otherwise that box is solved like the rest, at the pole
+    pipeline.truncation_shift of full: by min-max the eigenvalues of a
+    restricted pencil are no smaller than the full pencil's.  above, for
+    delta-prime, holds the delta study's rows, and each box is solved at
+    pipeline.pole_above of its row instead (see pipeline).  Every box
     holds k nodes (_check_boxes).
     """
-    halfwidths = sorted(set(float(L) for L in halfwidths))
     ndof = full.vectors.shape[0]
-    pole = pipeline.truncation_shift(full.values)
+    poles = ([pipeline.truncation_shift(full.values)] * len(halfwidths)
+             if above is None else [pipeline.pole_above(v) for v in above])
     values = []
-    for L in halfwidths:
+    for L, pole in zip(halfwidths, poles):
         if (L == halfwidths[-1]
                 and pipeline.interior_dofs(forms, which, L).size == ndof):
             res = full
@@ -443,17 +446,18 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     A worker (a second thread with second_thread, else _Inline) runs
     three tasks, each on the result of the one before: assemble the
     coarser levels and cascade delta over them, cascade delta-prime over
-    those forms, and solve the finest delta-prime pencil, submitted once
-    the calling thread has assembled the finest level.  The calling
-    thread then solves the finest delta pencil after the first task, and
-    runs the truncation studies of level t_idx: on a coarser level after
-    the second task, on the finest after the third.  So with a second
-    thread at most two finest-level factors are alive at a time, and
-    without one at most one.  Every solve gets the inputs of a serial
-    run, and errors surface in the order the calling thread reads them:
-    coarse delta, finest delta, coarse delta-prime, finest delta-prime,
-    truncation.  Tasks not started by the end are cancelled.  The results
-    do not depend on second_thread.
+    those forms from pole_above of the coarsest delta list, and solve the
+    finest delta-prime pencil, submitted once the calling thread has
+    assembled the finest level.  The calling thread then solves the
+    finest delta pencil after the first task, and runs the truncation
+    studies of level t_idx, delta first for the delta-prime box poles: on
+    a coarser level after the second task, on the finest after the third.
+    So with a second thread at most two finest-level factors are alive at
+    a time, and without one at most one.  Every solve gets the inputs of
+    a serial run, and errors surface in the order the calling thread
+    reads them: coarse delta, finest delta, coarse delta-prime, finest
+    delta-prime, truncation.  Tasks not started by the end are cancelled.
+    The results do not depend on second_thread.
 
     Returns (forms, delta results, delta-prime results, studies): one
     form and one result per level, coarse to fine, and the (delta,
@@ -470,21 +474,25 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     if t_idx is not None:
         _check_boxes(meshes[t_idx], halfwidths, k)
 
-    def cascade(forms, which, results=None):
+    def cascade(forms, which, results=None, pole=None):
         return pipeline.cascade_solve(forms, which, k, tol=tol, seed=seed,
-                                      results=results)
+                                      results=results, pole=pole)
 
     def studies(forms, res_d, res_p):
-        return tuple(truncation_from_forms(forms[t_idx], which, halfwidths,
-                                           k, res[t_idx], tol=tol, seed=seed)
-                     for which, res in ((DELTA, res_d), (DELTA_PRIME, res_p)))
+        study_d = truncation_from_forms(forms[t_idx], DELTA, halfwidths, k,
+                                        res_d[t_idx], tol=tol, seed=seed)
+        return study_d, truncation_from_forms(
+            forms[t_idx], DELTA_PRIME, halfwidths, k, res_p[t_idx], tol=tol,
+            seed=seed, above=study_d.values)
 
     def coarse_delta():
         forms = pipeline.assemble_levels(meshes[:-1], material)
         return forms, cascade(forms, DELTA)
 
     def coarse_prime(task_d):
-        return cascade(task_d.result()[0], DELTA_PRIME)
+        forms, res_d = task_d.result()
+        return cascade(forms, DELTA_PRIME,
+                       pole=pipeline.pole_above(res_d[0].values))
 
     def coarse_studies(task_d, task_p):
         return studies(*task_d.result(), task_p.result())

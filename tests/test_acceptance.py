@@ -316,13 +316,15 @@ def test_criterion_8_determinism(tmp_path):
 
 
 def test_acceptance_factorization_budget(circle_strict_doc, borderline_doc):
-    # every tight pole holds, the coarse-level Lanczos runs on the shift
-    # search's certified factor, each refined level is factored once at the
-    # pole above the coarser list, every full-box truncation row comes
+    # every tight pole holds, the coarse-level delta Lanczos runs on the
+    # shift search's certified factor, the coarse delta-prime level and
+    # each delta-prime box are factored once at the pole above the delta
+    # list on the same mesh or box, each refined level is factored once at
+    # the pole above the coarser list, every full-box truncation row comes
     # from the cascade, and the counting rows are read off the certified
     # lists (one count for circle strict's delta-prime list, whose top
     # lies below the highest level): a fallback pole, a refactored search
     # pole, a repeated full-box solve or a per-row count adds calls
-    assert SPLU_CALLS == {"circle_strict": 21, "borderline": 24}
+    assert SPLU_CALLS == {"circle_strict": 15, "borderline": 17}
     _report(f"factorizations: circle strict {SPLU_CALLS['circle_strict']}, "
             f"borderline {SPLU_CALLS['borderline']}")

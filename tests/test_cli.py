@@ -438,24 +438,33 @@ def _spy_factored(monkeypatch):
 
 
 def test_factorization_budget(monkeypatch):
-    # the criterion-8 run, per operator: the bisected shift search on the
-    # coarse level, whose certified factor Lanczos runs on, with one
-    # inertia check above its list, and one factor per refined level at
+    # the criterion-8 run: the bisected shift search on the coarse delta
+    # level, whose certified factor Lanczos runs on, with one inertia
+    # check above its list; the coarse delta-prime level factored once at
+    # the pole above that delta list; and one factor per refined level at
     # the pole above the coarser list, which both counts and drives
     # Lanczos; a fallback to the pole below or a repeated check raises the
     # count
     calls = _spy_factored(monkeypatch)
     _, code = cli.run_solve(_criterion_8_cfg())
     assert code in (cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
-    assert len(calls) == 16
+    assert len(calls) == 11
 
 
 def test_no_matrix_is_factored_twice(monkeypatch):
     # the pole search hands Lanczos the factor it certified, so no matrix
-    # reaches SuperLU twice, in a whole run or in one searched solve
+    # reaches SuperLU twice, in a whole run, with or without truncation
+    # boxes, or in one searched solve
     from leakyfem import eigensolver, femforms, geometry, meshing
     digests = _spy_factored(monkeypatch)
     cli.run_solve(_criterion_8_cfg())
+    assert len(digests) > 1 and len(set(digests)) == len(digests)
+
+    cfg = _criterion_8_cfg()
+    cfg["discretization"].update(box_halfwidths=[2.5, 4.0],
+                                 truncation_refinements=1)
+    digests.clear()
+    cli.run_solve(cfg)
     assert len(digests) > 1 and len(set(digests)) == len(digests)
 
     g = geometry.make_broken_line(math.pi / 4, 4.0)

@@ -34,11 +34,9 @@ def test_broken_line_rejects_bad_angles():
 
 def test_broken_line_classify():
     g = geo.make_broken_line(math.pi / 4, 10.0)
-    assert g.classify_side((0.0, 1.0)) == geo.OMEGA1
-    assert g.classify_side((2.0, 2.0)) == geo.ON_INTERFACE
-    assert g.classify_side((0.0, -1.0)) == geo.OMEGA2
-    with pytest.raises(DomainError):
-        g.classify_side((100.0, 0.0))
+    pts = [(0.0, 1.0), (2.0, 2.0), (0.0, -1.0)]
+    assert g.classify_points(pts).tolist() == [geo.OMEGA1, geo.ON_INTERFACE,
+                                               geo.OMEGA2]
 
 
 def test_circle_polygon_perimeter():
@@ -69,16 +67,16 @@ def test_circle_rejections():
 
 def test_circle_classify_center():
     g = geo.make_circle(1.0, (0.0, 0.0), 8.0, 64)
-    assert g.classify_side((0.0, 0.0)) == geo.OMEGA1
-    assert g.classify_side((3.0, 3.0)) == geo.OMEGA2
+    assert g.classify_points([(0.0, 0.0), (3.0, 3.0)]).tolist() == [
+        geo.OMEGA1, geo.OMEGA2]
 
 
 def test_line_plus_circle_components_and_sides():
     g = geo.make_line_plus_circle(3.0, 1.0, 12.0, 64)
-    assert g.classify_side((0.0, -1.0)) == geo.OMEGA1
-    assert g.classify_side((5.0, 5.0)) == geo.OMEGA2
-    assert g.classify_side((0.0, 3.0)) == geo.OMEGA1   # circle interior
-    assert g.classify_side((0.0, 1.5)) == geo.OMEGA2   # between line and circle
+    # the last two: the circle interior, and between line and circle
+    pts = [(0.0, -1.0), (5.0, 5.0), (0.0, 3.0), (0.0, 1.5)]
+    assert g.classify_points(pts).tolist() == [geo.OMEGA1, geo.OMEGA2,
+                                               geo.OMEGA1, geo.OMEGA2]
 
 
 def test_line_plus_circle_rejects_contact():
@@ -124,8 +122,8 @@ def test_orientation_consistency(make):
         # unit normal pointing into Omega1: the direction turned left
         dx, dy = s.b[0] - s.a[0], s.b[1] - s.a[1]
         nx, ny = -dy / s.length, dx / s.length
-        assert g.classify_side((mx + eps * nx, my + eps * ny)) == geo.OMEGA1
-        assert g.classify_side((mx - eps * nx, my - eps * ny)) == geo.OMEGA2
+        pts = [(mx + eps * nx, my + eps * ny), (mx - eps * nx, my - eps * ny)]
+        assert g.classify_points(pts).tolist() == [geo.OMEGA1, geo.OMEGA2]
 
 
 def test_material_validation():

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from leakyfem import eigensolver, femforms, geometry as geo, meshing, pipeline
 from leakyfem import spectral_analysis as sa
 from leakyfem.eigensolver import EigenResult, inertia_count
-from leakyfem.errors import ConsistencyError, DomainError, TheoremViolation
+from leakyfem.errors import (ConsistencyError, DomainError, SolverError,
+                             TheoremViolation)
 
 
 def _fake_result(values, shift=-10.0):
@@ -478,3 +479,66 @@ def test_verify_takes_the_full_box_rows_from_the_cascade(monkeypatch):
     assert boxes == [2.0, 2.0]  # the inner box, once per operator
     for study, res in zip(run.truncation, run.finest):
         assert np.array_equal(study.values[-1], res.values[:2])
+
+
+def _boxed_broken_line(beta):
+    g = geo.make_broken_line(math.pi / 4, 4.0)
+    return g, geo.MaterialData.constant(g, alpha=2.0, beta=beta)
+
+
+def test_delta_prime_poles_come_from_the_delta_lists(monkeypatch):
+    # beta <= 4/alpha: on one mesh and on each box of it the delta list's
+    # pole above lies above the delta-prime list of the same length, so
+    # the coarsest delta-prime pencil and each delta-prime box take one
+    # factorization there, and only the coarsest delta pencil searches
+    g, mat = _boxed_broken_line(2.0)
+    searched = []
+    lower_shift = eigensolver.lower_shift
+
+    def counted(A, M):
+        searched.append(A.shape[0])
+        return lower_shift(A, M)
+
+    monkeypatch.setattr(eigensolver, "lower_shift", counted)
+    poles = _factored_poles(monkeypatch)
+    forms, res_d, res_p, (study_d, _) = sa.solve_levels(
+        g, mat, 0.8, 2, [2.5, 4.0], k=2, t_idx=1)
+    assert searched == [forms[0].matrices(sa.DELTA)[0].shape[0]]
+    n0 = forms[0].matrices(sa.DELTA_PRIME)[0].shape[0]
+    pole = pipeline.pole_above(res_d[0].values)
+    assert res_p[0].shift_used == pole
+    assert [mu for size, mu in poles if size == n0] == [pole]
+    n = pipeline.interior_dofs(forms[1], sa.DELTA_PRIME, 2.5).size
+    assert [mu for size, mu in poles if size == n] == [
+        pipeline.pole_above(study_d.values[0])]
+
+
+def test_refused_delta_pole_falls_back_to_the_search(monkeypatch):
+    # beta = 4 > 4/alpha: the form comparison fails, and on the 2.5 box
+    # the delta list's pole lies below the second delta-prime eigenvalue;
+    # that pole is refused and the box falls back to the shift search,
+    # with the values of the solves that never took a delta pole
+    g, mat = _boxed_broken_line(4.0)
+    refused = []
+    solve = pipeline.smallest_eigenpairs
+
+    def spied(A, M, k, pole=None, **kwargs):
+        try:
+            return solve(A, M, k, pole=pole, **kwargs)
+        except SolverError:
+            refused.append(A.shape[0])
+            raise
+
+    monkeypatch.setattr(pipeline, "smallest_eigenpairs", spied)
+    forms, _, res_p, (_, study) = sa.solve_levels(
+        g, mat, 0.8, 2, [2.5, 4.0], k=2, t_idx=1)
+    assert refused == [
+        pipeline.interior_dofs(forms[1], sa.DELTA_PRIME, 2.5).size]
+    monkeypatch.undo()
+    ref = pipeline.cascade_solve(forms, sa.DELTA_PRIME, 2)
+    ref_study = sa.truncation_from_forms(forms[1], sa.DELTA_PRIME,
+                                         [2.5, 4.0], 2, ref[1])
+    got = [r.values for r in res_p] + [study.values]
+    want = [r.values for r in ref] + [ref_study.values]
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
