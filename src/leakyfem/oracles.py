@@ -24,7 +24,20 @@ Point couplings enter the grid exactly: the delta sits on a grid node
 and subtracts alpha from that diagonal entry of the form; the
 delta-prime sits between two nodes and replaces the bond coefficient
 1/h by 1/(h - beta), which encodes a trace jump of -beta times the
-(continuous) flux across the gap.
+(continuous) flux across the gap.  Both line grids are symmetric about
+the coupling, and only one symmetry sector can hold a bound state, so
+each is solved on its half-line: the delta in the even sector (the odd
+one has u(0) = 0 and is a Dirichlet Laplacian), the delta-prime in the
+odd sector (the even one sees no jump).  Their eigenvalues below zero
+are those of the whole line in exact arithmetic, from half the nodes.
+
+Every grid reaches 16 decay lengths past the coupling.  The line models
+take halfwidth 16/kappa.  Each angular mode of a circle gets its own
+outer radius R + 16/sqrt(-lambda), lambda that mode's weakest bound
+value: mode 0 starts from R + 16/kappa, mode m + 1 from mode m's radius,
+and the radius widens on the coarse grid only before the fine grid is
+solved once.  A mode too weakly bound to show on its starting grid is
+not reported.
 """
 
 from __future__ import annotations
@@ -38,6 +51,7 @@ from scipy.linalg.lapack import dstebz
 from .errors import ConsistencyError, DomainError
 
 _KH_TARGET = 4e-3         # decay rate times the coarse grid step
+_DECAY_LENGTHS = 16.0     # grid reach beyond the coupling, in decay lengths
 _BISECT_TOL = 1e-10
 
 
@@ -70,23 +84,29 @@ def _eigs_below(d, e, m, upper):
     return w[:count].copy()
 
 
-def _eigs_extrapolated(build, h0, upper=0.0):
-    """Eigenvalues below `upper` on grids near h0 and h0/2, combined by
+def _solve(build, h):
+    """Eigenvalues below zero of the pencil build(h), and the step that
+    pencil actually used."""
+    *pencil, h_used = build(h)
+    return _eigs_below(*pencil, 0.0), h_used
+
+
+def _eigs_extrapolated(build, h0, coarse=None):
+    """Eigenvalues below zero on grids near h0 and h0/2, combined by
     quadratic extrapolation (r^2 E_f - E_c) / (r^2 - 1).
 
     build(h) returns the pencil and the step it actually used (the radial
     grids move h to put the circle on or between nodes), and r = h_c/h_f
     is the ratio of those steps, so the h^2 term cancels exactly even
-    when it is not 2.  The bisection counts are exact for each grid, but
-    the second-difference pencil limits single-grid absolute accuracy to
+    when it is not 2.  coarse is _solve(build, h0) when the caller has
+    it already.  The bisection counts are exact for each grid, but the
+    second-difference pencil limits single-grid absolute accuracy to
     about eps * ||T||; two moderately fine grids plus extrapolation beat
     one very fine grid.  Unpaired near-threshold states keep their
     fine-grid values.
     """
-    *pencil, hc = build(h0)
-    coarse = _eigs_below(*pencil, upper)
-    *pencil, hf = build(0.5 * h0)
-    fine = _eigs_below(*pencil, upper)
+    coarse, hc = coarse if coarse is not None else _solve(build, h0)
+    fine, hf = _solve(build, 0.5 * h0)
     r2 = (hc / hf) ** 2
     n = min(coarse.size, fine.size)
     vals = (r2 * fine[:n] - coarse[:n]) / (r2 - 1.0)
@@ -100,6 +120,34 @@ def _check_grid(step, halfwidth):
     for name, value in (("step", step), ("halfwidth", halfwidth)):
         if value is not None and not value > 0:
             raise DomainError(f"{name} must be positive, got {value!r}")
+
+
+def _delta_line(alpha, R, h):
+    """Even-sector pencil (d, e, m, h) of the delta on the line grid of
+    step h over [-R, R]: the nodes 0 ... ceil(R/h), with a Dirichlet ghost
+    bond past the last.  Folding u(-x) = u(x) onto x >= 0 halves the
+    center row: d_0 = 1/h - alpha/2 and m_0 = h/2."""
+    n = int(math.ceil(R / h)) + 1
+    d = np.full(n, 2.0 / h)
+    d[0] = 1.0 / h - 0.5 * alpha
+    e = np.full(n - 1, -1.0 / h)
+    m = np.full(n, h)
+    m[0] = 0.5 * h
+    return d, e, m, h
+
+
+def _deltaprime_line(beta, R, h):
+    """Odd-sector pencil (d, e, m, h) of the delta-prime on the staggered
+    line grid of step h over [-R, R]: the max(2, ceil(R/h)) nodes right of
+    the crack, with a Dirichlet ghost bond past the last.  Under u(-x) =
+    -u(x) the crack bond 1/(h - beta) sees the jump 2 u_0 and, halved,
+    adds 2/(h - beta) to d_0."""
+    n = max(2, int(math.ceil(R / h)))
+    d = np.full(n, 2.0 / h)
+    d[0] = 1.0 / h + 2.0 / (h - beta)
+    e = np.full(n - 1, -1.0 / h)
+    m = np.full(n, h)
+    return d, e, m, h
 
 
 @dataclass(frozen=True)
@@ -116,27 +164,18 @@ def point_delta_1d(alpha: float, step: float | None = None,
     """Bound states of the line operator -u'' - alpha * delta_0.
 
     Dense second differences on [-R, R] with the delta on the center
-    node; every eigenvalue below zero is returned (the model has exactly
-    one).  Non-positive alpha yields an empty list; a non-positive step
-    or halfwidth raises DomainError.
+    node, solved in the even sector: the nodes 0 ... R/h with the center
+    row halved.  Every eigenvalue below zero is returned (the model has
+    exactly one).  Non-positive alpha yields an empty list; a
+    non-positive step or halfwidth raises DomainError.
     """
     _check_grid(step, halfwidth)
     if alpha <= 0:
         return OracleResult(np.empty(0), {"alpha": alpha})
     kappa = 0.5 * alpha
-    R = halfwidth if halfwidth is not None else 25.0 / kappa
+    R = halfwidth if halfwidth is not None else _DECAY_LENGTHS / kappa
     h0 = step if step is not None else _KH_TARGET / kappa
-
-    def build(h):
-        half = int(math.ceil(R / h))
-        n = 2 * half + 1
-        d = np.full(n, 2.0 / h)
-        d[half] -= alpha
-        e = np.full(n - 1, -1.0 / h)
-        m = np.full(n, h)
-        return d, e, m, h
-
-    eigs = _eigs_extrapolated(build, h0)
+    eigs = _eigs_extrapolated(lambda h: _delta_line(alpha, R, h), h0)
     return OracleResult(eigs, {"alpha": alpha, "step": h0, "halfwidth": R})
 
 
@@ -144,35 +183,23 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
                         halfwidth: float | None = None) -> OracleResult:
     """Bound states of the line operator with a delta-prime coupling at 0.
 
-    The grid is staggered so the coupling sits between the two middle
-    nodes; the bond coefficient 1/(h - beta) reproduces a value jump of
-    -beta times the continuous flux.  Non-positive beta yields an empty
-    list; a non-positive step or halfwidth raises DomainError.
+    The grid on [-R, R] is staggered so the coupling sits between the two
+    middle nodes; the bond coefficient 1/(h - beta) reproduces a value
+    jump of -beta times the continuous flux.  It is solved in the odd
+    sector, on the nodes right of the crack, where the crack bond
+    contributes 2/(h - beta) to the first diagonal entry.  Non-positive
+    beta yields an empty list; a non-positive step or halfwidth raises
+    DomainError.
     """
     _check_grid(step, halfwidth)
     if beta <= 0:
         return OracleResult(np.empty(0), {"beta": beta})
     kappa = 2.0 / beta
-    R = halfwidth if halfwidth is not None else 25.0 / kappa
+    R = halfwidth if halfwidth is not None else _DECAY_LENGTHS / kappa
     h0 = step if step is not None else _KH_TARGET / kappa
     if h0 >= beta / 20.0:
         h0 = beta / 20.0
-
-    def build(h):
-        half = max(2, int(math.ceil(R / h)))
-        n = 2 * half
-        c = np.full(n - 1, 1.0 / h)     # bond coefficients of the form
-        c[half - 1] = 1.0 / (h - beta)  # crack between nodes half-1 and half
-        d = np.zeros(n)
-        d[:-1] += c
-        d[1:] += c
-        d[0] += 1.0 / h                 # Dirichlet ghost bonds at the ends
-        d[-1] += 1.0 / h
-        e = -c
-        m = np.full(n, h)
-        return d, e, m, h
-
-    eigs = _eigs_extrapolated(build, h0)
+    eigs = _eigs_extrapolated(lambda h: _deltaprime_line(beta, R, h), h0)
     return OracleResult(eigs, {"beta": beta, "step": h0, "halfwidth": R})
 
 
@@ -205,6 +232,25 @@ def _radial_pencil(R, strength, mode, h, r_out, coupling):
     return d, e, m, h
 
 
+def _mode_eigs(R, strength, mode, h0, rout, coupling, widen):
+    """One angular mode's extrapolated eigenvalues below zero, and the
+    outer radius they were solved at.  With widen, the radius grows from
+    rout until it reaches R + 16 / sqrt(-lambda), lambda the mode's
+    weakest bound value on the coarse grid (three coarse solves at most);
+    the fine grid is solved once, at the final radius."""
+    for attempt in range(3):
+        def build(h, rout=rout):
+            return _radial_pencil(R, strength, mode, h, rout, coupling)
+        coarse = _solve(build, h0)
+        if not widen or not coarse[0].size or attempt == 2:
+            break
+        need = R + _DECAY_LENGTHS / math.sqrt(-coarse[0][-1])
+        if rout >= need:
+            break
+        rout = need
+    return _eigs_extrapolated(build, h0, coarse), rout
+
+
 def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
     if R <= 0 or strength <= 0:
         raise DomainError("radius and coupling strength must be positive")
@@ -216,23 +262,16 @@ def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
     h0 = step if step is not None else _KH_TARGET / tent_kappa
     if coupling == "deltaprime" and h0 >= strength / 20.0:
         h0 = strength / 20.0
-    rout = r_out if r_out is not None else R + 24.0 / tent_kappa
-    for _ in range(3):
-        per_mode = []
-        for mode in range(m_max + 1):
-            def build(h, mode=mode):
-                return _radial_pencil(R, strength, mode, h, rout, coupling)
-            per_mode.append(_eigs_extrapolated(build, h0))
-        out = per_mode
-        lam1 = per_mode[0][0] if per_mode[0].size else None
-        if r_out is not None or lam1 is None:
-            break
-        need = R + 22.0 / math.sqrt(-lam1)
-        if rout >= need:
-            break
-        rout = 1.1 * need
-    all_eigs = np.sort(np.concatenate(out))
-    return out, all_eigs, {"step": h0, "r_out": rout, "m_max": m_max}
+    # mode m + 1 starts from mode m's radius: on one grid its pencil is
+    # mode m's plus a positive diagonal, so it is no more bound
+    rout = r_out if r_out is not None else R + _DECAY_LENGTHS / tent_kappa
+    per_mode = []
+    for mode in range(m_max + 1):
+        eigs, rout = _mode_eigs(R, strength, mode, h0, rout, coupling,
+                                r_out is None)
+        per_mode.append(eigs)
+    all_eigs = np.sort(np.concatenate(per_mode))
+    return per_mode, all_eigs, {"step": h0, "r_out": rout, "m_max": m_max}
 
 
 def circle_delta_radial(R: float, alpha: float, m_max: int = 2,
@@ -241,11 +280,14 @@ def circle_delta_radial(R: float, alpha: float, m_max: int = 2,
     """Negative eigenvalues of the plane problem with a delta coupling of
     strength alpha on the circle of radius R, one list per angular mode.
 
-    The outer truncation radius adapts to the computed decay rate.  The
-    lowest eigenvalue must respect the proven bound lambda_1 >= -alpha^2:
-    on each ray r > R, R |u(R)|^2 <= 2 ||u|| ||d_r u||, so
-    alpha * int_circle |u|^2 <= ||grad u||^2 + alpha^2 ||u||^2.  A value
-    below it raises ConsistencyError.
+    Each mode's outer radius adapts to its own computed decay rate (see
+    the module docstring) unless r_out is given; resolution["r_out"] is
+    the largest radius any mode used, so passing it back as r_out gives
+    every mode at least its own grid.  The lowest eigenvalue must
+    respect the proven bound lambda_1 >= -alpha^2: on each ray r > R,
+    R |u(R)|^2 <= 2 ||u|| ||d_r u||, so alpha * int_circle |u|^2 <=
+    ||grad u||^2 + alpha^2 ||u||^2.  A value below it raises
+    ConsistencyError.
     """
     per_mode, eigs, res = _radial_eigs(R, alpha, m_max, step, r_out,
                                        "delta", 0.5 * alpha)
@@ -260,7 +302,10 @@ def circle_deltaprime_radial(R: float, beta: float, m_max: int = 2,
                              step: float | None = None,
                              r_out: float | None = None) -> OracleResult:
     """Delta-prime analog of circle_delta_radial: the trace may jump across
-    the circle, with the jump proportional to the continuous radial flux."""
+    the circle, with the jump proportional to the continuous radial flux.
+    Its radii adapt per mode as there, and resolution["r_out"] is again
+    the largest, which gives every mode at least its own grid when passed
+    back as r_out."""
     per_mode, eigs, res = _radial_eigs(R, beta, m_max, step, r_out,
                                        "deltaprime", 2.0 / beta)
     res["beta"] = beta

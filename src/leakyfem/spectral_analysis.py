@@ -213,6 +213,24 @@ def _out_of_order(vd, vp):
     return np.flatnonzero(vp[:n] > vd[:n] + HARD_TOL).tolist()
 
 
+def _check_falls(lists, names):
+    """ConsistencyError when a list's lambda_n lies above the one before
+    it by more than HARD_TOL * max(1, |lambda_n|).  The lists come from
+    nested spaces, coarse to fine or small box to large, so by min-max
+    each value can only fall; a rise is a solver fault."""
+    for j in range(1, len(lists)):
+        before, after = lists[j - 1], lists[j]
+        n = min(before.size, after.size)
+        bad = np.flatnonzero(after[:n] - before[:n] > HARD_TOL * np.maximum(
+            1.0, np.abs(before[:n])))
+        if bad.size:
+            i = int(bad[0])
+            raise ConsistencyError(
+                f"lambda_{i + 1} rose from {float(before[i])!r} on "
+                f"{names[j - 1]} to {float(after[i])!r} on {names[j]}, "
+                "a space containing it")
+
+
 def verify_theoremA(res_delta: EigenResult, res_deltaprime: EigenResult,
                     thresholds, errors) -> TheoremAReport:
     """Grade the eigenvalue comparison between the two operators.
@@ -532,9 +550,13 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
     finest; DomainError outside 0..refinements) when box halfwidths are
     given, and the finest level graded against the budget Richardson
     errors + final truncation deltas + 20 tol, with a counting table
-    unless a pair is violated.  second_thread runs the coarser levels
-    and the finest delta-prime solve on a second thread (solve_levels);
-    the run does not depend on it.  The hypothesis beta <= 4/alpha is
+    unless a pair is violated.  A value that rises from a coarser level
+    to a finer one, or from a smaller box to a larger one, beyond
+    HARD_TOL * max(1, |lambda|) raises ConsistencyError before any
+    grading: the spaces are nested, so only a solver fault can raise it.
+    second_thread runs the coarser levels and the finest delta-prime
+    solve on a second thread (solve_levels); the run does not depend on
+    it.  The hypothesis beta <= 4/alpha is
     the caller's to check.
     """
     thr_d = essential_threshold(geometry, material, DELTA)
@@ -549,6 +571,12 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
     forms, res_d, res_p, trunc = solve_levels(
         geometry, material, h, refinements, halfwidths, k, tol, seed, t_idx,
         second_thread)
+    for which, results in ((DELTA, res_d), (DELTA_PRIME, res_p)):
+        _check_falls([r.values for r in results],
+                     [f"{which} level {j}" for j in range(len(results))])
+    for study in trunc:
+        _check_falls(list(study.values), [f"the {study.operator} box {L}"
+                                          for L in study.halfwidths])
 
     # the non-strict comparison must hold on every coarser level; the
     # finest is graded below, where a violation is a verdict

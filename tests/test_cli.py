@@ -379,6 +379,17 @@ def test_oracle_set_with_circle_block(tmp_path):
     assert sorted(r["model"] for r in circle) == sorted(
         f"circle_{c}_m{m}" for c in ("delta", "deltaprime") for m in range(3))
     assert all(float(r["eigenvalue"]) < 0 for r in circle)
+    # the bench runs this config as oracle_set and holds every row to its
+    # committed reference within EIG_TOL = 1e-8, relative above 1
+    ref_path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "perfbench", "reference.json")
+    with open(ref_path) as f:
+        ref = json.load(f)["oracle_set"]["rows"]
+    assert [[r["model"], float(r["parameter"])] for r in rows] == [
+        row[:2] for row in ref]
+    for r, (model, _, value) in zip(rows, ref):
+        assert abs(float(r["eigenvalue"]) - value) <= 1e-8 * max(
+            1.0, abs(value)), model
 
 
 def test_oracle_small_circle_below_the_line_limit(tmp_path):
@@ -596,10 +607,12 @@ def test_violation_exits_3(tmp_path, monkeypatch):
 
 
 def test_finest_level_violation_exits_3(tmp_path, monkeypatch):
-    # the first finest-level delta-prime value 1e-6 above the delta one is
+    # the first finest-level delta value 1e-6 below the delta-prime one is
     # a graded violation, not a coarse-level error: exit 3, a violated
     # pair in the report, and no counting table.  The value is moved once
-    # both finest lists exist, whichever thread solved them first
+    # both finest lists exist, whichever thread solved them first.  It is
+    # lowered, not the delta-prime value raised: a value that rises from
+    # the coarser level is a solver fault, refused before any grading
     import dataclasses
 
     from leakyfem import spectral_analysis as sa
@@ -607,9 +620,9 @@ def test_finest_level_violation_exits_3(tmp_path, monkeypatch):
 
     def flipped(*args, **kwargs):
         forms, res_d, res_p, trunc = solve_levels(*args, **kwargs)
-        values = res_p[-1].values.copy()
-        values[0] = res_d[-1].values[0] + 1e-6
-        res_p[-1] = dataclasses.replace(res_p[-1], values=values)
+        values = res_d[-1].values.copy()
+        values[0] = res_p[-1].values[0] - 1e-6
+        res_d[-1] = dataclasses.replace(res_d[-1], values=values)
         return forms, res_d, res_p, trunc
 
     monkeypatch.setattr(sa, "solve_levels", flipped)
@@ -619,6 +632,31 @@ def test_finest_level_violation_exits_3(tmp_path, monkeypatch):
     assert report["exit_status"] == cli.EXIT_VIOLATED
     assert report["pairs"][0]["verdict"] == "violated"
     assert report["counting"] == []
+
+
+def test_value_rising_under_refinement_exits_1(tmp_path, capsys,
+                                               monkeypatch):
+    # the first finest-level delta-prime value raised 1e-6 above the delta
+    # one also lies above the coarser delta-prime level's: a solver fault,
+    # so ConsistencyError (exit 1) and no report, not a violated verdict
+    import dataclasses
+
+    from leakyfem import spectral_analysis as sa
+    solve_levels = sa.solve_levels
+
+    def raised(*args, **kwargs):
+        forms, res_d, res_p, trunc = solve_levels(*args, **kwargs)
+        values = res_p[-1].values.copy()
+        values[0] = res_d[-1].values[0] + 1e-6
+        assert values[0] > res_p[-2].values[0] + 1e-9
+        res_p[-1] = dataclasses.replace(res_p[-1], values=values)
+        return forms, res_d, res_p, trunc
+
+    monkeypatch.setattr(sa, "solve_levels", raised)
+    p = _write(tmp_path / "cfg.json", _base_cfg(tmp_path / "out"))
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_ERROR
+    assert "ConsistencyError: lambda_1 rose" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_converge_meshes_the_solve_rings(tmp_path):

@@ -144,7 +144,7 @@ def test_circle_oracles_match_the_bessel_conditions(R):
                    _deltaprime_matching) for beta in (4.0 / alpha,
                                                       3.2 / alpha)]
         for oracle, strength, matching in cases:
-            per_mode = oracle(R, strength, m_max=2).per_mode
+            per_mode = oracle(R, strength, m_max=3).per_mode
             for m, got in enumerate(per_mode):
                 where = (oracle.__name__, R, strength, m)
                 exact = _bessel_eigenvalue(matching(R, strength, m), R,
@@ -155,6 +155,33 @@ def test_circle_oracles_match_the_bessel_conditions(R):
                     assert got.shape == (1,), where
                     assert abs(got[0] - exact) <= 1e-9, (where,
                                                          got[0] - exact)
+
+
+@pytest.mark.parametrize("alpha, root", [(2.05, -0.0211171007),
+                                         (2.01, -0.0030469202)])
+def test_circle_delta_near_threshold_mode(alpha, root):
+    # the unit circle's m = 1 delta mode is bound only for alpha > 2; its
+    # decay length (7 and 18 here) far exceeds mode 0's, so it needs an
+    # outer radius of its own
+    exact = _bessel_eigenvalue(_delta_matching(1.0, alpha, 1), 1.0,
+                               4.0 * alpha)
+    assert exact == pytest.approx(root, abs=1e-10)
+    got = oracles.circle_delta_radial(1.0, alpha, m_max=1).per_mode[1]
+    assert got.shape == (1,)
+    assert abs(got[0] - exact) <= 1e-9, got[0] - exact
+
+
+def test_circle_r_out_passed_back_gives_every_mode_its_grid():
+    # resolution["r_out"] is the largest radius any mode used; at that
+    # radius every mode keeps its value
+    for oracle, strength in ((oracles.circle_delta_radial, 2.05),
+                             (oracles.circle_deltaprime_radial, 0.64)):
+        base = oracle(1.0, strength, m_max=3)
+        again = oracle(1.0, strength, m_max=3,
+                       r_out=base.resolution["r_out"])
+        for got, ref in zip(again.per_mode, base.per_mode):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
 
 
 def test_circle_delta_below_the_line_limit_at_small_radius():
@@ -212,6 +239,64 @@ def test_r_out_must_exceed_radius():
             oracles.circle_delta_radial(1.0, 5.0, m_max=0, r_out=r_out)
         with pytest.raises(DomainError):
             oracles.circle_deltaprime_radial(1.0, 0.8, m_max=0, r_out=r_out)
+
+
+def _whole_line(coupling, strength, R, h):
+    """The dense whole-line pencil (T, M) that the sector pencil of the
+    coupling folds, and the basis of the sector left out: odd vectors
+    through the delta node, even vectors across the delta-prime crack."""
+    if coupling == "delta":
+        half = int(np.ceil(R / h))
+        n = 2 * half + 1
+        c = np.full(n - 1, 1.0 / h)
+        d = np.full(n, 2.0 / h)
+        d[half] -= strength
+        P = np.zeros((n, half))
+        for i in range(1, half + 1):
+            P[half + i, i - 1], P[half - i, i - 1] = 1.0, -1.0
+    else:
+        half = max(2, int(np.ceil(R / h)))
+        n = 2 * half
+        c = np.full(n - 1, 1.0 / h)
+        c[half - 1] = 1.0 / (h - strength)
+        d = np.zeros(n)
+        d[:-1] += c
+        d[1:] += c
+        d[[0, -1]] += 1.0 / h
+        P = np.zeros((n, half))
+        for j in range(half):
+            P[half + j, j], P[half - 1 - j, j] = 1.0, 1.0
+    T = np.diag(d) - np.diag(c, 1) - np.diag(c, -1)
+    return T, h * np.eye(n), P
+
+
+@pytest.mark.parametrize("coupling", ["delta", "deltaprime"])
+def test_sector_pencils_keep_the_whole_line_bound_states(coupling):
+    # only one symmetry sector can hold a bound state: the sector pencil
+    # has the whole line's eigenvalues below zero, and the sector left
+    # out has none
+    sector = {"delta": oracles._delta_line,
+              "deltaprime": oracles._deltaprime_line}[coupling]
+    for alpha in (1.0, 2.0, 6.0):
+        strength = alpha if coupling == "delta" else 4.0 / alpha
+        # kappa h = 0.1 is the delta-prime oracle's cap h <= beta / 20
+        for h in (0.2 / alpha, 0.14 / alpha):
+            T, M, P = _whole_line(coupling, strength, 4.0, h)
+            whole = scipy.linalg.eigh(T, M, eigvals_only=True)
+            norm = np.linalg.norm(T / h, 2)     # M = h I
+            d, e, m, _ = sector(strength, 4.0, h)
+            half = scipy.linalg.eigh(np.diag(d) + np.diag(e, 1)
+                                     + np.diag(e, -1), np.diag(m),
+                                     eigvals_only=True)
+            where = (alpha, h)
+            below = whole[whole < 0]
+            assert below.size >= 1, where
+            assert half[half < 0].size == below.size, where
+            np.testing.assert_allclose(half[:below.size], below, rtol=0,
+                                       atol=1e-12 * norm, err_msg=where)
+            rest = scipy.linalg.eigh(P.T @ T @ P, P.T @ M @ P,
+                                     eigvals_only=True)
+            assert rest[0] > 0, where
 
 
 def _random_pencil(rng, n):

@@ -481,6 +481,50 @@ def test_verify_takes_the_full_box_rows_from_the_cascade(monkeypatch):
         assert np.array_equal(study.values[-1], res.values[:2])
 
 
+@pytest.mark.parametrize("where, names", [
+    ("level", "delta_prime level 1 to .* on delta_prime level 2"),
+    ("box", "the delta box 2.0 to .* on the delta box 3.0")])
+def test_verify_refuses_a_value_that_rises(monkeypatch, where, names):
+    # refinement and box growth nest the spaces, so every value falls; one
+    # solve returning a value 1e-6 above its coarser level's (the finest
+    # delta-prime pencil) or its smaller box's (the delta box 3) is a
+    # solver fault, not a verdict
+    import dataclasses
+
+    g = geo.make_broken_line(math.pi / 4, 4.0)
+    mat = geo.MaterialData.borderline(g, alpha=2.0)
+    cascade, restricted = pipeline.cascade_solve, pipeline.solve_restricted
+    boxes = {}
+
+    def raised(res, above):
+        values = res.values.copy()
+        values[0] = above + 1e-6
+        return dataclasses.replace(res, values=values)
+
+    def cascade_raised(forms_list, which, k, **kwargs):
+        results = cascade(forms_list, which, k, **kwargs)
+        if which == sa.DELTA_PRIME and len(results) == 3:
+            results[-1] = raised(results[-1], results[-2].values[0])
+        return results
+
+    def restricted_raised(forms, which, halfwidth, k, **kwargs):
+        res, keep = restricted(forms, which, halfwidth, k, **kwargs)
+        boxes[which, halfwidth] = res.values[0]
+        if (which, halfwidth) == (sa.DELTA, 3.0):
+            res = raised(res, boxes[which, 2.0])
+        return res, keep
+
+    if where == "level":
+        monkeypatch.setattr(pipeline, "cascade_solve", cascade_raised)
+    else:
+        monkeypatch.setattr(pipeline, "solve_restricted", restricted_raised)
+    with pytest.raises(ConsistencyError, match=f"lambda_1 rose .* {names}"):
+        sa.verify(g, mat, 0.8, refinements=2, halfwidths=[2.0, 3.0, 4.0],
+                  k=2)
+    monkeypatch.undo()
+    sa.verify(g, mat, 0.8, refinements=2, halfwidths=[2.0, 3.0, 4.0], k=2)
+
+
 def _boxed_broken_line(beta):
     g = geo.make_broken_line(math.pi / 4, 4.0)
     return g, geo.MaterialData.constant(g, alpha=2.0, beta=beta)
