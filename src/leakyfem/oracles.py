@@ -38,6 +38,18 @@ value: mode 0 starts from R + 16/kappa, mode m + 1 from mode m's radius,
 and the radius widens on the coarse grid only before the fine grid is
 solved once.  A mode too weakly bound to show on its starting grid is
 not reported.
+
+Most of the bisection is spent halving down from the Gershgorin bound
+(about -6.5e5 on a fine grid), although a coarser grid already places
+each value far closer.  So only a rough grid at 8 times the coarse step
+is bisected over its full range.  Every other grid is bisected in a
+window: the coarse grid around the rough values, a widened circle grid
+just below the narrower grid's values, and the fine grid around the h^2
+prediction from the rough and coarse grids.  One exact Sturm count of
+all values below zero certifies each window; a window that misses a
+counted value falls back to the full range, so the counts stay exact
+and the tolerance stays 1e-10 (Parlett, The Symmetric Eigenvalue
+Problem, ch. 3, on counts confirming a guessed interval).
 """
 
 from __future__ import annotations
@@ -53,9 +65,23 @@ from .errors import ConsistencyError, DomainError
 _KH_TARGET = 4e-3         # decay rate times the coarse grid step
 _DECAY_LENGTHS = 16.0     # grid reach beyond the coupling, in decay lengths
 _BISECT_TOL = 1e-10
+_ROUGH = 8.0              # rough grid step, in coarse grid steps
+_ROUGH_PAD = 1e-2         # coarse window half-width, relative to the value
+_FINE_PAD = 1e-2          # fine window half-width, relative to the h^2 term
+_WALL_LIFT = 16.0         # four times the 1d lift 4 exp(-2L) of a wall
 
 
-def _eigs_below(d, e, m, upper):
+def _bisect(d, e, lo, hi, tol):
+    """dstebz over (lo, hi] to absolute tolerance tol: the values there,
+    ascending.  Range 1 selects a half-open interval; il and iu are
+    unused."""
+    count, w, _, _, info = dstebz(d, e, 1, lo, hi, 1, 1, tol, "E")
+    if info != 0:
+        raise ConsistencyError(f"LAPACK dstebz failed with info={info}")
+    return w[:count].copy()
+
+
+def _eigs_below(d, e, m, upper, window=None):
     """All pencil eigenvalues strictly below `upper`, ascending.
 
     The pencil (T, M), with T tridiagonal (diagonal d, off-diagonal e) and
@@ -63,6 +89,15 @@ def _eigs_below(d, e, m, upper):
     and e are overwritten.  LAPACK dstebz then bisects on Sturm counts
     over (Gershgorin bound - 1, upper) to absolute tolerance 1e-10; its
     own default, eps * ||T||, would be up to 4e-9 on the fine grids.
+
+    A window (lo, hi), a guess of where the values lie, saves most of
+    the halvings from the Gershgorin bound.  One exact Sturm count of the
+    values below `upper` comes first: dstebz with a tolerance wider than
+    the whole range counts at its two ends and does no bisection.  The
+    bisection to 1e-10 then runs inside the window only, and its result
+    stands only if it holds every counted value; otherwise (a window too
+    narrow, empty, or off the spectrum) the full range is bisected.
+    Either way the count is exact and the tolerance 1e-10.
     """
     s = np.sqrt(m)
     d /= s          # d / s / s, not d / m: each entry is divided by the
@@ -74,39 +109,76 @@ def _eigs_below(d, e, m, upper):
     r[1:] += np.abs(e)
     lower = float(np.min(d - r)) - 1.0
     del s, r        # dstebz allocates about 7n words of its own
-    # range 1 selects the values in (vl, vu], a half-open interval, so
-    # nextafter keeps `upper` itself out; il and iu are unused
-    count, w, _, _, info = dstebz(d, e, 1, lower,
-                                  float(np.nextafter(upper, -np.inf)),
-                                  1, 1, _BISECT_TOL, "E")
-    if info != 0:
-        raise ConsistencyError(f"LAPACK dstebz failed with info={info}")
-    return w[:count].copy()
+    top = float(np.nextafter(upper, -np.inf))   # keeps `upper` itself out
+    if window is not None:
+        count = _bisect(d, e, lower, top, 2.0 * (top - lower)).size
+        if count == 0:
+            return np.empty(0)
+        lo, hi = max(window[0], lower), min(window[1], top)
+        if lo < hi:
+            w = _bisect(d, e, lo, hi, _BISECT_TOL)
+            if w.size == count:
+                return w
+    return _bisect(d, e, lower, top, _BISECT_TOL)
 
 
-def _solve(build, h):
-    """Eigenvalues below zero of the pencil build(h), and the step that
+def _window(values, pad):
+    """The interval (min(values - pad), max(values + pad)), empty when
+    there are no values."""
+    return (float(np.min(values - pad, initial=np.inf)),
+            float(np.max(values + pad, initial=-np.inf)))
+
+
+def _solve(build, h, window=None):
+    """Eigenvalues below zero of the pencil build(h), bisected in
+    `window` when one is given (see _eigs_below), and the step that
     pencil actually used."""
     *pencil, h_used = build(h)
-    return _eigs_below(*pencil, 0.0), h_used
+    return _eigs_below(*pencil, 0.0, window), h_used
 
 
-def _eigs_extrapolated(build, h0, coarse=None):
+def _rough_and_coarse(build, h0):
+    """The rough grid near 8 h0, bisected over its full range, and the
+    coarse grid near h0, bisected in a window 1% wider than the rough
+    values on each side: the h^2 term at 8 h0 is a few 1e-4 of the
+    value.  Both are (values, step) pairs."""
+    rough = _solve(build, _ROUGH * h0)
+    return rough, _solve(build, h0,
+                         _window(rough[0], _ROUGH_PAD * np.abs(rough[0])))
+
+
+def _eigs_extrapolated(build, h0, rough, first, coarse=None):
     """Eigenvalues below zero on grids near h0 and h0/2, combined by
     quadratic extrapolation (r^2 E_f - E_c) / (r^2 - 1).
 
     build(h) returns the pencil and the step it actually used (the radial
     grids move h to put the circle on or between nodes), and r = h_c/h_f
     is the ratio of those steps, so the h^2 term cancels exactly even
-    when it is not 2.  coarse is _solve(build, h0) when the caller has
-    it already.  The bisection counts are exact for each grid, but the
-    second-difference pencil limits single-grid absolute accuracy to
+    when it is not 2.  The bisection counts are exact for each grid, but
+    the second-difference pencil limits single-grid absolute accuracy to
     about eps * ||T||; two moderately fine grids plus extrapolation beat
     one very fine grid.  Unpaired near-threshold states keep their
     fine-grid values.
+
+    rough and first are _rough_and_coarse(build, h0), solved at the same
+    outer boundary; coarse is the coarse grid's (values, step) after the
+    boundary moved, or first when it did not.  The fine grid is bisected
+    in a window around the h^2 prediction coarse + (first - rough)
+    (h_f^2 - h_c^2) / (h_c^2 - h_r^2), padded by 1% of the h^2 term seen,
+    |first - rough|, and of the boundary's move, |coarse - first|.  On
+    the line models for alpha in [0.05, 8] the prediction misses the
+    fine value by at most 3e-4 of |first - rough|, well inside the pad.
+    A coarse value with no rough partner gets the coarse window's pad.
     """
-    coarse, hc = coarse if coarse is not None else _solve(build, h0)
-    fine, hf = _solve(build, 0.5 * h0)
+    (rough, hr), (first, hc) = rough, first
+    coarse = first if coarse is None else coarse[0]
+    *pencil, hf = build(0.5 * h0)
+    n = min(rough.size, first.size, coarse.size)
+    centre, pad = coarse.copy(), _ROUGH_PAD * np.abs(coarse)
+    trend = first[:n] - rough[:n]
+    centre[:n] += trend * (hf * hf - hc * hc) / (hc * hc - hr * hr)
+    pad[:n] = _FINE_PAD * (np.abs(trend) + np.abs(coarse[:n] - first[:n]))
+    fine = _eigs_below(*pencil, 0.0, _window(centre, pad))
     r2 = (hc / hf) ** 2
     n = min(coarse.size, fine.size)
     vals = (r2 * fine[:n] - coarse[:n]) / (r2 - 1.0)
@@ -175,7 +247,9 @@ def point_delta_1d(alpha: float, step: float | None = None,
     kappa = 0.5 * alpha
     R = halfwidth if halfwidth is not None else _DECAY_LENGTHS / kappa
     h0 = step if step is not None else _KH_TARGET / kappa
-    eigs = _eigs_extrapolated(lambda h: _delta_line(alpha, R, h), h0)
+    def build(h):
+        return _delta_line(alpha, R, h)
+    eigs = _eigs_extrapolated(build, h0, *_rough_and_coarse(build, h0))
     return OracleResult(eigs, {"alpha": alpha, "step": h0, "halfwidth": R})
 
 
@@ -189,7 +263,9 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
     sector, on the nodes right of the crack, where the crack bond
     contributes 2/(h - beta) to the first diagonal entry.  Non-positive
     beta yields an empty list; a non-positive step or halfwidth raises
-    DomainError.
+    DomainError.  The coarse step is capped at beta / 20, a given step
+    included: step=0.5 with beta = 2 runs at 0.1.  resolution["step"]
+    reports the step used.
     """
     _check_grid(step, halfwidth)
     if beta <= 0:
@@ -199,7 +275,9 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
     h0 = step if step is not None else _KH_TARGET / kappa
     if h0 >= beta / 20.0:
         h0 = beta / 20.0
-    eigs = _eigs_extrapolated(lambda h: _deltaprime_line(beta, R, h), h0)
+    def build(h):
+        return _deltaprime_line(beta, R, h)
+    eigs = _eigs_extrapolated(build, h0, *_rough_and_coarse(build, h0))
     return OracleResult(eigs, {"beta": beta, "step": h0, "halfwidth": R})
 
 
@@ -237,18 +315,30 @@ def _mode_eigs(R, strength, mode, h0, rout, coupling, widen):
     outer radius they were solved at.  With widen, the radius grows from
     rout until it reaches R + 16 / sqrt(-lambda), lambda the mode's
     weakest bound value on the coarse grid (three coarse solves at most);
-    the fine grid is solved once, at the final radius."""
-    for attempt in range(3):
-        def build(h, rout=rout):
-            return _radial_pencil(R, strength, mode, h, rout, coupling)
-        coarse = _solve(build, h0)
-        if not widen or not coarse[0].size or attempt == 2:
+    the rough and fine grids are solved once, at the first and the final
+    radius.  A wider grid holds the narrower one as a leading block, so
+    its values lie at or below the narrower grid's (Cauchy interlacing),
+    and a wall L decay lengths out lifts a value by about 4 exp(-2L) of
+    itself (the 1d delta's lift): each wider coarse grid is bisected in a
+    window reaching four times that lift below the narrower grid's
+    values."""
+    def build(h):
+        return _radial_pencil(R, strength, mode, h, rout, coupling)
+    rough, first = _rough_and_coarse(build, h0)
+    coarse = first
+    for _ in range(2):
+        lam = coarse[0]
+        if not widen or not lam.size:
             break
-        need = R + _DECAY_LENGTHS / math.sqrt(-coarse[0][-1])
+        kappa = math.sqrt(-lam[-1])
+        need = R + _DECAY_LENGTHS / kappa
         if rout >= need:
             break
+        lift = _WALL_LIFT * math.exp(-2.0 * (rout - R) * kappa)
         rout = need
-    return _eigs_extrapolated(build, h0, coarse), rout
+        coarse = _solve(build, h0,
+                        _window(lam, lift * np.abs(lam) + _BISECT_TOL))
+    return _eigs_extrapolated(build, h0, rough, first, coarse), rout
 
 
 def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
@@ -305,7 +395,9 @@ def circle_deltaprime_radial(R: float, beta: float, m_max: int = 2,
     the circle, with the jump proportional to the continuous radial flux.
     Its radii adapt per mode as there, and resolution["r_out"] is again
     the largest, which gives every mode at least its own grid when passed
-    back as r_out."""
+    back as r_out.  As in point_deltaprime_1d the coarse step is capped
+    at beta / 20, a given step included (step=0.5 with beta = 0.8 runs
+    at 0.04), and resolution["step"] reports the step used."""
     per_mode, eigs, res = _radial_eigs(R, beta, m_max, step, r_out,
                                        "deltaprime", 2.0 / beta)
     res["beta"] = beta

@@ -307,7 +307,32 @@ def _random_pencil(rng, n):
     return d, e, m, scipy.linalg.eigh(T, np.diag(m), eigvals_only=True)
 
 
-def test_eigs_below_matches_dense_pencil():
+def _spy_dstebz(monkeypatch):
+    """Record each dstebz call as (n, kind, count): kind "count" for a
+    tolerance wider than 1e-10, "full" for a bisection from the
+    Gershgorin bound of the scaled matrix, "window" otherwise."""
+    calls = []
+    real = oracles.dstebz
+
+    def spy(d, e, irange, vl, vu, il, iu, tol, order):
+        out = real(d, e, irange, vl, vu, il, iu, tol, order)
+        r = np.zeros_like(d)
+        r[:-1] += np.abs(e)
+        r[1:] += np.abs(e)
+        if tol > oracles._BISECT_TOL:
+            kind = "count"
+        else:
+            kind = "full" if vl <= np.min(d - r) - 1.0 else "window"
+        calls.append((d.size, kind, out[0]))
+        return out
+    monkeypatch.setattr(oracles, "dstebz", spy)
+    return calls
+
+
+def test_eigs_below_matches_dense_pencil(monkeypatch):
+    # with or without a window, right or wrong, the values are the dense
+    # ones; a window that misses a counted value ends in the full range
+    calls = _spy_dstebz(monkeypatch)
     rng = np.random.default_rng(20140611)
     for _ in range(30):
         n = int(rng.integers(2, 41))
@@ -319,9 +344,24 @@ def test_eigs_below_matches_dense_pencil():
             upper = dense[-1] + 0.5
         else:
             upper = 0.5 * (dense[k - 1] + dense[k])
-        got = oracles._eigs_below(d.copy(), e.copy(), m.copy(), upper)
-        assert got.size == k
-        np.testing.assert_allclose(got, dense[:k], rtol=0, atol=1e-10)
+        windows = {"none": None,
+                   "too narrow": (0.5 * (dense[0] + dense[1]), upper),
+                   "empty": (upper, upper),
+                   "above": (dense[-1] + 1.0, dense[-1] + 2.0)}
+        if k:
+            windows["correct"] = (dense[0] - 1e-3, dense[k - 1] + 1e-3)
+        for kind, window in windows.items():
+            calls.clear()
+            got = oracles._eigs_below(d.copy(), e.copy(), m.copy(), upper,
+                                      window)
+            assert got.size == k, kind
+            np.testing.assert_allclose(got, dense[:k], rtol=0, atol=1e-10,
+                                       err_msg=kind)
+            full = [c for c in calls if c[1] == "full"]
+            if kind == "correct" or (k == 0 and window is not None):
+                assert not full, kind
+            else:
+                assert calls[-1][1] == "full", kind
 
 
 def test_eigs_below_excludes_an_eigenvalue_at_upper():
@@ -339,6 +379,124 @@ def test_eigs_below_nothing_below_upper():
     d, e, m, dense = _random_pencil(np.random.default_rng(7), 25)
     got = oracles._eigs_below(d, e, m, dense[0] - 1e-6)
     assert isinstance(got, np.ndarray) and got.size == 0
+
+
+def _without_windows(monkeypatch):
+    """Make every oracle grid take the full-range path."""
+    real = oracles._eigs_below
+    monkeypatch.setattr(oracles, "_eigs_below",
+                        lambda d, e, m, upper, window=None:
+                        real(d, e, m, upper))
+
+
+def _oracle_set():
+    """The oracles of the bench's oracle_set: values and resolutions."""
+    results = [oracles.point_delta_1d(a) for a in (1.0, 2.0, 5.0)]
+    results += [oracles.point_deltaprime_1d(b) for b in (4.0, 2.0, 0.8)]
+    results.append(oracles.circle_delta_radial(1.0, 5.0, m_max=2))
+    results.append(oracles.circle_deltaprime_radial(1.0, 0.8, m_max=2))
+    return results
+
+
+def _distinct_grids(sizes):
+    """Grid sizes in solve order, a repeat of the last one dropped: a
+    radius widened by a rounding hair solves the same grid again, on
+    either path."""
+    return [n for i, n in enumerate(sizes) if i == 0 or n != sizes[i - 1]]
+
+
+def test_oracle_set_bisects_only_the_rough_grids_over_the_full_range(
+        monkeypatch):
+    # 6 point models and 6 circle modes each bisect one rough grid from
+    # the Gershgorin bound; every coarse and fine grid is certified by one
+    # count and found whole in its window
+    sizes = []
+    real_below = oracles._eigs_below
+
+    def below(d, *args):
+        sizes.append(d.size)
+        return real_below(d, *args)
+    monkeypatch.setattr(oracles, "_eigs_below", below)
+    calls = _spy_dstebz(monkeypatch)
+    windowed = _oracle_set()
+    full = [i for i, c in enumerate(calls) if c[1] == "full"]
+    assert len(full) == 12
+    for i in full:              # a rough grid, then its coarse grid
+        n, kind, _ = calls[i + 1]
+        assert kind == "count" and n > 4 * calls[i][0]
+    counts = [i for i, c in enumerate(calls) if c[1] == "count"]
+    assert len(calls) == len(full) + 2 * len(counts)
+    for i in counts:
+        n, _, count = calls[i]
+        assert count >= 1
+        assert calls[i + 1] == (n, "window", count)
+    window_sizes = _distinct_grids(sizes)
+    sizes.clear()
+    _without_windows(monkeypatch)
+    ref = _oracle_set()
+    assert _distinct_grids(sizes) == window_sizes
+    for got, want in zip(windowed, ref):
+        assert got.resolution.keys() == want.resolution.keys()
+        assert got.resolution["step"] == want.resolution["step"]
+        if "r_out" in want.resolution:
+            assert got.resolution["r_out"] == pytest.approx(
+                want.resolution["r_out"], rel=1e-9, abs=0)
+        np.testing.assert_allclose(got.eigenvalues, want.eigenvalues,
+                                   rtol=0, atol=2e-10)
+
+
+def _straddling_cases():
+    """Circle strengths just below and just above the binding threshold
+    of each mode m = 1, 2, 3: alpha R = 2m for the delta, beta = 2R/m
+    for the delta-prime (mode 0 is always bound)."""
+    for R in (0.5, 1.0, 2.0, 5.0):
+        for m in (1, 2, 3):
+            for factor in (0.99, 1.01):
+                yield oracles.circle_delta_radial, R, 2.0 * m / R * factor
+                yield oracles.circle_deltaprime_radial, R, 2.0 * R / m / factor
+
+
+def test_windows_keep_every_value_below_zero(monkeypatch):
+    # windows must not let a value at or above the threshold through, nor
+    # move a value: the windowed and full-range paths agree within 2e-10
+    windowed, cases = [], list(_straddling_cases())
+    alphas = np.geomspace(0.05, 8.0, 9)
+    for oracle, R, strength in cases:
+        windowed.append(oracle(R, strength, m_max=3).per_mode)
+    for alpha in alphas:
+        windowed.append((oracles.point_delta_1d(alpha).eigenvalues,
+                         oracles.point_deltaprime_1d(4.0 / alpha).eigenvalues))
+    _without_windows(monkeypatch)
+    full = [oracle(R, strength, m_max=3).per_mode
+            for oracle, R, strength in cases]
+    full += [(oracles.point_delta_1d(alpha).eigenvalues,
+              oracles.point_deltaprime_1d(4.0 / alpha).eigenvalues)
+             for alpha in alphas]
+    for where, got, want in zip(cases + list(alphas), windowed, full):
+        for g, w in zip(got, want):
+            assert np.all(g < 0), where
+            assert g.shape == w.shape, where
+            np.testing.assert_allclose(g, w, rtol=0, atol=2e-10,
+                                       err_msg=str(where))
+
+
+def test_delta_prime_step_is_capped_and_reported(monkeypatch):
+    # a step above beta / 20 runs at beta / 20, and resolution["step"]
+    # says so: the grids requested are 8, 1 and 1/2 times that step
+    steps = []
+    for name, at in (("_deltaprime_line", 2), ("_radial_pencil", 3)):
+        def spy(*args, real=getattr(oracles, name), at=at):
+            steps.append(args[at])
+            return real(*args)
+        monkeypatch.setattr(oracles, name, spy)
+    for call, capped in ((lambda: oracles.point_deltaprime_1d(2.0, step=0.5),
+                          0.1),
+                         (lambda: oracles.circle_deltaprime_radial(
+                             1.0, 0.8, m_max=0, step=0.5), 0.04)):
+        steps.clear()
+        res = call().resolution
+        assert res["step"] == capped
+        assert steps == [8.0 * capped, capped, 0.5 * capped]
 
 
 def test_oracles_share_no_code_with_the_fe_pipeline():
