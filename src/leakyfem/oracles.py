@@ -10,40 +10,57 @@ eigenvalue below a level with LAPACK dstebz: bisection on Sturm counts
 counts are exact, but rounding in the second-difference matrix limits a
 single grid's absolute accuracy to about eps * ||T||, which grows as
 1/h^2.  Each oracle solves on two grids, kappa * h = 4e-3 and about half
-that (kappa the decay rate, alpha/2 or 2/beta), and extrapolates the h^2
-term away.  That step balances the two errors left: the extrapolation
-remainder, O((kappa h)^4), and the rounding floor, O(eps / (kappa h)^2),
-both scaled by kappa^2.  The closed forms are met within 7e-10 for
-kappa <= 4, that is alpha <= 8 and beta >= 0.5 (measured at eleven
-values of alpha from 0.2 to 8 with beta = 4/alpha).  No transcendental
-matching formulas are trusted: the closed forms -alpha^2/4 and -4/beta^2,
-and the Bessel matching conditions of the circle, appear only in the
-test suite as cross-checks of the oracles themselves.
+that (kappa the decay rate, alpha/2 or 2/beta, and h the step at the
+coupling), and extrapolates the h^2 term away.  That step balances the
+two errors left: the extrapolation remainder, O((kappa h)^4), and the
+rounding floor, O(eps / (kappa h)^2), both scaled by kappa^2.  The
+closed forms are met within 3e-10 for kappa <= 4, that is alpha <= 8
+and beta >= 0.5 (measured at eleven values of alpha from 0.2 to 8 with
+beta = 4/alpha).  No transcendental matching formulas are trusted: the
+closed forms -alpha^2/4 and -4/beta^2, and the Bessel matching
+conditions of the circle, appear only in the test suite as cross-checks
+of the oracles themselves.
 
 Point couplings enter the grid exactly: the delta sits on a grid node
 and subtracts alpha from that diagonal entry of the form; the
 delta-prime sits between two nodes and replaces the bond coefficient
-1/h by 1/(h - beta), which encodes a trace jump of -beta times the
-(continuous) flux across the gap.  Both line grids are symmetric about
-the coupling, and only one symmetry sector can hold a bound state, so
-each is solved on its half-line: the delta in the even sector (the odd
-one has u(0) = 0 and is a Dirichlet Laplacian), the delta-prime in the
-odd sector (the even one sees no jump).  Their eigenvalues below zero
+1/dx by 1/(dx - beta), dx that bond's length, which encodes a trace
+jump of -beta times the (continuous) flux across the gap.  Both line
+grids are symmetric about the coupling, and only one symmetry sector
+can hold a bound state, so each is solved on its half-line: the delta
+in the even sector (the odd one has u(0) = 0 and is a Dirichlet
+Laplacian), the delta-prime in the odd sector (the even one sees no
+jump).  Their eigenvalues below zero
 are those of the whole line in exact arithmetic, from half the nodes.
+
+Every grid is graded away from the coupling: its nodes are x(s) =
+expm1(b s) / b of a uniform coordinate s of step h, with b = kappa/2.
+The step is h at the coupling to first order and grows like h (1 + b x)
+at the distance x from it, where the bound state has decayed like
+exp(-kappa x) (graded meshes for decaying eigenfunctions: Babuska &
+Osborn, Eigenvalue problems, Handbook of Numerical Analysis II, 1991).
+The map is smooth and the same on the three grids of an oracle, so the
+error still expands in even powers of h and the extrapolation still
+cancels the h^2 term.  A line grid 16 decay lengths wide takes 1100
+nodes at kappa h = 4e-3, against 4000 on a uniform grid.  A circle grid
+is uniform inside the circle and graded past it.  The map depends
+neither on the halfwidth nor on the outer radius, so a wider grid holds
+the narrower one as a leading block.
 
 Every grid reaches 16 decay lengths past the coupling.  The line models
 take halfwidth 16/kappa.  Each angular mode of a circle gets its own
 outer radius R + 16/sqrt(-lambda), lambda that mode's weakest bound
 value: mode 0 starts from R + 16/kappa, mode m + 1 from mode m's radius,
-and the radius widens on the coarse grid only before the fine grid is
-solved once.  A mode too weakly bound to show on its starting grid is
-not reported.
+and the radius widens on the coarse grid only, when it falls short by
+more than a relative 1e-9, before the fine grid is solved once.  A mode
+too weakly bound to show on its starting grid is not reported.
 
 Most of the bisection is spent halving down from the Gershgorin bound
 (about -6.5e5 on a fine grid), although a coarser grid already places
 each value far closer.  So only a rough grid at 8 times the coarse step
 is bisected over its full range.  Every other grid is bisected in a
-window: the coarse grid around the rough values, a widened circle grid
+window: the coarse grid around the rough values (padded by 1% of the
+value or of kappa^2, whichever is larger), a widened circle grid
 just below the narrower grid's values, and the fine grid around the h^2
 prediction from the rough and coarse grids.  One exact Sturm count of
 all values below zero certifies each window; a window that misses a
@@ -67,8 +84,11 @@ _DECAY_LENGTHS = 16.0     # grid reach beyond the coupling, in decay lengths
 _BISECT_TOL = 1e-10
 _ROUGH = 8.0              # rough grid step, in coarse grid steps
 _ROUGH_PAD = 1e-2         # coarse window half-width, relative to the value
+                          # or to kappa^2, whichever is larger
 _FINE_PAD = 1e-2          # fine window half-width, relative to the h^2 term
 _WALL_LIFT = 16.0         # four times the 1d lift 4 exp(-2L) of a wall
+_WIDEN_SLACK = 1e-9       # relative shortfall of a radius left unwidened
+_GRADE = 0.5              # grid grading rate b, in units of the decay rate
 
 
 def _bisect(d, e, lo, hi, tol):
@@ -137,17 +157,25 @@ def _solve(build, h, window=None):
     return _eigs_below(*pencil, 0.0, window), h_used
 
 
-def _rough_and_coarse(build, h0):
+def _coarse_pad(values, kappa):
+    """Half-width of the coarse window around rough values: 1% of the
+    value, or of kappa^2 when that is larger (kappa the coupling's decay
+    rate).  The h^2 term at 8 h0 is a few 1e-4 of kappa^2, so it is a
+    larger share of a weakly bound value: R = 1, alpha = 2.02, m = 1
+    moves by 1.9% from the rough to the coarse grid."""
+    return _ROUGH_PAD * np.maximum(np.abs(values), kappa * kappa)
+
+
+def _rough_and_coarse(build, h0, kappa):
     """The rough grid near 8 h0, bisected over its full range, and the
-    coarse grid near h0, bisected in a window 1% wider than the rough
-    values on each side: the h^2 term at 8 h0 is a few 1e-4 of the
-    value.  Both are (values, step) pairs."""
+    coarse grid near h0, bisected in a window _coarse_pad wider than the
+    rough values on each side.  Both are (values, step) pairs."""
     rough = _solve(build, _ROUGH * h0)
     return rough, _solve(build, h0,
-                         _window(rough[0], _ROUGH_PAD * np.abs(rough[0])))
+                         _window(rough[0], _coarse_pad(rough[0], kappa)))
 
 
-def _eigs_extrapolated(build, h0, rough, first, coarse=None):
+def _eigs_extrapolated(build, h0, kappa, rough, first, coarse=None):
     """Eigenvalues below zero on grids near h0 and h0/2, combined by
     quadratic extrapolation (r^2 E_f - E_c) / (r^2 - 1).
 
@@ -160,21 +188,22 @@ def _eigs_extrapolated(build, h0, rough, first, coarse=None):
     one very fine grid.  Unpaired near-threshold states keep their
     fine-grid values.
 
-    rough and first are _rough_and_coarse(build, h0), solved at the same
-    outer boundary; coarse is the coarse grid's (values, step) after the
-    boundary moved, or first when it did not.  The fine grid is bisected
-    in a window around the h^2 prediction coarse + (first - rough)
-    (h_f^2 - h_c^2) / (h_c^2 - h_r^2), padded by 1% of the h^2 term seen,
-    |first - rough|, and of the boundary's move, |coarse - first|.  On
-    the line models for alpha in [0.05, 8] the prediction misses the
-    fine value by at most 3e-4 of |first - rough|, well inside the pad.
-    A coarse value with no rough partner gets the coarse window's pad.
+    rough and first are _rough_and_coarse(build, h0, kappa), solved at
+    the same outer boundary; coarse is the coarse grid's (values, step)
+    after the boundary moved, or first when it did not.  The fine grid
+    is bisected in a window around the h^2 prediction coarse + (first -
+    rough) (h_f^2 - h_c^2) / (h_c^2 - h_r^2), padded by 1% of the h^2
+    term seen, |first - rough|, and of the boundary's move, |coarse -
+    first|.  On the line models for alpha in [0.05, 8] the prediction
+    misses the fine value by at most 3e-4 of |first - rough|, well
+    inside the pad.  A coarse value with no rough partner gets the
+    coarse window's pad, _coarse_pad.
     """
     (rough, hr), (first, hc) = rough, first
     coarse = first if coarse is None else coarse[0]
     *pencil, hf = build(0.5 * h0)
     n = min(rough.size, first.size, coarse.size)
-    centre, pad = coarse.copy(), _ROUGH_PAD * np.abs(coarse)
+    centre, pad = coarse.copy(), _coarse_pad(coarse, kappa)
     trend = first[:n] - rough[:n]
     centre[:n] += trend * (hf * hf - hc * hc) / (hc * hc - hr * hr)
     pad[:n] = _FINE_PAD * (np.abs(trend) + np.abs(coarse[:n] - first[:n]))
@@ -194,32 +223,73 @@ def _check_grid(step, halfwidth):
             raise DomainError(f"{name} must be positive, got {value!r}")
 
 
+def _graded(n, shift, a, bh, h):
+    """A grid of n nodes and a Dirichlet ghost past them: the node and
+    face coordinates and the bond and cell lengths, all times h.
+
+    In steps of h, node j sits at t(j + shift), j = 0 ... n (n is the
+    ghost), and face j at t(j + shift - 1/2), clipped at 0: the faces
+    halve the uniform coordinate between the nodes, and cell j runs from
+    face j to face j + 1.  The map t(u) = u for u <= a and a + expm1(bh
+    (u - a)) / bh beyond keeps the grid uniform up to a and the step h
+    at a to first order; past a the step grows like h (1 + b x) with the
+    distance x from a.  Each coordinate depends only on its own index,
+    so a larger n adds nodes and leaves the others as they were, and the
+    lengths inside the uniform part are exactly h."""
+    def t(u):
+        v = u - a
+        return np.where(v > 0, a + np.expm1(bh * v) / bh, u)
+    u = np.arange(n + 1) + shift
+    nodes, faces = t(u), t(np.maximum(u - 0.5, 0.0))
+    return nodes * h, faces * h, np.diff(nodes) * h, np.diff(faces) * h
+
+
+def _reach(length, bh):
+    """How many steps of the map in _graded it takes to go `length` steps
+    past a."""
+    return math.log1p(bh * length) / bh
+
+
+def _tridiagonal(c):
+    """Diagonal and off-diagonal of the bond sum: bond j joins node j
+    and j + 1, the last bond the Dirichlet ghost."""
+    d = c.copy()
+    d[1:] += c[:-1]
+    return d, -c[:-1]
+
+
 def _delta_line(alpha, R, h):
-    """Even-sector pencil (d, e, m, h) of the delta on the line grid of
-    step h over [-R, R]: the nodes 0 ... ceil(R/h), with a Dirichlet ghost
-    bond past the last.  Folding u(-x) = u(x) onto x >= 0 halves the
-    center row: d_0 = 1/h - alpha/2 and m_0 = h/2."""
-    n = int(math.ceil(R / h)) + 1
-    d = np.full(n, 2.0 / h)
-    d[0] = 1.0 / h - 0.5 * alpha
-    e = np.full(n - 1, -1.0 / h)
-    m = np.full(n, h)
-    m[0] = 0.5 * h
-    return d, e, m, h
+    """Even-sector pencil (d, e, m, h) of the delta over [-R, R], on the
+    graded line grid of coordinate step h: the nodes x(j h), j = 0 ...
+    n - 1 with x((n - 1) h) >= R, and a Dirichlet ghost at x(n h), where
+    x(s) = expm1(b s) / b and b = kappa/2.  Each bond weight is 1/dx (dx
+    the bond's length) and each mass the cell between the images of the
+    midpoints in s.  Folding u(-x) = u(x) onto x >= 0 leaves node 0 half
+    its cell and only its right bond: d_0 = 1/x(h) - alpha/2 and m_0 =
+    x(h/2)."""
+    bh = _GRADE * 0.5 * alpha * h
+    n = int(math.ceil(_reach(R / h, bh))) + 1
+    _, _, bond, cell = _graded(n, 0.0, 0.0, bh, h)
+    d, e = _tridiagonal(1.0 / bond)
+    d[0] -= 0.5 * alpha
+    return d, e, cell, h
 
 
 def _deltaprime_line(beta, R, h):
-    """Odd-sector pencil (d, e, m, h) of the delta-prime on the staggered
-    line grid of step h over [-R, R]: the max(2, ceil(R/h)) nodes right of
-    the crack, with a Dirichlet ghost bond past the last.  Under u(-x) =
-    -u(x) the crack bond 1/(h - beta) sees the jump 2 u_0 and, halved,
-    adds 2/(h - beta) to d_0."""
-    n = max(2, int(math.ceil(R / h)))
-    d = np.full(n, 2.0 / h)
-    d[0] = 1.0 / h + 2.0 / (h - beta)
-    e = np.full(n - 1, -1.0 / h)
-    m = np.full(n, h)
-    return d, e, m, h
+    """Odd-sector pencil (d, e, m, h) of the delta-prime over [-R, R], on
+    the staggered graded line grid of coordinate step h: the nodes x((j +
+    1/2) h), j = 0 ... n - 1, n = max(2, ceil(s_R / h)) with x(s_R) = R,
+    and a Dirichlet ghost at x((n + 1/2) h), x as in _delta_line with b =
+    kappa/2.  Each bond weight is 1/dx and each mass the cell between
+    x(j h) and x((j + 1) h).  The crack bond joins -x(h/2) and x(h/2);
+    under u(-x) = -u(x) its coefficient 1/(2 x(h/2) - beta) sees the jump
+    2 u_0 and, halved, adds 2/(2 x(h/2) - beta) to d_0."""
+    bh = _GRADE * 2.0 / beta * h
+    n = max(2, int(math.ceil(_reach(R / h, bh))))
+    x, _, bond, cell = _graded(n, 0.5, 0.0, bh, h)
+    d, e = _tridiagonal(1.0 / bond)
+    d[0] += 2.0 / (2.0 * x[0] - beta)
+    return d, e, cell, h
 
 
 @dataclass(frozen=True)
@@ -235,9 +305,10 @@ def point_delta_1d(alpha: float, step: float | None = None,
                    halfwidth: float | None = None) -> OracleResult:
     """Bound states of the line operator -u'' - alpha * delta_0.
 
-    Dense second differences on [-R, R] with the delta on the center
-    node, solved in the even sector: the nodes 0 ... R/h with the center
-    row halved.  Every eigenvalue below zero is returned (the model has
+    Second differences on the graded grid over [-R, R] with the delta on
+    the center node, solved in the even sector: the nodes from the
+    center to R with the center row halved (see _delta_line).  Every
+    eigenvalue below zero is returned (the model has
     exactly one).  Non-positive alpha yields an empty list; a
     non-positive step or halfwidth raises DomainError.
     """
@@ -249,7 +320,8 @@ def point_delta_1d(alpha: float, step: float | None = None,
     h0 = step if step is not None else _KH_TARGET / kappa
     def build(h):
         return _delta_line(alpha, R, h)
-    eigs = _eigs_extrapolated(build, h0, *_rough_and_coarse(build, h0))
+    eigs = _eigs_extrapolated(build, h0, kappa,
+                              *_rough_and_coarse(build, h0, kappa))
     return OracleResult(eigs, {"alpha": alpha, "step": h0, "halfwidth": R})
 
 
@@ -257,11 +329,12 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
                         halfwidth: float | None = None) -> OracleResult:
     """Bound states of the line operator with a delta-prime coupling at 0.
 
-    The grid on [-R, R] is staggered so the coupling sits between the two
-    middle nodes; the bond coefficient 1/(h - beta) reproduces a value
-    jump of -beta times the continuous flux.  It is solved in the odd
-    sector, on the nodes right of the crack, where the crack bond
-    contributes 2/(h - beta) to the first diagonal entry.  Non-positive
+    The graded grid on [-R, R] is staggered so the coupling sits between
+    the two middle nodes; the bond coefficient 1/(dx - beta), dx that
+    bond's length, reproduces a value jump of -beta times the continuous
+    flux.  It is solved in the odd sector, on the nodes right of the
+    crack, where the crack bond contributes 2/(dx - beta) to the first
+    diagonal entry (see _deltaprime_line).  Non-positive
     beta yields an empty list; a non-positive step or halfwidth raises
     DomainError.  The coarse step is capped at beta / 20, a given step
     included: step=0.5 with beta = 2 runs at 0.1.  resolution["step"]
@@ -277,44 +350,59 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
         h0 = beta / 20.0
     def build(h):
         return _deltaprime_line(beta, R, h)
-    eigs = _eigs_extrapolated(build, h0, *_rough_and_coarse(build, h0))
+    eigs = _eigs_extrapolated(build, h0, kappa,
+                              *_rough_and_coarse(build, h0, kappa))
     return OracleResult(eigs, {"beta": beta, "step": h0, "halfwidth": R})
+
+
+def _decay_rate(coupling, strength):
+    """The decay rate kappa of the straight coupling's bound state:
+    alpha/2 for the delta, 2/beta for the delta-prime."""
+    return 0.5 * strength if coupling == "delta" else 2.0 / strength
 
 
 def _radial_pencil(R, strength, mode, h, r_out, coupling):
     """Tridiagonal form/mass pencil of the radial reduction at one angular
     mode, and the step it used; `coupling` is "delta" (node term) or
-    "deltaprime" (bond term)."""
+    "deltaprime" (bond term).
+
+    The nodes sit at r((j + 1/2) h) and the faces at r(j h), r the map
+    of _graded: uniform (r(s) = s) inside the circle, so the node or bond
+    that carries the coupling is placed as on a uniform grid, and graded
+    past R with b = kappa/2.  The last cell reaches r_out, and a
+    Dirichlet ghost follows it.  Each bond weight is r_face/dx, each mass
+    r dx' (dx the bond's length, dx' the cell's) and the mode term
+    mode^2 dx'/r; the delta-prime bond across R has the weight
+    R/(dx - beta)."""
     if coupling == "delta":
         i0 = max(4, round(R / h - 0.5))
-        h = R / (i0 + 0.5)          # interface exactly on node i0
+        a = i0 + 0.5                # interface exactly on node i0
     else:
         i0 = max(4, round(R / h))
-        h = R / i0                  # interface exactly between i0-1 and i0
-    n = int(math.ceil(r_out / h))
-    r = (np.arange(n) + 0.5) * h    # staggered: no node at the axis
-    rb = (np.arange(1, n) * h)      # bond radii
-    c = rb / h
-    d = np.zeros(n)
+        a = float(i0)               # interface exactly between i0-1 and i0
+    h = R / a
+    bh = _GRADE * _decay_rate(coupling, strength) * h
+    n = int(math.ceil(a + _reach((r_out - R) / h, bh)))
+    r, faces, bond, cell = _graded(n, 0.5, a, bh, h)
+    r = r[:-1]
+    c = faces[1:] / bond
+    if coupling == "deltaprime":
+        c[i0 - 1] = R / (bond[i0 - 1] - strength)
+    d, e = _tridiagonal(c)
     if coupling == "delta":
         d[i0] -= strength * R
-    else:
-        c[i0 - 1] = R / (h - strength)
-    d[:-1] += c
-    d[1:] += c
-    d[-1] += n * h / h              # Dirichlet at the outer radius
     if mode:
-        d += mode * mode * h / r
-    e = -c
-    m = r * h
-    return d, e, m, h
+        d += mode * mode * cell / r
+    return d, e, r * cell, h
 
 
 def _mode_eigs(R, strength, mode, h0, rout, coupling, widen):
     """One angular mode's extrapolated eigenvalues below zero, and the
     outer radius they were solved at.  With widen, the radius grows from
     rout until it reaches R + 16 / sqrt(-lambda), lambda the mode's
-    weakest bound value on the coarse grid (three coarse solves at most);
+    weakest bound value on the coarse grid (three coarse solves at most;
+    a radius short by a relative 1e-9 or less is kept, so a rounding
+    hair in lambda does not solve the same grid again);
     the rough and fine grids are solved once, at the first and the final
     radius.  A wider grid holds the narrower one as a leading block, so
     its values lie at or below the narrower grid's (Cauchy interlacing),
@@ -324,24 +412,25 @@ def _mode_eigs(R, strength, mode, h0, rout, coupling, widen):
     values."""
     def build(h):
         return _radial_pencil(R, strength, mode, h, rout, coupling)
-    rough, first = _rough_and_coarse(build, h0)
+    kappa = _decay_rate(coupling, strength)
+    rough, first = _rough_and_coarse(build, h0, kappa)
     coarse = first
     for _ in range(2):
         lam = coarse[0]
         if not widen or not lam.size:
             break
-        kappa = math.sqrt(-lam[-1])
-        need = R + _DECAY_LENGTHS / kappa
-        if rout >= need:
+        rate = math.sqrt(-lam[-1])
+        need = R + _DECAY_LENGTHS / rate
+        if rout >= need * (1.0 - _WIDEN_SLACK):
             break
-        lift = _WALL_LIFT * math.exp(-2.0 * (rout - R) * kappa)
+        lift = _WALL_LIFT * math.exp(-2.0 * (rout - R) * rate)
         rout = need
         coarse = _solve(build, h0,
                         _window(lam, lift * np.abs(lam) + _BISECT_TOL))
-    return _eigs_extrapolated(build, h0, rough, first, coarse), rout
+    return _eigs_extrapolated(build, h0, kappa, rough, first, coarse), rout
 
 
-def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
+def _radial_eigs(R, strength, m_max, step, r_out, coupling):
     if R <= 0 or strength <= 0:
         raise DomainError("radius and coupling strength must be positive")
     if m_max < 0:
@@ -349,12 +438,13 @@ def _radial_eigs(R, strength, m_max, step, r_out, coupling, tent_kappa):
     _check_grid(step, None)
     if r_out is not None and not r_out > R:
         raise DomainError(f"r_out must exceed the radius {R}, got {r_out!r}")
-    h0 = step if step is not None else _KH_TARGET / tent_kappa
+    kappa = _decay_rate(coupling, strength)
+    h0 = step if step is not None else _KH_TARGET / kappa
     if coupling == "deltaprime" and h0 >= strength / 20.0:
         h0 = strength / 20.0
     # mode m + 1 starts from mode m's radius: on one grid its pencil is
     # mode m's plus a positive diagonal, so it is no more bound
-    rout = r_out if r_out is not None else R + _DECAY_LENGTHS / tent_kappa
+    rout = r_out if r_out is not None else R + _DECAY_LENGTHS / kappa
     per_mode = []
     for mode in range(m_max + 1):
         eigs, rout = _mode_eigs(R, strength, mode, h0, rout, coupling,
@@ -380,7 +470,7 @@ def circle_delta_radial(R: float, alpha: float, m_max: int = 2,
     ConsistencyError.
     """
     per_mode, eigs, res = _radial_eigs(R, alpha, m_max, step, r_out,
-                                       "delta", 0.5 * alpha)
+                                       "delta")
     res["alpha"] = alpha
     if eigs.size and eigs[0] < -alpha * alpha:
         raise ConsistencyError(
@@ -399,6 +489,6 @@ def circle_deltaprime_radial(R: float, beta: float, m_max: int = 2,
     at beta / 20, a given step included (step=0.5 with beta = 0.8 runs
     at 0.04), and resolution["step"] reports the step used."""
     per_mode, eigs, res = _radial_eigs(R, beta, m_max, step, r_out,
-                                       "deltaprime", 2.0 / beta)
+                                       "deltaprime")
     res["beta"] = beta
     return OracleResult(eigs, res, per_mode=tuple(per_mode))

@@ -241,33 +241,41 @@ def test_r_out_must_exceed_radius():
             oracles.circle_deltaprime_radial(1.0, 0.8, m_max=0, r_out=r_out)
 
 
-def _whole_line(coupling, strength, R, h):
-    """The dense whole-line pencil (T, M) that the sector pencil of the
-    coupling folds, and the basis of the sector left out: odd vectors
-    through the delta node, even vectors across the delta-prime crack."""
+def _whole_line(coupling, strength, h, half):
+    """The dense whole-line pencil (T, M) that a sector pencil of `half`
+    nodes folds, and the basis of the sector left out: odd vectors
+    through the delta node, even vectors across the delta-prime crack.
+    The nodes x(s) = expm1(b s) / b, b = _GRADE kappa, are mirrored about
+    the coupling: s = j h for the delta, s = (j + 1/2) h for the
+    delta-prime, with a Dirichlet ghost past the last node on each side.
+    Each bond weight is 1/dx (1/(dx - beta) across the crack) and each
+    mass the cell between the images of the midpoints in s."""
+    kappa = 0.5 * strength if coupling == "delta" else 2.0 / strength
+    b = oracles._GRADE * kappa
+
+    def x(s):
+        return np.sign(s) * np.expm1(b * np.abs(s)) / b
     if coupling == "delta":
-        half = int(np.ceil(R / h))
-        n = 2 * half + 1
-        c = np.full(n - 1, 1.0 / h)
-        d = np.full(n, 2.0 / h)
-        d[half] -= strength
-        P = np.zeros((n, half))
-        for i in range(1, half + 1):
-            P[half + i, i - 1], P[half - i, i - 1] = 1.0, -1.0
+        s = np.arange(-half, half + 1) * h
     else:
-        half = max(2, int(np.ceil(R / h)))
-        n = 2 * half
-        c = np.full(n - 1, 1.0 / h)
-        c[half - 1] = 1.0 / (h - strength)
-        d = np.zeros(n)
-        d[:-1] += c
-        d[1:] += c
-        d[[0, -1]] += 1.0 / h
+        s = (np.arange(-half - 1, half + 1) + 0.5) * h
+    c = 1.0 / np.diff(x(s))
+    if coupling == "deltaprime":
+        c[half] = 1.0 / (2.0 * x(0.5 * h) - strength)
+    d = c[:-1] + c[1:]
+    n = d.size
+    if coupling == "delta":
+        d[half - 1] -= strength
+        P = np.zeros((n, half - 1))
+        for i in range(1, half):
+            P[half - 1 + i, i - 1], P[half - 1 - i, i - 1] = 1.0, -1.0
+    else:
         P = np.zeros((n, half))
         for j in range(half):
             P[half + j, j], P[half - 1 - j, j] = 1.0, 1.0
-    T = np.diag(d) - np.diag(c, 1) - np.diag(c, -1)
-    return T, h * np.eye(n), P
+    T = np.diag(d) - np.diag(c[1:-1], 1) - np.diag(c[1:-1], -1)
+    M = np.diag(np.diff(x(0.5 * (s[:-1] + s[1:]))))
+    return T, M, P
 
 
 @pytest.mark.parametrize("coupling", ["delta", "deltaprime"])
@@ -281,10 +289,11 @@ def test_sector_pencils_keep_the_whole_line_bound_states(coupling):
         strength = alpha if coupling == "delta" else 4.0 / alpha
         # kappa h = 0.1 is the delta-prime oracle's cap h <= beta / 20
         for h in (0.2 / alpha, 0.14 / alpha):
-            T, M, P = _whole_line(coupling, strength, 4.0, h)
-            whole = scipy.linalg.eigh(T, M, eigvals_only=True)
-            norm = np.linalg.norm(T / h, 2)     # M = h I
             d, e, m, _ = sector(strength, 4.0, h)
+            T, M, P = _whole_line(coupling, strength, h, d.size)
+            whole = scipy.linalg.eigh(T, M, eigvals_only=True)
+            s = 1.0 / np.sqrt(np.diag(M))
+            norm = np.linalg.norm(s[:, None] * T * s, 2)
             half = scipy.linalg.eigh(np.diag(d) + np.diag(e, 1)
                                      + np.diag(e, -1), np.diag(m),
                                      eigvals_only=True)
@@ -398,11 +407,16 @@ def _oracle_set():
     return results
 
 
-def _distinct_grids(sizes):
-    """Grid sizes in solve order, a repeat of the last one dropped: a
-    radius widened by a rounding hair solves the same grid again, on
-    either path."""
-    return [n for i, n in enumerate(sizes) if i == 0 or n != sizes[i - 1]]
+def _spy_sizes(monkeypatch):
+    """Record the size of every grid solved, in solve order."""
+    sizes = []
+    real = oracles._eigs_below
+
+    def below(d, *args):
+        sizes.append(d.size)
+        return real(d, *args)
+    monkeypatch.setattr(oracles, "_eigs_below", below)
+    return sizes
 
 
 def test_oracle_set_bisects_only_the_rough_grids_over_the_full_range(
@@ -410,13 +424,7 @@ def test_oracle_set_bisects_only_the_rough_grids_over_the_full_range(
     # 6 point models and 6 circle modes each bisect one rough grid from
     # the Gershgorin bound; every coarse and fine grid is certified by one
     # count and found whole in its window
-    sizes = []
-    real_below = oracles._eigs_below
-
-    def below(d, *args):
-        sizes.append(d.size)
-        return real_below(d, *args)
-    monkeypatch.setattr(oracles, "_eigs_below", below)
+    sizes = _spy_sizes(monkeypatch)
     calls = _spy_dstebz(monkeypatch)
     windowed = _oracle_set()
     full = [i for i, c in enumerate(calls) if c[1] == "full"]
@@ -430,11 +438,11 @@ def test_oracle_set_bisects_only_the_rough_grids_over_the_full_range(
         n, _, count = calls[i]
         assert count >= 1
         assert calls[i + 1] == (n, "window", count)
-    window_sizes = _distinct_grids(sizes)
+    window_sizes = list(sizes)
     sizes.clear()
     _without_windows(monkeypatch)
     ref = _oracle_set()
-    assert _distinct_grids(sizes) == window_sizes
+    assert sizes == window_sizes
     for got, want in zip(windowed, ref):
         assert got.resolution.keys() == want.resolution.keys()
         assert got.resolution["step"] == want.resolution["step"]
@@ -443,6 +451,76 @@ def test_oracle_set_bisects_only_the_rough_grids_over_the_full_range(
                 want.resolution["r_out"], rel=1e-9, abs=0)
         np.testing.assert_allclose(got.eigenvalues, want.eigenvalues,
                                    rtol=0, atol=2e-10)
+
+
+def test_oracle_set_circles_solve_no_grid_twice(monkeypatch):
+    # the outer radius widens only when it falls short by more than a
+    # relative 1e-9, so a radius a rounding hair short of the decay
+    # reach does not solve the same coarse grid again
+    sizes = _spy_sizes(monkeypatch)
+    oracles.circle_delta_radial(1.0, 5.0, m_max=2)
+    oracles.circle_deltaprime_radial(1.0, 0.8, m_max=2)
+    assert len(sizes) >= 18        # rough, coarse and fine for 6 modes
+    assert all(a != b for a, b in zip(sizes, sizes[1:])), sizes
+
+
+@pytest.mark.parametrize("coupling", ["delta", "deltaprime"])
+@pytest.mark.parametrize("mode", [0, 2])
+def test_wider_radial_pencil_holds_the_narrower_as_a_leading_block(
+        coupling, mode):
+    # the grid map does not depend on r_out, so a wider grid only adds
+    # nodes: the widened coarse grid's window relies on it
+    strength = 5.0 if coupling == "delta" else 0.8
+    small = oracles._radial_pencil(1.0, strength, mode, 4e-3, 9.0, coupling)
+    large = oracles._radial_pencil(1.0, strength, mode, 4e-3, 14.0,
+                                   coupling)
+    (d, e, m, h), (dl, el, ml, hl) = small, large
+    assert h == hl and dl.size > d.size
+    n = d.size
+    np.testing.assert_array_equal(dl[:n - 1], d[:-1])
+    np.testing.assert_array_equal(el[:n - 1], e)
+    np.testing.assert_array_equal(ml[:n], m)
+
+
+def test_oracle_grids_are_graded_away_from_the_coupling(monkeypatch):
+    # each line grid keeps its step at the coupling to first order, each
+    # circle grid is uniform inside the circle, and the graded fine grid
+    # of the delta line needs far fewer nodes than a uniform one (8001)
+    grids = []
+    real = oracles._graded
+
+    def graded(n, shift, a, bh, h):
+        nodes, faces, bond, cell = real(n, shift, a, bh, h)
+        grids.append((bond, nodes, h, a > 0))
+        return nodes, faces, bond, cell
+    monkeypatch.setattr(oracles, "_graded", graded)
+    for alpha in (0.5, 2.0, 8.0):
+        for oracle, strength in ((oracles.point_delta_1d, alpha),
+                                 (oracles.point_deltaprime_1d, 4.0 / alpha)):
+            grids.clear()
+            oracle(strength)
+            b = oracles._GRADE * 0.5 * alpha
+            assert len(grids) == 3
+            for bond, nodes, h, _ in grids:
+                # the delta's node 0 sits on the coupling; the crack bond
+                # of the delta-prime joins -x(h/2) and x(h/2)
+                first = bond[0] if nodes[0] == 0.0 else 2.0 * nodes[0]
+                assert h < first <= h * (1.0 + b * h), (alpha, h, first)
+    for oracle, R, strength in ((oracles.circle_delta_radial, 1.0, 5.0),
+                                (oracles.circle_delta_radial, 0.5, 8.0),
+                                (oracles.circle_deltaprime_radial, 1.0, 0.8),
+                                (oracles.circle_deltaprime_radial, 2.0, 4.0)):
+        grids.clear()
+        oracle(R, strength, m_max=1)
+        assert grids and all(radial for *_, radial in grids)
+        for bond, nodes, h, _ in grids:
+            inside = bond[:np.sum(nodes <= R * (1.0 + 1e-12)) - 1]
+            assert inside.size >= 4
+            np.testing.assert_array_equal(inside, h)
+            assert np.all(bond[inside.size:] > h)
+    sizes = _spy_sizes(monkeypatch)
+    oracles.point_delta_1d(2.0)
+    assert len(sizes) == 3 and sizes[-1] < 2500, sizes
 
 
 def _straddling_cases():
@@ -458,11 +536,18 @@ def _straddling_cases():
 
 def test_windows_keep_every_value_below_zero(monkeypatch):
     # windows must not let a value at or above the threshold through, nor
-    # move a value: the windowed and full-range paths agree within 2e-10
+    # move a value: the windowed and full-range paths agree within 2e-10.
+    # A weakly bound mode's h^2 term is a larger share of its value, and
+    # the coarse window, padded by 1% of kappa^2, still holds it: each of
+    # the four modes bisects only its rough grid over the full range
+    calls = _spy_dstebz(monkeypatch)
     windowed, cases = [], list(_straddling_cases())
     alphas = np.geomspace(0.05, 8.0, 9)
     for oracle, R, strength in cases:
+        calls.clear()
         windowed.append(oracle(R, strength, m_max=3).per_mode)
+        assert sum(c[1] == "full" for c in calls) == 4, (oracle, R,
+                                                         strength)
     for alpha in alphas:
         windowed.append((oracles.point_delta_1d(alpha).eigenvalues,
                          oracles.point_deltaprime_1d(4.0 / alpha).eigenvalues))
