@@ -430,18 +430,18 @@ def cmd_sweep(args, cfg, out, formats):
 def cmd_oracle(args, cfg, out, formats):
     ocfg = _require(cfg, "oracle", "config")
     _check_keys(ocfg, {"alpha", "beta", "circle"}, "oracle")
-    # the closed forms hold to 1e-8 only for alpha <= 8 and beta >= 0.5
-    alphas = _numbers(ocfg.get("alpha", []), "oracle.alpha", positive=True,
-                      high=8)
-    betas = _numbers(ocfg.get("beta", []), "oracle.beta", low=0.5)
+    # the oracles are accurate to 1e-8 only for alpha <= 8 and beta >= 0.5
+    ranges = {"alpha": {"positive": True, "high": 8}, "beta": {"low": 0.5}}
+    alphas, betas = (_numbers(ocfg.get(key, []), f"oracle.{key}", **bounds)
+                     for key, bounds in ranges.items())
     strengths = {}
     if "circle" in ocfg:
         ccfg = ocfg["circle"]
         _check_keys(ccfg, {"radius", "alpha", "beta", "m_max"}, "oracle.circle")
         R = _value(ccfg, "radius", "oracle.circle", positive=True)
         m_max = _value(ccfg, "m_max", "oracle.circle", 2, integer=True, low=0)
-        strengths = {key: _value(ccfg, key, "oracle.circle", positive=True)
-                     for key in ("alpha", "beta") if key in ccfg}
+        strengths = {key: _value(ccfg, key, "oracle.circle", **bounds)
+                     for key, bounds in ranges.items() if key in ccfg}
     lines = ["model,parameter,eigenvalue,reference,difference"]
     for model, label, params, oracle, closed in (
             ("point_delta", "point delta    alpha=%-8g", alphas,

@@ -55,18 +55,24 @@ and the radius widens on the coarse grid only, when it falls short by
 more than a relative 1e-9, before the fine grid is solved once.  A mode
 too weakly bound to show on its starting grid is not reported.
 
-Most of the bisection is spent halving down from the Gershgorin bound
-(about -6.5e5 on a fine grid), although a coarser grid already places
-each value far closer.  So only a rough grid at 8 times the coarse step
-is bisected over its full range.  Every other grid is bisected in a
-window: the coarse grid around the rough values (padded by 1% of the
-value or of kappa^2, whichever is larger), a widened circle grid
-just below the narrower grid's values, and the fine grid around the h^2
-prediction from the rough and coarse grids.  One exact Sturm count of
-all values below zero certifies each window; a window that misses a
-counted value falls back to the full range, so the counts stay exact
-and the tolerance stays 1e-10 (Parlett, The Symmetric Eigenvalue
-Problem, ch. 3, on counts confirming a guessed interval).
+The resolution is fixed: no oracle takes a grid argument.  Each result
+reports the grid it solved in `resolution`: the coarse step h0 =
+4e-3/kappa, and the line's halfwidth or the largest outer radius any
+circle mode was built at.
+
+All four models climb one ladder of grids.  Most of the bisection is
+spent halving down from the Gershgorin bound (about -6.5e5 on a fine
+grid), although a coarser grid already places each value far closer.
+So only a rough grid at 8 h0 is bisected over its full range.  Every
+other grid is bisected in a window: the coarse grid at h0 around the
+rough values (padded by 1% of the value or of kappa^2, whichever is
+larger), a widened circle grid just below the narrower grid's values,
+and the fine grid at h0/2 around the h^2 prediction from the rough and
+coarse grids.  One exact Sturm count of all values below zero certifies
+each window; a window that misses a counted value falls back to the
+full range, so the counts stay exact and the tolerance stays 1e-10
+(Parlett, The Symmetric Eigenvalue Problem, ch. 3, on counts confirming
+a guessed interval).
 """
 
 from __future__ import annotations
@@ -108,7 +114,10 @@ def _eigs_below(d, e, m, upper, window=None):
     M = diag(m) positive, is scaled in place to M^{-1/2} T M^{-1/2}, so d
     and e are overwritten.  LAPACK dstebz then bisects on Sturm counts
     over (Gershgorin bound - 1, upper) to absolute tolerance 1e-10; its
-    own default, eps * ||T||, would be up to 4e-9 on the fine grids.
+    own default, eps * ||T||, would be up to 4e-9 on the fine grids.  When
+    that range is empty (Gershgorin bound - 1 >= upper, as on the grids
+    of a high angular mode of a circle), no value lies below `upper` and
+    dstebz, which refuses an empty range, is not called.
 
     A window (lo, hi), a guess of where the values lie, saves most of
     the halvings from the Gershgorin bound.  One exact Sturm count of the
@@ -130,6 +139,8 @@ def _eigs_below(d, e, m, upper, window=None):
     lower = float(np.min(d - r)) - 1.0
     del s, r        # dstebz allocates about 7n words of its own
     top = float(np.nextafter(upper, -np.inf))   # keeps `upper` itself out
+    if lower >= top:
+        return np.empty(0)
     if window is not None:
         count = _bisect(d, e, lower, top, 2.0 * (top - lower)).size
         if count == 0:
@@ -149,14 +160,6 @@ def _window(values, pad):
             float(np.max(values + pad, initial=-np.inf)))
 
 
-def _solve(build, h, window=None):
-    """Eigenvalues below zero of the pencil build(h), bisected in
-    `window` when one is given (see _eigs_below), and the step that
-    pencil actually used."""
-    *pencil, h_used = build(h)
-    return _eigs_below(*pencil, 0.0, window), h_used
-
-
 def _coarse_pad(values, kappa):
     """Half-width of the coarse window around rough values: 1% of the
     value, or of kappa^2 when that is larger (kappa the coupling's decay
@@ -166,42 +169,60 @@ def _coarse_pad(values, kappa):
     return _ROUGH_PAD * np.maximum(np.abs(values), kappa * kappa)
 
 
-def _rough_and_coarse(build, h0, kappa):
-    """The rough grid near 8 h0, bisected over its full range, and the
-    coarse grid near h0, bisected in a window _coarse_pad wider than the
-    rough values on each side.  Both are (values, step) pairs."""
-    rough = _solve(build, _ROUGH * h0)
-    return rough, _solve(build, h0,
-                         _window(rough[0], _coarse_pad(rough[0], kappa)))
+def _ladder(build, h0, kappa, reach, R=None):
+    """Eigenvalues below zero of the pencils build(h, reach), extrapolated
+    to h = 0, and the reach of the last grid.
 
+    build(h, reach) returns the pencil of a grid of step near h reaching
+    out to `reach`, and the step it actually used (the radial grids move
+    h to put the circle on or between nodes).  The ladder solves:
 
-def _eigs_extrapolated(build, h0, kappa, rough, first, coarse=None):
-    """Eigenvalues below zero on grids near h0 and h0/2, combined by
-    quadratic extrapolation (r^2 E_f - E_c) / (r^2 - 1).
+    - the rough grid at 8 h0 over its full range;
+    - the coarse grid at h0 in a window _coarse_pad wider than the rough
+      values on each side;
+    - for a circle mode (R its radius), the coarse grid again at a wider
+      reach while `reach` falls short of R + 16 / sqrt(-lambda), lambda
+      the weakest coarse value, by more than a relative 1e-9 (twice at
+      most).  A wider grid holds the narrower one as a leading block, so
+      its values lie at or below the narrower grid's (Cauchy
+      interlacing), and a wall L decay lengths out lifts a value by about
+      4 exp(-2L) of itself (the 1d delta's lift): the window reaches four
+      times that lift below the narrower grid's values;
+    - the fine grid at h0/2 and the final reach, in a window around the
+      h^2 prediction coarse + (first - rough) (h_f^2 - h_c^2) / (h_c^2 -
+      h_r^2), first the coarse values at the first reach, padded by 1%
+      of the h^2 term seen, |first - rough|, and of the reach's move,
+      |coarse - first|.  A coarse value with no rough partner gets the
+      coarse window's pad.  On the line models for alpha in [0.05, 8]
+      the prediction misses the fine value by at most 3e-4 of |first -
+      rough|, well inside the pad.
 
-    build(h) returns the pencil and the step it actually used (the radial
-    grids move h to put the circle on or between nodes), and r = h_c/h_f
-    is the ratio of those steps, so the h^2 term cancels exactly even
-    when it is not 2.  The bisection counts are exact for each grid, but
-    the second-difference pencil limits single-grid absolute accuracy to
-    about eps * ||T||; two moderately fine grids plus extrapolation beat
-    one very fine grid.  Unpaired near-threshold states keep their
-    fine-grid values.
-
-    rough and first are _rough_and_coarse(build, h0, kappa), solved at
-    the same outer boundary; coarse is the coarse grid's (values, step)
-    after the boundary moved, or first when it did not.  The fine grid
-    is bisected in a window around the h^2 prediction coarse + (first -
-    rough) (h_f^2 - h_c^2) / (h_c^2 - h_r^2), padded by 1% of the h^2
-    term seen, |first - rough|, and of the boundary's move, |coarse -
-    first|.  On the line models for alpha in [0.05, 8] the prediction
-    misses the fine value by at most 3e-4 of |first - rough|, well
-    inside the pad.  A coarse value with no rough partner gets the
-    coarse window's pad, _coarse_pad.
+    The coarse and fine values are combined by quadratic extrapolation
+    (r^2 E_f - E_c) / (r^2 - 1), r = h_c/h_f the ratio of the steps
+    used, so the h^2 term cancels exactly even when r is not 2.  The
+    bisection counts are exact for each grid, but the second-difference
+    pencil limits single-grid absolute accuracy to about eps * ||T||;
+    two moderately fine grids plus extrapolation beat one very fine
+    grid.  Unpaired near-threshold states keep their fine-grid values.
     """
-    (rough, hr), (first, hc) = rough, first
-    coarse = first if coarse is None else coarse[0]
-    *pencil, hf = build(0.5 * h0)
+    def solve(h, window=None):      # at the current reach
+        *pencil, step = build(h, reach)
+        return _eigs_below(*pencil, 0.0, window), step
+    rough, hr = solve(_ROUGH * h0)
+    first, hc = solve(h0, _window(rough, _coarse_pad(rough, kappa)))
+    coarse = first
+    for _ in range(0 if R is None else 2):
+        if not coarse.size:
+            break
+        rate = math.sqrt(-coarse[-1])
+        need = R + _DECAY_LENGTHS / rate
+        if reach >= need * (1.0 - _WIDEN_SLACK):
+            break
+        lift = _WALL_LIFT * math.exp(-2.0 * (reach - R) * rate)
+        reach = need
+        coarse, _ = solve(h0, _window(coarse,
+                                      lift * np.abs(coarse) + _BISECT_TOL))
+    *pencil, hf = build(0.5 * h0, reach)
     n = min(rough.size, first.size, coarse.size)
     centre, pad = coarse.copy(), _coarse_pad(coarse, kappa)
     trend = first[:n] - rough[:n]
@@ -211,16 +232,7 @@ def _eigs_extrapolated(build, h0, kappa, rough, first, coarse=None):
     r2 = (hc / hf) ** 2
     n = min(coarse.size, fine.size)
     vals = (r2 * fine[:n] - coarse[:n]) / (r2 - 1.0)
-    if fine.size > n:
-        vals = np.concatenate([vals, fine[n:]])
-    return np.sort(vals)
-
-
-def _check_grid(step, halfwidth):
-    """Reject a grid keyword that was given but is not positive."""
-    for name, value in (("step", step), ("halfwidth", halfwidth)):
-        if value is not None and not value > 0:
-            raise DomainError(f"{name} must be positive, got {value!r}")
+    return np.sort(np.concatenate([vals, fine[n:]])), reach
 
 
 def _graded(n, shift, a, bh, h):
@@ -301,32 +313,40 @@ class OracleResult:
     per_mode: tuple | None = None
 
 
-def point_delta_1d(alpha: float, step: float | None = None,
-                   halfwidth: float | None = None) -> OracleResult:
+def _decay_rate(coupling, strength):
+    """The decay rate kappa of the straight coupling's bound state:
+    alpha/2 for the delta, 2/beta for the delta-prime."""
+    return 0.5 * strength if coupling == "delta" else 2.0 / strength
+
+
+def _point(coupling, strength):
+    """The line model of `coupling` ("delta" with strength alpha or
+    "deltaprime" with beta) on its half-line 16 decay lengths wide; no
+    bound state for a non-positive strength."""
+    key = "alpha" if coupling == "delta" else "beta"
+    if strength <= 0:
+        return OracleResult(np.empty(0), {key: strength})
+    line = _delta_line if coupling == "delta" else _deltaprime_line
+    kappa = _decay_rate(coupling, strength)
+    h0 = _KH_TARGET / kappa
+    eigs, R = _ladder(lambda h, R: line(strength, R, h), h0, kappa,
+                      _DECAY_LENGTHS / kappa)
+    return OracleResult(eigs, {key: strength, "step": h0, "halfwidth": R})
+
+
+def point_delta_1d(alpha: float) -> OracleResult:
     """Bound states of the line operator -u'' - alpha * delta_0.
 
     Second differences on the graded grid over [-R, R] with the delta on
     the center node, solved in the even sector: the nodes from the
     center to R with the center row halved (see _delta_line).  Every
-    eigenvalue below zero is returned (the model has
-    exactly one).  Non-positive alpha yields an empty list; a
-    non-positive step or halfwidth raises DomainError.
+    eigenvalue below zero is returned (the model has exactly one).
+    Non-positive alpha yields an empty list.
     """
-    _check_grid(step, halfwidth)
-    if alpha <= 0:
-        return OracleResult(np.empty(0), {"alpha": alpha})
-    kappa = 0.5 * alpha
-    R = halfwidth if halfwidth is not None else _DECAY_LENGTHS / kappa
-    h0 = step if step is not None else _KH_TARGET / kappa
-    def build(h):
-        return _delta_line(alpha, R, h)
-    eigs = _eigs_extrapolated(build, h0, kappa,
-                              *_rough_and_coarse(build, h0, kappa))
-    return OracleResult(eigs, {"alpha": alpha, "step": h0, "halfwidth": R})
+    return _point("delta", alpha)
 
 
-def point_deltaprime_1d(beta: float, step: float | None = None,
-                        halfwidth: float | None = None) -> OracleResult:
+def point_deltaprime_1d(beta: float) -> OracleResult:
     """Bound states of the line operator with a delta-prime coupling at 0.
 
     The graded grid on [-R, R] is staggered so the coupling sits between
@@ -334,31 +354,10 @@ def point_deltaprime_1d(beta: float, step: float | None = None,
     bond's length, reproduces a value jump of -beta times the continuous
     flux.  It is solved in the odd sector, on the nodes right of the
     crack, where the crack bond contributes 2/(dx - beta) to the first
-    diagonal entry (see _deltaprime_line).  Non-positive
-    beta yields an empty list; a non-positive step or halfwidth raises
-    DomainError.  The coarse step is capped at beta / 20, a given step
-    included: step=0.5 with beta = 2 runs at 0.1.  resolution["step"]
-    reports the step used.
+    diagonal entry (see _deltaprime_line).  Non-positive beta yields an
+    empty list.
     """
-    _check_grid(step, halfwidth)
-    if beta <= 0:
-        return OracleResult(np.empty(0), {"beta": beta})
-    kappa = 2.0 / beta
-    R = halfwidth if halfwidth is not None else _DECAY_LENGTHS / kappa
-    h0 = step if step is not None else _KH_TARGET / kappa
-    if h0 >= beta / 20.0:
-        h0 = beta / 20.0
-    def build(h):
-        return _deltaprime_line(beta, R, h)
-    eigs = _eigs_extrapolated(build, h0, kappa,
-                              *_rough_and_coarse(build, h0, kappa))
-    return OracleResult(eigs, {"beta": beta, "step": h0, "halfwidth": R})
-
-
-def _decay_rate(coupling, strength):
-    """The decay rate kappa of the straight coupling's bound state:
-    alpha/2 for the delta, 2/beta for the delta-prime."""
-    return 0.5 * strength if coupling == "delta" else 2.0 / strength
+    return _point("deltaprime", beta)
 
 
 def _radial_pencil(R, strength, mode, h, r_out, coupling):
@@ -396,99 +395,57 @@ def _radial_pencil(R, strength, mode, h, r_out, coupling):
     return d, e, r * cell, h
 
 
-def _mode_eigs(R, strength, mode, h0, rout, coupling, widen):
-    """One angular mode's extrapolated eigenvalues below zero, and the
-    outer radius they were solved at.  With widen, the radius grows from
-    rout until it reaches R + 16 / sqrt(-lambda), lambda the mode's
-    weakest bound value on the coarse grid (three coarse solves at most;
-    a radius short by a relative 1e-9 or less is kept, so a rounding
-    hair in lambda does not solve the same grid again);
-    the rough and fine grids are solved once, at the first and the final
-    radius.  A wider grid holds the narrower one as a leading block, so
-    its values lie at or below the narrower grid's (Cauchy interlacing),
-    and a wall L decay lengths out lifts a value by about 4 exp(-2L) of
-    itself (the 1d delta's lift): each wider coarse grid is bisected in a
-    window reaching four times that lift below the narrower grid's
-    values."""
-    def build(h):
-        return _radial_pencil(R, strength, mode, h, rout, coupling)
-    kappa = _decay_rate(coupling, strength)
-    rough, first = _rough_and_coarse(build, h0, kappa)
-    coarse = first
-    for _ in range(2):
-        lam = coarse[0]
-        if not widen or not lam.size:
-            break
-        rate = math.sqrt(-lam[-1])
-        need = R + _DECAY_LENGTHS / rate
-        if rout >= need * (1.0 - _WIDEN_SLACK):
-            break
-        lift = _WALL_LIFT * math.exp(-2.0 * (rout - R) * rate)
-        rout = need
-        coarse = _solve(build, h0,
-                        _window(lam, lift * np.abs(lam) + _BISECT_TOL))
-    return _eigs_extrapolated(build, h0, kappa, rough, first, coarse), rout
-
-
-def _radial_eigs(R, strength, m_max, step, r_out, coupling):
+def _circle(coupling, R, strength, m_max):
+    """The radial ladders of modes 0 ... m_max, as an OracleResult."""
     if R <= 0 or strength <= 0:
         raise DomainError("radius and coupling strength must be positive")
     if m_max < 0:
         raise DomainError("m_max must be nonnegative")
-    _check_grid(step, None)
-    if r_out is not None and not r_out > R:
-        raise DomainError(f"r_out must exceed the radius {R}, got {r_out!r}")
     kappa = _decay_rate(coupling, strength)
-    h0 = step if step is not None else _KH_TARGET / kappa
-    if coupling == "deltaprime" and h0 >= strength / 20.0:
-        h0 = strength / 20.0
+    h0 = _KH_TARGET / kappa
     # mode m + 1 starts from mode m's radius: on one grid its pencil is
     # mode m's plus a positive diagonal, so it is no more bound
-    rout = r_out if r_out is not None else R + _DECAY_LENGTHS / kappa
+    r_out = R + _DECAY_LENGTHS / kappa
     per_mode = []
     for mode in range(m_max + 1):
-        eigs, rout = _mode_eigs(R, strength, mode, h0, rout, coupling,
-                                r_out is None)
+        def build(h, r):
+            return _radial_pencil(R, strength, mode, h, r, coupling)
+        eigs, r_out = _ladder(build, h0, kappa, r_out, R)
         per_mode.append(eigs)
-    all_eigs = np.sort(np.concatenate(per_mode))
-    return per_mode, all_eigs, {"step": h0, "r_out": rout, "m_max": m_max}
+    key = "alpha" if coupling == "delta" else "beta"
+    return OracleResult(np.sort(np.concatenate(per_mode)),
+                        {"step": h0, "r_out": r_out, "m_max": m_max,
+                         key: strength}, per_mode=tuple(per_mode))
 
 
-def circle_delta_radial(R: float, alpha: float, m_max: int = 2,
-                        step: float | None = None,
-                        r_out: float | None = None) -> OracleResult:
+def circle_delta_radial(R: float, alpha: float,
+                        m_max: int = 2) -> OracleResult:
     """Negative eigenvalues of the plane problem with a delta coupling of
     strength alpha on the circle of radius R, one list per angular mode.
 
     Each mode's outer radius adapts to its own computed decay rate (see
-    the module docstring) unless r_out is given; resolution["r_out"] is
-    the largest radius any mode used, so passing it back as r_out gives
-    every mode at least its own grid.  The lowest eigenvalue must
-    respect the proven bound lambda_1 >= -alpha^2: on each ray r > R,
-    R |u(R)|^2 <= 2 ||u|| ||d_r u||, so alpha * int_circle |u|^2 <=
-    ||grad u||^2 + alpha^2 ||u||^2.  A value below it raises
-    ConsistencyError.
+    the module docstring); resolution["r_out"] is the largest radius any
+    mode used.  A mode too weakly bound to go below 0 on its starting
+    grid is not reported: R = 1, alpha = 2.005, m = 1 has the Bessel
+    root -0.00136, but its starting radius, set by mode 0, pushes it
+    above 0, and its list is empty.  The lowest eigenvalue must respect
+    the proven bound lambda_1 >= -alpha^2: on each ray r > R, R |u(R)|^2
+    <= 2 ||u|| ||d_r u||, so alpha * int_circle |u|^2 <= ||grad u||^2 +
+    alpha^2 ||u||^2.  A value below it raises ConsistencyError.
     """
-    per_mode, eigs, res = _radial_eigs(R, alpha, m_max, step, r_out,
-                                       "delta")
-    res["alpha"] = alpha
+    result = _circle("delta", R, alpha, m_max)
+    eigs = result.eigenvalues
     if eigs.size and eigs[0] < -alpha * alpha:
         raise ConsistencyError(
             f"radial oracle fell below the bound -alpha^2: {eigs[0]}")
-    return OracleResult(eigs, res, per_mode=tuple(per_mode))
+    return result
 
 
-def circle_deltaprime_radial(R: float, beta: float, m_max: int = 2,
-                             step: float | None = None,
-                             r_out: float | None = None) -> OracleResult:
+def circle_deltaprime_radial(R: float, beta: float,
+                             m_max: int = 2) -> OracleResult:
     """Delta-prime analog of circle_delta_radial: the trace may jump across
     the circle, with the jump proportional to the continuous radial flux.
     Its radii adapt per mode as there, and resolution["r_out"] is again
-    the largest, which gives every mode at least its own grid when passed
-    back as r_out.  As in point_deltaprime_1d the coarse step is capped
-    at beta / 20, a given step included (step=0.5 with beta = 0.8 runs
-    at 0.04), and resolution["step"] reports the step used."""
-    per_mode, eigs, res = _radial_eigs(R, beta, m_max, step, r_out,
-                                       "deltaprime")
-    res["beta"] = beta
-    return OracleResult(eigs, res, per_mode=tuple(per_mode))
+    the largest.  As there, a mode too weakly bound to go below 0 on its
+    starting grid is not reported."""
+    return _circle("deltaprime", R, beta, m_max)

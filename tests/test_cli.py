@@ -342,6 +342,8 @@ def test_oracle_rejects_nonpositive(tmp_path):
     # the closed forms hold to 1e-8 only for alpha <= 8 and beta >= 0.5
     {"alpha": [10.0]},
     {"beta": [0.25]},
+    {"circle": {"radius": 1.0, "alpha": 10.0}},
+    {"circle": {"radius": 1.0, "beta": 0.25}},
 ])
 def test_oracle_rejects_malformed_values(tmp_path, capsys, block):
     cfg = {"oracle": block, "outputs": {"directory": str(tmp_path / "out")}}
@@ -352,14 +354,34 @@ def test_oracle_rejects_malformed_values(tmp_path, capsys, block):
 
 
 def test_oracle_accepts_the_edges_of_the_safe_range(tmp_path):
-    cfg = {"oracle": {"alpha": [8.0], "beta": [0.5]},
+    cfg = {"oracle": {"alpha": [8.0], "beta": [0.5],
+                      "circle": {"radius": 1.0, "alpha": 8.0, "beta": 0.5,
+                                 "m_max": 0}},
            "outputs": {"directory": str(tmp_path / "out")}}
     p = _write(tmp_path / "cfg.json", cfg)
     assert cli.main(["oracle", "--config", p]) == 0
     with open(tmp_path / "out" / "oracle.csv") as f:
         rows = list(csv.DictReader(f))
-    assert [float(r["parameter"]) for r in rows] == [8.0, 0.5]
-    assert all(abs(float(r["difference"])) <= 1e-8 for r in rows)
+    point = [r for r in rows if r["model"].startswith("point_")]
+    assert [float(r["parameter"]) for r in point] == [8.0, 0.5]
+    assert all(abs(float(r["difference"])) <= 1e-8 for r in point)
+    assert [r["model"] for r in rows[2:]] == ["circle_delta_m0",
+                                              "circle_deltaprime_m0"]
+
+
+def test_oracle_circle_with_modes_past_the_last_bound_one(tmp_path, capsys):
+    # modes m >= 3 of this circle hold no bound state; from m = 19 on,
+    # the rough grid's Gershgorin bound lies above 1, so no value can lie
+    # below 0 there
+    cfg = {"oracle": {"circle": {"radius": 1, "alpha": 5, "m_max": 20}},
+           "outputs": {"directory": str(tmp_path / "out")}}
+    p = _write(tmp_path / "cfg.json", cfg)
+    assert cli.main(["oracle", "--config", p]) == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "out" / "oracle.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["model"] for r in rows] == [f"circle_delta_m{m}"
+                                          for m in range(3)]
 
 
 def test_oracle_set_with_circle_block(tmp_path):

@@ -71,13 +71,15 @@ def test_borderline_degeneracy_1d():
     assert d == pytest.approx(dp, abs=2e-8)
 
 
-def test_resolution_convergence():
+def test_resolution_convergence(monkeypatch):
     # halving the base grid moves the reported values by < 1e-7
-    for fn, s in ((oracles.point_delta_1d, 2.0),
-                  (oracles.point_deltaprime_1d, 2.0)):
-        base = fn(s)
-        finer = fn(s, step=0.5 * base.resolution["step"])
-        assert abs(base.eigenvalues[0] - finer.eigenvalues[0]) < 1e-7
+    fns = (oracles.point_delta_1d, oracles.point_deltaprime_1d)
+    base = [fn(2.0) for fn in fns]
+    monkeypatch.setattr(oracles, "_KH_TARGET", 0.5 * oracles._KH_TARGET)
+    for fn, b in zip(fns, base):
+        finer = fn(2.0)
+        assert finer.resolution["step"] == 0.5 * b.resolution["step"]
+        assert abs(b.eigenvalues[0] - finer.eigenvalues[0]) < 1e-7
 
 
 def test_circle_delta_modes():
@@ -98,11 +100,11 @@ def test_circle_delta_straight_line_limit():
     assert abs(vals[-1] + 1.0) < 5e-4
 
 
-def test_circle_radial_resolution_convergence():
+def test_circle_radial_resolution_convergence(monkeypatch):
     base = oracles.circle_delta_radial(1.0, 5.0, m_max=0)
-    finer = oracles.circle_delta_radial(1.0, 5.0, m_max=0,
-                                        step=0.5 * base.resolution["step"],
-                                        r_out=base.resolution["r_out"])
+    monkeypatch.setattr(oracles, "_KH_TARGET", 0.5 * oracles._KH_TARGET)
+    finer = oracles.circle_delta_radial(1.0, 5.0, m_max=0)
+    assert finer.resolution["step"] == 0.5 * base.resolution["step"]
     assert abs(base.eigenvalues[0] - finer.eigenvalues[0]) < 1e-7
 
 
@@ -171,17 +173,64 @@ def test_circle_delta_near_threshold_mode(alpha, root):
     assert abs(got[0] - exact) <= 1e-9, got[0] - exact
 
 
-def test_circle_r_out_passed_back_gives_every_mode_its_grid():
-    # resolution["r_out"] is the largest radius any mode used; at that
-    # radius every mode keeps its value
+def test_results_report_the_grid_they_solved(monkeypatch):
+    # the grids requested are 8, 1 and 1/2 times resolution["step"] (a
+    # circle mode may repeat its coarse grid at a wider radius); a point
+    # model is built at resolution["halfwidth"], and resolution["r_out"]
+    # is the largest radius any circle mode was built at
+    built = []
+    for name in ("_delta_line", "_deltaprime_line"):
+        def line(strength, R, h, real=getattr(oracles, name)):
+            built.append((h, R))
+            return real(strength, R, h)
+        monkeypatch.setattr(oracles, name, line)
+    real_radial = oracles._radial_pencil
+
+    def radial(R, strength, mode, h, r_out, coupling):
+        built.append((h, r_out))
+        return real_radial(R, strength, mode, h, r_out, coupling)
+    monkeypatch.setattr(oracles, "_radial_pencil", radial)
+    for oracle in (oracles.point_delta_1d, oracles.point_deltaprime_1d):
+        for strength in (0.5, 2.0, 8.0):
+            built.clear()
+            res = oracle(strength).resolution
+            h0 = res["step"]
+            assert built == [(8.0 * h0, res["halfwidth"]),
+                             (h0, res["halfwidth"]),
+                             (0.5 * h0, res["halfwidth"])]
     for oracle, strength in ((oracles.circle_delta_radial, 2.05),
                              (oracles.circle_deltaprime_radial, 0.64)):
-        base = oracle(1.0, strength, m_max=3)
-        again = oracle(1.0, strength, m_max=3,
-                       r_out=base.resolution["r_out"])
-        for got, ref in zip(again.per_mode, base.per_mode):
-            assert got.shape == ref.shape
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-9)
+        built.clear()
+        res = oracle(1.0, strength, m_max=3).resolution
+        h0 = res["step"]
+        steps = [h for h, _ in built]
+        starts = [i for i, h in enumerate(steps) if h == 8.0 * h0]
+        assert len(starts) == 4
+        for a, b in zip(starts, starts[1:] + [len(steps)]):
+            mode = steps[a:b]
+            assert len(mode) >= 3
+            assert mode[1:-1] == [h0] * (len(mode) - 2)
+            assert mode[-1] == 0.5 * h0
+        radii = [r for _, r in built]
+        assert len(set(radii)) > 1          # some mode widened its grid
+        assert max(radii) == res["r_out"]
+
+
+def test_circle_modes_past_the_last_bound_one_are_empty():
+    # modes m >= 3 of these circles hold no bound state; from m = 19
+    # (delta) and m = 16 (delta-prime) on, the mode term lifts the rough
+    # grid's Gershgorin bound above 1, so the range (bound - 1, 0) that
+    # dstebz would be given is empty
+    for oracle, strength in ((oracles.circle_delta_radial, 5.0),
+                             (oracles.circle_deltaprime_radial, 0.8)):
+        few = oracle(1.0, strength, m_max=3)
+        many = oracle(1.0, strength, m_max=24)
+        assert len(many.per_mode) == 25
+        for got, want in zip(many.per_mode, few.per_mode):
+            np.testing.assert_array_equal(got, want)
+        assert all(p.size == 0 for p in many.per_mode[4:])
+        np.testing.assert_array_equal(many.eigenvalues, few.eigenvalues)
+        assert many.resolution["r_out"] == few.resolution["r_out"]
 
 
 def test_circle_delta_below_the_line_limit_at_small_radius():
@@ -211,34 +260,6 @@ def test_circle_rejects_bad_parameters():
         oracles.circle_delta_radial(-1.0, 5.0)
     with pytest.raises(DomainError):
         oracles.circle_delta_radial(1.0, 5.0, m_max=-2)
-
-
-def test_step_must_be_positive():
-    for step in (0.0, -0.01, float("nan")):
-        with pytest.raises(DomainError):
-            oracles.point_delta_1d(2.0, step=step)
-        with pytest.raises(DomainError):
-            oracles.point_deltaprime_1d(2.0, step=step)
-        with pytest.raises(DomainError):
-            oracles.circle_delta_radial(1.0, 5.0, m_max=0, step=step)
-        with pytest.raises(DomainError):
-            oracles.circle_deltaprime_radial(1.0, 0.8, m_max=0, step=step)
-
-
-def test_halfwidth_must_be_positive():
-    for halfwidth in (0.0, -1.0):
-        with pytest.raises(DomainError):
-            oracles.point_delta_1d(2.0, halfwidth=halfwidth)
-        with pytest.raises(DomainError):
-            oracles.point_deltaprime_1d(2.0, halfwidth=halfwidth)
-
-
-def test_r_out_must_exceed_radius():
-    for r_out in (0.5, 1.0):
-        with pytest.raises(DomainError):
-            oracles.circle_delta_radial(1.0, 5.0, m_max=0, r_out=r_out)
-        with pytest.raises(DomainError):
-            oracles.circle_deltaprime_radial(1.0, 0.8, m_max=0, r_out=r_out)
 
 
 def _whole_line(coupling, strength, h, half):
@@ -287,7 +308,7 @@ def test_sector_pencils_keep_the_whole_line_bound_states(coupling):
               "deltaprime": oracles._deltaprime_line}[coupling]
     for alpha in (1.0, 2.0, 6.0):
         strength = alpha if coupling == "delta" else 4.0 / alpha
-        # kappa h = 0.1 is the delta-prime oracle's cap h <= beta / 20
+        # kappa h = 0.1 and 0.07, coarse enough for the dense solves
         for h in (0.2 / alpha, 0.14 / alpha):
             d, e, m, _ = sector(strength, 4.0, h)
             T, M, P = _whole_line(coupling, strength, h, d.size)
@@ -563,25 +584,6 @@ def test_windows_keep_every_value_below_zero(monkeypatch):
             assert g.shape == w.shape, where
             np.testing.assert_allclose(g, w, rtol=0, atol=2e-10,
                                        err_msg=str(where))
-
-
-def test_delta_prime_step_is_capped_and_reported(monkeypatch):
-    # a step above beta / 20 runs at beta / 20, and resolution["step"]
-    # says so: the grids requested are 8, 1 and 1/2 times that step
-    steps = []
-    for name, at in (("_deltaprime_line", 2), ("_radial_pencil", 3)):
-        def spy(*args, real=getattr(oracles, name), at=at):
-            steps.append(args[at])
-            return real(*args)
-        monkeypatch.setattr(oracles, name, spy)
-    for call, capped in ((lambda: oracles.point_deltaprime_1d(2.0, step=0.5),
-                          0.1),
-                         (lambda: oracles.circle_deltaprime_radial(
-                             1.0, 0.8, m_max=0, step=0.5), 0.04)):
-        steps.clear()
-        res = call().resolution
-        assert res["step"] == capped
-        assert steps == [8.0 * capped, capped, 0.5 * capped]
 
 
 def test_oracles_share_no_code_with_the_fe_pipeline():
