@@ -30,11 +30,10 @@ for which in (sa.DELTA, sa.DELTA_PRIME):
           f"limit {conv['limit'][0]:+.7f}, estimate {conv['error'][0]:.1e}")
 
 print("\n== truncation study (one mesh, rings at 4.5 and 6) ==")
-for which in (sa.DELTA, sa.DELTA_PRIME):
-    ts = sa.truncation_study(g, mat, [4.5, 6.0, 9.0], h=0.4, which=which,
-                             refinements=1, k=1)
+for ts in sa.truncation_study(g, mat, [4.5, 6.0, 9.0], h=0.4, refinements=1,
+                              k=1):
     v = ts.values[:, 0]
-    print(f"  {which:<12} lambda_1(L): " +
+    print(f"  {ts.operator:<12} lambda_1(L): " +
           "  ".join(f"{x:+.7f}" for x in v))
     print(f"  {'':<12} deltas: " +
           "  ".join(f"{d:.2e}" for d in ts.deltas[:, 0]) +

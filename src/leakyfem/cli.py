@@ -249,7 +249,7 @@ def run_solve(cfg, second_thread=False):
     settings = _run_settings(cfg)
     run = sa.verify(geom, mat, **settings, second_thread=second_thread)
 
-    code = EXIT_CODES[run.verdict]
+    code = EXIT_CODES[run.report.verdict]
     doc = run.report.as_dict()
     doc["geometry"] = cfg["geometry"]
     doc["material"] = cfg["material"]

@@ -36,11 +36,9 @@ class ConsistencyError(LeakyFemError):
 
 
 class TheoremViolation(LeakyFemError):
-    """The non-strict discrete eigenvalue inequality failed; carries the report."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """The non-strict discrete eigenvalue inequality failed on a coarser
+    level of a run.  On the finest level a failure is a graded verdict
+    ("violated"), not an error."""
 
 
 class ConfigError(LeakyFemError):

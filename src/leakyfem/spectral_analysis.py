@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -181,13 +181,9 @@ class PairVerdict:
 class TheoremAReport:
     pairs: tuple
     thresholds: tuple
+    verdict: str              # "strict" | "indistinguishable" | "violated"
     counting: tuple = ()
     convergence: dict = field(default_factory=dict)
-
-    @property
-    def all_strict(self):
-        return bool(self.pairs) and all(p.verdict == "strict"
-                                        for p in self.pairs)
 
     def as_dict(self):
         return {"pairs": [p.as_dict() for p in self.pairs],
@@ -232,18 +228,21 @@ def _check_falls(lists, names):
 
 
 def verify_theoremA(res_delta: EigenResult, res_deltaprime: EigenResult,
-                    thresholds, errors) -> TheoremAReport:
+                    thresholds, errors, counting=(),
+                    convergence=None) -> TheoremAReport:
     """Grade the eigenvalue comparison between the two operators.
 
     Pairs every n with lambda_n(delta) below the delta-prime threshold.
     The non-strict discrete inequality lambda_n(delta-prime) <=
     lambda_n(delta) must hold for every computed n up to 1e-9 (it is a
-    matrix-level consequence of the form comparison); a violation raises
-    TheoremViolation carrying the report, since it indicates an assembly
-    bug rather than spectral information.
+    matrix-level consequence of the form comparison), so a failure there
+    makes the pair, and the run's verdict, "violated": it points at an
+    assembly bug rather than at spectral information.  Nothing is raised.
 
     errors: per-n numerical error budget (scalar or array); a pair is
-    "strict" only when the cluster-wise gap exceeds its budget.
+    "strict" only when the cluster-wise gap exceeds its budget, and the
+    run is "strict" when it has pairs and all of them are.  counting and
+    convergence are stored in the report as given.
     """
     thr_d, thr_p = thresholds
     vd = res_delta.values
@@ -272,12 +271,15 @@ def verify_theoremA(res_delta: EigenResult, res_deltaprime: EigenResult,
         pairs.append(PairVerdict(n=i + 1, lambda_delta=float(vd[i]),
                                  lambda_deltaprime=float(vp[i]), gap=gap,
                                  error=float(errors[i]), verdict=verdict))
-    report = TheoremAReport(pairs=tuple(pairs), thresholds=(thr_d, thr_p))
     if bad:
-        raise TheoremViolation(
-            f"non-strict discrete inequality violated at n={bad[0] + 1}",
-            report=report)
-    return report
+        verdict = "violated"
+    elif pairs and all(p.verdict == "strict" for p in pairs):
+        verdict = "strict"
+    else:
+        verdict = "indistinguishable"
+    return TheoremAReport(pairs=tuple(pairs), thresholds=(thr_d, thr_p),
+                          verdict=verdict, counting=tuple(counting),
+                          convergence=convergence or {})
 
 
 def richardson(v_h: float, v_h2: float, v_h4: float):
@@ -359,10 +361,13 @@ def _check_boxes(mesh, halfwidths, k):
 
 
 def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
-                     halfwidths, h: float, which: str, refinements: int = 1,
-                     k: int = 4, tol: float = DEFAULT_TOL,
-                     seed: int = DEFAULT_SEED) -> TruncationStudy:
-    """Eigenvalues for a family of growing boxes, nested by construction.
+                     halfwidths, h: float, refinements: int = 1, k: int = 4,
+                     tol: float = DEFAULT_TOL,
+                     seed: int = DEFAULT_SEED) -> tuple:
+    """Eigenvalues of both operators for a family of growing boxes,
+    nested by construction: the (delta, delta-prime) TruncationStudy
+    pair of `solve_levels` on its finest level, the pair that `verify`
+    reports for the same truncation level.
 
     The geometry must be built at the largest halfwidth; the smaller
     boxes are constrained into one master mesh as interior rings and
@@ -370,18 +375,12 @@ def truncation_study(geometry: InterfaceGeometry, material: MaterialData,
     genuinely nested and the eigenvalues decrease monotonically in L.
     Bound states below the threshold decay exponentially, so successive
     deltas shrink geometrically once the box dominates the decay length.
-    DomainError before assembly when a box holds fewer than k nodes.  The
-    full pencil is solved as a one-level cascade (pipeline.cascade_solve,
-    the certified shift search) and handed to truncation_from_forms.
+    DomainError before assembly when a box holds fewer than k nodes.
+    Each delta-prime box is solved at the pole above the delta row of the
+    same box (truncation_from_forms).
     """
-    halfwidths = _box_halfwidths(geometry, halfwidths)
-    meshes = pipeline.mesh_levels(geometry, h, refinements,
-                                  inner_rings=halfwidths[:-1])
-    _check_boxes(meshes[-1], halfwidths, k)
-    forms = femforms.assemble(meshes[-1], material)
-    full = pipeline.cascade_solve([forms], which, k, tol=tol, seed=seed)[0]
-    return truncation_from_forms(forms, which, halfwidths, k, full, tol=tol,
-                                 seed=seed)
+    return solve_levels(geometry, material, h, refinements, halfwidths, k,
+                        tol, seed, t_idx=refinements)[3]
 
 
 def truncation_from_forms(forms, which: str, halfwidths, k: int,
@@ -394,16 +393,17 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
 
     full is the result of the full pencil on this mesh (the cascade's).
     When the largest box keeps every dof its row is full's values, with
-    no new solve; otherwise that box is solved like the rest, at the pole
-    pipeline.truncation_shift of full: by min-max the eigenvalues of a
-    restricted pencil are no smaller than the full pencil's.  above, for
-    delta-prime, holds the delta study's rows, and each box is solved at
-    pipeline.pole_above of its row instead (see pipeline).  Every box
+    no new solve; otherwise that box is solved like the rest.  A delta
+    box is solved at the pole pipeline.truncation_shift of full: by
+    min-max the eigenvalues of a restricted pencil are no smaller than
+    the full pencil's.  A delta-prime box always takes the delta row of
+    the same box: above holds the delta study's rows, and each box is
+    solved at pipeline.pole_above of its row (see pipeline).  Every box
     holds k nodes (_check_boxes).
     """
     ndof = full.vectors.shape[0]
-    poles = ([pipeline.truncation_shift(full.values)] * len(halfwidths)
-             if above is None else [pipeline.pole_above(v) for v in above])
+    poles = ([pipeline.pole_above(v) for v in above] if which == DELTA_PRIME
+             else [pipeline.truncation_shift(full.values)] * len(halfwidths))
     values = []
     for L, pole in zip(halfwidths, poles):
         if (L == halfwidths[-1]
@@ -425,8 +425,7 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
 class VerificationRun:
     """Outcome of `verify`; no mesh or form outlives the run."""
 
-    report: TheoremAReport    # graded pairs, counting rows, convergence
-    verdict: str              # "strict" | "indistinguishable" | "violated"
+    report: TheoremAReport    # verdict, graded pairs, counting, convergence
     truncation: tuple         # (delta, delta-prime) TruncationStudy, or ()
     finest: tuple             # (delta, delta-prime) EigenResult, finest level
     nodes_finest: int
@@ -453,13 +452,13 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
                  h: float, refinements: int, halfwidths=None, k: int = 4,
                  tol: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
                  t_idx: int | None = None, second_thread: bool = False):
-    """Both operators on a coarse mesh and `refinements` nested red
+    """Both operators on a coarse mesh and `refinements` >= 1 nested red
     refinements of it, with the inner boxes constrained in as rings when
     box halfwidths are given, and the truncation studies on level t_idx
-    when it is given (with the halfwidths).  DomainError before assembly
-    when k exceeds the coarsest level's free nodes (its continuous dofs)
-    or a box's nodes on level t_idx: each pair is graded on k values of
-    every level and box.
+    when it is given (with the halfwidths).  DomainError before meshing
+    when refinements < 1, and before assembly when k exceeds the
+    coarsest level's free nodes (its continuous dofs) or a box's nodes on
+    level t_idx: each pair is graded on k values of every level and box.
 
     A worker (a second thread with second_thread, else _Inline) runs
     three tasks, each on the result of the one before: assemble the
@@ -481,6 +480,8 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     form and one result per level, coarse to fine, and the (delta,
     delta-prime) TruncationStudy, or () without t_idx.
     """
+    if refinements < 1:
+        raise DomainError("need at least one refinement")
     if halfwidths is not None:
         halfwidths = _box_halfwidths(geometry, halfwidths)
     rings = halfwidths[:-1] if halfwidths else None
@@ -550,7 +551,9 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
     finest; DomainError outside 0..refinements) when box halfwidths are
     given, and the finest level graded against the budget Richardson
     errors + final truncation deltas + 20 tol, with a counting table
-    unless a pair is violated.  A value that rises from a coarser level
+    unless the ordering fails there.  A finest-level failure is the
+    graded verdict "violated" in the returned report; a coarser one
+    raises TheoremViolation.  A value that rises from a coarser level
     to a finer one, or from a smaller box to a larger one, beyond
     HARD_TOL * max(1, |lambda|) raises ConsistencyError before any
     grading: the spaces are nested, so only a solver fault can raise it.
@@ -580,10 +583,11 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
 
     # the non-strict comparison must hold on every coarser level; the
     # finest is graded below, where a violation is a verdict
-    for rd, rp in zip(res_d[:-1], res_p[:-1]):
-        if _out_of_order(rd.values, rp.values):
-            raise TheoremViolation(
-                "discrete eigenvalue comparison failed on a coarse level")
+    *coarse, finest = [_out_of_order(rd.values, rp.values)
+                       for rd, rp in zip(res_d, res_p)]
+    if any(coarse):
+        raise TheoremViolation(
+            "discrete eigenvalue comparison failed on a coarse level")
 
     conv_d = convergence_study(res_d)
     conv_p = convergence_study(res_p)
@@ -592,19 +596,13 @@ def verify(geometry: InterfaceGeometry, material: MaterialData, h: float,
         budget += study.deltas[-1]
     budget += 20.0 * tol
 
-    try:
-        report = verify_theoremA(res_d[-1], res_p[-1], (thr_d, thr_p),
-                                 errors=budget)
-        verdict = "strict" if report.all_strict else "indistinguishable"
-    except TheoremViolation as exc:
-        report, verdict = exc.report, "violated"
-
     # a violated pair breaks the order N' >= N that the table checks
-    rows = () if verdict == "violated" else counting_table(
-        forms[-1], res_d[-1], res_p[-1], thr_d, thr_p)
-    report = replace(report, counting=tuple(rows), convergence={
+    rows = () if finest else counting_table(forms[-1], res_d[-1], res_p[-1],
+                                            thr_d, thr_p)
+    report = verify_theoremA(res_d[-1], res_p[-1], (thr_d, thr_p), budget,
+                             counting=rows, convergence={
         "order": conv_d["order"], "limits": conv_d["limit"],
         "delta_prime": {"order": conv_p["order"], "limits": conv_p["limit"]}})
-    return VerificationRun(report=report, verdict=verdict, truncation=trunc,
+    return VerificationRun(report=report, truncation=trunc,
                            finest=(res_d[-1], res_p[-1]),
                            nodes_finest=int(forms[-1].mesh.num_nodes))

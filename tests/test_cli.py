@@ -604,20 +604,18 @@ def test_duplicate_box_halfwidths_collapse():
 
 
 def test_violation_exits_3(tmp_path, monkeypatch):
-    # the finest-level grading raising TheoremViolation is exit 3, and the
-    # report still carries the violated verdicts
+    # the exit code is read off the report's verdict: a graded "violated"
+    # is exit 3, and the report carries the violated pairs
     import dataclasses
 
     from leakyfem import spectral_analysis as sa
-    from leakyfem.errors import TheoremViolation
     grade = sa.verify_theoremA
 
     def violating(*args, **kwargs):
         report = grade(*args, **kwargs)
         pairs = tuple(dataclasses.replace(p, verdict="violated")
                       for p in report.pairs)
-        raise TheoremViolation("forced", report=dataclasses.replace(
-            report, pairs=pairs))
+        return dataclasses.replace(report, pairs=pairs, verdict="violated")
 
     monkeypatch.setattr(sa, "verify_theoremA", violating)
     p = _write(tmp_path / "cfg.json", _base_cfg(tmp_path / "out"))
@@ -654,6 +652,31 @@ def test_finest_level_violation_exits_3(tmp_path, monkeypatch):
     assert report["exit_status"] == cli.EXIT_VIOLATED
     assert report["pairs"][0]["verdict"] == "violated"
     assert report["counting"] == []
+
+
+def test_coarse_level_violation_exits_1(tmp_path, capsys, monkeypatch):
+    # the first coarsest delta-prime value raised 1e-6 above the delta one
+    # still lies above the finer levels' values, so no rise is seen: the
+    # ordering fails on a coarse level, TheoremViolation (exit 1) and no
+    # report
+    import dataclasses
+
+    from leakyfem import spectral_analysis as sa
+    solve_levels = sa.solve_levels
+
+    def raised(*args, **kwargs):
+        forms, res_d, res_p, trunc = solve_levels(*args, **kwargs)
+        values = res_p[0].values.copy()
+        values[0] = res_d[0].values[0] + 1e-6
+        res_p[0] = dataclasses.replace(res_p[0], values=values)
+        return forms, res_d, res_p, trunc
+
+    monkeypatch.setattr(sa, "solve_levels", raised)
+    p = _write(tmp_path / "cfg.json", _base_cfg(tmp_path / "out"))
+    assert cli.main(["solve", "--config", p]) == cli.EXIT_ERROR
+    assert ("TheoremViolation: discrete eigenvalue comparison failed on a "
+            "coarse level") in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_value_rising_under_refinement_exits_1(tmp_path, capsys,

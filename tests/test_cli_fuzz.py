@@ -3,7 +3,8 @@ one of the four exit codes, an error is one line with no traceback, the
 discrete comparison and the counting order hold, a "strict" pair's
 budget carries every truncation delta, the eigenvalues of a truncation
 study do not increase as the box grows, and the report does not depend
-on the second thread."""
+on the second thread.  A config dilated by a power of two (every length
+times s, alpha / s, s beta) scales the spectrum by 1 / s^2."""
 
 import io
 import json
@@ -126,3 +127,62 @@ def test_solve_on_random_configs(cfg):
             assert p["error"] >= math.fsum(d[p["n"] - 1] for d in deltas)
     for row in report["counting"]:
         assert row["N_deltaprime"] >= row["N_delta"]
+
+
+def _dilated(cfg, s):
+    """cfg with every length times s, alpha / s and s beta: each
+    eigenvalue of the dilated operators is the original one over s^2."""
+    def scaled(v, f):
+        return [f * x for x in v] if isinstance(v, list) else f * v
+
+    geometry = {key: scaled(v, s) if key in ("halfwidth", "radius", "height",
+                                              "center") else v
+                for key, v in cfg["geometry"].items()}
+    material = {"alpha": scaled(cfg["material"]["alpha"], 1.0 / s),
+                "beta": scaled(cfg["material"]["beta"], s)}
+    disc = {key: scaled(v, s) if key in ("h", "box_halfwidths") else v
+            for key, v in cfg["discretization"].items()}
+    return dict(cfg, geometry=geometry, material=material,
+                discretization=disc)
+
+
+def _close(a, b, rel=1e-10):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@settings(max_examples=10)
+@given(cfg=configs(), s=st.sampled_from([2.0, 0.5]))
+def test_dilated_solve_scales_the_spectrum(cfg, s):
+    # the pencils scale bit for bit (tests/test_meshing.py), so lambda s^2,
+    # the truncation values and the counting rows agree within the solver's
+    # accuracy; only the absolute terms (the budget's 20 tol, the cluster
+    # tolerance's floor of 1, the solver's pole offsets) do not scale
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, text = _solve(cfg, tmp, False)
+        code_s, err_s, text_s = _solve(_dilated(cfg, s), tmp, False)
+    assert (code == cli.EXIT_ERROR) == (code_s == cli.EXIT_ERROR), (err,
+                                                                     err_s)
+    if code == cli.EXIT_ERROR:
+        assert err.split(":")[0] == err_s.split(":")[0]
+        return
+    rep, rep_s = json.loads(text), json.loads(text_s)
+    f = s * s
+    assert [p["n"] for p in rep["pairs"]] == [p["n"] for p in rep_s["pairs"]]
+    tol = 20.0 * rep["solver"]["tol"]
+    for p, q in zip(rep["pairs"], rep_s["pairs"]):
+        for key in ("lambda_delta", "lambda_deltaprime"):
+            assert _close(p[key], f * q[key]), (key, p, q)
+        # the budget is e + 20 tol at scale 1 and e / s^2 + 20 tol at
+        # scale s; only a gap between the two budgets may grade apart
+        margin = p["gap"] - (p["error"] - tol)
+        if not min(1.0, f) * tol * (1 - 1e-6) < margin <= max(
+                1.0, f) * tol * (1 + 1e-6):
+            assert p["verdict"] == q["verdict"], (p, q, s)
+    for which, study in rep["truncation"].items():
+        for row, row_s in zip(study["values"],
+                              rep_s["truncation"][which]["values"]):
+            assert all(_close(a, f * b) for a, b in zip(row, row_s)), which
+    assert [(r["N_delta"], r["N_deltaprime"]) for r in rep["counting"]] == [
+        (r["N_delta"], r["N_deltaprime"]) for r in rep_s["counting"]]
+    assert all(_close(r["mu"], f * q["mu"])
+               for r, q in zip(rep["counting"], rep_s["counting"]))

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from leakyfem import eigensolver, femforms, geometry as geo, meshing, pipeline
 from leakyfem import spectral_analysis as sa
 from leakyfem.eigensolver import EigenResult, inertia_count
-from leakyfem.errors import (ConsistencyError, DomainError, SolverError,
-                             TheoremViolation)
+from leakyfem.errors import ConsistencyError, DomainError, SolverError
 
 
 def _fake_result(values, shift=-10.0):
@@ -127,7 +126,7 @@ def test_verify_strict_and_cutoff():
     # only n with lambda_n(delta) < -1 are covered by the comparison
     assert [p.n for p in rep.pairs] == [1, 2]
     assert all(p.verdict == "strict" for p in rep.pairs)
-    assert rep.all_strict
+    assert rep.verdict == "strict"
 
 
 def test_verify_indistinguishable():
@@ -135,18 +134,21 @@ def test_verify_indistinguishable():
     rp = _fake_result([-1.5000001])
     rep = sa.verify_theoremA(rd, rp, _thresholds(), errors=1e-3)
     assert rep.pairs[0].verdict == "indistinguishable"
+    assert rep.verdict == "indistinguishable"
     # identical results twice: gaps are zero
     rep2 = sa.verify_theoremA(rd, rd, _thresholds(), errors=1e-3)
     assert rep2.pairs[0].gap == 0.0
     assert rep2.pairs[0].verdict == "indistinguishable"
 
 
-def test_verify_violation_raises():
-    rd = _fake_result([-1.5])
-    rp = _fake_result([-1.4])  # delta-prime above delta: assembly-level bug
-    with pytest.raises(TheoremViolation) as ei:
-        sa.verify_theoremA(rd, rp, _thresholds(), errors=1e-3)
-    assert ei.value.report.pairs[0].verdict == "violated"
+def test_verify_violation_is_graded():
+    # delta-prime above delta, an assembly-level bug, is a graded verdict:
+    # the report comes back with the violated pair and the run's verdict
+    rd = _fake_result([-1.5, -1.3])
+    rp = _fake_result([-1.4, -1.35])
+    rep = sa.verify_theoremA(rd, rp, _thresholds(), errors=1e-3)
+    assert [p.verdict for p in rep.pairs] == ["violated", "strict"]
+    assert rep.verdict == "violated"
 
 
 def test_verify_clusterwise_grading():
@@ -269,21 +271,48 @@ def test_discrete_comparison_holds(solved_circle):
 def test_truncation_monotone_and_stabilizing():
     g = geo.make_broken_line(math.pi / 4, 9.0)
     mat = geo.MaterialData.borderline(g, alpha=2.0)
-    ts = sa.truncation_study(g, mat, [4.5, 6.0, 9.0], h=0.5,
-                             which=sa.DELTA, refinements=1, k=2)
-    assert np.all(np.diff(ts.values, axis=0) <= 1e-9)  # nested spaces
-    # the bound state below the threshold stabilizes geometrically
-    d = ts.deltas[:, 0]
-    assert d[1] < d[0]
+    studies = sa.truncation_study(g, mat, [4.5, 6.0, 9.0], h=0.5,
+                                  refinements=1, k=2)
+    assert [ts.operator for ts in studies] == [sa.DELTA, sa.DELTA_PRIME]
+    for ts in studies:
+        assert np.all(np.diff(ts.values, axis=0) <= 1e-9)  # nested spaces
+        # the bound state below the threshold stabilizes geometrically
+        d = ts.deltas[:, 0]
+        assert d[1] < d[0]
 
 
 def test_truncation_preconditions():
     g = geo.make_broken_line(math.pi / 4, 9.0)
     mat = geo.MaterialData.borderline(g, alpha=2.0)
     with pytest.raises(DomainError):
-        sa.truncation_study(g, mat, [9.0], h=0.5, which=sa.DELTA)
+        sa.truncation_study(g, mat, [9.0], h=0.5)
     with pytest.raises(DomainError):
-        sa.truncation_study(g, mat, [4.0, 6.0], h=0.5, which=sa.DELTA)
+        sa.truncation_study(g, mat, [4.0, 6.0], h=0.5)
+    with pytest.raises(DomainError):
+        sa.truncation_study(g, mat, [4.5, 9.0], h=0.5, refinements=0)
+
+
+@pytest.mark.parametrize("kind", ["broken_line", "circle"])
+def test_truncation_study_is_the_verify_study(kind):
+    # one path: the studies of truncation_study are the pair verify
+    # reports at the same truncation level, bit for bit, with every
+    # delta-prime box at the pole above the delta row of the same box
+    if kind == "broken_line":
+        g = geo.make_broken_line(math.pi / 4, 6.0)
+        mat = geo.MaterialData.borderline(g, alpha=2.0)
+        boxes, h, r, k = [3.0, 4.5, 6.0], 0.8, 2, 2
+    else:
+        g = geo.make_circle(1.0, (0.0, 0.0), 3.0, 16)
+        mat = geo.MaterialData.constant(g, alpha=5.0, beta=0.7)
+        boxes, h, r, k = [1.5, 2.2, 3.0], 0.7, 2, 3
+    got = sa.truncation_study(g, mat, boxes, h, refinements=r, k=k)
+    run = sa.verify(g, mat, h, refinements=r, halfwidths=boxes,
+                    truncation_refinements=r, k=k)
+    assert len(got) == len(run.truncation) == 2
+    for a, b in zip(got, run.truncation):
+        assert (a.operator, a.halfwidths) == (b.operator, b.halfwidths)
+        for name in ("values", "deltas", "stabilized"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_convergence_study_orders():
@@ -580,9 +609,9 @@ def test_refused_delta_pole_falls_back_to_the_search(monkeypatch):
         pipeline.interior_dofs(forms[1], sa.DELTA_PRIME, 2.5).size]
     monkeypatch.undo()
     ref = pipeline.cascade_solve(forms, sa.DELTA_PRIME, 2)
-    ref_study = sa.truncation_from_forms(forms[1], sa.DELTA_PRIME,
-                                         [2.5, 4.0], 2, ref[1])
+    box = pipeline.solve_restricted(forms[1], sa.DELTA_PRIME, 2.5, 2)[0]
     got = [r.values for r in res_p] + [study.values]
-    want = [r.values for r in ref] + [ref_study.values]
+    want = [r.values for r in ref] + [np.array([box.values[:2],
+                                                ref[1].values[:2]])]
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
