@@ -1,11 +1,17 @@
 """Sparse symmetric generalized eigensolver and inertia counting.
 
-smallest_eigenpairs() runs shift-invert Lanczos in the M-inner product on
-(A - sigma M)^-1 M: ARPACK's implicitly restarted Lanczos (scipy's eigsh)
-drives the certified factor below, from a fixed-seed start vector for
-reproducibility.  ARPACK only converges Ritz pairs; it certifies nothing.
-Clustered or multiple eigenvalues, which a single-vector Krylov space
-cannot see, are recovered by deflated restarts, and every list is
+smallest_eigenpairs() runs a block shift-invert Lanczos in the M-inner
+product on (A - sigma M)^-1 M (_lanczos), driven by the certified factor
+below: each step is one block solve by the factor, block Gram-Schmidt
+against the whole basis, one product by M, and a Rayleigh-Ritz step on
+the projected block tridiagonal matrix.  The first sweep takes one
+column per block, from a given start vector (a coarser level's
+prolonged eigenvector, or a full box's restricted one) or a fixed-seed
+random one, so the result is reproducible.  The kernel only converges
+Ritz pairs; it certifies nothing.  Eigenvalues its Krylov space missed
+(multiple eigenvalues, which a single start vector cannot see, or close
+neighbours) are recovered by further sweeps deflated against the list,
+each with a block as wide as the number missed, and every list is
 certified against factorization inertia.
 
 inertia_count() realizes the eigenvalue counting function below a level:
@@ -29,14 +35,14 @@ fact:
                    certified at pole_above.  k <= m <= 2k + 4 puts it
                    above the k-th eigenvalue (on a refined level, by
                    min-max from the coarser one); the same factor drives
-                   ARPACK on the most negative shifted values
+                   Lanczos on the most negative shifted values
                    1/(lambda - sigma), which belong to exactly those m,
                    and the list is certified once it holds m values below
                    sigma.  Any other m, a refused pole or an exhausted
                    search is an error;
   lower_shift      no negative pivot at the highest bisection level it
                    returns, whose factor drives Lanczos, so every
-                   eigenvalue ARPACK can return lies above it;
+                   eigenvalue Lanczos can return lies above it;
   pole_above       after a pole below, one count at pole_above of the
                    computed list (the level a refined level takes as its
                    pole), equal to the list size, so no eigenvalue up to
@@ -51,9 +57,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, eigh, null_space, solve_triangular
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
-                                 splu)
+from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.blas import dcopy, dgemm
+from scipy.sparse.linalg import splu
 
 from .errors import CertificationError, DomainError, SolverError
 
@@ -161,67 +167,188 @@ def lower_shift(A, M):
     return start * 0.5 ** lo, lu
 
 
-def _lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget, which):
-    """One deflated shift-invert Lanczos sweep, run by ARPACK's eigsh.
+def _project(X, bases):
+    """X, an F-ordered block that is overwritten, minus its M-projections
+    on the M-orthonormal columns of each (B, M B) in bases, by two
+    passes of block Gram-Schmidt, which are enough unless X lies in
+    their span (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50,
+    2005).  The inner products come from the stored M B, so no product
+    by M is made.  Returns X and its summed coefficients on each B."""
+    coefs = [np.zeros((B.shape[1], X.shape[1])) for B, _ in bases]
+    for _ in range(2):
+        for i, (B, MB) in enumerate(bases):
+            if B.shape[1]:
+                c = dgemm(1.0, MB, X, trans_a=1)
+                dgemm(-1.0, B, c, 1.0, X, overwrite_c=1)
+                coefs[i] += c
+    return X, coefs
 
-    which is ARPACK's choice among the shifted values 1/(lambda - sigma):
-    "LM" for the pairs nearest above a pole below the spectrum, "SA" for
-    the pairs nearest below a pole above the list.
 
-    Each solve by the certified factor is followed by the M-projector off
-    the deflation block D, x - D D^T M x, so a restart searches only the
-    complement of the values already found.  rng gives the start vector
-    and ARPACK's own restarts, so the sweep is deterministic given the
-    seed.  An implicit restart costs ncv - k solves, so a sweep makes
-    about budget solves at most.  A request for the whole complement,
-    which ARPACK cannot make (it needs k < n), is a dense Rayleigh-Ritz
-    on a basis of it.
+def _fill(X, MX, norms, V, MV, p, size, bases, M, rng, tries=3):
+    """Write an M-orthonormal basis of the span of X into the columns of
+    V from p on, and its product by M into MV; return its width, at most
+    `size`.  X is F-ordered and M-orthogonal to the bases and to V[:, :p],
+    MX = M X is C-ordered, and norms are X's M-norms before its
+    projection: a column the projection cancelled to 1e-12 of its norm
+    lay in their span and is dropped.  The rest is orthonormalized by
+    the scaled eigen-decomposition of X^T M X (Stathopoulos and Wu, SIAM
+    J. Sci. Comput. 23, 2002), keeping the directions above 1e-20 of its
+    largest eigenvalue.  Where that divided by more than 100, it
+    magnified its rounding, so the block is projected and orthonormalized
+    again.  Seeded random columns top up a short block."""
+    G = dgemm(1.0, MX.T, X)
+    keep = np.sqrt(np.maximum(np.diag(G), 0.0)) > 1e-12 * norms
+    q = 0
+    if keep.any():
+        if not keep.all():
+            X, MX = np.asfortranarray(X[:, keep]), MX[:, keep]
+            G = G[np.ix_(keep, keep)]
+        s = 1.0 / np.sqrt(np.diag(G))
+        lam, Z = np.linalg.eigh(G * s[:, None] * s[None, :])
+        take = np.flatnonzero(lam > 1e-20 * lam[-1])[-size:]
+        T = (s[:, None] * Z[:, take]) / np.sqrt(lam[take])
+        q = take.size
+        dgemm(1.0, X, T, c=V[:, p:p + q], overwrite_c=1)
+        dgemm(1.0, MX.T, T, trans_a=1, c=MV[:, p:p + q], overwrite_c=1)
+        if lam[take[0]] < 1e-4:
+            Y, _ = _project(V[:, p:p + q].copy(order="F"),
+                            bases + [(V[:, :p], MV[:, :p])])
+            q = _fill(Y, M @ Y, np.ones(q), V, MV, p, q, bases, M, rng, 0)
+    if q < size and tries:
+        q += _add(rng.standard_normal((V.shape[0], size - q)), V, MV, p + q,
+                  size - q, bases, M, rng, tries - 1)
+    return q
 
-    Returns (values, vectors, residuals, exhausted): ascending pairs of the
-    pencil, M-orthogonal to D.  exhausted is set when ARPACK ran out of
-    iterations (the pairs are the ones it converged) or a pair fails the
-    explicit residual check.
+
+def _add(X, V, MV, p, size, bases, M, rng, tries=3):
+    """_fill with the columns of X, first projected off the bases and
+    V[:, :p]."""
+    X = np.asfortranarray(X)
+    MX = M @ X
+    norms = np.sqrt(np.einsum("ij,ij->j", X, MX))
+    X, _ = _project(X, bases + [(V[:, :p], MV[:, :p])])
+    return _fill(X, M @ X, norms, V, MV, p, size, bases, M, rng, tries)
+
+
+def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
+             rng, block=1):
+    """One block shift-invert Lanczos sweep in the M-inner product on
+    Op = (A - sigma M)^-1 M, deflated against D = deflate.
+
+    The wanted pairs are the `want` Ritz pairs of Op with the largest
+    shifted values 1/(lambda - sigma) for a pole below the spectrum (the
+    values nearest above it), or the most negative ones for a pole above
+    the list (above: the values nearest below it).
+
+    Blocks have b = min(block, want) columns.  The basis V and its
+    product M V, both kept, hold nv = max(10, 2 want + 4, want + 3 b)
+    columns each, at most the complement of D.  The sweep starts from
+    the first b columns of start, topped up with random columns from
+    rng.  Each step is one solve of an n x b block by the factor; two
+    passes of block Gram-Schmidt of the result against D and V, whose
+    inner products come from the stored M D and M V, and whose
+    coefficients on V fill the step's columns of the projected matrix H
+    (block tridiagonal up to rounding); one product by M of the residual
+    block; and a Rayleigh-Ritz step on H.  The
+    dense products are BLAS calls that keep the GIL: they are short, and
+    each release would let a Python-bound thread hold the GIL for a
+    switch interval.  A full basis is restarted from its `keep` best
+    Ritz vectors (a thick restart, Wu and Simon, SIAM J. Matrix Anal.
+    Appl. 22, 2000), whose block of H is then diagonal.
+
+    The M-norm of each wanted Ritz pair's residual in Op is read off the
+    residual block.  Once it is at most tol |shifted value|
+    max(1, |lambda|) for every wanted pair, times the largest ratio of
+    explicit to estimated residual that a failed check saw, the explicit
+    residual test ||A x - lambda M x|| / ||x||_M <= tol max(1, |lambda|)
+    decides.  A pair whose estimate is down to 1e-2 tol |shifted value|
+    is settled: the Krylov space cannot improve it, so it is kept even
+    when the explicit test finds the factor's rounding above tol.  A
+    basis that spans the complement of D is exact.  After budget solved
+    columns the sweep stops.
+
+    Returns (values, vectors, residuals, exhausted): ascending pairs of
+    the pencil, M-orthogonal to D, that pass the explicit test or are
+    settled.  exhausted is set when a wanted pair is missing or fails
+    the explicit test.
     """
     n, d = A.shape[0], deflate.shape[1]
-    k = min(k, n - d)
-    if k <= 0:
+    room = n - d
+    want = min(want, room)
+    if want <= 0:
         return np.empty(0), np.empty((n, 0)), np.empty(0), False
+    b = min(block, want)
+    nv = min(room, max(10, 2 * want + 4, want + 3 * b))
+    keep = (nv + want - b) // 2
+    V = np.empty((n, nv), order="F")
+    MV = np.empty((n, nv), order="F")
+    H = np.zeros((nv, nv))
+    D = np.asfortranarray(deflate)
+    bases = [(D, np.asfortranarray(M @ D))]
 
-    def project(x):
-        return x - deflate @ (deflate.T @ (M @ x)) if d else x
+    X = np.empty((n, 0)) if start is None else start[:, :b]
+    X = np.hstack([X, rng.standard_normal((n, b - X.shape[1]))])
+    p, q = 0, _add(X, V, MV, 0, b, bases, M, rng)
+    solved = 0
+    scale = 1.0
+    while True:
+        if not q:
+            raise SolverError("the Lanczos basis stopped growing")
+        j = slice(p, p + q)
+        p += q
+        R, (CD, C) = _project(solve(MV[:, j]),
+                              bases + [(V[:, :p], MV[:, :p])])
+        solved += q
+        H[:p, j] = C
+        H[j, :p] = C.T
+        H[j, j] = 0.5 * (C[j] + C[j].T)
+        theta, S = np.linalg.eigh(H[:p, :p])
+        order = np.argsort(theta if above else -theta, kind="stable")
+        sel = order[:want]
+        lams = sigma + 1.0 / theta[sel]
+        MR = M @ R
+        G = dgemm(1.0, MR.T, R)
+        Sj = S[j][:, sel]
+        est = np.sqrt(np.maximum(np.einsum("ji,jk,ki->i", Sj, G, Sj), 0.0))
+        bound = tol * np.maximum(1.0, np.abs(lams))
+        settled = est <= 1e-2 * tol * np.abs(theta[sel])
+        done = p >= room or solved >= budget
+        if done or (sel.size == want and np.all(
+                settled | (est * scale <= bound * np.abs(theta[sel])))):
+            Xs = dgemm(1.0, V[:, :p], S[:, sel])
+            res = _residuals(A, Xs, dgemm(1.0, MV[:, :p], S[:, sel]), lams)
+            ok = res <= bound
+            if done or np.all(ok | settled):
+                idx = np.flatnonzero(ok | settled)
+                idx = idx[np.argsort(lams[idx])]
+                return (lams[idx], Xs[:, idx], res[idx],
+                        idx.size < want or not ok.all())
+            scale = max(scale, float(np.max(
+                (res * np.abs(theta[sel]) / np.maximum(est, 1e-300))[~ok])))
+        if p + b > nv and nv < room:
+            kept = order[:keep]
+            for B in (V, MV):
+                dcopy(dgemm(1.0, B[:, :p], S[:, kept]).ravel(order="F"),
+                      B[:, :keep].reshape(-1, order="F"))
+            H[:] = 0.0
+            H[np.arange(keep), np.arange(keep)] = theta[kept]
+            p = keep
+        norms = np.sqrt(np.diag(G) + np.einsum("ij,ij->j", C, C)
+                        + np.einsum("ij,ij->j", CD, CD))
+        q = _fill(R, MR, norms, V, MV, p, min(b, nv - p), bases, M, rng)
 
-    exhausted = False
-    if k == n - d:
-        Z = null_space((M @ deflate).T)
-        lams, Y = eigh(Z.T @ (A @ Z), Z.T @ (M @ Z))
-        X = Z @ Y
-    else:
-        ncv = min(n - d, max(2 * k + 1, 20))
-        op = LinearOperator((n, n), matvec=lambda b: project(solve(b)),
-                            dtype=float)
-        try:
-            lams, X = eigsh(A, k, M=M, sigma=sigma, which=which, OPinv=op,
-                            v0=project(rng.standard_normal(n)), ncv=ncv,
-                            maxiter=max(1, budget // (ncv - k)),
-                            tol=1e-2 * tol, rng=rng)
-        except ArpackNoConvergence as exc:
-            lams, X, exhausted = exc.eigenvalues, exc.eigenvectors, True
-    order = np.argsort(lams)
-    lams, X = lams[order], X[:, order]
-    res = _residuals(A, M, X, lams)
-    exhausted |= not np.all(res <= tol * np.maximum(1.0, np.abs(lams)))
-    return lams, X, res, exhausted
 
-
-def _residuals(A, M, X, lams):
-    R = A @ X - (M @ X) * lams[None, :]
-    mnorm = np.sqrt(np.einsum("ij,ij->j", X, M @ X))
-    return np.linalg.norm(R, axis=0) / mnorm
+def _residuals(A, X, MX, lams):
+    """||A x - lambda M x||_2 / ||x||_M for the columns x of X, with MX =
+    M X."""
+    R = A @ X - MX * lams[None, :]
+    return np.linalg.norm(R, axis=0) / np.sqrt(np.einsum("ij,ij->j", X, MX))
 
 
 def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
                         pole: float | None = None,
-                        seed: int = DEFAULT_SEED) -> EigenResult:
+                        seed: int = DEFAULT_SEED,
+                        start=None) -> EigenResult:
     """k smallest eigenpairs of A x = lambda M x.
 
     Parameters
@@ -235,20 +362,24 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         eigenvalue whose factor also drives the search for those m.  Any
         other m raises SolverError.  With no pole, a certified pole below
         is found by bisection up from a proven lower bound (lower_shift).
-    seed : start-vector seed (results are deterministic given the seed).
+    seed : seed of the random start columns (results are deterministic
+        given the seed and start).
+    start : optional (n, c) approximate eigenvectors, lowest first; the
+        first Lanczos sweep starts from its first column.  It only steers
+        the search.
 
     After a pole below, the list is certified by one inertia count at
     pole_above of its top value: it must hold every eigenvalue below that
     level, and a level that does not factor raises CertificationError.  A
-    count above the list size restarts Lanczos, deflated against the whole
-    list, for the eigenvalues a single Krylov sequence missed
-    (multiplicities, or neighbours within the level's 1e-3 window); later
-    sweeps keep only values below that level until the list holds the
-    counted number, which certifies it with no new count.  A count below
-    the list size raises SolverError.
+    count above the list size sends Lanczos back, deflated against the
+    whole list, for the eigenvalues its Krylov space missed
+    (multiplicities, or neighbours within the level's 1e-3 window);
+    later sweeps keep only values below that level until the list holds
+    the counted number, which certifies it with no new count.  A count
+    below the list size raises SolverError.
 
     Raises SolverError (carrying the best partial result) when the list is
-    not complete and certified within the iteration budget.
+    not complete and certified within the sweeps' budget.
     """
     if k < 1:
         raise SolverError("need k >= 1")
@@ -268,29 +399,35 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     if m and not k <= m <= 2 * k + 4:
         raise SolverError(f"{m} eigenvalues below the pole {sigma}, "
                           f"for k = {k}")
-    return _search(A, M, k, tol, sigma, lu, seed, (sigma, m) if m else None)
+    return _search(A, M, k, tol, sigma, lu, seed,
+                   (sigma, m) if m else None, start)
 
 
-def _search(A, M, k, tol, sigma, lu, seed, top):
+def _search(A, M, k, tol, sigma, lu, seed, top, start):
     """Deflated Lanczos sweeps on the factor lu of A - sigma M until the
     list of the k smallest pairs is certified.
 
     top is the (level, count) of a count above the list: None for a pole
     below the spectrum, where it is counted at pole_above once the list
     holds k values, and (sigma, m) for a pole above, whose sweeps then ask
-    ARPACK for the values nearest below it.
+    for the values nearest below it.  The first sweep runs one column at
+    a time from the first column of start; a later one, deflated against
+    the list, runs blocks of the number of values still missing (at most
+    8) from seeded random columns.  Each sweep may solve 10 k + 200
+    columns.
     """
     n = A.shape[0]
     rng = np.random.default_rng(seed)
     budget = 10 * k + 200
-    which = "LM" if top is None else "SA"
+    above = top is not None
 
     vals = np.empty(0)
     X = np.empty((n, 0))
     want = k if top is None else top[1]
     for attempt in range(4):
-        lv, lX, _, exhausted = _lanczos(lu.solve, A, M, sigma, want, tol,
-                                        rng, X, budget, which)
+        lv, lX, _, exhausted = _lanczos(
+            lu.solve, A, M, sigma, want, tol, None if attempt else start, X,
+            budget, above, rng, min(want, 8) if attempt else 1)
         if top is not None:
             # the list is filled up to the first certified level only, so
             # it does not climb the spectrum one cluster at a time
@@ -323,7 +460,7 @@ def _search(A, M, k, tol, sigma, lu, seed, top):
                               f"{top[0]}, but the list holds "
                               f"{vals.shape[0]}")
         # keep the whole list, deflate it, and search its complement for
-        # the eigenvalues below the level that the Krylov sequence missed
+        # the eigenvalues below the level that the Krylov space missed
         want = count - vals.shape[0]
 
     partial = _finalize(A, M, vals[:k], X[:, :k], sigma)
@@ -336,9 +473,8 @@ def _finalize(A, M, vals, X, sigma):
         # M-orthonormal in column order: X L^-T with L L^T = X^T M X
         L = cholesky(X.T @ (M @ X), lower=True)
         X = solve_triangular(L, X.T, lower=True).T
-        res = _residuals(A, M, X, vals)
+        res = _residuals(A, X, M @ X, vals)
     else:
         res = np.empty(0)
     return EigenResult(values=vals.copy(), vectors=X, residuals=res,
                        shift_used=sigma)
-

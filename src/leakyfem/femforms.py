@@ -17,7 +17,9 @@ assembly is exact up to rounding.
 
 The dofs of both spaces come numbered from meshing.build_dofs, in one
 nested-dissection order of the free nodes; each matrix is scattered in
-that numbering, the order it is factored in.
+that numbering, the order it is factored in.  prolong maps a function of
+either space on a mesh into the same space on its red refinement, where
+it is the same function (the spaces are nested).
 """
 
 from __future__ import annotations
@@ -175,3 +177,21 @@ def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
                           K_cont=K_cont, M_cont=M_cont, K_brok=K_brok,
                           M_brok=M_brok, T_alpha=T_alpha, J_beta=J_beta)
 
+
+
+def prolong(coarse: DofMap, fine: DofMap, U):
+    """The columns of U, functions in the space of the DofMap coarse,
+    as functions in the space of fine on the red refinement of its mesh
+    (meshing.refine_uniform): the same P1 functions, so every form takes
+    the same values on them.  Coarse triangle t's children are rows
+    4t..4t+3, whose vertices are a, ab, ca / ab, b, bc / ca, bc, c /
+    ab, bc, ca for its own a, b, c and edge midpoints; each child keeps
+    its parent's region, so on the broken space a midpoint takes the mean
+    of its own side's values.  Dirichlet nodes (dof -1) hold 0."""
+    U = np.vstack([U, np.zeros((1, U.shape[1]))])  # row -1: Dirichlet
+    a, b, c = (U[coarse.tri_dofs[:, i]] for i in range(3))
+    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+    vals = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
+    out = np.zeros((fine.ndof + 1, U.shape[1]))
+    out[fine.tri_dofs.reshape(-1)] = vals.reshape(-1, U.shape[1])
+    return out[:-1]

@@ -398,7 +398,8 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
     min-max the eigenvalues of a restricted pencil are no smaller than
     the full pencil's.  A delta-prime box always takes the delta row of
     the same box: above holds the delta study's rows, and each box is
-    solved at pipeline.pole_above of its row (see pipeline).  Every box
+    solved at pipeline.pole_above of its row (see pipeline).  Each box
+    starts Lanczos from full's eigenvectors on its dofs.  Every box
     holds k nodes (_check_boxes).
     """
     ndof = full.vectors.shape[0]
@@ -411,7 +412,8 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
             res = full
         else:
             res, _ = pipeline.solve_restricted(forms, which, L, k, tol=tol,
-                                               seed=seed, pole=pole)
+                                               seed=seed, pole=pole,
+                                               start=full.vectors)
         values.append(res.values[:k])
     vals = np.asarray(values)
     deltas = np.abs(np.diff(vals, axis=0))
@@ -516,8 +518,9 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
     def coarse_studies(task_d, task_p):
         return studies(*task_d.result(), task_p.result())
 
-    def finest_prime(task_p, finest):
-        return cascade([finest], DELTA_PRIME, task_p.result())
+    def finest_prime(task_d, task_p, finest):
+        return cascade(task_d.result()[0] + [finest], DELTA_PRIME,
+                       task_p.result())
 
     worker = (ThreadPoolExecutor(1, thread_name_prefix="leakyfem-levels")
               if second_thread else _Inline())
@@ -525,10 +528,10 @@ def solve_levels(geometry: InterfaceGeometry, material: MaterialData,
         task_d = worker.submit(coarse_delta)
         task_p = worker.submit(coarse_prime, task_d)
         finest = femforms.assemble(meshes[-1], material)
-        task_fp = worker.submit(finest_prime, task_p, finest)
+        task_fp = worker.submit(finest_prime, task_d, task_p, finest)
         forms, res_d = task_d.result()
         forms = forms + [finest]  # the delta-prime task reads the old list
-        cascade([finest], DELTA, res_d)
+        cascade(forms, DELTA, res_d)
         task_t = (_Inline().submit(coarse_studies, task_d, task_p)
                   if t_idx is not None and t_idx < refinements else None)
         res_p = task_fp.result()

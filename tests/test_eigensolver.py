@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -487,8 +489,8 @@ def test_top_count_below_the_list_is_an_error(monkeypatch):
 def test_deflated_restart_over_the_whole_complement(monkeypatch):
     # a first sweep that returns the lowest and the highest of six values
     # leaves a count of 6 above its top, so the restart asks for all of
-    # the M-orthogonal complement (d = 2, k = n - d = 4): dense
-    # Rayleigh-Ritz on a basis of it
+    # the M-orthogonal complement (d = 2, k = n - d = 4): its block spans
+    # the complement, and its Rayleigh-Ritz step is exact
     rng = np.random.default_rng(11)
     n = 6
     B = rng.standard_normal((n, n))
@@ -499,12 +501,11 @@ def test_deflated_restart_over_the_whole_complement(monkeypatch):
     lanczos = es._lanczos
     sweeps = []
 
-    def skipping(solve, A, M, sigma, k, tol, rng, deflate, budget, which):
+    def skipping(solve, A, M, sigma, k, tol, start, deflate, *rest):
         if not sweeps:
             sweeps.append((k, 0, exact[[0, 5]]))
             return exact[[0, 5]], V[:, [0, 5]], np.zeros(2), False
-        out = lanczos(solve, A, M, sigma, k, tol, rng, deflate, budget,
-                      which)
+        out = lanczos(solve, A, M, sigma, k, tol, start, deflate, *rest)
         sweeps.append((k, deflate.shape[1], out[0]))
         assert np.abs(deflate.T @ (M @ out[1])).max() <= 1e-12
         return out
@@ -517,18 +518,34 @@ def test_deflated_restart_over_the_whole_complement(monkeypatch):
     assert np.abs(r.values - exact[:2]).max() <= 1e-12
 
 
-def test_arpack_without_convergence_is_an_error(monkeypatch):
-    # ARPACK stops at its iteration limit with one of three pairs: the
-    # sweep is exhausted and the partial list comes back on the error
-    def stalled(A, k, **kw):
-        raise es.ArpackNoConvergence("No convergence", np.array([1.0]),
-                                     np.eye(A.shape[0])[:, :1])
+def _budget(monkeypatch, columns, above=(False, True)):
+    """Run every Lanczos sweep whose side is in `above` with a budget of
+    `columns` solved columns."""
+    lanczos = es._lanczos
 
-    monkeypatch.setattr(es, "eigsh", stalled)
-    A = sp.diags(np.arange(1.0, 11.0)).tocsr()
+    def tight(solve, A, M, sigma, k, tol, start, deflate, budget, side,
+              *rest):
+        if side in above:
+            budget = columns
+        return lanczos(solve, A, M, sigma, k, tol, start, deflate, budget,
+                       side, *rest)
+
+    monkeypatch.setattr(es, "_lanczos", tight)
+
+
+def test_lanczos_at_its_budget_is_an_error(monkeypatch):
+    # the kernel stops at its budget of 4 columns with one of three pairs
+    # converged (1 lies far below the cluster at 1e4): the sweep is
+    # exhausted, and the partial list comes back on the error
+    A = sp.diags(np.concatenate([[1.0], np.linspace(1e4, 1e4 + 1, 9)]))
+    _budget(monkeypatch, 4)
     with pytest.raises(SolverError, match="did not converge") as err:
-        es.smallest_eigenpairs(A, _identity(10), 3, tol=1e-12, pole=0.0)
-    assert np.array_equal(err.value.partial.values, [1.0])
+        es.smallest_eigenpairs(A.tocsr(), _identity(10), 3, tol=1e-12,
+                               pole=0.0)
+    partial = err.value.partial
+    assert partial.values.size == 1
+    assert abs(partial.values[0] - 1.0) <= 1e-12
+    assert partial.residuals[0] <= 1e-12
 
 
 def test_pole_above_counts_and_drives_the_search(monkeypatch,
@@ -557,7 +574,7 @@ def test_pole_side_is_read_off_its_factor(monkeypatch, assembled_broken_line,
     # the m negative pivots of the pole's factor tell its side for k = 3:
     # m = 0 is a pole below, certified by one count above the list;
     # 3 <= m <= 10 a pole above, whose factor alone counts and drives
-    # ARPACK; 0 < m < 3 and m > 10 are refused after that one factor, and
+    # Lanczos; 0 < m < 3 and m > 10 are refused after that one factor, and
     # solve_pencil then takes the certified shift search
     A, M = assembled_broken_line.matrices(femforms.DELTA_PRIME)
     lam = es.smallest_eigenpairs(A, M, max(m + 1, 3), tol=1e-10,
@@ -591,9 +608,9 @@ def test_pole_side_is_read_off_its_factor(monkeypatch, assembled_broken_line,
 def test_pole_above_falls_back_to_the_pole_below(monkeypatch,
                                                  assembled_broken_line,
                                                  fault):
-    # a refused pole above, m < k, m > 2k + 4 or an exhausted ARPACK run
-    # is an error of the solve at that pole; solve_pencil then takes the
-    # certified shift search, which gives today's values
+    # a refused pole above, m < k, m > 2k + 4 or a Lanczos run exhausted
+    # at its budget is an error of the solve at that pole; solve_pencil
+    # then takes the certified shift search, which gives today's values
     A, M = assembled_broken_line.matrices(femforms.DELTA_PRIME)
     today = es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=-8.0)
     lam = today.values
@@ -612,15 +629,7 @@ def test_pole_above_falls_back_to_the_pole_below(monkeypatch,
 
         monkeypatch.setattr(es, "_factor", refusing)
     if fault == "exhausted":
-        eigsh = es.eigsh
-
-        def stalled(A, k, **kw):
-            if kw["which"] == "SA":
-                raise es.ArpackNoConvergence("No convergence", np.empty(0),
-                                             np.empty((A.shape[0], 0)))
-            return eigsh(A, k, **kw)
-
-        monkeypatch.setattr(es, "eigsh", stalled)
+        _budget(monkeypatch, 1, above=(True,))
     with pytest.raises(SolverError):
         es.smallest_eigenpairs(A, M, 3, tol=1e-10, pole=above)
     r = pipeline.solve_pencil(A, M, 3, tol=1e-10, pole=above)
@@ -634,3 +643,45 @@ def test_same_seed_gives_identical_pairs(assembled_broken_line):
     r2 = es.smallest_eigenpairs(A, M, 4, tol=1e-10, seed=5)
     assert np.array_equal(r1.values, r2.values)
     assert np.array_equal(r1.vectors, r2.vectors)
+
+
+def test_kernel_keeps_no_module_level_mutable_state():
+    mutable = [name for name, value in vars(es).items()
+               if not name.startswith("__")
+               and isinstance(value, (list, dict, set, bytearray,
+                                      np.ndarray))]
+    assert mutable == []
+
+
+def test_threads_give_the_serial_results(ringed_pencils):
+    # two pencils, one solved at a pole below (the search) and one at a
+    # pole above, each twice on two threads at once: every result equals
+    # the serial one with the same seed and start block, bit for bit
+    jobs = []
+    for key, above in ((("broken_line", femforms.DELTA_PRIME, "full"), True),
+                       (("circle", femforms.DELTA, "box"), False)):
+        A, M = ringed_pencils[key]
+        start = np.random.default_rng(9).standard_normal((A.shape[0], 2))
+        pole = None
+        if above:
+            pole = es.pole_above(es.smallest_eigenpairs(A, M, 2).values)
+        jobs.append((A, M, pole, start))
+
+    def solve(i):
+        A, M, pole, start = jobs[i]
+        return es.smallest_eigenpairs(A, M, 2, pole=pole, seed=5,
+                                      start=start)
+
+    serial = [solve(0), solve(1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads take turns often
+    try:
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(solve, [0, 1, 0, 1], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, got in enumerate(threaded):
+        want = serial[i % 2]
+        assert got.shift_used == want.shift_used
+        for field in ("values", "vectors", "residuals"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))

@@ -378,3 +378,37 @@ def test_forms_invariants_on_random_geometries(data, kind):
             for i in range(3):
                 mu = lam[i] + 1e-8 * max(1.0, abs(lam[i]))
                 assert inertia_count(Af, Mf, mu) >= i + 1
+
+
+_NESTED = {
+    "broken_line": (lambda: geo.make_broken_line(math.pi / 4, 4.0), 0.8,
+                    None),
+    "circle_ring": (lambda: geo.make_circle(1.0, (0.0, 0.0), 3.0, 16), 0.7,
+                    [2.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_prolonged_functions_keep_every_form(kind):
+    # red refinement nests both spaces, so a coarse function u and its
+    # prolongation P u are one function: mass, stiffness and the
+    # interface form take the same value on both levels.  This pins the
+    # children at rows 4t..4t+3 and, on the broken space, midpoints that
+    # take their own side's values
+    make, h, rings = _NESTED[kind]
+    g = make()
+    coarse = meshing.triangulate(g, h, inner_rings=rings)
+    mat = geo.MaterialData.constant(g, alpha=1.5, beta=1.0)
+    Fc = femforms.assemble(coarse, mat)
+    Ff = femforms.assemble(meshing.refine_uniform(coarse), mat)
+    rng = np.random.default_rng(3)
+    for space, names in (("continuous", ("M_cont", "K_cont", "T_alpha")),
+                         ("broken", ("M_brok", "K_brok", "J_beta"))):
+        dc, df = getattr(Fc, space), getattr(Ff, space)
+        U = rng.standard_normal((dc.ndof, 3))
+        PU = femforms.prolong(dc, df, U)
+        assert PU.shape == (df.ndof, 3)
+        for name in names:
+            c = np.einsum("ij,ij->j", U, getattr(Fc, name) @ U)
+            f = np.einsum("ij,ij->j", PU, getattr(Ff, name) @ PU)
+            assert np.abs(f - c).max() <= 1e-12 * np.abs(c).max(), name

@@ -492,7 +492,7 @@ def test_box_that_leaves_out_dofs_is_solved(monkeypatch, ringed_forms):
     forms, full = ringed_forms
     pole = pipeline.truncation_shift(full.values)
     alone, keep = pipeline.solve_restricted(forms, sa.DELTA, 4.5, 2,
-                                            pole=pole)
+                                            pole=pole, start=full.vectors)
     assert keep.size < full.vectors.shape[0]
     boxes = _solved_boxes(monkeypatch)
     study = sa.truncation_from_forms(forms, sa.DELTA, [3.0, 4.5], 2, full)
