@@ -1,18 +1,18 @@
 """Sparse symmetric generalized eigensolver and inertia counting.
 
-smallest_eigenpairs() runs a block shift-invert Lanczos in the M-inner
+smallest_eigenpairs() runs a shift-invert Lanczos in the M-inner
 product on (A - sigma M)^-1 M (_lanczos), driven by the certified factor
-below: each step is one block solve by the factor, block Gram-Schmidt
-against the whole basis, one product by M, and a Rayleigh-Ritz step on
-the projected block tridiagonal matrix.  The first sweep takes one
-column per block, from a given start vector (a coarser level's
-prolonged eigenvector, or a full box's restricted one) or a fixed-seed
-random one, so the result is reproducible.  The kernel only converges
-Ritz pairs; it certifies nothing.  Eigenvalues its Krylov space missed
-(multiple eigenvalues, which a single start vector cannot see, or close
+below: each step adds one column, by one solve with the factor,
+Gram-Schmidt against the whole basis, one product by M, and a
+Rayleigh-Ritz step on the projected tridiagonal matrix.  The first sweep
+starts from a given start vector (a coarser level's prolonged
+eigenvector, or a full box's restricted one) or a fixed-seed random one,
+so the result is reproducible.  The kernel only converges Ritz pairs; it
+certifies nothing.  Eigenvalues its Krylov space missed (multiple
+eigenvalues, which a single start vector cannot see, or close
 neighbours) are recovered by further sweeps deflated against the list,
-each with a block as wide as the number missed, and every list is
-certified against factorization inertia.
+which go on while they add values, and every list is certified against
+factorization inertia.
 
 inertia_count() realizes the eigenvalue counting function below a level:
 the number of negative pivots of an LDL^T-type factorization of A - mu M
@@ -168,12 +168,13 @@ def lower_shift(A, M):
 
 
 def _project(X, bases):
-    """X, an F-ordered block that is overwritten, minus its M-projections
-    on the M-orthonormal columns of each (B, M B) in bases, by two
-    passes of block Gram-Schmidt, which are enough unless X lies in
-    their span (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50,
-    2005).  The inner products come from the stored M B, so no product
-    by M is made.  Returns X and its summed coefficients on each B."""
+    """X, an F-ordered column that is overwritten, minus its
+    M-projections on the M-orthonormal columns of each (B, M B) in
+    bases, by two passes of classical Gram-Schmidt, which are enough
+    unless X lies in their span (Giraud, Langou and Rozloznik, Comput.
+    Math. Appl. 50, 2005).  The inner products come from the stored
+    M B, so no product by M is made.  Returns X and its summed
+    coefficients on each B."""
     coefs = [np.zeros((B.shape[1], X.shape[1])) for B, _ in bases]
     for _ in range(2):
         for i, (B, MB) in enumerate(bases):
@@ -184,55 +185,39 @@ def _project(X, bases):
     return X, coefs
 
 
-def _fill(X, MX, norms, V, MV, p, size, bases, M, rng, tries=3):
-    """Write an M-orthonormal basis of the span of X into the columns of
-    V from p on, and its product by M into MV; return its width, at most
-    `size`.  X is F-ordered and M-orthogonal to the bases and to V[:, :p],
-    MX = M X is C-ordered, and norms are X's M-norms before its
-    projection: a column the projection cancelled to 1e-12 of its norm
-    lay in their span and is dropped.  The rest is orthonormalized by
-    the scaled eigen-decomposition of X^T M X (Stathopoulos and Wu, SIAM
-    J. Sci. Comput. 23, 2002), keeping the directions above 1e-20 of its
-    largest eigenvalue.  Where that divided by more than 100, it
-    magnified its rounding, so the block is projected and orthonormalized
-    again.  Seeded random columns top up a short block."""
-    G = dgemm(1.0, MX.T, X)
-    keep = np.sqrt(np.maximum(np.diag(G), 0.0)) > 1e-12 * norms
-    q = 0
-    if keep.any():
-        if not keep.all():
-            X, MX = np.asfortranarray(X[:, keep]), MX[:, keep]
-            G = G[np.ix_(keep, keep)]
-        s = 1.0 / np.sqrt(np.diag(G))
-        lam, Z = np.linalg.eigh(G * s[:, None] * s[None, :])
-        take = np.flatnonzero(lam > 1e-20 * lam[-1])[-size:]
-        T = (s[:, None] * Z[:, take]) / np.sqrt(lam[take])
-        q = take.size
-        dgemm(1.0, X, T, c=V[:, p:p + q], overwrite_c=1)
-        dgemm(1.0, MX.T, T, trans_a=1, c=MV[:, p:p + q], overwrite_c=1)
-        if lam[take[0]] < 1e-4:
-            Y, _ = _project(V[:, p:p + q].copy(order="F"),
-                            bases + [(V[:, :p], MV[:, :p])])
-            q = _fill(Y, M @ Y, np.ones(q), V, MV, p, q, bases, M, rng, 0)
-    if q < size and tries:
-        q += _add(rng.standard_normal((V.shape[0], size - q)), V, MV, p + q,
-                  size - q, bases, M, rng, tries - 1)
-    return q
+def _fill(X, MX, norm, V, MV, p, bases, M, rng, tries=3):
+    """Write the M-normalized column X into V[:, p] and its product by M
+    into MV[:, p]; return 1, or 0 when no column was written.  X is
+    M-orthogonal to the bases and to V[:, :p], MX = M X, and norm is X's
+    M-norm before its projection: a column the projection cancelled to
+    1e-12 of its norm lay in their span and is replaced by a seeded
+    random one, at most `tries` times."""
+    g = dgemm(1.0, MX.T, X)[0, 0]
+    if np.sqrt(max(g, 0.0)) > 1e-12 * norm:
+        s = 1.0 / np.sqrt(g)
+        t = s / np.sqrt(g * s * s)
+        V[:, p:p + 1] = X * t
+        MV[:, p:p + 1] = MX * t
+        return 1
+    if tries:
+        return _add(rng.standard_normal((V.shape[0], 1)), V, MV, p, bases,
+                    M, rng, tries - 1)
+    return 0
 
 
-def _add(X, V, MV, p, size, bases, M, rng, tries=3):
-    """_fill with the columns of X, first projected off the bases and
-    V[:, :p]."""
-    X = np.asfortranarray(X)
+def _add(X, V, MV, p, bases, M, rng, tries=3):
+    """_fill with the column X, first projected off the bases and
+    V[:, :p]; X itself is not changed."""
+    X = np.array(X, order="F")
     MX = M @ X
-    norms = np.sqrt(np.einsum("ij,ij->j", X, MX))
+    norm = np.sqrt(np.einsum("ij,ij", X, MX))
     X, _ = _project(X, bases + [(V[:, :p], MV[:, :p])])
-    return _fill(X, M @ X, norms, V, MV, p, size, bases, M, rng, tries)
+    return _fill(X, M @ X, norm, V, MV, p, bases, M, rng, tries)
 
 
 def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
-             rng, block=1):
-    """One block shift-invert Lanczos sweep in the M-inner product on
+             rng):
+    """One shift-invert Lanczos sweep in the M-inner product on
     Op = (A - sigma M)^-1 M, deflated against D = deflate.
 
     The wanted pairs are the `want` Ritz pairs of Op with the largest
@@ -240,16 +225,14 @@ def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
     values nearest above it), or the most negative ones for a pole above
     the list (above: the values nearest below it).
 
-    Blocks have b = min(block, want) columns.  The basis V and its
-    product M V, both kept, hold nv = max(10, 2 want + 4, want + 3 b)
-    columns each, at most the complement of D.  The sweep starts from
-    the first b columns of start, topped up with random columns from
-    rng.  Each step is one solve of an n x b block by the factor; two
-    passes of block Gram-Schmidt of the result against D and V, whose
-    inner products come from the stored M D and M V, and whose
-    coefficients on V fill the step's columns of the projected matrix H
-    (block tridiagonal up to rounding); one product by M of the residual
-    block; and a Rayleigh-Ritz step on H.  The
+    The basis V and its product M V, both kept, hold nv = max(10,
+    2 want + 4) columns each, at most the complement of D.  The sweep
+    starts from the start vector, or a random one from rng.  Each step
+    adds one column: one solve by the factor; two passes of Gram-Schmidt
+    of the result against D and V, whose inner products come from the
+    stored M D and M V, and whose coefficients on V fill the step's
+    column of the projected matrix H (tridiagonal up to rounding); one
+    product by M of the residual; and a Rayleigh-Ritz step on H.  The
     dense products are BLAS calls that keep the GIL: they are short, and
     each release would let a Python-bound thread hold the GIL for a
     switch interval.  A full basis is restarted from its `keep` best
@@ -257,15 +240,15 @@ def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
     Appl. 22, 2000), whose block of H is then diagonal.
 
     The M-norm of each wanted Ritz pair's residual in Op is read off the
-    residual block.  Once it is at most tol |shifted value|
-    max(1, |lambda|) for every wanted pair, times the largest ratio of
-    explicit to estimated residual that a failed check saw, the explicit
-    residual test ||A x - lambda M x|| / ||x||_M <= tol max(1, |lambda|)
-    decides.  A pair whose estimate is down to 1e-2 tol |shifted value|
-    is settled: the Krylov space cannot improve it, so it is kept even
-    when the explicit test finds the factor's rounding above tol.  A
-    basis that spans the complement of D is exact.  After budget solved
-    columns the sweep stops.
+    residual.  Once it is at most tol |shifted value| max(1, |lambda|)
+    for every wanted pair, times the largest ratio of explicit to
+    estimated residual that a failed check saw, the explicit residual
+    test ||A x - lambda M x|| / ||x||_M <= tol max(1, |lambda|) decides.
+    A pair whose estimate is down to 1e-2 tol |shifted value| is
+    settled: the Krylov space cannot improve it, so it is kept even when
+    the explicit test finds the factor's rounding above tol.  A basis
+    that spans the complement of D is exact.  After budget solves the
+    sweep stops.
 
     Returns (values, vectors, residuals, exhausted): ascending pairs of
     the pencil, M-orthogonal to D, that pass the explicit test or are
@@ -277,31 +260,28 @@ def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
     want = min(want, room)
     if want <= 0:
         return np.empty(0), np.empty((n, 0)), np.empty(0), False
-    b = min(block, want)
-    nv = min(room, max(10, 2 * want + 4, want + 3 * b))
-    keep = (nv + want - b) // 2
+    nv = min(room, max(10, 2 * want + 4))
+    keep = (nv + want - 1) // 2
     V = np.empty((n, nv), order="F")
     MV = np.empty((n, nv), order="F")
     H = np.zeros((nv, nv))
     D = np.asfortranarray(deflate)
     bases = [(D, np.asfortranarray(M @ D))]
 
-    X = np.empty((n, 0)) if start is None else start[:, :b]
-    X = np.hstack([X, rng.standard_normal((n, b - X.shape[1]))])
-    p, q = 0, _add(X, V, MV, 0, b, bases, M, rng)
+    x = rng.standard_normal((n, 1)) if start is None else start[:, :1]
+    p, q = 0, _add(x, V, MV, 0, bases, M, rng)
     solved = 0
     scale = 1.0
     while True:
         if not q:
             raise SolverError("the Lanczos basis stopped growing")
-        j = slice(p, p + q)
-        p += q
+        j = slice(p, p + 1)
+        p += 1
         R, (CD, C) = _project(solve(MV[:, j]),
                               bases + [(V[:, :p], MV[:, :p])])
-        solved += q
+        solved += 1
         H[:p, j] = C
         H[j, :p] = C.T
-        H[j, j] = 0.5 * (C[j] + C[j].T)
         theta, S = np.linalg.eigh(H[:p, :p])
         order = np.argsort(theta if above else -theta, kind="stable")
         sel = order[:want]
@@ -325,7 +305,7 @@ def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
                         idx.size < want or not ok.all())
             scale = max(scale, float(np.max(
                 (res * np.abs(theta[sel]) / np.maximum(est, 1e-300))[~ok])))
-        if p + b > nv and nv < room:
+        if p == nv < room:
             kept = order[:keep]
             for B in (V, MV):
                 dcopy(dgemm(1.0, B[:, :p], S[:, kept]).ravel(order="F"),
@@ -333,9 +313,9 @@ def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
             H[:] = 0.0
             H[np.arange(keep), np.arange(keep)] = theta[kept]
             p = keep
-        norms = np.sqrt(np.diag(G) + np.einsum("ij,ij->j", C, C)
-                        + np.einsum("ij,ij->j", CD, CD))
-        q = _fill(R, MR, norms, V, MV, p, min(b, nv - p), bases, M, rng)
+        norm = np.sqrt(G[0, 0] + np.einsum("ij,ij", C, C)
+                       + np.einsum("ij,ij", CD, CD))
+        q = _fill(R, MR, norm, V, MV, p, bases, M, rng)
 
 
 def _residuals(A, X, MX, lams):
@@ -362,11 +342,11 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         eigenvalue whose factor also drives the search for those m.  Any
         other m raises SolverError.  With no pole, a certified pole below
         is found by bisection up from a proven lower bound (lower_shift).
-    seed : seed of the random start columns (results are deterministic
+    seed : seed of the random start vectors (results are deterministic
         given the seed and start).
-    start : optional (n, c) approximate eigenvectors, lowest first; the
-        first Lanczos sweep starts from its first column.  It only steers
-        the search.
+    start : optional start vector, an (n, 1) approximation of the lowest
+        eigenvector (only column 0 is read); the first Lanczos sweep
+        starts from it.  It only steers the search.
 
     After a pole below, the list is certified by one inertia count at
     pole_above of its top value: it must hold every eigenvalue below that
@@ -375,7 +355,8 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
     whole list, for the eigenvalues its Krylov space missed
     (multiplicities, or neighbours within the level's 1e-3 window);
     later sweeps keep only values below that level until the list holds
-    the counted number, which certifies it with no new count.  A count
+    the counted number, which certifies it with no new count.  Sweeps go
+    on past the fourth only while each adds a value.  A count
     below the list size raises SolverError.
 
     Raises SolverError (carrying the best partial result) when the list is
@@ -410,11 +391,12 @@ def _search(A, M, k, tol, sigma, lu, seed, top, start):
     top is the (level, count) of a count above the list: None for a pole
     below the spectrum, where it is counted at pole_above once the list
     holds k values, and (sigma, m) for a pole above, whose sweeps then ask
-    for the values nearest below it.  The first sweep runs one column at
-    a time from the first column of start; a later one, deflated against
-    the list, runs blocks of the number of values still missing (at most
-    8) from seeded random columns.  Each sweep may solve 10 k + 200
-    columns.
+    for the values nearest below it.  The first sweep starts from the
+    start vector; a later one, deflated against the list, from a seeded
+    random vector.  A one-column Krylov space sees few copies of a
+    multiple eigenvalue per sweep, so after four sweeps another runs
+    only while the last one added a value.  Each sweep may take 10 k +
+    200 steps.
     """
     n = A.shape[0]
     rng = np.random.default_rng(seed)
@@ -424,10 +406,12 @@ def _search(A, M, k, tol, sigma, lu, seed, top, start):
     vals = np.empty(0)
     X = np.empty((n, 0))
     want = k if top is None else top[1]
-    for attempt in range(4):
+    attempt = 0
+    while attempt < 4 or lv.size:
         lv, lX, _, exhausted = _lanczos(
             lu.solve, A, M, sigma, want, tol, None if attempt else start, X,
-            budget, above, rng, min(want, 8) if attempt else 1)
+            budget, above, rng)
+        attempt += 1
         if top is not None:
             # the list is filled up to the first certified level only, so
             # it does not climb the spectrum one cluster at a time

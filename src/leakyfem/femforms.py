@@ -187,7 +187,9 @@ def prolong(coarse: DofMap, fine: DofMap, U):
     4t..4t+3, whose vertices are a, ab, ca / ab, b, bc / ca, bc, c /
     ab, bc, ca for its own a, b, c and edge midpoints; each child keeps
     its parent's region, so on the broken space a midpoint takes the mean
-    of its own side's values.  Dirichlet nodes (dof -1) hold 0."""
+    of its own side's values.  Dirichlet nodes (dof -1) hold 0.  The
+    cascade (pipeline.cascade_solve) prolongs one column, a coarser
+    level's lowest eigenvector, into a refined level's start vector."""
     U = np.vstack([U, np.zeros((1, U.shape[1]))])  # row -1: Dirichlet
     a, b, c = (U[coarse.tri_dofs[:, i]] for i in range(3))
     ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)

@@ -8,14 +8,14 @@ the k-th of the finer level: its one factorization both counts the
 eigenvalues below it and drives Lanczos.  That pole is
 eigensolver.pole_above, the level at which the eigensolver certifies a
 list solved below the spectrum; pipeline imports it from there.  The
-coarser level's eigenvectors, prolonged into the finer space
-(femforms.prolong), are that Lanczos run's start block.  On one mesh,
+coarser level's lowest eigenvector, prolonged into the finer space
+(femforms.prolong), is that Lanczos run's start vector.  On one mesh,
 and on every box of it, lambda_n(delta-prime) <= lambda_n(delta)
 (min-max: the broken space holds U·E of the continuous one, with the
 same mass and a_dp[U·Eu] <= a_d[u]), so the first level's delta-prime
 pencil takes pole_above of the delta list on the same mesh, and only the
 first delta level takes the certified shift search.  The first level
-starts from the seed's random block.  Every solve takes one pole, whose
+starts from the seed's random vector.  Every solve takes one pole, whose
 side of the spectrum the eigensolver reads off its factorization.
 solve_pencil is the one place that falls back: a given pole that fails
 is followed by that search, unless the list it computed has a
@@ -27,12 +27,12 @@ from the coarser ones.
 Restricted (smaller-box) pencils on one mesh have eigenvalues no smaller
 than the full pencil's (min-max), so a pole just below the full-box
 lambda_1 serves every delta box; a delta-prime box takes pole_above of
-the same box's delta list.  Each box starts from the full pencil's
-eigenvectors restricted to its dofs.  meshing.build_dofs numbers both
-spaces' dofs once, by one nested-dissection order of the free nodes,
-before any matrix is scattered; a restricted pencil keeps a sorted
-subset of those dofs, so it inherits their order and is factored as it
-is, like every full pencil.
+the same box's delta list.  Each box's start vector is the full
+pencil's lowest eigenvector restricted to its dofs.  meshing.build_dofs
+numbers both spaces' dofs once, by one nested-dissection order of the
+free nodes, before any matrix is scattered; a restricted pencil keeps a
+sorted subset of those dofs, so it inherits their order and is factored
+as it is, like every full pencil.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def solve_pencil(A, M, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED, pole=None,
     """smallest_eigenpairs at a given pole, below the spectrum or above
     the k-th eigenvalue as its factorization tells, falling back to the
     certified shift search when that pole fails; both start Lanczos from
-    the block start.  A failed pole costs its one refused factorization,
+    the start vector.  A failed pole costs its one refused factorization,
     or the search it drove; a failed search raises SolverError.  A list
     whose certifying level does not factor raises CertificationError at
     once: the search would certify it at that same level."""
@@ -88,7 +88,7 @@ def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
                   results=None, pole=None):
     """Solve one operator on every refinement level of forms_list, coarse
     to fine: above the coarser level's list (pole_above), from its
-    prolonged eigenvectors, with the certified shift search as the
+    prolonged lowest eigenvector, with the certified shift search as the
     fallback.  The first level takes pole (for delta-prime, pole_above of
     the delta list on the same mesh), or the search when it is None.
 
@@ -103,7 +103,7 @@ def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
             pole = pole_above(results[-1].values)
             start = femforms.prolong(_dofmap(forms_list[j - 1], which),
                                      _dofmap(forms_list[j], which),
-                                     results[-1].vectors)
+                                     results[-1].vectors[:, :1])
         results.append(solve_pencil(A, M, k, tol=tol, seed=seed, pole=pole,
                                     start=start))
     return results
@@ -137,7 +137,7 @@ def solve_restricted(forms, which, halfwidth, k, tol=DEFAULT_TOL,
                      seed=DEFAULT_SEED, pole=None, start=None):
     """Solve the pencil restricted to dofs strictly inside an inner box,
     at the given pole (solve_pencil), from the rows of the full pencil's
-    block start on those dofs; returns the result and the dofs."""
+    start vector on those dofs; returns the result and the dofs."""
     A, M = forms.matrices(which)
     keep = interior_dofs(forms, which, halfwidth)
     Ar = A[keep][:, keep].tocsr()

@@ -398,8 +398,8 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
     min-max the eigenvalues of a restricted pencil are no smaller than
     the full pencil's.  A delta-prime box always takes the delta row of
     the same box: above holds the delta study's rows, and each box is
-    solved at pipeline.pole_above of its row (see pipeline).  Each box
-    starts Lanczos from full's eigenvectors on its dofs.  Every box
+    solved at pipeline.pole_above of its row (see pipeline).  Each box's
+    start vector is full's lowest eigenvector on its dofs.  Every box
     holds k nodes (_check_boxes).
     """
     ndof = full.vectors.shape[0]
@@ -413,7 +413,7 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
         else:
             res, _ = pipeline.solve_restricted(forms, which, L, k, tol=tol,
                                                seed=seed, pole=pole,
-                                               start=full.vectors)
+                                               start=full.vectors[:, :1])
         values.append(res.values[:k])
     vals = np.asarray(values)
     deltas = np.abs(np.diff(vals, axis=0))

@@ -470,6 +470,19 @@ def _spy_factored(monkeypatch):
     return digests
 
 
+def _spy_calls(monkeypatch, module, name):
+    """A list that grows by one at each call of module.name."""
+    calls = []
+    f = getattr(module, name)
+
+    def spied(*args, **kwargs):
+        calls.append(None)
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
+
+
 def test_factorization_budget(monkeypatch):
     # the criterion-8 run: the bisected shift search on the coarse delta
     # level, whose certified factor Lanczos runs on, with one inertia
@@ -477,11 +490,16 @@ def test_factorization_budget(monkeypatch):
     # the pole above that delta list; and one factor per refined level at
     # the pole above the coarser list, which both counts and drives
     # Lanczos; a fallback to the pole below or a repeated check raises the
-    # count
+    # count.  Each solve takes one Lanczos sweep: none is sent back for
+    # values its Krylov space missed
+    from leakyfem import eigensolver, pipeline
     calls = _spy_factored(monkeypatch)
+    solves = _spy_calls(monkeypatch, pipeline, "smallest_eigenpairs")
+    sweeps = _spy_calls(monkeypatch, eigensolver, "_lanczos")
     _, code = cli.run_solve(_criterion_8_cfg())
     assert code in (cli.EXIT_STRICT, cli.EXIT_INDISTINGUISHABLE)
     assert len(calls) == 11
+    assert len(solves) == 6 and len(sweeps) == len(solves)
 
 
 def test_no_matrix_is_factored_twice(monkeypatch):
