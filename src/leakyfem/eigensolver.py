@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.blas import dcopy, dgemm
+from scipy.linalg.blas import dcopy, ddot, dgemm, dgemv
 from scipy.sparse.linalg import splu
 
 from .errors import CertificationError, DomainError, SolverError
@@ -167,52 +167,45 @@ def lower_shift(A, M):
     return start * 0.5 ** lo, lu
 
 
-def _project(X, bases):
-    """X, an F-ordered column that is overwritten, minus its
-    M-projections on the M-orthonormal columns of each (B, M B) in
-    bases, by two passes of classical Gram-Schmidt, which are enough
-    unless X lies in their span (Giraud, Langou and Rozloznik, Comput.
-    Math. Appl. 50, 2005).  The inner products come from the stored
-    M B, so no product by M is made.  Returns X and its summed
-    coefficients on each B."""
-    coefs = [np.zeros((B.shape[1], X.shape[1])) for B, _ in bases]
+def _project(x, bases):
+    """x, a vector that is overwritten, minus its M-projections on the
+    M-orthonormal columns of each (B, M B) in bases, by two passes of
+    classical Gram-Schmidt, which are enough unless x lies in their span
+    (Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 2005).  The
+    inner products come from the stored M B, so no product by M is
+    made.  Returns x and its summed coefficients on each B."""
+    coefs = [np.zeros(B.shape[1]) for B, _ in bases]
     for _ in range(2):
         for i, (B, MB) in enumerate(bases):
             if B.shape[1]:
-                c = dgemm(1.0, MB, X, trans_a=1)
-                dgemm(-1.0, B, c, 1.0, X, overwrite_c=1)
+                c = dgemv(1.0, MB, x, trans=1)
+                dgemv(-1.0, B, c, 1.0, x, overwrite_y=1)
                 coefs[i] += c
-    return X, coefs
+    return x, coefs
 
 
-def _fill(X, MX, norm, V, MV, p, bases, M, rng, tries=3):
-    """Write the M-normalized column X into V[:, p] and its product by M
-    into MV[:, p]; return 1, or 0 when no column was written.  X is
-    M-orthogonal to the bases and to V[:, :p], MX = M X, and norm is X's
-    M-norm before its projection: a column the projection cancelled to
-    1e-12 of its norm lay in their span and is replaced by a seeded
-    random one, at most `tries` times."""
-    g = dgemm(1.0, MX.T, X)[0, 0]
-    if np.sqrt(max(g, 0.0)) > 1e-12 * norm:
-        s = 1.0 / np.sqrt(g)
-        t = s / np.sqrt(g * s * s)
-        V[:, p:p + 1] = X * t
-        MV[:, p:p + 1] = MX * t
-        return 1
-    if tries:
-        return _add(rng.standard_normal((V.shape[0], 1)), V, MV, p, bases,
-                    M, rng, tries - 1)
+def _fill(x, V, MV, p, bases, M, rng, Mx=None, norm=None):
+    """Write the vector x, M-normalized, into V[:, p] and M x into
+    MV[:, p]; return 1, or 0 when no column was written.  Given Mx = M x
+    and norm, x is M-orthogonal to the bases and to V[:, :p] and norm is
+    its M-norm before that projection; otherwise a copy of x is
+    projected first.  A vector the projection cancelled to 1e-12 of its
+    norm lay in their span and is replaced by a seeded random one, at
+    most three times."""
+    for _ in range(4):
+        if Mx is None:
+            x = np.array(x, dtype=float)
+            norm = np.sqrt(ddot(x, M @ x))
+            x, _ = _project(x, bases + [(V[:, :p], MV[:, :p])])
+            Mx = M @ x
+        g = ddot(Mx, x)
+        if np.sqrt(max(g, 0.0)) > 1e-12 * norm:
+            s = 1.0 / np.sqrt(g)
+            V[:, p] = x * s
+            MV[:, p] = Mx * s
+            return 1
+        x, Mx = rng.standard_normal(V.shape[0]), None
     return 0
-
-
-def _add(X, V, MV, p, bases, M, rng, tries=3):
-    """_fill with the column X, first projected off the bases and
-    V[:, :p]; X itself is not changed."""
-    X = np.array(X, order="F")
-    MX = M @ X
-    norm = np.sqrt(np.einsum("ij,ij", X, MX))
-    X, _ = _project(X, bases + [(V[:, :p], MV[:, :p])])
-    return _fill(X, M @ X, norm, V, MV, p, bases, M, rng, tries)
 
 
 def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
@@ -233,14 +226,16 @@ def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
     stored M D and M V, and whose coefficients on V fill the step's
     column of the projected matrix H (tridiagonal up to rounding); one
     product by M of the residual; and a Rayleigh-Ritz step on H.  The
-    dense products are BLAS calls that keep the GIL: they are short, and
-    each release would let a Python-bound thread hold the GIL for a
-    switch interval.  A full basis is restarted from its `keep` best
-    Ritz vectors (a thick restart, Wu and Simon, SIAM J. Matrix Anal.
-    Appl. 22, 2000), whose block of H is then diagonal.
+    dense products are BLAS calls (dgemv, ddot, dgemm) that keep the
+    GIL: they are short, and each release would let a Python-bound
+    thread hold the GIL for a switch interval.  A full basis is
+    restarted from its `keep` best Ritz vectors (a thick restart, Wu and
+    Simon, SIAM J. Matrix Anal. Appl. 22, 2000), whose block of H is
+    then diagonal.
 
-    The M-norm of each wanted Ritz pair's residual in Op is read off the
-    residual.  Once it is at most tol |shifted value| max(1, |lambda|)
+    The M-norm of each wanted Ritz pair's residual in Op is that of the
+    step's residual r times the last entry of the pair's eigenvector of
+    H.  Once it is at most tol |shifted value| max(1, |lambda|)
     for every wanted pair, times the largest ratio of explicit to
     estimated residual that a failed check saw, the explicit residual
     test ||A x - lambda M x|| / ||x||_M <= tol max(1, |lambda|) decides.
@@ -268,28 +263,25 @@ def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
     D = np.asfortranarray(deflate)
     bases = [(D, np.asfortranarray(M @ D))]
 
-    x = rng.standard_normal((n, 1)) if start is None else start[:, :1]
-    p, q = 0, _add(x, V, MV, 0, bases, M, rng)
+    x = rng.standard_normal(n) if start is None else start
+    p, q = 0, _fill(x, V, MV, 0, bases, M, rng)
     solved = 0
     scale = 1.0
     while True:
         if not q:
             raise SolverError("the Lanczos basis stopped growing")
-        j = slice(p, p + 1)
         p += 1
-        R, (CD, C) = _project(solve(MV[:, j]),
+        r, (cD, c) = _project(solve(MV[:, p - 1]),
                               bases + [(V[:, :p], MV[:, :p])])
         solved += 1
-        H[:p, j] = C
-        H[j, :p] = C.T
+        H[:p, p - 1] = H[p - 1, :p] = c
         theta, S = np.linalg.eigh(H[:p, :p])
         order = np.argsort(theta if above else -theta, kind="stable")
         sel = order[:want]
         lams = sigma + 1.0 / theta[sel]
-        MR = M @ R
-        G = dgemm(1.0, MR.T, R)
-        Sj = S[j][:, sel]
-        est = np.sqrt(np.maximum(np.einsum("ji,jk,ki->i", Sj, G, Sj), 0.0))
+        Mr = M @ r
+        g = ddot(Mr, r)
+        est = np.sqrt(max(g, 0.0)) * np.abs(S[p - 1, sel])
         bound = tol * np.maximum(1.0, np.abs(lams))
         settled = est <= 1e-2 * tol * np.abs(theta[sel])
         done = p >= room or solved >= budget
@@ -313,9 +305,8 @@ def _lanczos(solve, A, M, sigma, want, tol, start, deflate, budget, above,
             H[:] = 0.0
             H[np.arange(keep), np.arange(keep)] = theta[kept]
             p = keep
-        norm = np.sqrt(G[0, 0] + np.einsum("ij,ij", C, C)
-                       + np.einsum("ij,ij", CD, CD))
-        q = _fill(R, MR, norm, V, MV, p, bases, M, rng)
+        q = _fill(r, V, MV, p, bases, M, rng, Mr,
+                  np.sqrt(g + c @ c + cD @ cD))
 
 
 def _residuals(A, X, MX, lams):
@@ -344,9 +335,9 @@ def smallest_eigenpairs(A, M, k: int, tol: float = DEFAULT_TOL,
         is found by bisection up from a proven lower bound (lower_shift).
     seed : seed of the random start vectors (results are deterministic
         given the seed and start).
-    start : optional start vector, an (n, 1) approximation of the lowest
-        eigenvector (only column 0 is read); the first Lanczos sweep
-        starts from it.  It only steers the search.
+    start : optional start vector, an n-vector approximation of the
+        lowest eigenvector; the first Lanczos sweep starts from it.  It
+        only steers the search.
 
     After a pole below, the list is certified by one inertia count at
     pole_above of its top value: it must hold every eigenvalue below that

@@ -31,7 +31,8 @@ import scipy.sparse as sp
 
 from .errors import DomainError
 from .geometry import MaterialData
-from .meshing import DofMap, Mesh, build_dofs, interface_quadrature
+from .meshing import (RED_CHILDREN, DofMap, Mesh, build_dofs,
+                      interface_quadrature)
 
 DELTA = "delta"
 DELTA_PRIME = "delta_prime"
@@ -179,21 +180,20 @@ def assemble(mesh: Mesh, material: MaterialData) -> AssembledForms:
 
 
 
-def prolong(coarse: DofMap, fine: DofMap, U):
-    """The columns of U, functions in the space of the DofMap coarse,
-    as functions in the space of fine on the red refinement of its mesh
-    (meshing.refine_uniform): the same P1 functions, so every form takes
-    the same values on them.  Coarse triangle t's children are rows
-    4t..4t+3, whose vertices are a, ab, ca / ab, b, bc / ca, bc, c /
-    ab, bc, ca for its own a, b, c and edge midpoints; each child keeps
+def prolong(coarse: DofMap, fine: DofMap, u):
+    """u, a function (a vector) or functions (the columns of a matrix)
+    in the space of the DofMap coarse, in the space of fine on the red
+    refinement of its mesh (meshing.refine_uniform): the same P1
+    functions, so every form takes the same values on them.  The values
+    at coarse triangle t's corners and edge midpoints go to the corners
+    of its children as meshing.RED_CHILDREN places them; each child keeps
     its parent's region, so on the broken space a midpoint takes the mean
     of its own side's values.  Dirichlet nodes (dof -1) hold 0.  The
-    cascade (pipeline.cascade_solve) prolongs one column, a coarser
-    level's lowest eigenvector, into a refined level's start vector."""
-    U = np.vstack([U, np.zeros((1, U.shape[1]))])  # row -1: Dirichlet
-    a, b, c = (U[coarse.tri_dofs[:, i]] for i in range(3))
-    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    vals = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1)
-    out = np.zeros((fine.ndof + 1, U.shape[1]))
-    out[fine.tri_dofs.reshape(-1)] = vals.reshape(-1, U.shape[1])
+    cascade (pipeline.cascade_solve) prolongs a coarser level's lowest
+    eigenvector into a refined level's start vector."""
+    u = np.concatenate([u, np.zeros_like(u[:1])])  # row -1: Dirichlet
+    v = u[coarse.tri_dofs]  # a, b, c, then ab, bc, ca
+    v = np.concatenate([v, 0.5 * (v + v[:, [1, 2, 0]])], axis=1)
+    out = np.zeros((fine.ndof + 1,) + u.shape[1:])
+    out[fine.tri_dofs.reshape(-1, 4, 3)] = v[:, RED_CHILDREN]
     return out[:-1]

@@ -167,8 +167,12 @@ class InterfaceGeometry:
 class MaterialData:
     """Piecewise-constant interaction strengths: alpha (1/length), beta (length).
 
-    One value per geometry segment; both must be positive everywhere,
-    which is the regime 0 < beta <= 4/alpha of the eigenvalue comparison.
+    One value per geometry segment; both must be positive everywhere.
+    The eigenvalue comparison also needs beta <= 4/alpha, which only
+    cli.run_solve (`spec solve` and `spec sweep`) checks: the library and
+    `spec converge` take any positive values, and there the delta-prime
+    solves whose pole comes from the delta list of the same mesh or box
+    may find it refused and fall back to the certified shift search.
     """
 
     alpha: np.ndarray

@@ -32,6 +32,10 @@ BROKEN = "broken"
 
 _SHUFFLE_SEED = 987654321
 MIN_ANGLE_DEG = 20.0  # Ruppert's bound, lowered only at sharp junctions
+# red refinement: the corners of triangle t's children, rows 4t..4t+3 of
+# the refined mesh, among t's corners a, b, c and its edge midpoints ab,
+# bc, ca (positions 0..5); refine_uniform and femforms.prolong read it
+RED_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 
 @dataclass(frozen=True)
@@ -420,7 +424,8 @@ def _extract(tri, geometry, floor):
 
 
 def refine_uniform(m: Mesh) -> Mesh:
-    """Red refinement: every triangle into four similar ones.
+    """Red refinement: every triangle into four similar ones, triangle
+    t's at rows 4t..4t+3 with the corners RED_CHILDREN lists.
 
     The refined space contains the coarse one (nested meshes), interface
     and boundary edges are bisected, and all angles are preserved.
@@ -437,14 +442,8 @@ def refine_uniform(m: Mesh) -> Mesh:
     nodes = np.vstack([m.nodes, mids])
 
     T = tris.shape[0]
-    mid = (inverse.reshape(3, T).T + nv).astype(np.int32)  # [mab, mbc, mca]
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    mab, mbc, mca = mid[:, 0], mid[:, 1], mid[:, 2]
-    children = np.empty((4 * T, 3), dtype=np.int32)
-    children[0::4] = np.column_stack([a, mab, mca])
-    children[1::4] = np.column_stack([mab, b, mbc])
-    children[2::4] = np.column_stack([mca, mbc, c])
-    children[3::4] = np.column_stack([mab, mbc, mca])
+    mid = (inverse.reshape(3, T).T + nv).astype(np.int32)  # [ab, bc, ca]
+    children = np.hstack([tris, mid])[:, RED_CHILDREN].reshape(-1, 3)
     region = np.repeat(m.tri_region, 4)
 
     def split_edges(earr):

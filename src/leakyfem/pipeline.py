@@ -103,7 +103,7 @@ def cascade_solve(forms_list, which, k, tol=DEFAULT_TOL, seed=DEFAULT_SEED,
             pole = pole_above(results[-1].values)
             start = femforms.prolong(_dofmap(forms_list[j - 1], which),
                                      _dofmap(forms_list[j], which),
-                                     results[-1].vectors[:, :1])
+                                     results[-1].vectors[:, 0])
         results.append(solve_pencil(A, M, k, tol=tol, seed=seed, pole=pole,
                                     start=start))
     return results
@@ -136,11 +136,11 @@ def interior_dofs(forms, which, halfwidth):
 def solve_restricted(forms, which, halfwidth, k, tol=DEFAULT_TOL,
                      seed=DEFAULT_SEED, pole=None, start=None):
     """Solve the pencil restricted to dofs strictly inside an inner box,
-    at the given pole (solve_pencil), from the rows of the full pencil's
-    start vector on those dofs; returns the result and the dofs."""
+    at the given pole (solve_pencil), from the full pencil's start
+    vector on those dofs (interior_dofs)."""
     A, M = forms.matrices(which)
     keep = interior_dofs(forms, which, halfwidth)
     Ar = A[keep][:, keep].tocsr()
     Mr = M[keep][:, keep].tocsr()
     return solve_pencil(Ar, Mr, k, tol=tol, seed=seed, pole=pole,
-                        start=None if start is None else start[keep]), keep
+                        start=None if start is None else start[keep])

@@ -411,9 +411,9 @@ def truncation_from_forms(forms, which: str, halfwidths, k: int,
                 and pipeline.interior_dofs(forms, which, L).size == ndof):
             res = full
         else:
-            res, _ = pipeline.solve_restricted(forms, which, L, k, tol=tol,
-                                               seed=seed, pole=pole,
-                                               start=full.vectors[:, :1])
+            res = pipeline.solve_restricted(forms, which, L, k, tol=tol,
+                                            seed=seed, pole=pole,
+                                            start=full.vectors[:, 0])
         values.append(res.values[:k])
     vals = np.asarray(values)
     deltas = np.abs(np.diff(vals, axis=0))

@@ -684,7 +684,7 @@ def test_threads_give_the_serial_results(ringed_pencils):
     for key, above in ((("broken_line", femforms.DELTA_PRIME, "full"), True),
                        (("circle", femforms.DELTA, "box"), False)):
         A, M = ringed_pencils[key]
-        start = np.random.default_rng(9).standard_normal((A.shape[0], 2))
+        start = np.random.default_rng(9).standard_normal(A.shape[0])
         pole = None
         if above:
             pole = es.pole_above(es.smallest_eigenpairs(A, M, 2).values)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -412,3 +413,35 @@ def test_prolonged_functions_keep_every_form(kind):
             c = np.einsum("ij,ij->j", U, getattr(Fc, name) @ U)
             f = np.einsum("ij,ij->j", PU, getattr(Ff, name) @ PU)
             assert np.abs(f - c).max() <= 1e-12 * np.abs(c).max(), name
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_prolongation_places_values_where_refinement_puts_nodes(kind):
+    # x and y are P1 functions, so prolonged from the coarse nodes they
+    # are the refined mesh's node coordinates, bit for bit, on both sides
+    # of the broken space: prolong and refine_uniform read one child
+    # table.  With no Dirichlet node every corner of every child has a
+    # dof.  Child by child, with the other children's dofs sent to the
+    # Dirichlet row, no child's values are overwritten by another's, so
+    # every entry of the table is checked
+    make, h, rings = _NESTED[kind]
+    coarse = meshing.triangulate(make(), h, inner_rings=rings)
+    coarse = dataclasses.replace(
+        coarse, boundary_dirichlet=np.zeros_like(coarse.boundary_dirichlet))
+    fine = meshing.refine_uniform(coarse)
+    child = np.arange(fine.num_triangles) % 4
+    for dc, df in zip(meshing.build_dofs(coarse), meshing.build_dofs(fine)):
+        xy = np.empty((dc.ndof, 2))
+        xy[dc.node_dof1] = xy[dc.node_dof2] = coarse.nodes
+        P = femforms.prolong(dc, df, xy)
+        assert np.array_equal(P[df.node_dof1], fine.nodes)
+        assert np.array_equal(P[df.node_dof2], fine.nodes)
+        assert np.array_equal(femforms.prolong(dc, df, xy[:, 1]), P[:, 1])
+        for i in range(4):
+            alone = dataclasses.replace(df, tri_dofs=np.where(
+                (child == i)[:, None], df.tri_dofs, -1))
+            P = femforms.prolong(dc, alone, xy)
+            assert np.array_equal(P[df.tri_dofs[i::4]],
+                                  fine.nodes[fine.triangles[i::4]])
+        twins = np.count_nonzero(df.node_dof1 != df.node_dof2)
+        assert twins if df.kind == meshing.BROKEN else not twins

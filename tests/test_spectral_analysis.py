@@ -242,6 +242,20 @@ def test_counting_table_catches_a_value_the_pencil_lacks(monkeypatch):
     assert len(calls) == 1
 
 
+def test_counting_table_refuses_counts_out_of_order(monkeypatch):
+    # delta [-3, -1.5] against delta-prime [-2, -1]: at the lowest level,
+    # -2.5, one delta value lies below it and no delta-prime value, which
+    # the ordering N' >= N forbids.  The delta list is counted once at the
+    # highest level, -1.25, and its count agrees, so only the order fails
+    forms, td, tp = _stand_in_forms()
+    calls = _factorizations(monkeypatch)
+    with pytest.raises(ConsistencyError, match=r"counting functions out of "
+                       r"order at mu=-2\.5: N_deltaprime=0 < N_delta=1"):
+        sa.counting_table(forms, _fake_result([-3.0, -1.5]),
+                          _fake_result([-2.0, -1.0]), td, tp)
+    assert len(calls) == 1
+
+
 @settings(max_examples=15)
 @given(theta=st.floats(0.1, 0.6), alpha=st.floats(2.0, 4.0),
        c=st.floats(0.3, 1.0, exclude_min=True), k=st.integers(2, 4))
@@ -337,7 +351,7 @@ def test_truncation_shift_seeded_from_full_box(monkeypatch):
     mesh = pipeline.mesh_levels(g, 0.6, 0, inner_rings=[3.0, 4.5])[0]
     forms = femforms.assemble(mesh, mat)
     boxes = [3.0, 4.5, 6.0]
-    plain = [pipeline.solve_restricted(forms, sa.DELTA, L, 2)[0].values
+    plain = [pipeline.solve_restricted(forms, sa.DELTA, L, 2).values
              for L in boxes]
     full = pipeline.cascade_solve([forms], sa.DELTA, 2)[0]
     searches = []
@@ -478,7 +492,7 @@ def _solved_boxes(monkeypatch):
 
 def test_full_box_row_is_the_full_solve(monkeypatch, ringed_forms):
     forms, full = ringed_forms
-    plain = [pipeline.solve_restricted(forms, sa.DELTA, L, 2)[0].values
+    plain = [pipeline.solve_restricted(forms, sa.DELTA, L, 2).values
              for L in (3.0, 4.5, 6.0)]
     boxes = _solved_boxes(monkeypatch)
     study = sa.truncation_from_forms(forms, sa.DELTA, [3.0, 4.5, 6.0], 2,
@@ -491,8 +505,9 @@ def test_full_box_row_is_the_full_solve(monkeypatch, ringed_forms):
 def test_box_that_leaves_out_dofs_is_solved(monkeypatch, ringed_forms):
     forms, full = ringed_forms
     pole = pipeline.truncation_shift(full.values)
-    alone, keep = pipeline.solve_restricted(forms, sa.DELTA, 4.5, 2,
-                                            pole=pole, start=full.vectors)
+    alone = pipeline.solve_restricted(forms, sa.DELTA, 4.5, 2, pole=pole,
+                                      start=full.vectors[:, 0])
+    keep = pipeline.interior_dofs(forms, sa.DELTA, 4.5)
     assert keep.size < full.vectors.shape[0]
     boxes = _solved_boxes(monkeypatch)
     study = sa.truncation_from_forms(forms, sa.DELTA, [3.0, 4.5], 2, full)
@@ -537,11 +552,11 @@ def test_verify_refuses_a_value_that_rises(monkeypatch, where, names):
         return results
 
     def restricted_raised(forms, which, halfwidth, k, **kwargs):
-        res, keep = restricted(forms, which, halfwidth, k, **kwargs)
+        res = restricted(forms, which, halfwidth, k, **kwargs)
         boxes[which, halfwidth] = res.values[0]
         if (which, halfwidth) == (sa.DELTA, 3.0):
             res = raised(res, boxes[which, 2.0])
-        return res, keep
+        return res
 
     if where == "level":
         monkeypatch.setattr(pipeline, "cascade_solve", cascade_raised)
@@ -609,7 +624,7 @@ def test_refused_delta_pole_falls_back_to_the_search(monkeypatch):
         pipeline.interior_dofs(forms[1], sa.DELTA_PRIME, 2.5).size]
     monkeypatch.undo()
     ref = pipeline.cascade_solve(forms, sa.DELTA_PRIME, 2)
-    box = pipeline.solve_restricted(forms[1], sa.DELTA_PRIME, 2.5, 2)[0]
+    box = pipeline.solve_restricted(forms[1], sa.DELTA_PRIME, 2.5, 2)
     got = [r.values for r in res_p] + [study.values]
     want = [r.values for r in ref] + [np.array([box.values[:2],
                                                 ref[1].values[:2]])]
